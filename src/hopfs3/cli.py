@@ -9,7 +9,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .scalars import PolyRing
+from .scalars import PolyRing, parse_rational
 
 
 def _report(check: str, ok: bool, counts: dict, details, t0: float) -> dict:
@@ -20,6 +20,18 @@ def _report(check: str, ok: bool, counts: dict, details, t0: float) -> dict:
         "details": [str(d) for d in details][:10],
         "ms": int((time.time() - t0) * 1000),
     }
+
+
+PARAMS = ("--a1", "--a2")
+
+
+def _rational(text: str) -> Fraction:
+    """The value of --a1 or --a2: an exact rational such as 3, -1/2, 0.25."""
+    try:
+        return parse_rational(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"not a rational number: {text!r}") from None
 
 
 def _params(args):
@@ -72,7 +84,8 @@ def _suite_diamond(args) -> list:
     else:
         rep = check_associativity(table, "exhaustive")
         note = []
-    out.append(_report("diamond.associativity", rep["ok"],
+    out.append(_report("diamond.associativity",
+                       rep["ok"] and rep["mode"] == "exhaustive",
                        {"mode": rep["mode"], "checked": rep["checked"],
                         "params": label},
                        note + rep["failures"][:5], t0))
@@ -217,8 +230,34 @@ def cmd_dump(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Bad usage: one line on stderr, exit code 2."""
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _add_params(p: argparse.ArgumentParser) -> None:
+    for flag in PARAMS:
+        p.add_argument(flag, type=_rational,
+                       help=f"rational {flag[2:]} (default: symbolic)")
+    p.add_argument("--symbolic", action="store_true",
+                   help="force symbolic parameters")
+
+
+def _join_params(argv: list) -> list:
+    """'--a2 -1/2' -> '--a2=-1/2', so that a negative fraction is read as
+    the value, not as an unknown option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in PARAMS:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="hopfs3",
         description="Exact verification of the 72-dimensional Hopf algebra "
                     "family with dual-S3 coradical")
@@ -227,10 +266,7 @@ def make_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("scope", choices=["all"] + sorted(SUITES),
                    help="which suite to run")
-    v.add_argument("--a1", help="rational a1 (default: symbolic)")
-    v.add_argument("--a2", help="rational a2 (default: symbolic)")
-    v.add_argument("--symbolic", action="store_true",
-                   help="force symbolic parameters")
+    _add_params(v)
     v.add_argument("--json", action="store_true", help="machine-readable output")
     v.add_argument("--seed", type=int, default=0, help="sampling seed")
     v.add_argument("--budget-sec", type=float, default=600.0,
@@ -244,16 +280,15 @@ def make_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_classify)
 
     d = sub.add_parser("dump", help="dump structure tables")
-    d.add_argument("--a1", help="rational a1 (default: symbolic)")
-    d.add_argument("--a2", help="rational a2 (default: symbolic)")
-    d.add_argument("--symbolic", action="store_true")
+    _add_params(d)
     d.set_defaults(func=cmd_dump)
 
     return p
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = make_parser().parse_args(
+        _join_params(sys.argv[1:] if argv is None else argv))
     if not hasattr(args, "fuel"):
         args.fuel = 10 ** 6
     return args.func(args)

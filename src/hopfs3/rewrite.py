@@ -250,8 +250,13 @@ def _contains(haystack, needle) -> bool:
     return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
 
 
-def _full_tail(word, coeff) -> dict:
-    return {(tuple(word), g): coeff for g in S3}
+def _full_tail(*terms) -> dict:
+    """sum of c * w delta_g over every g in S3, for the (w, c) pairs given."""
+    out: dict = {}
+    for word, coeff in terms:
+        for g in S3:
+            _add_into(out, (tuple(word), g), coeff)
+    return out
 
 
 def default_rules(a1, a2, fuel: int = FUEL_DEFAULT) -> RuleSystem:
@@ -272,15 +277,11 @@ def default_rules(a1, a2, fuel: int = FUEL_DEFAULT) -> RuleSystem:
                                     "(12)": a2 - a1, "(132)": a2 - a1})),
         Rule((X12, X12), tails((), {"(23)": -a1, "(123)": -a1,
                                     "(13)": -a2, "(132)": -a2})),
-        Rule((X13, X23), smash_add(_full_tail((X23, X12), -1),
-                                   _full_tail((X12, X13), -1))),
-        Rule((X23, X13), smash_add(_full_tail((X12, X23), -1),
-                                   _full_tail((X13, X12), -1))),
-        Rule((X12, X13, X12), smash_add(_full_tail((X13, X12, X13), 1),
-                                        smash_scale(_full_tail((X23,), 1), a1))),
-        Rule((X23, X12, X23), smash_add(_full_tail((X12, X23, X12), 1),
-                                        smash_scale(_full_tail((X13,), 1), -a2))),
-        Rule((X23, X12, X13), smash_add(_full_tail((X13, X12, X23), 1),
+        Rule((X13, X23), _full_tail(((X23, X12), -1), ((X12, X13), -1))),
+        Rule((X23, X13), _full_tail(((X12, X23), -1), ((X13, X12), -1))),
+        Rule((X12, X13, X12), _full_tail(((X13, X12, X13), 1), ((X23,), a1))),
+        Rule((X23, X12, X23), _full_tail(((X12, X23, X12), 1), ((X13,), -a2))),
+        Rule((X23, X12, X13), smash_add(_full_tail(((X13, X12, X23), 1)),
                                         tails((X12,), omega))),
     ]
     return RuleSystem(rules, fuel=fuel)

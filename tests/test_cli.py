@@ -1,6 +1,8 @@
 """Command-line interface: suites, exit codes, and deterministic output."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +39,47 @@ class TestVerify:
         strip = lambda s: [
             line for line in s.splitlines() if '"ms"' not in line]
         assert strip(first) == strip(second)
+
+    def test_readme_point_command(self, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        line = next(ln for ln in readme.read_text().splitlines()
+                    if ln.startswith("hopfs3 verify diamond"))
+        argv = shlex.split(line)[1:]
+        assert argv == ["verify", "diamond", "--a1", "1", "--a2", "-1/2",
+                        "--json"]
+        assert main(argv) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert reports and all(r["status"] == "pass" for r in reports)
+        assert reports[0]["counts"]["params"] == "(1,-1/2)"
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "diamond", "--a1=foo"],
+        ["verify", "diamond", "--a1", "foo"],
+        ["verify", "diamond", "--a2=1/0"],
+        ["verify", "diamond", "--a1", "1", "--a2", "1/0"],
+        ["dump", "--a1", "foo"],
+        ["dump", "--a2=1/0"],
+    ])
+    def test_bad_parameter(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "not a rational number" in captured.err
+
+    def test_sampled_fallback_fails(self, capsys):
+        # a zero budget forces the sampled associativity downgrade, which
+        # is not a certificate and must not pass
+        argv = ["verify", "diamond", "--a1=1/3", "--a2=-1/2", "--json",
+                "--budget-sec=0"]
+        assert main(argv) == 1
+        reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+        assoc = reports["diamond.associativity"]
+        assert assoc["status"] == "fail"
+        assert assoc["counts"]["mode"] == "sampled"
+        assert reports["diamond.ambiguities"]["status"] == "pass"
 
     def test_bad_scope(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,7 @@
 """The 72-dimensional Hopf algebra: structure maps, axiom certificates,
 Hopf-ideal property, filtration lemmas, and the coradical."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -105,6 +106,16 @@ class TestStructureMaps:
             rhs = H.tensor_of(H.mult(a, c), H.mult(b, d))
             assert lhs == rhs
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_word_maps_match_tables(self, H, n):
+        # Delta and S of an arbitrary (also reducible) word, taken along its
+        # letters, agree with the tables applied to its normal form
+        for w in itertools.product((X12, X13, X23), repeat=n):
+            for g in S3:
+                x = H.from_smash({(w, g): 1})
+                assert H.word_comult(w, g) == H.delta(x), (w, g)
+                assert H.word_antipode(w, g) == H.S(x), (w, g)
+
     def test_from_smash(self, H):
         x = smash_add(smash_of((X13, X13), G["(23)"]),
                       smash_of((), G["(23)"], -A1))
@@ -140,6 +151,17 @@ class TestHopfIdeal:
     def test_symbolic_certificate(self, H):
         rep = verify_hopf_ideal(A1, A2, H)
         assert rep["ok"], rep["failures"]
+
+    def test_wrong_parameters_fail(self):
+        # the relations at (1, 0) do not hold in the algebra at (1, 2)
+        rep = verify_hopf_ideal(Fraction(1), Fraction(0),
+                                build(Fraction(1), Fraction(2)))
+        assert not rep["ok"]
+        assert rep["failures"] == [
+            (name, what)
+            for name in ("sq13", "sq23", "sq12", "c1-rel", "c2-rel")
+            for what in ("not in kernel", "comult not in I(x)A + A(x)I",
+                         "antipode not in I")]
 
     def test_relations_vanish_in_quotient(self, H):
         for name, r in relation_elements(A1, A2):
