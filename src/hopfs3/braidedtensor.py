@@ -17,6 +17,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .groups import symmetric_group, transposition
+from .linalg import add_into, linear, nullspace, vec_add, vec_tensor
 from .ydmod import v3
 
 WORD_CAP = 8
@@ -31,32 +32,11 @@ def _check_cap(word):
         raise WordTooLong(f"word of length {len(word)} exceeds cap {WORD_CAP}")
 
 
-def _add_into(acc: dict, key, coeff):
-    s = acc.get(key, 0) + coeff
-    if s:
-        acc[key] = s
-    elif key in acc:
-        del acc[key]
-
-
 def tensor_elt(word, coeff=1) -> dict:
     """A one-term element of T(V)."""
     word = tuple(word)
     _check_cap(word)
     return {word: coeff} if coeff else {}
-
-
-def elt_add(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, c in y.items():
-        _add_into(out, k, c)
-    return out
-
-
-def elt_scale(x: dict, s) -> dict:
-    if not s:
-        return {}
-    return {k: s * c for k, c in x.items()}
 
 
 def elt_mult(x: dict, y: dict) -> dict:
@@ -66,7 +46,7 @@ def elt_mult(x: dict, y: dict) -> dict:
         for w2, c2 in y.items():
             w = w1 + w2
             _check_cap(w)
-            _add_into(out, w, c1 * c2)
+            add_into(out, w, c1 * c2)
     return out
 
 
@@ -81,7 +61,7 @@ def _cross_letter(c: dict, u, dword: tuple) -> dict:
     head, rest = dword[0], dword[1:]
     for (h2, u2), coeff in c[(u, head)].items():
         for (r2, u3), coeff2 in _cross_letter(c, u2, rest).items():
-            _add_into(out, ((h2,) + r2, u3), coeff * coeff2)
+            add_into(out, ((h2,) + r2, u3), coeff * coeff2)
     return out
 
 
@@ -94,7 +74,7 @@ def word_cross(c: dict, bword: tuple, dword: tuple) -> dict:
     head, rest = bword[0], bword[1:]
     for (d2, r2), coeff in word_cross(c, rest, dword).items():
         for (d3, h2), coeff2 in _cross_letter(c, head, d2).items():
-            _add_into(out, (d3, (h2,) + r2), coeff * coeff2)
+            add_into(out, (d3, (h2,) + r2), coeff * coeff2)
     return out
 
 
@@ -117,29 +97,24 @@ def braided_square_mult(x: dict, y: dict, c: dict) -> dict:
                 right = b2 + e
                 _check_cap(left)
                 _check_cap(right)
-                _add_into(out, (left, right), c1 * c2 * coeff)
+                add_into(out, (left, right), c1 * c2 * coeff)
     return out
 
 
 def comult(x: dict, c: dict) -> dict:
     """The braided-multiplicative extension of v -> v (x) 1 + 1 (x) v."""
-    out: dict = {}
-    for word, coeff in x.items():
+    def on_word(word):
         term = {((), ()): 1}
         for letter in word:
             gen = {((letter,), ()): 1, ((), (letter,)): 1}
             term = braided_square_mult(term, gen, c)
-        for k, v in term.items():
-            _add_into(out, k, coeff * v)
-    return out
+        return term
+    return linear(on_word, x)
 
 
 def is_primitive(x: dict, c: dict) -> bool:
     """Delta(x) == x (x) 1 + 1 (x) x, exactly."""
-    expected: dict = {}
-    for w, coeff in x.items():
-        _add_into(expected, (w, ()), coeff)
-        _add_into(expected, ((), w), coeff)
+    expected = vec_add(vec_tensor(x, {(): 1}), vec_tensor({(): 1}, x))
     return comult(x, c) == expected
 
 
@@ -154,9 +129,9 @@ def check_comult_coassociative(c: dict, letters, max_len: int = 4) -> bool:
             rhs: dict = {}
             for (u, v), coeff in d.items():
                 for (u1, u2), c2 in comult(tensor_elt(u), c).items():
-                    _add_into(lhs, (u1, u2, v), coeff * c2)
+                    add_into(lhs, (u1, u2, v), coeff * c2)
                 for (v1, v2), c2 in comult(tensor_elt(v), c).items():
-                    _add_into(rhs, (u, v1, v2), coeff * c2)
+                    add_into(rhs, (u, v1, v2), coeff * c2)
             if lhs != rhs:
                 return False
     return True
@@ -191,7 +166,7 @@ def quadratic_relations(n: int) -> list:
         moved_s = {i for i in range(1, n + 1) if s(i) != i}
         if moved_t & moved_s:
             continue
-        push(elt_add(tensor_elt((t, s)), tensor_elt((s, t))))
+        push(vec_add(tensor_elt((t, s)), tensor_elt((s, t))))
     for t in transpositions:
         for s in transpositions:
             if t == s:
@@ -201,7 +176,7 @@ def quadratic_relations(n: int) -> list:
             if not (moved_t & moved_s):
                 continue
             u = t * s * t
-            push(elt_add(elt_add(tensor_elt((t, s)), tensor_elt((s, u))),
+            push(vec_add(vec_add(tensor_elt((t, s)), tensor_elt((s, u))),
                          tensor_elt((u, t))))
     return out
 
@@ -210,8 +185,6 @@ def degree2_primitive_basis(n: int = 3):
     """Solve the primitivity condition in degree 2 directly: the kernel of
     1 + c on V (x) V, as a list of TensorAlgElt.  Independent of
     quadratic_relations; the two spans must agree."""
-    from .linalg import nullspace
-
     V = v3(n)
     c = V.braiding()
     pairs = [(u, v) for u in V.labels for v in V.labels]

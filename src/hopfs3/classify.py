@@ -18,7 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groups import Perm, conjugate, parse_perm, symmetric_group
-from .rewrite import (RuleSystem, _add_into, default_rules, smash_mult)
+from .linalg import add_into
+from .rewrite import (RuleSystem, default_rules, smash_mult)
 from .scalars import PolyRing
 
 T12 = parse_perm("(12)", 3)
@@ -126,7 +127,7 @@ def theta_morphism(mu, theta: Perm):
             scale = c
             for _ in w:
                 scale = scale * mu
-            _add_into(out, (w2, conjugate(g, theta)), scale)
+            add_into(out, (w2, conjugate(g, theta)), scale)
         return out
 
     return apply
@@ -157,11 +158,3 @@ def verify_iso(theta, ring: PolyRing = None) -> dict:
                                                 " vanish in A_a",
             "failures": failures, "ok": not failures}
 
-
-def orbit_report(pairs) -> dict:
-    """Batch classification: canonical label per pair plus orbit grouping."""
-    labels = [canonical_rep(p) for p in pairs]
-    groups: dict = {}
-    for p, lab in zip(pairs, labels):
-        groups.setdefault(lab, []).append(p)
-    return {"labels": labels, "groups": groups}

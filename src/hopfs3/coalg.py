@@ -4,47 +4,22 @@ Coalgebras are given by a basis label list, the comultiplication as a
 dict ``label -> {(label, label): coeff}`` and the counit as a dict.
 Vectors are sparse dicts ``label -> coeff``.
 
-Provides dual group coalgebras k^G, matrix coalgebras, direct sums,
-group-like computation, the skew-primitive solver used to pin down the
-deformation parameters, matrix-coefficient subcoalgebras of k^G, and the
-coalgebra-filtration certificate.
+Provides dual group coalgebras k^G, matrix coalgebras, direct sums, the
+skew-primitive solver used to pin down the deformation parameters,
+matrix-coefficient subcoalgebras of k^G, and the coalgebra-filtration
+certificate.  The sparse-vector helpers ``vec_add``, ``vec_scale`` and
+``vec_tensor`` come from :mod:`hopfs3.linalg` and are importable from here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product as _itproduct
 
-from .groups import Perm, identity
-from .linalg import nullspace, rank
-from .scalars import OMEGA, Cyclotomic3
+from .linalg import linear, nullspace, rank, vec_add, vec_scale, vec_tensor
 
 
 class CoalgError(ValueError):
     pass
-
-
-# -- sparse vectors over a label set ----------------------------------------
-
-def vec_add(u: dict, v: dict) -> dict:
-    out = dict(u)
-    for k, c in v.items():
-        s = out.get(k, 0) + c
-        if s:
-            out[k] = s
-        elif k in out:
-            del out[k]
-    return out
-
-
-def vec_scale(c, v: dict) -> dict:
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
-
-
-def vec_tensor(u: dict, v: dict) -> dict:
-    return {(a, b): ca * cb for a, ca in u.items() for b, cb in v.items()}
 
 
 class FinCoalgebra:
@@ -59,52 +34,28 @@ class FinCoalgebra:
 
     def delta(self, v: dict) -> dict:
         """Comultiplication applied to a vector; result over pair labels."""
-        out: dict = {}
-        for label, c in v.items():
-            for pair, d in self.comult[label].items():
-                s = out.get(pair, 0) + c * d
-                if s:
-                    out[pair] = s
-                elif pair in out:
-                    del out[pair]
-        return out
+        return linear(self.comult.__getitem__, v)
 
     def eps(self, v: dict):
         return sum((c * self.counit[label] for label, c in v.items()), 0)
 
     def check_coassociative(self) -> bool:
         for label in self.labels:
-            left: dict = {}
-            right: dict = {}
-            for (a, b), c in self.comult[label].items():
-                for (p, q), d in self.comult[a].items():
-                    key = (p, q, b)
-                    left[key] = left.get(key, 0) + c * d
-                for (p, q), d in self.comult[b].items():
-                    key = (a, p, q)
-                    right[key] = right.get(key, 0) + c * d
-            diff = dict(left)
-            for k, c in right.items():
-                s = diff.get(k, 0) - c
-                if s:
-                    diff[k] = s
-                elif k in diff:
-                    del diff[k]
-            if any(diff.values()):
+            d = self.comult[label]
+            left = linear(lambda ab: {(p, q, ab[1]): c for (p, q), c
+                                      in self.comult[ab[0]].items()}, d)
+            right = linear(lambda ab: {(ab[0], p, q): c for (p, q), c
+                                       in self.comult[ab[1]].items()}, d)
+            if left != right:
                 return False
         return True
 
     def check_counit(self) -> bool:
         for label in self.labels:
-            left: dict = {}
-            right: dict = {}
-            for (a, b), c in self.comult[label].items():
-                left[b] = left.get(b, 0) + c * self.counit[a]
-                right[a] = right.get(a, 0) + c * self.counit[b]
-            want = {label: 1}
-            if {k: v for k, v in left.items() if v} != want:
-                return False
-            if {k: v for k, v in right.items() if v} != want:
+            d = self.comult[label]
+            left = linear(lambda ab: {ab[1]: self.counit[ab[0]]}, d)
+            right = linear(lambda ab: {ab[0]: self.counit[ab[1]]}, d)
+            if left != {label: 1} or right != {label: 1}:
                 return False
         return True
 
@@ -140,8 +91,7 @@ class DualGroupCoalgebra(FinCoalgebra):
         return {g: 1 for g in self.elems}
 
     def mult(self, u: dict, v: dict) -> dict:
-        out = {g: u[g] * v[g] for g in u if g in v}
-        return {g: c for g, c in out.items() if c}
+        return {g: u[g] * v[g] for g in u if g in v}
 
     def antipode(self, v: dict) -> dict:
         return {g.inv(): c for g, c in v.items()}
@@ -151,69 +101,14 @@ def direct_sum(C: FinCoalgebra, D: FinCoalgebra) -> FinCoalgebra:
     clash = set(C.labels) & set(D.labels)
     if clash:
         raise CoalgError(f"label clash in direct sum: {sorted(map(str, clash))}")
-    out = FinCoalgebra(C.labels + D.labels,
-                       {**C.comult, **D.comult},
-                       {**C.counit, **D.counit})
-    out.summands = list(getattr(C, "summands", [C])) + list(getattr(D, "summands", [D]))
-    return out
+    return FinCoalgebra(C.labels + D.labels,
+                        {**C.comult, **D.comult},
+                        {**C.counit, **D.counit})
 
 
 def grouplike_coalgebra(label) -> FinCoalgebra:
     """The rank-1 matrix coalgebra k*g on a single group-like."""
     return FinCoalgebra([label], {label: {(label, label): 1}}, {label: 1})
-
-
-# -- group-likes ------------------------------------------------------------
-
-_SIXTH_ROOTS = (Fraction(1), Fraction(-1), OMEGA, OMEGA * OMEGA,
-                -OMEGA, -(OMEGA * OMEGA))
-
-
-def multiplicative_characters(elems, values=_SIXTH_ROOTS) -> list:
-    """All maps chi: G -> k^x with chi(g)chi(h) = chi(gh), values drawn from
-    the given root-of-unity pool.  Brute force; fine for |G| <= 6."""
-    elems = sorted(elems)
-    chars = []
-    for combo in _itproduct(values, repeat=len(elems)):
-        chi = dict(zip(elems, combo))
-        e = next(g for g in elems if g.is_identity())
-        if chi[e] != 1:
-            continue
-        if all(chi[g] * chi[h] == chi[g * h] for g in elems for h in elems):
-            chars.append(chi)
-    return chars
-
-
-def _canonical_root(x):
-    if isinstance(x, Cyclotomic3) and x.q == 0:
-        return x.p
-    return x
-
-
-def group_likes(C: FinCoalgebra) -> list:
-    """All x != 0 with Delta(x) = x (x) x and eps(x) = 1.
-
-    Closed forms per coalgebra shape: for k^G the group-likes are the
-    multiplicative characters sum chi(g) delta_g; a simple matrix coalgebra
-    of rank >= 2 has none (a group-like would span a rank-1 subcoalgebra of
-    a simple coalgebra); direct sums take the union of their summands.
-    """
-    if isinstance(C, DualGroupCoalgebra):
-        out = []
-        for chi in multiplicative_characters(C.elems):
-            out.append({g: _canonical_root(chi[g]) for g in C.elems})
-        return out
-    if isinstance(C, MatrixCoalgebra):
-        if C.rank_n == 1:
-            return [{C.e(1, 1): 1}]
-        return []
-    summands = getattr(C, "summands", None)
-    if summands is not None:
-        out = []
-        for S in summands:
-            out.extend(group_likes(S))
-        return out
-    raise CoalgError("group-like search unsupported for this coalgebra shape")
 
 
 # -- the skew-primitive solver ----------------------------------------------
@@ -341,7 +236,6 @@ def verify_coalgebra_filtration(C: FinCoalgebra, subspaces) -> tuple:
     vector (then spans are support sets).  Returns (ok, message).
     """
     for n in range(1, len(subspaces)):
-        prev = {frozenset(v.items()) for v in map(dict, subspaces[n - 1])}
         # nesting check via span membership (basis-vector fast path)
         if not _span_contains_all(subspaces[n], subspaces[n - 1], C):
             return False, f"F_{n - 1} not contained in F_{n}"

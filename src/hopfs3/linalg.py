@@ -1,4 +1,12 @@
-"""Exact dense linear algebra over the package's scalar domains.
+"""Exact linear algebra over the package's scalar domains.
+
+Sparse vectors are ``{key: coeff}`` dicts that never store a zero
+coefficient, so two vectors are equal exactly when their dicts are equal
+and a vector is zero exactly when its dict is empty.  Every certificate
+ends in such a comparison; the kernel below is the one place that keeps
+the rule.  Products of nonzero scalars are nonzero in every scalar domain
+of the package, so scaling and tensoring zero-free vectors needs no
+pruning.
 
 Row reduction only ever divides by invertible scalars.  Over polynomial
 scalars that means nonzero constants: if elimination would require
@@ -9,6 +17,47 @@ raised instead of guessing.
 from __future__ import annotations
 
 from .scalars import MultiPoly, NeedsSpecialization, field_invert
+
+
+# -- sparse vectors ---------------------------------------------------------
+
+def add_into(acc: dict, key, c) -> None:
+    """acc[key] += c in place, dropping the key when the sum is zero."""
+    s = acc.get(key, 0) + c
+    if s:
+        acc[key] = s
+    elif key in acc:
+        del acc[key]
+
+
+def vec_add(u: dict, v: dict) -> dict:
+    out = dict(u)
+    for k, c in v.items():
+        add_into(out, k, c)
+    return out
+
+
+def vec_scale(c, v: dict) -> dict:
+    if not c:
+        return {}
+    return {k: c * x for k, x in v.items()}
+
+
+def vec_tensor(u: dict, v: dict) -> dict:
+    """u (x) v over pair keys (a, b)."""
+    return {(a, b): ca * cb for a, ca in u.items() for b, cb in v.items()}
+
+
+def linear(f, x: dict) -> dict:
+    """The linear extension of f (key -> vector), applied to x."""
+    out: dict = {}
+    for key, c in x.items():
+        for k, v in f(key).items():
+            add_into(out, k, c * v)
+    return out
+
+
+# -- dense row reduction ----------------------------------------------------
 
 
 def _invertible(x) -> bool:

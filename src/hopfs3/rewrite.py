@@ -20,6 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .groups import Perm, identity, parse_perm, symmetric_group, transposition
+from .linalg import add_into, linear, vec_add, vec_scale
 
 FUEL_DEFAULT = 10 ** 6
 WORD_CAP = 8
@@ -60,30 +61,9 @@ class GrowthError(RuntimeError):
 
 # -- SmashElt helpers (plain dicts {(word, g): coeff}) ----------------------
 
-def _add_into(acc: dict, key, coeff):
-    s = acc.get(key, 0) + coeff
-    if s:
-        acc[key] = s
-    elif key in acc:
-        del acc[key]
-
-
 def smash_of(word, g: Perm, coeff=1) -> dict:
     word = tuple(word)
     return {(word, g): coeff} if coeff else {}
-
-
-def smash_add(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, c in y.items():
-        _add_into(out, k, c)
-    return out
-
-
-def smash_scale(x: dict, s) -> dict:
-    if not s:
-        return {}
-    return {k: s * c for k, c in x.items()}
 
 
 def smash_unit() -> dict:
@@ -129,10 +109,10 @@ def smash_mult(x: dict, y: dict, rules=None) -> dict:
             if rules is None:
                 if len(w) > WORD_CAP:
                     raise GrowthError(f"word length {len(w)} exceeds cap")
-                _add_into(out, (w, h), coeff)
+                add_into(out, (w, h), coeff)
             else:
                 for k, c in rules.reduce_term(w, h).items():
-                    _add_into(out, k, coeff * c)
+                    add_into(out, k, coeff * c)
     return out
 
 
@@ -193,7 +173,7 @@ class RuleSystem:
         out: dict = {}
         for (wi, hi), c in rule.rhs.items():
             if hi == target:
-                _add_into(out, (u + wi + v, g), c)
+                add_into(out, (u + wi + v, g), c)
         return out
 
     def reduce_term(self, word, g: Perm) -> dict:
@@ -212,11 +192,11 @@ class RuleSystem:
             hit = self._memo.get((w, h))
             if hit is not None:
                 for k, c in hit.items():
-                    _add_into(acc, k, coeff * c)
+                    add_into(acc, k, coeff * c)
                 continue
             redex = self._find_redex(w)
             if redex is None:
-                _add_into(acc, (w, h), coeff)
+                add_into(acc, (w, h), coeff)
                 self._memo[(w, h)] = {(w, h): 1}
                 continue
             fuel -= 1
@@ -230,19 +210,11 @@ class RuleSystem:
                 nc = coeff * c
                 if nc:
                     stack.append((k[0], k[1], nc))
-        acc = {k: c for k, c in acc.items() if c}
         self._memo[key] = acc
         return acc
 
-    def reduce(self, x: dict, fuel=None) -> dict:
-        if fuel is not None and fuel != self.fuel:
-            sys = RuleSystem(self.rules, fuel=fuel)
-            return sys.reduce(x)
-        out: dict = {}
-        for (w, g), c in x.items():
-            for k, c2 in self.reduce_term(w, g).items():
-                _add_into(out, k, c * c2)
-        return out
+    def reduce(self, x: dict) -> dict:
+        return linear(lambda wg: self.reduce_term(*wg), x)
 
 
 def _contains(haystack, needle) -> bool:
@@ -255,7 +227,7 @@ def _full_tail(*terms) -> dict:
     out: dict = {}
     for word, coeff in terms:
         for g in S3:
-            _add_into(out, (tuple(word), g), coeff)
+            add_into(out, (tuple(word), g), coeff)
     return out
 
 
@@ -281,8 +253,8 @@ def default_rules(a1, a2, fuel: int = FUEL_DEFAULT) -> RuleSystem:
         Rule((X23, X13), _full_tail(((X12, X23), -1), ((X13, X12), -1))),
         Rule((X12, X13, X12), _full_tail(((X13, X12, X13), 1), ((X23,), a1))),
         Rule((X23, X12, X23), _full_tail(((X12, X23, X12), 1), ((X13,), -a2))),
-        Rule((X23, X12, X13), smash_add(_full_tail(((X13, X12, X23), 1)),
-                                        tails((X12,), omega))),
+        Rule((X23, X12, X13), vec_add(_full_tail(((X13, X12, X23), 1)),
+                                      tails((X12,), omega))),
     ]
     return RuleSystem(rules, fuel=fuel)
 
@@ -328,20 +300,19 @@ def overlap_ambiguities(rules: RuleSystem) -> list:
     return out
 
 
-def resolve_ambiguity(amb, rules: RuleSystem, fuel=None):
+def resolve_ambiguity(amb, rules: RuleSystem):
     """Reduce the overlap word both ways (left redex first, right redex
     first) under every tail; returns (resolved, trace)."""
     i, j, word = amb
-    sys = rules if fuel is None else RuleSystem(rules.rules, fuel=fuel)
     trace = []
     ok = True
     for g in S3:
-        left = sys.reduce(sys.apply_rule_at(word, g, 0, i))
-        right_pos = len(word) - len(sys.rules[j].lhs)
-        right = sys.reduce(sys.apply_rule_at(word, g, right_pos, j))
+        left = rules.reduce(rules.apply_rule_at(word, g, 0, i))
+        right_pos = len(word) - len(rules.rules[j].lhs)
+        right = rules.reduce(rules.apply_rule_at(word, g, right_pos, j))
         if left != right:
             ok = False
-            diff = smash_add(left, smash_scale(right, -1))
+            diff = vec_add(left, vec_scale(-1, right))
             trace.append((g, format_smash(left), format_smash(right),
                           format_smash(diff)))
     return ok, trace
@@ -400,7 +371,7 @@ class MultTable:
         for i, c1 in x.items():
             for k, c2 in y.items():
                 for l, c in self.mult_basis(i, k).items():
-                    _add_into(out, l, c1 * c2 * c)
+                    add_into(out, l, c1 * c2 * c)
         return out
 
     def unit_vector(self) -> dict:
@@ -441,12 +412,12 @@ def check_associativity(table: MultTable, mode: str = "exhaustive",
         lhs: dict = {}
         for l, c in xy.items():
             for m, c2 in table.mult_basis(l, k).items():
-                _add_into(lhs, m, c * c2)
+                add_into(lhs, m, c * c2)
         yz = table.mult_basis(j, k)
         rhs: dict = {}
         for l, c in yz.items():
             for m, c2 in table.mult_basis(i, l).items():
-                _add_into(rhs, m, c * c2)
+                add_into(rhs, m, c * c2)
         checked += 1
         if lhs != rhs:
             failures.append((i, j, k))
@@ -543,11 +514,11 @@ class _WordRules:
             hit = self._memo.get(w)
             if hit is not None:
                 for k, c in hit.items():
-                    _add_into(out, k, coeff * c)
+                    add_into(out, k, coeff * c)
                 continue
             redex = self.find_redex(w)
             if redex is None:
-                _add_into(out, w, coeff)
+                add_into(out, w, coeff)
                 self._memo[w] = {w: 1}
                 continue
             fuel -= 1
@@ -557,7 +528,7 @@ class _WordRules:
             u, v = w[:p], w[p + len(lhs):]
             for wi, c in self.rules[lhs].items():
                 stack.append((u + wi + v, coeff * c))
-        return {k: c for k, c in out.items() if c}
+        return out
 
 
 def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT,
@@ -618,10 +589,7 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT,
             if old != lead and _contains(old, lead):
                 old_rhs = wr.rules[old]
                 wr.remove_rule(old)
-                resurrect = {old: 1}
-                for w, c in old_rhs.items():
-                    _add_into(resurrect, w, -c)
-                insert(resurrect)
+                insert(vec_add({old: 1}, vec_scale(-1, old_rhs)))
         for other in list(wr.rules):
             push_overlaps(lead, other)
             if other != lead:
@@ -638,10 +606,7 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT,
                           for wi, c in wr.rules[L1].items()}, fuel)
         right = wr.reduce({L1[:len(L1) - k] + wi: c
                            for wi, c in wr.rules[L2].items()}, fuel)
-        diff = dict(left)
-        for w, c in right.items():
-            _add_into(diff, w, -c)
-        insert(diff)
+        insert(vec_add(left, vec_scale(-1, right)))
 
     # interreduce: later rules may have made earlier right-hand sides
     # reducible

@@ -47,10 +47,6 @@ class MultiPoly:
         self.terms = terms
 
     @classmethod
-    def _make(cls, names, terms):
-        return cls(names, {e: c for e, c in terms.items() if c != 0})
-
-    @classmethod
     def const(cls, names, c) -> "MultiPoly":
         if c == 0:
             return cls(names, {})
@@ -74,6 +70,9 @@ class MultiPoly:
             return MultiPoly.const(self.names, other)
         raise ScalarKindError(f"cannot combine MultiPoly with {type(other).__name__}")
 
+    # __add__ and __mul__ prune zero terms inline rather than through
+    # linalg.add_into: they are the coefficient ring's arithmetic, not
+    # vector arithmetic, and linalg imports this module.
     def __add__(self, other):
         other = self._coerce(other)
         terms = dict(self.terms)
@@ -146,9 +145,6 @@ class MultiPoly:
         if not self.is_constant():
             raise NeedsSpecialization(f"{self} is not constant")
         return Fraction(sum(self.terms.values())) if self.terms else Fraction(0)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     # -- evaluation and printing ----------------------------------------
 
@@ -290,11 +286,6 @@ class Cyclotomic3:
 
 
 OMEGA = Cyclotomic3(0, 1)
-
-
-def poly_eval(p: MultiPoly, point) -> Fraction:
-    """Specialize a polynomial at a rational point (exact)."""
-    return p.evaluate(point)
 
 
 def field_invert(x):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from .groups import (Perm, centralizer, conjugacy_class, conjugate,
                      coset_representatives, builtin_irreps, identity,
                      symmetric_group, transposition)
+from .linalg import linear
 
 
 class YDError(ValueError):
@@ -32,16 +33,8 @@ class YDModuleOverGroup:
 
     def act(self, g: Perm, v: dict) -> dict:
         mat = self.action[g]
-        out: dict = {}
-        for lbl, c in v.items():
-            for (o, i), m in mat.items():
-                if i == lbl:
-                    s = out.get(o, 0) + c * m
-                    if s:
-                        out[o] = s
-                    elif o in out:
-                        del out[o]
-        return out
+        return linear(lambda lbl: {o: m for (o, i), m in mat.items()
+                                   if i == lbl}, v)
 
     def act_label(self, g: Perm, lbl) -> dict:
         return self.act(g, {lbl: 1})
@@ -98,17 +91,12 @@ def braid_relation_holds(V: YDModuleOverGroup) -> bool:
     c = V.braiding()
 
     def apply(pos, vec):
-        out: dict = {}
-        for (a, b, d), coeff in vec.items():
-            pair = (a, b) if pos == 0 else (b, d)
-            for (p, q), x in c[pair].items():
-                key = (p, q, d) if pos == 0 else (a, p, q)
-                s = out.get(key, 0) + coeff * x
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return out
+        def on_triple(abd):
+            a, b, d = abd
+            if pos == 0:
+                return {(p, q, d): x for (p, q), x in c[(a, b)].items()}
+            return {(a, p, q): x for (p, q), x in c[(b, d)].items()}
+        return linear(on_triple, vec)
 
     for a in V.labels:
         for b in V.labels:
@@ -190,17 +178,12 @@ class YDModuleOverDualGroup:
     def coaction_coassociative(self) -> bool:
         """(Delta (x) id) lambda == (id (x) lambda) lambda, Delta of k^G."""
         for lbl in self.labels:
-            lhs: dict = {}
-            rhs: dict = {}
-            for (g, l2), c in self.coaction[lbl].items():
-                for t in self.elems:
-                    key = (t, t.inv() * g, l2)
-                    lhs[key] = lhs.get(key, 0) + c
-                for (h, l3), d in self.coaction[l2].items():
-                    key = (g, h, l3)
-                    rhs[key] = rhs.get(key, 0) + c * d
-            if ({k: v for k, v in lhs.items() if v}
-                    != {k: v for k, v in rhs.items() if v}):
+            lam = self.coaction[lbl]
+            lhs = linear(lambda gl: {(t, t.inv() * gl[0], gl[1]): 1
+                                     for t in self.elems}, lam)
+            rhs = linear(lambda gl: {(gl[0], h, l3): d for (h, l3), d
+                                     in self.coaction[gl[1]].items()}, lam)
+            if lhs != rhs:
                 return False
         return True
 
@@ -212,17 +195,15 @@ class YDModuleOverDualGroup:
             for lbl in self.labels:
                 # f = delta_h, Delta(delta_h) = sum_t delta_t (x) delta_{t^-1 h};
                 # pointwise products collapse both sides to projections
-                lhs: dict = {}
-                for (g, l2), c in self.coaction[lbl].items():
-                    for l3, d in self.act_delta(g.inv() * h, {l2: c}).items():
-                        key = (g, l3)
-                        lhs[key] = lhs.get(key, 0) + d
+                lhs = linear(lambda gl: {
+                    (gl[0], l3): d for l3, d
+                    in self.act_delta(gl[0].inv() * h, {gl[1]: 1}).items()},
+                    self.coaction[lbl])
                 t = self.dual_degree[lbl]          # only delta_t keeps v
                 rhs = {(g, l2): c
                        for (g, l2), c in self.coaction[lbl].items()
                        if g == t.inv() * h}
-                if ({k: v for k, v in lhs.items() if v}
-                        != {k: v for k, v in rhs.items() if v}):
+                if lhs != rhs:
                     return False
         return True
 
@@ -233,11 +214,8 @@ def dualize(V: YDModuleOverGroup) -> YDModuleOverDualGroup:
     dual_degree = {lbl: V.degree[lbl].inv() for lbl in V.labels}
     coaction = {}
     for lbl in V.labels:
-        lam: dict = {}
-        for g in V.elems:
-            for o, c in V.act_label(g.inv(), lbl).items():
-                lam[(g, o)] = lam.get((g, o), 0) + c
-        coaction[lbl] = {k: c for k, c in lam.items() if c}
+        coaction[lbl] = {(g, o): c for g in V.elems
+                         for o, c in V.act_label(g.inv(), lbl).items()}
     return YDModuleOverDualGroup(V.elems, V.labels, dual_degree, coaction)
 
 

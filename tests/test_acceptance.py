@@ -93,7 +93,7 @@ def test_criterion_02_family_dimension(sym_rules, sym_table):
 def test_criterion_03_hopf_axioms(H):
     from hopfs3.hopf72 import verify_hopf_axioms
     with _Timed(3, "Hopf axioms symbolic, exhaustive basis and pairs", 300.0):
-        rep = verify_hopf_axioms(H, "exhaustive")
+        rep = verify_hopf_axioms(H)
         assert rep["ok"], rep["failures"][:5]
         assert rep["basis_checked"] == 72
         assert rep["pairs_checked"] == 72 * 72

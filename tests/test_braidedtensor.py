@@ -7,12 +7,11 @@ import pytest
 
 from hopfs3.braidedtensor import (WordTooLong, braided_square_mult,
                                   check_comult_coassociative, comult,
-                                  degree2_primitive_basis, elt_add, elt_mult,
-                                  elt_scale, is_primitive,
-                                  quadratic_relations, square_elt, tensor_elt,
-                                  word_cross)
+                                  degree2_primitive_basis, elt_mult,
+                                  is_primitive, quadratic_relations,
+                                  square_elt, tensor_elt, word_cross)
 from hopfs3.groups import transposition
-from hopfs3.linalg import span_equal
+from hopfs3.linalg import span_equal, vec_add, vec_scale
 from hopfs3.ydmod import v3
 
 T12 = transposition(3, 1, 2)
@@ -177,5 +176,5 @@ class TestCaps:
 
     def test_scale_and_add(self):
         x = tensor_elt((T12,), 2)
-        assert elt_scale(x, 0) == {}
-        assert elt_add(x, elt_scale(x, -1)) == {}
+        assert vec_scale(0, x) == {}
+        assert vec_add(x, vec_scale(-1, x)) == {}

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfs3.classify import (act, canonical_rep, format_pair, orbit_eq,
-                             orbit_report, parse_pair, theta_morphism,
-                             verify_iso)
+                             parse_pair, theta_morphism, verify_iso)
 from hopfs3.groups import parse_perm, symmetric_group
 from hopfs3.rewrite import X12, X13, X23, smash_of
 
@@ -151,10 +150,3 @@ class TestIsomorphisms:
         for theta in ("(12)", "(123)"):
             rep = verify_iso(theta)
             assert rep["ok"], rep["failures"]
-
-    def test_orbit_report(self):
-        pairs = [(F(1), F(0)), (F(0), F(1)), (F(1), F(1)), (F(1), F(2))]
-        rep = orbit_report(pairs)
-        assert len(rep["groups"]) == 2
-        sizes = sorted(len(v) for v in rep["groups"].values())
-        assert sizes == [1, 3]

@@ -81,6 +81,20 @@ class TestVerify:
         assert assoc["counts"]["mode"] == "sampled"
         assert reports["diamond.ambiguities"]["status"] == "pass"
 
+    def test_one_algebra_per_call(self, monkeypatch, capsys):
+        # the hopf and lemmas suites share one algebra; gr_check adds the
+        # parameter-free one.  A later call builds its own again.
+        import hopfs3.hopf72 as hopf72
+        calls = []
+        build = hopf72.build
+        monkeypatch.setattr(hopf72, "build",
+                            lambda *a, **k: calls.append(a) or build(*a, **k))
+        assert main(["verify", "all", "--json"]) == 0
+        assert len(calls) == 2
+        assert main(["verify", "lemmas", "--json"]) == 0
+        assert len(calls) == 3
+        capsys.readouterr()
+
     def test_bad_scope(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])
@@ -100,6 +114,7 @@ class TestClassify:
         out = capsys.readouterr().out
         assert "orbits: 2" in out
         assert "line 2:" in out and "line 6:" in out
+        assert "lines [2, 3, 4]" in out and "lines [6]" in out
 
     def test_fractions(self, tmp_path, capsys):
         f = tmp_path / "pairs.txt"

@@ -1,5 +1,5 @@
-"""Finite-dimensional coalgebra toolkit: constructions, group-likes,
-the skew-primitive solver, and the filtration certificate."""
+"""Finite-dimensional coalgebra toolkit: constructions, the
+skew-primitive solver, and the filtration certificate."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import pytest
 
 from hopfs3.coalg import (CoalgError, DualGroupCoalgebra, FinCoalgebra,
                           MatrixCoalgebra, direct_sum, dual_basis_e,
-                          group_likes, grouplike_coalgebra,
+                          grouplike_coalgebra,
                           matrix_coefficients,
                           simple_subcoalgebras_of_dual_group,
                           skew_primitive_closed_form, skew_primitive_space,
@@ -54,31 +54,6 @@ class TestConstructions:
         assert C.dim == 5
         assert C.check_coassociative()
         assert C.check_counit()
-        assert len(C.summands) == 2
-
-
-class TestGroupLikes:
-    def test_dual_s3_has_two_group_likes(self):
-        gls = group_likes(DualGroupCoalgebra(S3))
-        assert len(gls) == 2
-        # trivial and sign characters
-        vecs = {tuple(v[g] for g in S3) for v in gls}
-        assert tuple(1 for _ in S3) in vecs
-        assert tuple(g.sign() for g in S3) in vecs
-
-    def test_dual_z2(self):
-        z2 = sorted(symmetric_group(2))
-        assert len(group_likes(DualGroupCoalgebra(z2))) == 2
-
-    def test_rank2_matrix_coalgebra_has_none(self):
-        assert group_likes(MatrixCoalgebra(2)) == []
-        assert len(group_likes(MatrixCoalgebra(1))) == 1
-
-    def test_group_likes_are_group_like(self):
-        C = DualGroupCoalgebra(S3)
-        for x in group_likes(C):
-            assert C.delta(x) == vec_tensor(x, x)
-            assert C.eps(x) == 1
 
 
 def _skew_defect(ambient, g_label, E, xs):

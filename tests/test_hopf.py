@@ -13,7 +13,8 @@ from hopfs3.hopf72 import (adjoint_isotypics, build, c_identity,
                            dump_tables, gr_check, lemma31_suite,
                            relation_elements, verify_hopf_axioms,
                            verify_hopf_ideal)
-from hopfs3.rewrite import S3, X12, X13, X23, smash_add, smash_of
+from hopfs3.linalg import vec_add, vec_tensor
+from hopfs3.rewrite import S3, X12, X13, X23, smash_of
 from hopfs3.scalars import PolyRing
 
 R = PolyRing("a1", "a2")
@@ -53,10 +54,10 @@ class TestStructureMaps:
     def test_comult_of_generator(self, H):
         # Delta(x_t) = x_t (x) 1 + sum_h sgn(h) delta_h (x) x_{h^-1 t h}
         for t in (X12, X13, X23):
-            expect = H.tensor_of(H.x_elt(t), H.unit())
+            expect = vec_tensor(H.x_elt(t), H.unit())
             for h in S3:
                 c = conjugate(t, h.inv())
-                for k, v in H.tensor_of(H.delta_elt(h), H.x_elt(c)).items():
+                for k, v in vec_tensor(H.delta_elt(h), H.x_elt(c)).items():
                     s = expect.get(k, 0) + h.sign() * v
                     if s:
                         expect[k] = s
@@ -102,8 +103,8 @@ class TestStructureMaps:
         rng = random.Random(9)
         for _ in range(20):
             a, b, c, d = ({rng.randrange(H.dim): 1} for _ in range(4))
-            lhs = H.tensor_mult(H.tensor_of(a, b), H.tensor_of(c, d))
-            rhs = H.tensor_of(H.mult(a, c), H.mult(b, d))
+            lhs = H.tensor_mult(vec_tensor(a, b), vec_tensor(c, d))
+            rhs = vec_tensor(H.mult(a, c), H.mult(b, d))
             assert lhs == rhs
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -117,25 +118,38 @@ class TestStructureMaps:
                 assert H.word_antipode(w, g) == H.S(x), (w, g)
 
     def test_from_smash(self, H):
-        x = smash_add(smash_of((X13, X13), G["(23)"]),
-                      smash_of((), G["(23)"], -A1))
+        x = vec_add(smash_of((X13, X13), G["(23)"]),
+                    smash_of((), G["(23)"], -A1))
         assert H.from_smash(x) == {}
 
 
 class TestAxioms:
     def test_exhaustive_symbolic(self, H):
-        rep = verify_hopf_axioms(H, "exhaustive")
+        rep = verify_hopf_axioms(H)
         assert rep["ok"], rep["failures"][:5]
         assert rep["basis_checked"] == 72
         assert rep["pairs_checked"] == 72 * 72
 
     def test_numeric_point(self, Hnum):
-        rep = verify_hopf_axioms(Hnum, "sampled", seed=1, count=300)
-        assert rep["ok"]
+        rep = verify_hopf_axioms(Hnum)
+        assert rep["ok"], rep["failures"][:5]
 
     def test_degenerate_point(self):
-        rep = verify_hopf_axioms(build(0, 0), "sampled", seed=2, count=200)
-        assert rep["ok"]
+        rep = verify_hopf_axioms(build(0, 0))
+        assert rep["ok"], rep["failures"][:5]
+
+    def test_wrong_sign_in_comult_fails(self):
+        # negate one term of Delta(x13) and rebuild the tables from it
+        H0 = build(0, 0)
+        gen = H0._gen_comult[X13]
+        key = next(iter(gen))
+        gen[key] = -gen[key]
+        H0.comult = [H0.word_comult(w, g) for (w, g) in H0.labels]
+        H0.antipode = [H0.word_antipode(w, g) for (w, g) in H0.labels]
+        rep = verify_hopf_axioms(H0)
+        assert not rep["ok"]
+        assert {f[0] for f in rep["failures"]} == {
+            "coassoc", "counit", "antipode", "comult_mult"}
 
 
 class TestHopfIdeal:
@@ -172,7 +186,7 @@ class TestHopfIdeal:
     def test_perturbed_relation_does_not_vanish(self, H):
         _, sq13 = next((n, r) for n, r in relation_elements(A1, A2)
                        if n == "sq13")
-        wrong = smash_add(sq13, smash_of((), G["(12)"], 1))
+        wrong = vec_add(sq13, smash_of((), G["(12)"], 1))
         assert H.from_smash(wrong) != {}
 
 

@@ -12,10 +12,10 @@ from hopfs3.rewrite import (GENERATORS, NonterminationError, Rule,
                             check_associativity, complete, default_rules,
                             hilbert_series, irreducible_words,
                             overlap_ambiguities, resolve_ambiguity,
-                            shift_tail, sigma, smash_add, smash_mult,
-                            smash_of, smash_scale, smash_unit,
-                            structure_constants, uniform_rule)
-from hopfs3.scalars import PolyRing, poly_eval
+                            shift_tail, sigma, smash_mult, smash_of,
+                            smash_unit, structure_constants, uniform_rule)
+from hopfs3.linalg import vec_add
+from hopfs3.scalars import PolyRing
 
 R = PolyRing("a1", "a2")
 A1, A2 = R.gens()
@@ -75,7 +75,7 @@ class TestSigmaAndSmash:
         total: dict = {}
         for t in GENERATORS:
             x = {((t,), g): 1 for g in S3}
-            total = smash_add(total, smash_mult(x, x, rules))
+            total = vec_add(total, smash_mult(x, x, rules))
         assert total == {}
 
 
@@ -212,7 +212,7 @@ class TestMultTable:
             num = structure_constants(default_rules(*pt))
             assert num.labels == sym.labels
             for k, nf in sym.products.items():
-                ev = {lab: poly_eval(c, pt) if not isinstance(c, (int, Fraction))
+                ev = {lab: c.evaluate(pt) if not isinstance(c, (int, Fraction))
                       else Fraction(c) for lab, c in nf.items()}
                 ev = {lab: c for lab, c in ev.items() if c}
                 got = {lab: Fraction(c) for lab, c in num.products[k].items()}
