@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from .groups import Perm, conjugate, parse_perm, symmetric_group
 from .linalg import add_into
-from .rewrite import (RuleSystem, default_rules, smash_mult)
+from .rewrite import FUEL_DEFAULT, default_rules, smash_mult
 from .scalars import PolyRing
 
 T12 = parse_perm("(12)", 3)
@@ -133,7 +133,8 @@ def theta_morphism(mu, theta: Perm):
     return apply
 
 
-def verify_iso(theta, ring: PolyRing = None) -> dict:
+def verify_iso(theta, ring: PolyRing = None,
+               fuel: int = FUEL_DEFAULT) -> dict:
     """Certificate for the isomorphism claim: with b = a <| (mu^2, theta),
     the Theta_{mu,theta}-images of the defining relations of the algebra
     at b reduce to zero under the rules of the algebra at a, symbolically
@@ -146,7 +147,7 @@ def verify_iso(theta, ring: PolyRing = None) -> dict:
     if isinstance(theta, str):
         theta = parse_perm(theta, 3)
     b = act((a1, a2), (mu * mu, theta))
-    rules_a = default_rules(a1, a2)
+    rules_a = default_rules(a1, a2, fuel=fuel)
     Theta = theta_morphism(mu, theta)
     failures = []
     for name, rel in relation_elements(b[0], b[1]):

@@ -9,6 +9,10 @@ import sys
 import time
 from fractions import Fraction
 
+from .rewrite import (FUEL_DEFAULT, NonterminationError, check_associativity,
+                      default_rules, format_smash, hilbert_series,
+                      irreducible_words, overlap_ambiguities,
+                      resolve_ambiguity, structure_constants)
 from .scalars import PolyRing, parse_rational
 
 
@@ -34,6 +38,14 @@ def _rational(text: str) -> Fraction:
             f"not a rational number: {text!r}") from None
 
 
+def _fuel(text: str) -> int:
+    """The value of --fuel: a whole number of rewrite steps, at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"fuel must be a whole number of at least 1: {text!r}")
+    return int(text)
+
+
 def _params(args):
     if args.symbolic or (args.a1 is None and args.a2 is None):
         R = PolyRing("a1", "a2")
@@ -50,12 +62,11 @@ def _algebra(args):
     if args.algebra is None:
         from .hopf72 import build
         a1, a2, _label = _params(args)
-        args.algebra = build(a1, a2)
+        args.algebra = build(a1, a2, default_rules(a1, a2, fuel=args.fuel))
     return args.algebra
 
 
 def _suite_nichols(args) -> list:
-    from .rewrite import default_rules, hilbert_series, irreducible_words
     t0 = time.perf_counter()
     rules = default_rules(0, 0, fuel=args.fuel)
     words = irreducible_words(rules)
@@ -68,9 +79,6 @@ def _suite_nichols(args) -> list:
 
 
 def _suite_diamond(args) -> list:
-    from .rewrite import (check_associativity, default_rules,
-                          irreducible_words, overlap_ambiguities,
-                          resolve_ambiguity, structure_constants)
     a1, a2, label = _params(args)
     out = []
     t0 = time.perf_counter()
@@ -89,16 +97,14 @@ def _suite_diamond(args) -> list:
     t0 = time.perf_counter()
     table = structure_constants(rules)
     if time.perf_counter() - t0 > args.budget_sec:
-        rep = check_associativity(table, "sampled", seed=args.seed)
-        note = ["budget exceeded at table build; sampled mode"]
+        rep = {"mode": "skipped", "checked": 0, "ok": False,
+               "failures": ["budget exceeded at table build"]}
     else:
-        rep = check_associativity(table, "exhaustive")
-        note = []
-    out.append(_report("diamond.associativity",
-                       rep["ok"] and rep["mode"] == "exhaustive",
+        rep = {"mode": "exhaustive", **check_associativity(table)}
+    out.append(_report("diamond.associativity", rep["ok"],
                        {"mode": rep["mode"], "checked": rep["checked"],
                         "params": label},
-                       note + rep["failures"][:5], t0))
+                       rep["failures"][:5], t0))
     return out
 
 
@@ -170,7 +176,7 @@ def _suite_classify(args) -> list:
                        [i for i, c in enumerate(checks) if not c], t0))
     for theta in ("(12)", "(123)"):
         t0 = time.perf_counter()
-        rep = verify_iso(theta)
+        rep = verify_iso(theta, fuel=args.fuel)
         out.append(_report(f"classify.iso.{theta}", rep["ok"],
                            {"orientation": rep["orientation"]},
                            rep["failures"], t0))
@@ -190,7 +196,14 @@ def cmd_verify(args) -> int:
     scopes = list(SUITES) if args.scope == "all" else [args.scope]
     reports = []
     for scope in scopes:
-        reports.extend(SUITES[scope](args))
+        t0 = time.perf_counter()
+        try:
+            reports.extend(SUITES[scope](args))
+        except NonterminationError as exc:
+            # the tail of rewritten terms, the one that ran out last
+            tail = [format_smash({key: 1}) for key in exc.trace[-9:]]
+            reports.append(_report(f"{scope}.termination", False,
+                                   {"fuel": args.fuel}, [exc] + tail, t0))
     reports.sort(key=lambda r: r["check"])
     if args.json:
         print(json.dumps(reports, indent=2))
@@ -278,10 +291,9 @@ def make_parser() -> argparse.ArgumentParser:
                    help="which suite to run")
     _add_params(v)
     v.add_argument("--json", action="store_true", help="machine-readable output")
-    v.add_argument("--seed", type=int, default=0, help="sampling seed")
     v.add_argument("--budget-sec", type=float, default=600.0,
                    dest="budget_sec", help="wall-clock budget")
-    v.add_argument("--fuel", type=int, default=10 ** 6,
+    v.add_argument("--fuel", type=_fuel, default=FUEL_DEFAULT,
                    help="rewrite fuel per reduction")
     v.set_defaults(func=cmd_verify, algebra=None)
 
@@ -299,8 +311,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(
         _join_params(sys.argv[1:] if argv is None else argv))
-    if not hasattr(args, "fuel"):
-        args.fuel = 10 ** 6
     return args.func(args)
 
 

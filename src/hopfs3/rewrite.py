@@ -17,12 +17,14 @@ makes the structural zero-filter in the associativity sweep rigorous.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 
 from .groups import Perm, identity, parse_perm, symmetric_group, transposition
 from .linalg import add_into, linear, vec_add, vec_scale
 
 FUEL_DEFAULT = 10 ** 6
+TRACE_TAIL = 50
 WORD_CAP = 8
 
 X12 = transposition(3, 1, 2)
@@ -31,7 +33,6 @@ X23 = transposition(3, 2, 3)
 GENERATORS = (X12, X13, X23)
 
 S3 = symmetric_group(3)
-E3 = identity(3)
 
 _LETTER_KEY = {X12: 0, X13: 1, X23: 2}
 
@@ -143,6 +144,9 @@ class RuleSystem:
                 if i != j and _contains(b, a):
                     raise ValueError(
                         f"inclusion ambiguity: lhs {a} inside lhs {b}")
+        # no lhs lies inside another, so at most one matches at a position
+        self._by_len = _by_length(lhss)
+        self._rule_of = {lhs: i for i, lhs in enumerate(lhss)}
         for r in self.rules:
             for (w, _g) in r.rhs:
                 if len(w) > len(r.lhs):
@@ -155,13 +159,9 @@ class RuleSystem:
         return all(r.sigma_preserving for r in self.rules)
 
     def _find_redex(self, word):
-        """Leftmost position where some lhs occurs; rule order breaks ties."""
-        for p in range(len(word)):
-            for ri, rule in enumerate(self.rules):
-                L = len(rule.lhs)
-                if word[p:p + L] == rule.lhs:
-                    return p, ri
-        return None
+        """(position, rule index) of the leftmost redex, or None."""
+        redex = find_redex(word, self._by_len)
+        return redex and (redex[0], self._rule_of[redex[1]])
 
     def apply_rule_at(self, word, g: Perm, pos: int, rule_index: int) -> dict:
         """One elementary rewrite of w dg at the given redex."""
@@ -176,45 +176,73 @@ class RuleSystem:
                 add_into(out, (u + wi + v, g), c)
         return out
 
+    def _step(self, key):
+        w, g = key
+        redex = self._find_redex(w)
+        return redex and self.apply_rule_at(w, g, *redex)
+
     def reduce_term(self, word, g: Perm) -> dict:
         """Normal form of w dg; memoized per system."""
-        word = tuple(word)
-        key = (word, g)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
-        acc: dict = {}
-        stack = [(word, g, 1)]
-        fuel = self.fuel
-        trace = []
-        while stack:
-            w, h, coeff = stack.pop()
-            hit = self._memo.get((w, h))
-            if hit is not None:
-                for k, c in hit.items():
-                    add_into(acc, k, coeff * c)
-                continue
-            redex = self._find_redex(w)
-            if redex is None:
-                add_into(acc, (w, h), coeff)
-                self._memo[(w, h)] = {(w, h): 1}
-                continue
-            fuel -= 1
-            if fuel <= 0:
-                raise NonterminationError(
-                    f"fuel exhausted reducing {format_smash({key: 1})}",
-                    trace[-50:])
-            pos, ri = redex
-            trace.append((pos, ri, w))
-            for k, c in self.apply_rule_at(w, h, pos, ri).items():
-                nc = coeff * c
-                if nc:
-                    stack.append((k[0], k[1], nc))
-        self._memo[key] = acc
-        return acc
+        key = (tuple(word), g)
+        nf = self._memo.get(key)
+        if nf is None:
+            nf = self._memo[key] = _normal_form({key: 1}, self._step,
+                                                self._memo, self.fuel)
+        return nf
 
     def reduce(self, x: dict) -> dict:
         return linear(lambda wg: self.reduce_term(*wg), x)
+
+
+def _by_length(lhss) -> dict:
+    """{length: set of left-hand sides}, the index find_redex searches."""
+    out: dict = {}
+    for lhs in lhss:
+        out.setdefault(len(lhs), set()).add(lhs)
+    return out
+
+
+def find_redex(word, by_len: dict):
+    """(position, lhs) of the leftmost occurrence in word of a left-hand
+    side in by_len, or None; at one position the lengths are tried in
+    the order by_len holds them."""
+    n = len(word)
+    for p in range(n):
+        for L, lhss in by_len.items():
+            if p + L <= n and word[p:p + L] in lhss:
+                return p, word[p:p + L]
+    return None
+
+
+def _normal_form(x: dict, step, memo: dict, fuel: int) -> dict:
+    """Normal form of the vector x.  step(key) is the one-step rewrite of
+    a key at its leftmost redex, or None when the key is irreducible;
+    irreducible keys are memoized as themselves.  Each rewrite spends one
+    unit of fuel; running out raises NonterminationError with the last
+    TRACE_TAIL rewritten keys, the one that ran out last."""
+    acc: dict = {}
+    stack = list(x.items())
+    trace = deque(maxlen=TRACE_TAIL)
+    budget = fuel
+    while stack:
+        key, coeff = stack.pop()
+        hit = memo.get(key)
+        if hit is not None:
+            for k, c in hit.items():
+                add_into(acc, k, coeff * c)
+            continue
+        out = step(key)
+        if out is None:
+            add_into(acc, key, coeff)
+            memo[key] = {key: 1}
+            continue
+        trace.append(key)
+        fuel -= 1
+        if fuel <= 0:
+            raise NonterminationError(
+                f"fuel of {budget} rewrite steps exhausted", list(trace))
+        stack.extend((k, coeff * c) for k, c in out.items())
+    return acc
 
 
 def _contains(haystack, needle) -> bool:
@@ -261,12 +289,11 @@ def default_rules(a1, a2, fuel: int = FUEL_DEFAULT) -> RuleSystem:
 
 # -- enumeration and ambiguities --------------------------------------------
 
-def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP,
-                      letters=None) -> list:
-    """All words avoiding every lhs, by breadth-first extension.  Raises
-    GrowthError if irreducible words still appear at maxlen."""
-    if letters is None:
-        letters = sorted({t for r in rules.rules for t in r.lhs}, key=str)
+def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP) -> list:
+    """All words in the letters of the left-hand sides that avoid every
+    lhs, by breadth-first extension.  Raises GrowthError if irreducible
+    words still appear at maxlen."""
+    letters = sorted({t for r in rules.rules for t in r.lhs}, key=str)
     out = [()]
     layer = [()]
     for _ in range(maxlen):
@@ -274,7 +301,7 @@ def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP,
         for w in layer:
             for t in letters:
                 cand = w + (t,)
-                if rules._find_redex(cand) is None:
+                if find_redex(cand, rules._by_len) is None:
                     nxt.append(cand)
         out.extend(nxt)
         layer = nxt
@@ -290,14 +317,17 @@ def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP,
 def overlap_ambiguities(rules: RuleSystem) -> list:
     """All proper overlaps: (i, j, word) with lhs_i = XY a prefix of word,
     lhs_j = YZ a suffix, X, Y, Z nonempty."""
-    out = []
-    for i, r1 in enumerate(rules.rules):
-        for j, r2 in enumerate(rules.rules):
-            L1, L2 = r1.lhs, r2.lhs
-            for k in range(1, min(len(L1), len(L2))):
-                if L1[len(L1) - k:] == L2[:k]:
-                    out.append((i, j, L1 + L2[k:]))
-    return out
+    return [(i, j, r1.lhs + r2.lhs[k:])
+            for i, r1 in enumerate(rules.rules)
+            for j, r2 in enumerate(rules.rules)
+            for k in _overlaps(r1.lhs, r2.lhs)]
+
+
+def _overlaps(L1, L2) -> list:
+    """The lengths k of the proper overlaps of L1 then L2: the last k
+    letters of L1 are the first k of L2, with 0 < k < len(L1), len(L2)."""
+    return [k for k in range(1, min(len(L1), len(L2)))
+            if L1[len(L1) - k:] == L2[:k]]
 
 
 def resolve_ambiguity(amb, rules: RuleSystem):
@@ -388,25 +418,16 @@ def structure_constants(rules: RuleSystem) -> MultTable:
     return MultTable(rules)
 
 
-def check_associativity(table: MultTable, mode: str = "exhaustive",
-                        seed: int = 0, count: int = 1000) -> dict:
-    """(xy)z == x(yz) over basis triples, exact.  Exhaustive mode sweeps
-    all 72^3 triples; triples whose tails make both sides structurally
-    zero are skipped, which is sound because every rule preserves sigma."""
+def check_associativity(table: MultTable) -> dict:
+    """(xy)z == x(yz) over all basis triples, exact.  Triples whose tails
+    make both sides structurally zero are skipped, which is sound because
+    every rule preserves sigma."""
     failures = []
     checked = 0
-    if mode == "exhaustive":
-        triples = ((i, j, k)
-                   for i in range(table.dim)
-                   for j in table.compatible_followers(i)
-                   for k in table.compatible_followers(j))
-    elif mode == "sampled":
-        import random
-        rng = random.Random(seed)
-        triples = ((rng.randrange(table.dim), rng.randrange(table.dim),
-                    rng.randrange(table.dim)) for _ in range(count))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    triples = ((i, j, k)
+               for i in range(table.dim)
+               for j in table.compatible_followers(i)
+               for k in table.compatible_followers(j))
     for (i, j, k) in triples:
         xy = table.mult_basis(i, j)
         lhs: dict = {}
@@ -421,8 +442,7 @@ def check_associativity(table: MultTable, mode: str = "exhaustive",
         checked += 1
         if lhs != rhs:
             failures.append((i, j, k))
-    return {"mode": mode, "checked": checked, "failures": failures,
-            "ok": not failures}
+    return {"checked": checked, "failures": failures, "ok": not failures}
 
 
 def hilbert_series(words) -> list:
@@ -457,9 +477,7 @@ def _is_uniform(rule: Rule):
     words = {}
     for w, tails in by_word.items():
         cs = set(tails.values())
-        if len(tails) != order and tails:
-            return None
-        if len(cs) != 1:
+        if len(tails) != order or len(cs) != 1:
             return None
         words[w] = cs.pop()
     return words
@@ -472,22 +490,11 @@ class _WordRules:
     memo survives additions (entries whose result became reducible are
     purged, the rest are still valid normal forms)."""
 
-    def __init__(self, rules: dict, letters):
+    def __init__(self, rules: dict):
         # rules: lhs word -> {word: coeff}
         self.rules = dict(rules)
-        self.letters = letters
-        self._by_len: dict = {}
-        for lhs in self.rules:
-            self._by_len.setdefault(len(lhs), set()).add(lhs)
+        self._by_len = _by_length(self.rules)
         self._memo: dict = {}
-
-    def find_redex(self, word):
-        for p in range(len(word)):
-            for L in self._by_len:
-                cand = word[p:p + L]
-                if len(cand) == L and cand in self._by_len[L]:
-                    return p, cand
-        return None
 
     def add_rule(self, lhs, rhs: dict):
         self.rules[lhs] = rhs
@@ -506,33 +513,19 @@ class _WordRules:
         # removal can only make reducible words irreducible; memoized
         # normal forms stay irreducible, so the memo remains valid
 
+    def _step(self, w):
+        redex = find_redex(w, self._by_len)
+        if redex is None:
+            return None
+        p, lhs = redex
+        u, v = w[:p], w[p + len(lhs):]
+        return {u + wi + v: c for wi, c in self.rules[lhs].items()}
+
     def reduce(self, x: dict, fuel: int) -> dict:
-        out: dict = {}
-        stack = [(w, c) for w, c in x.items()]
-        while stack:
-            w, coeff = stack.pop()
-            hit = self._memo.get(w)
-            if hit is not None:
-                for k, c in hit.items():
-                    add_into(out, k, coeff * c)
-                continue
-            redex = self.find_redex(w)
-            if redex is None:
-                add_into(out, w, coeff)
-                self._memo[w] = {w: 1}
-                continue
-            fuel -= 1
-            if fuel <= 0:
-                raise NonterminationError("completion fuel exhausted")
-            p, lhs = redex
-            u, v = w[:p], w[p + len(lhs):]
-            for wi, c in self.rules[lhs].items():
-                stack.append((u + wi + v, coeff * c))
-        return out
+        return _normal_form(x, self._step, self._memo, fuel)
 
 
-def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT,
-             letters=None):
+def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
     """Buchberger-style completion for tail-uniform numeric systems:
     insert deglex-oriented normal-form differences of unresolved overlaps,
     smallest overlap first, until the pair queue drains.  Rules whose lhs
@@ -546,23 +539,16 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT,
         if words is None:
             raise ValueError("completion needs tail-uniform rules")
         word_rules[r.lhs] = words
-    if letters is None:
-        letters = sorted({t for r in rules.rules for t in r.lhs}, key=str)
     homog = all(len(w) == len(lhs)
                 for lhs, rhs in word_rules.items() for w in rhs)
 
-    def deglex(w):
-        return (len(w), [str(t) for t in w])
-
-    wr = _WordRules(word_rules, letters)
+    wr = _WordRules(word_rules)
     pairs = []          # heap of (overlap length, tiebreak, L1, L2, k)
     counter = 0
 
     def push_overlaps(L1, L2):
         nonlocal counter
-        for k in range(1, min(len(L1), len(L2))):
-            if L1[len(L1) - k:] != L2[:k]:
-                continue
+        for k in _overlaps(L1, L2):
             n = len(L1) + len(L2) - k
             if n > maxdeg:
                 if not homog:
@@ -579,7 +565,7 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT,
         elt = wr.reduce(elt, fuel)
         if not elt:
             return
-        lead = max(elt, key=deglex)
+        lead = max(elt, key=word_key)
         if len(lead) > maxdeg:
             raise GrowthError("new rule exceeds maxdeg")
         inv = Fraction(1) / Fraction(elt[lead])

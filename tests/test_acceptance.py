@@ -86,7 +86,7 @@ def test_criterion_02_family_dimension(sym_rules, sym_table):
             assert ok, (amb, trace)
         assert len(irreducible_words(sym_rules)) == 12
         assert sym_table.dim == 72
-        rep = check_associativity(sym_table, "exhaustive")
+        rep = check_associativity(sym_table)
         assert rep["ok"] and rep["checked"] == 72 * 144
 
 

@@ -69,17 +69,49 @@ class TestVerify:
         assert len(captured.err.splitlines()) == 1
         assert "not a rational number" in captured.err
 
-    def test_sampled_fallback_fails(self, capsys):
-        # a zero budget forces the sampled associativity downgrade, which
-        # is not a certificate and must not pass
+    def test_budget_exceeded_fails(self, capsys):
+        # a zero budget skips the associativity sweep, which then must
+        # not pass
         argv = ["verify", "diamond", "--a1=1/3", "--a2=-1/2", "--json",
                 "--budget-sec=0"]
         assert main(argv) == 1
         reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
         assoc = reports["diamond.associativity"]
         assert assoc["status"] == "fail"
-        assert assoc["counts"]["mode"] == "sampled"
+        assert assoc["counts"]["mode"] == "skipped"
+        assert assoc["counts"]["checked"] == 0
+        assert assoc["details"] == ["budget exceeded at table build"]
         assert reports["diamond.ambiguities"]["status"] == "pass"
+
+    @pytest.mark.parametrize("scope", ["diamond", "hopf", "lemmas",
+                                       "classify"])
+    def test_fuel_exhaustion_fails(self, scope, capsys):
+        # one rewrite step is too few for every suite that rewrites
+        assert main(["verify", scope, "--json", "--fuel", "1"]) == 1
+        reports = json.loads(capsys.readouterr().out)
+        assert [r["check"] for r in reports] == [f"{scope}.termination"]
+        (rep,) = reports
+        assert rep["status"] == "fail"
+        assert rep["counts"] == {"fuel": 1}
+        assert rep["details"][0] == "fuel of 1 rewrite steps exhausted"
+        # the one term rewritten before the fuel ran out
+        assert len(rep["details"]) == 2
+        assert rep["details"][1].startswith("(1)*x")
+
+    def test_fuel_enough_passes(self, capsys):
+        assert main(["verify", "diamond", "--a1=1/3", "--a2=-1/2",
+                     "--fuel", "100"]) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("fuel", ["0", "-5", "ten", "1.5"])
+    def test_bad_fuel(self, fuel, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "diamond", f"--fuel={fuel}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "fuel must be a whole number" in captured.err
 
     def test_one_algebra_per_call(self, monkeypatch, capsys):
         # the hopf and lemmas suites share one algebra; gr_check adds the

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfs3.braidedtensor import quadratic_relations
 from hopfs3.groups import parse_perm
 from hopfs3.rewrite import (GENERATORS, NonterminationError, Rule,
                             RuleSystem, S3, X12, X13, X23,
@@ -13,7 +14,8 @@ from hopfs3.rewrite import (GENERATORS, NonterminationError, Rule,
                             hilbert_series, irreducible_words,
                             overlap_ambiguities, resolve_ambiguity,
                             shift_tail, sigma, smash_mult, smash_of,
-                            smash_unit, structure_constants, uniform_rule)
+                            smash_unit, structure_constants, uniform_rule,
+                            word_key)
 from hopfs3.linalg import vec_add
 from hopfs3.scalars import PolyRing
 
@@ -26,6 +28,23 @@ G = {s: parse_perm(s, 3) for s in ("e", "(12)", "(13)", "(23)", "(123)",
 
 def sym_rules():
     return default_rules(A1, A2)
+
+
+def s4_rules() -> RuleSystem:
+    """The quadratic relations of the S4 Nichols algebra, each oriented
+    towards its deglex-largest word."""
+    rules = []
+    for r in quadratic_relations(4):
+        lead = max(r, key=word_key)
+        inv = Fraction(1) / Fraction(r[lead])
+        rules.append(uniform_rule(lead, {w: -c * inv for w, c in r.items()
+                                         if w != lead}))
+    return RuleSystem(rules)
+
+
+@pytest.fixture(scope="module")
+def s4_done():
+    return complete(s4_rules(), maxdeg=13, fuel=10 ** 7)
 
 
 class TestSigmaAndSmash:
@@ -100,8 +119,17 @@ class TestRuleSystem:
 
     def test_fuel_exhaustion(self):
         rules = default_rules(1, 2, fuel=2)
-        with pytest.raises(NonterminationError):
+        with pytest.raises(NonterminationError) as exc:
             rules.reduce_term((X23, X12, X23, X12, X23), G["e"])
+        # one term per rewrite step, the one that ran out last
+        assert len(exc.value.trace) == 2
+        assert exc.value.trace[0] == ((X23, X12, X23, X12, X23), G["e"])
+
+    def test_trace_is_bounded(self):
+        rules = default_rules(1, 2, fuel=60)
+        with pytest.raises(NonterminationError) as exc:
+            rules.reduce_term((X13, X23, X12) * 4, G["e"])
+        assert len(exc.value.trace) == 50
 
     def test_termination_on_random_words(self):
         rules = default_rules(Fraction(1), Fraction(-2))
@@ -113,6 +141,40 @@ class TestRuleSystem:
             for (w2, h), _c in nf.items():
                 assert rules._find_redex(w2) is None
                 assert h == g
+
+
+def naive_redex(word, rules: RuleSystem):
+    """Leftmost (position, rule index) by trying every lhs everywhere."""
+    for p in range(len(word)):
+        for i, r in enumerate(rules.rules):
+            if word[p:p + len(r.lhs)] == r.lhs:
+                return p, i
+    return None
+
+
+class TestEngine:
+    @pytest.mark.parametrize("system", ["S3", "S4"])
+    def test_finder_matches_naive_scan(self, system, request):
+        rules = (sym_rules() if system == "S3"
+                 else request.getfixturevalue("s4_done"))
+        letters = sorted({t for r in rules.rules for t in r.lhs}, key=str)
+        rng = random.Random(20261018)
+        found = 0
+        for _ in range(2000):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
+            assert rules._find_redex(w) == naive_redex(w, rules), w
+            found += rules._find_redex(w) is not None
+        assert 0 < found < 2000
+
+    def test_s4_irreducible_words_avoid_every_lhs(self, s4_done):
+        assert len(s4_done.rules) == 25
+        for w in irreducible_words(s4_done, maxlen=13):
+            assert naive_redex(w, s4_done) is None
+
+    def test_completion_fuel_exhaustion(self):
+        with pytest.raises(NonterminationError) as exc:
+            complete(s4_rules(), maxdeg=13, fuel=5)
+        assert 0 < len(exc.value.trace) <= 50
 
 
 class TestBasis:
@@ -177,6 +239,23 @@ class TestAmbiguities:
                    for a in overlap_ambiguities(bad)]
         assert not all(results)
 
+    def test_every_perturbed_coefficient_fails_to_resolve(self):
+        # adding 1 to any one of the 72 rhs coefficients at (1/3, -1/2)
+        # must leave some ambiguity unresolved
+        rules = default_rules(Fraction(1, 3), Fraction(-1, 2)).rules
+        assert sum(len(r.rhs) for r in rules) == 72
+        missed = []
+        for i, r in enumerate(rules):
+            for k in r.rhs:
+                rhs = dict(r.rhs)
+                rhs[k] += 1
+                bad = RuleSystem(rules[:i] + [Rule(r.lhs, rhs)] + rules[i + 1:])
+                ambs = overlap_ambiguities(bad)
+                assert len(ambs) == 23
+                if all(resolve_ambiguity(a, bad)[0] for a in ambs):
+                    missed.append((r, k))
+        assert missed == []
+
 
 class TestMultTable:
     def test_dimension(self):
@@ -192,14 +271,9 @@ class TestMultTable:
 
     def test_exhaustive_associativity_symbolic(self):
         table = structure_constants(sym_rules())
-        rep = check_associativity(table, "exhaustive")
+        rep = check_associativity(table)
         assert rep["ok"]
         assert rep["checked"] == 72 * 12 * 12
-
-    def test_sampled_mode(self):
-        table = structure_constants(default_rules(2, 3))
-        rep = check_associativity(table, "sampled", seed=7, count=200)
-        assert rep["ok"] and rep["checked"] == 200
 
     def test_specialization_commutes(self):
         # evaluating the symbolic table at a point equals building the
