@@ -121,7 +121,9 @@ def _suite_hopf(args) -> list:
     rep = verify_hopf_axioms(H)
     out.append(_report("hopf.axioms", rep["ok"],
                        {"basis": rep["basis_checked"],
-                        "pairs": rep["pairs_checked"]},
+                        "pairs": rep["pairs_checked"],
+                        "delta_terms": rep["delta_terms"],
+                        "terms_compared": rep["terms_compared"]},
                        rep["failures"], t0))
     t0 = time.perf_counter()
     rep = verify_hopf_ideal(a1, a2, H)

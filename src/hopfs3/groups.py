@@ -22,6 +22,13 @@ class GroupError(ValueError):
     pass
 
 
+# Every product p * q and inverse p^-1 computed so far, each validated by
+# Perm.__new__ once.  They are facts about S_n, not results of a check:
+# at most 36 products for S3 and 576 for S4.
+_PRODUCTS: dict = {}
+_INVERSES: dict = {}
+
+
 class Perm(tuple):
     """A permutation of {1..n} as its image tuple."""
 
@@ -41,15 +48,22 @@ class Perm(tuple):
     def __mul__(self, other: "Perm") -> "Perm":
         if not isinstance(other, Perm):
             return NotImplemented
-        if len(self) != len(other):
-            raise GroupError("size mismatch in composition")
-        return Perm(self[other[i] - 1] for i in range(len(self)))
+        prod = _PRODUCTS.get((self, other))
+        if prod is None:
+            if len(self) != len(other):
+                raise GroupError("size mismatch in composition")
+            prod = _PRODUCTS[self, other] = Perm(
+                self[other[i] - 1] for i in range(len(self)))
+        return prod
 
     def inv(self) -> "Perm":
-        images = [0] * len(self)
-        for i, j in enumerate(self):
-            images[j - 1] = i + 1
-        return Perm(images)
+        inverse = _INVERSES.get(self)
+        if inverse is None:
+            images = [0] * len(self)
+            for i, j in enumerate(self):
+                images[j - 1] = i + 1
+            inverse = _INVERSES[self] = Perm(images)
+        return inverse
 
     def sign(self) -> int:
         seen = [False] * len(self)

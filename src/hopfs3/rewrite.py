@@ -294,14 +294,16 @@ def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP) -> list:
     lhs, by breadth-first extension.  Raises GrowthError if irreducible
     words still appear at maxlen."""
     letters = sorted({t for r in rules.rules for t in r.lhs}, key=str)
+    by_len = rules._by_len.items()
     out = [()]
     layer = [()]
     for _ in range(maxlen):
         nxt = []
         for w in layer:
             for t in letters:
+                # w is irreducible, so a redex of w + (t,) ends at t
                 cand = w + (t,)
-                if find_redex(cand, rules._by_len) is None:
+                if not any(cand[-L:] in lhss for L, lhss in by_len):
                     nxt.append(cand)
         out.extend(nxt)
         layer = nxt
@@ -365,7 +367,6 @@ class MultTable:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels)
         self._word_sigma = {w: sigma(w) for w in self.words}
-        self._pair_cache: dict = {}
         # products keyed (w1, w2, h): reduce(w1 w2, h); tails follow by
         # the smash constraint g2 = sigma(w2) g1
         self.products = {}
@@ -380,20 +381,19 @@ class MultTable:
                                 f"normal form leaves the basis: {w}, {g}")
                         assert g == h and sigma(w) == s12
                     self.products[(w1, w2, h)] = nf
+        # rows[i][k] = e_i e_k as {index: coeff}; w1 dg1 * w2 dg2 is zero
+        # unless g2 = sigma(w2) g1
+        self.rows = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
+        for i, (w1, g1) in enumerate(self.labels):
+            for w2 in self.words:
+                g2 = self._word_sigma[w2] * g1
+                self.rows[i][self.index[(w2, g2)]] = {
+                    self.index[lab]: c
+                    for lab, c in self.products[(w1, w2, g2)].items()}
 
     def mult_basis(self, i: int, k: int) -> dict:
         """Product of basis elements i and k as {index: coeff}."""
-        cached = self._pair_cache.get((i, k))
-        if cached is not None:
-            return cached
-        (w1, g1), (w2, g2) = self.labels[i], self.labels[k]
-        if self._word_sigma[w2] * g1 != g2:
-            out = {}
-        else:
-            nf = self.products[(w1, w2, g2)]
-            out = {self.index[lab]: c for lab, c in nf.items()}
-        self._pair_cache[(i, k)] = out
-        return out
+        return self.rows[i][k]
 
     def mult(self, x: dict, y: dict) -> dict:
         """Product of {index: coeff} vectors."""

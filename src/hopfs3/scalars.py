@@ -13,6 +13,7 @@ safe to share between workers.  Mixing incompatible domains raises
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Union
 
@@ -72,8 +73,11 @@ class MultiPoly:
 
     # __add__ and __mul__ prune zero terms inline rather than through
     # linalg.add_into: they are the coefficient ring's arithmetic, not
-    # vector arithmetic, and linalg imports this module.
+    # vector arithmetic, and linalg imports this module.  Values are
+    # immutable, so adding 0 or multiplying by 1 returns self itself.
     def __add__(self, other):
+        if _is_rat(other) and not other:
+            return self
         other = self._coerce(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -97,6 +101,8 @@ class MultiPoly:
 
     def __mul__(self, other):
         if _is_rat(other):
+            if other == 1:
+                return self
             if other == 0:
                 return MultiPoly(self.names, {})
             return MultiPoly(self.names, {e: c * other for e, c in self.terms.items()})
@@ -104,7 +110,7 @@ class MultiPoly:
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(operator.add, e1, e2))
                 s = terms.get(e, 0) + c1 * c2
                 if s:
                     terms[e] = s
@@ -135,6 +141,9 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
+        # equal to a rational exactly when constant, so hash like one
+        if self.is_constant():
+            return hash(self.constant_value())
         return hash((self.names, frozenset(self.terms.items())))
 
     def is_constant(self) -> bool:

@@ -1,12 +1,26 @@
 """Command-line interface: suites, exit codes, and deterministic output."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hopfs3
 from hopfs3.cli import main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands() -> list:
+    """The commands of README's CLI block, as written."""
+    text = README.read_text().split("## CLI", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [ln for ln in block.splitlines()
+            if ln.strip() and not ln.startswith("#")]
 
 
 class TestVerify:
@@ -41,8 +55,7 @@ class TestVerify:
         assert strip(first) == strip(second)
 
     def test_readme_point_command(self, capsys):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        line = next(ln for ln in readme.read_text().splitlines()
+        line = next(ln for ln in README.read_text().splitlines()
                     if ln.startswith("hopfs3 verify diamond"))
         argv = shlex.split(line)[1:]
         assert argv == ["verify", "diamond", "--a1", "1", "--a2", "-1/2",
@@ -185,3 +198,24 @@ class TestDump:
         main(["dump", "--a1", "1", "--a2", "0"])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestReadme:
+    def test_cli_block_found(self):
+        assert [ln.split()[:2] for ln in readme_cli_commands()] == [
+            ["hopfs3", "verify"], ["hopfs3", "verify"],
+            ["hopfs3", "classify"], ["hopfs3", "dump"]]
+
+    @pytest.mark.parametrize("line", readme_cli_commands())
+    def test_command_runs_as_written(self, line, tmp_path):
+        (tmp_path / "pairs.txt").write_text("1, 0\n-1/2, 1/3\n")
+        src = str(Path(hopfs3.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = shlex.split(line)
+        assert argv[0] == "hopfs3"
+        proc = subprocess.run([sys.executable, "-m", "hopfs3.cli", *argv[1:]],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout

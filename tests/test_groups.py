@@ -4,6 +4,7 @@ representations."""
 import pytest
 from hypothesis import given, strategies as st
 
+from hopfs3 import groups
 from hopfs3.groups import (GroupError, Irrep, Perm, builtin_irreps,
                            centralizer, conjugacy_class, conjugate,
                            coset_representatives, identity, is_subgroup,
@@ -52,6 +53,32 @@ class TestPerm:
     def test_bad_images(self):
         with pytest.raises(GroupError):
             Perm((1, 1, 3))
+
+    @pytest.mark.parametrize("elems", [S3, S4], ids=["S3", "S4"])
+    def test_stored_products_match_images(self, elems):
+        # twice, so the second pass reads every product from the store
+        for _ in range(2):
+            for p in elems:
+                inverse = [0] * p.n
+                for i in range(1, p.n + 1):
+                    inverse[p(i) - 1] = i
+                assert tuple(p.inv()) == tuple(inverse)
+                for q in elems:
+                    assert tuple(p * q) == tuple(p(q(i))
+                                                 for i in range(1, p.n + 1))
+        n = elems[0].n
+        assert len([k for k in groups._PRODUCTS if k[0].n == n]) <= \
+            len(elems) ** 2
+
+    def test_errors_after_warm_store(self):
+        for p in S3:
+            for q in S3:
+                p * q
+        with pytest.raises(GroupError):
+            S3[1] * S4[1]
+        with pytest.raises(GroupError):
+            Perm((1, 1, 2))
+        assert S3[1].__mul__((1, 2, 3)) is NotImplemented
 
     @given(perm4, perm4, perm4)
     def test_group_axioms(self, p, q, r):

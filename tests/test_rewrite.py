@@ -11,7 +11,7 @@ from hopfs3.groups import parse_perm
 from hopfs3.rewrite import (GENERATORS, NonterminationError, Rule,
                             RuleSystem, S3, X12, X13, X23,
                             check_associativity, complete, default_rules,
-                            hilbert_series, irreducible_words,
+                            find_redex, hilbert_series, irreducible_words,
                             overlap_ambiguities, resolve_ambiguity,
                             shift_tail, sigma, smash_mult, smash_of,
                             smash_unit, structure_constants, uniform_rule,
@@ -171,6 +171,23 @@ class TestEngine:
         for w in irreducible_words(s4_done, maxlen=13):
             assert naive_redex(w, s4_done) is None
 
+    @pytest.mark.parametrize("system", ["S3", "zero", "S4"])
+    def test_irreducible_words_match_redex_filter(self, system, request):
+        # the suffix test equals filtering each extension by find_redex
+        # from position 0
+        rules = {"S3": sym_rules, "zero": lambda: default_rules(0, 0),
+                 "S4": lambda: request.getfixturevalue("s4_done")}[system]()
+        maxlen = 13 if system == "S4" else 8
+        letters = sorted({t for r in rules.rules for t in r.lhs}, key=str)
+        words, layer = [()], [()]
+        while layer:
+            layer = [w + (t,) for w in layer for t in letters
+                     if find_redex(w + (t,), rules._by_len) is None]
+            words.extend(layer)
+        got = irreducible_words(rules, maxlen=maxlen)
+        assert got == sorted(words, key=word_key)
+        assert len(got) == (576 if system == "S4" else 12)
+
     def test_completion_fuel_exhaustion(self):
         with pytest.raises(NonterminationError) as exc:
             complete(s4_rules(), maxdeg=13, fuel=5)
@@ -268,6 +285,17 @@ class TestMultTable:
         for i in range(table.dim):
             assert table.mult(one, {i: 1}) == {i: 1}
             assert table.mult({i: 1}, one) == {i: 1}
+
+    def test_rows_are_normal_forms(self):
+        rules = sym_rules()
+        table = structure_constants(rules)
+        for i, (w1, g1) in enumerate(table.labels):
+            for k, (w2, g2) in enumerate(table.labels):
+                nf = smash_mult(smash_of(w1, g1), smash_of(w2, g2), rules)
+                row = table.rows[i][k]
+                assert row == {table.index[lab]: c for lab, c in nf.items()}
+                assert all(row.values())
+                assert table.mult_basis(i, k) is row
 
     def test_exhaustive_associativity_symbolic(self):
         table = structure_constants(sym_rules())

@@ -45,6 +45,36 @@ class TestMultiPoly:
         assert A1 * Fraction(1, 2) + A1 * Fraction(1, 2) == A1
         assert 1 - A1 == -(A1 - 1)
 
+    def test_rational_fast_paths(self):
+        p = A1 * A1 - 2 * A2 + Fraction(1, 3)
+        for got, want in ((p * 1, p * R.one), (p * Fraction(1), p * R.one),
+                          (1 * p, R.one * p), (-1 * p, R.const(-1) * p),
+                          (p * 0, p * R.zero), (p + 0, p + R.zero),
+                          (0 + p, R.zero + p)):
+            assert got == want
+            assert got.names == R.names
+        assert p * 0 == R.zero and not p * 0
+
+    def test_fast_paths_keep_kind_errors(self):
+        other = PolyRing("b1", "b2").gens()[0]
+        with pytest.raises(ScalarKindError):
+            A1 * other
+        with pytest.raises(ScalarKindError):
+            A1 + other
+        with pytest.raises(ScalarKindError):
+            A1 * "x"
+        with pytest.raises(ScalarKindError):
+            A1 + "x"
+
+    def test_hash_agrees_with_eq(self):
+        one = MultiPoly.const(R.names, 1)
+        assert one == 1 and len({one, 1}) == 1
+        assert R.zero == 0 and len({R.zero, 0}) == 1
+        half = R.const(Fraction(1, 2))
+        assert len({half, Fraction(1, 2)}) == 1
+        assert A1 != 1 and len({A1, 1}) == 2
+        assert hash(A1 + 0) == hash(A1 * 1) == hash(A1)
+
     def test_str(self):
         assert str(A1 - A2) in ("a1 - a2", "-a2 + a1")
         assert str(R.zero) == "0"
