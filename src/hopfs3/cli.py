@@ -103,7 +103,7 @@ def _suite_diamond(args) -> list:
         rep = {"mode": "exhaustive", **check_associativity(table)}
     out.append(_report("diamond.associativity", rep["ok"],
                        {"mode": rep["mode"], "checked": rep["checked"],
-                        "params": label},
+                        "scalars": rep.get("scalars"), "params": label},
                        rep["failures"][:5], t0))
     return out
 
@@ -119,12 +119,14 @@ def _suite_hopf(args) -> list:
                        [], t0))
     t0 = time.perf_counter()
     rep = verify_hopf_axioms(H)
+    witness = [rep["witness"]] if rep["witness"] else []
     out.append(_report("hopf.axioms", rep["ok"],
                        {"basis": rep["basis_checked"],
                         "pairs": rep["pairs_checked"],
                         "delta_terms": rep["delta_terms"],
-                        "terms_compared": rep["terms_compared"]},
-                       rep["failures"], t0))
+                        "terms_compared": rep["terms_compared"],
+                        "scalars": rep["scalars"]},
+                       witness + rep["failures"], t0))
     t0 = time.perf_counter()
     rep = verify_hopf_ideal(a1, a2, H)
     out.append(_report("hopf.ideal", rep["ok"], {}, rep["failures"], t0))

@@ -17,11 +17,13 @@ makes the structural zero-filter in the associativity sweep rigorous.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 from fractions import Fraction
 
 from .groups import Perm, identity, parse_perm, symmetric_group, transposition
 from .linalg import add_into, linear, vec_add, vec_scale
+from .scalars import Kronecker, scalar_kind
 
 FUEL_DEFAULT = 10 ** 6
 TRACE_TAIL = 50
@@ -42,9 +44,15 @@ def word_key(w: tuple):
     return (len(w), tuple(_LETTER_KEY.get(t, str(t)) for t in w))
 
 
+_IDENTITIES: dict = {}      # n -> identity(n), the start of every sigma
+
+
 def sigma(word: tuple, n: int = 3) -> Perm:
     """sigma(x_{t1}...x_{tn}) = t_n o ... o t_1."""
-    g = identity(word[0].n if word else n)
+    m = word[0].n if word else n
+    g = _IDENTITIES.get(m)
+    if g is None:
+        g = _IDENTITIES[m] = identity(m)
     for t in word:
         g = t * g
     return g
@@ -391,6 +399,16 @@ class MultTable:
                     self.index[lab]: c
                     for lab, c in self.products[(w1, w2, g2)].items()}
 
+    def packed(self, layout) -> "MultTable":
+        """A copy whose rows hold layout-encoded coefficients (itself when
+        layout is None); see scalars.Kronecker."""
+        if layout is None:
+            return self
+        out = copy.copy(self)
+        out.rows = [[layout.encode_vector(e) for e in row]
+                    for row in self.rows]
+        return out
+
     def mult_basis(self, i: int, k: int) -> dict:
         """Product of basis elements i and k as {index: coeff}."""
         return self.rows[i][k]
@@ -421,7 +439,16 @@ def structure_constants(rules: RuleSystem) -> MultTable:
 def check_associativity(table: MultTable) -> dict:
     """(xy)z == x(yz) over all basis triples, exact.  Triples whose tails
     make both sides structurally zero are skipped, which is sound because
-    every rule preserves sigma."""
+    every rule preserves sigma.
+
+    Polynomial structure constants are compared Kronecker-packed: each
+    side sums at most R^2 products of two constants, R the most terms
+    of a product of basis elements."""
+    most = max(len(e) for row in table.rows for e in row)
+    layout = Kronecker.fit((c for row in table.rows for e in row
+                            for c in e.values()),
+                           factors=2, summands=most * most)
+    table = table.packed(layout)
     failures = []
     checked = 0
     triples = ((i, j, k)
@@ -442,7 +469,8 @@ def check_associativity(table: MultTable) -> dict:
         checked += 1
         if lhs != rhs:
             failures.append((i, j, k))
-    return {"checked": checked, "failures": failures, "ok": not failures}
+    return {"checked": checked, "failures": failures, "ok": not failures,
+            "scalars": scalar_kind(layout)}
 
 
 def hilbert_series(words) -> list:

@@ -4,7 +4,9 @@ Three coefficient domains, all exact: arbitrary-precision rationals
 (stdlib ``Fraction``, with plain ints accepted everywhere), multivariate
 polynomials with rational coefficients in named commuting variables, and
 the quadratic extension generated by a primitive cube root of unity
-(``w`` with ``w**2 + w + 1 == 0``).
+(``w`` with ``w**2 + w + 1 == 0``).  :class:`Kronecker` packs integer
+polynomials into single ints for the exhaustive symbolic sweeps, with a
+bound that keeps the packing injective on every value a sweep forms.
 
 No floating point anywhere.  Values are immutable after construction and
 safe to share between workers.  Mixing incompatible domains raises
@@ -30,6 +32,13 @@ class NeedsSpecialization(ArithmeticError):
 
 
 def _is_rat(x) -> bool:
+    t = type(x)
+    if t is int or t is Fraction:
+        return True
+    # answered here, not by Fraction's abc instance check, on the
+    # polynomial operands of every MultiPoly sum and product
+    if t is MultiPoly or t is Cyclotomic3:
+        return False
     return isinstance(x, (int, Fraction))
 
 
@@ -217,6 +226,143 @@ class PolyRing:
 
     def __repr__(self):
         return f"PolyRing{self.names}"
+
+
+class Kronecker:
+    """Kronecker substitution: integer polynomials packed into one int.
+
+    ``encode`` evaluates a polynomial in x_0, ..., x_{n-1} at
+    x_i = 2^(B*K^i); for the parameters (a1, a2) that is a1 = 2^B,
+    a2 = 2^(B*K).  Evaluation is a ring map Z[x] -> Z, so the sum and the
+    product of packed values are exactly the packed sum and product.  The
+    monomial with exponents e lands in slot sum_i e_i*K^i, B bits wide;
+    so the map is injective on the polynomials whose degree in every
+    variable but the last is < K and whose coefficients are all
+    < 2^(B-1) in absolute value (a balanced base-2^B expansion is unique),
+    and ``decode`` inverts it there.
+
+    ``fit`` measures the values a sweep starts from and sizes K and B so
+    that everything the sweep forms stays in that domain.  Each value it
+    compares is an accumulator of at most S products of at most f
+    measured values (S summands, f factors); two accumulators are
+    compared through their difference.  With d the largest degree in a
+    variable but the last and N the largest l1-norm (sum of absolute
+    coefficients) of a measured value, such a difference has those
+    degrees <= f*d and coefficients <= 2*S*N^f in absolute value.  So
+    K = f*d + 1 and the least B with 2*S*N^f < 2^(B-1) make packed
+    equality, and the zero test of a packed sum, exact polynomial
+    equality.  Only ring operations (+, *, ==) may run on packed values.
+    """
+
+    __slots__ = ("names", "bits", "slots")
+
+    def __init__(self, names: tuple, bits: int, slots: int):
+        self.names = names
+        self.bits = bits
+        self.slots = slots
+
+    @classmethod
+    def fit(cls, values, factors: int, summands: int):
+        """The layout for a sweep over ``values``, or None when every value
+        is rational and nothing needs packing.  Raises ScalarKindError when
+        a polynomial is present and some value is not an integer or an
+        integer polynomial in its variables."""
+        names = None
+        degree = norm = 0
+        fractional = None
+        for v in values:
+            if isinstance(v, MultiPoly):
+                if names is None:
+                    names = v.names
+                elif v.names != names:
+                    raise ScalarKindError(
+                        f"polynomials in {names} and {v.names} cannot mix")
+                for e, c in v.terms.items():
+                    if not _is_int(c):
+                        raise ScalarKindError(
+                            f"cannot pack the non-integer coefficient {c} "
+                            f"of {v}")
+                    degree = max(degree, *e[:-1], 0)
+                norm = max(norm, sum(abs(c) for c in v.terms.values()))
+            elif _is_rat(v):
+                if not _is_int(v):
+                    fractional = v
+                norm = max(norm, abs(v))
+            else:
+                raise ScalarKindError(
+                    f"cannot bound a {type(v).__name__} for packing")
+        if names is None:
+            return None
+        if fractional is not None:
+            raise ScalarKindError(
+                f"cannot pack the non-integer {fractional}")
+        bound = 2 * summands * norm ** factors
+        return cls(names, bound.bit_length() + 1, factors * degree + 1)
+
+    def __str__(self):
+        return f"kronecker B={self.bits} K={self.slots}"
+
+    __repr__ = __str__
+
+    def _slot(self, e) -> int:
+        slot = 0
+        for k in reversed(e):
+            slot = slot * self.slots + k
+        return slot
+
+    def encode(self, x) -> int:
+        """The packed value of an integer or integer polynomial; raises
+        ScalarKindError outside the injective domain."""
+        if isinstance(x, MultiPoly):
+            if x.names != self.names:
+                raise ScalarKindError(
+                    f"layout for {self.names} cannot pack {x.names}")
+            terms = x.terms.items()
+        elif _is_rat(x):
+            terms = (((0,) * len(self.names), x),)
+        else:
+            raise ScalarKindError(f"cannot pack a {type(x).__name__}")
+        half = 1 << (self.bits - 1)
+        total = 0
+        for e, c in terms:
+            if not _is_int(c) or not -half < c < half or \
+                    any(k >= self.slots for k in e[:-1]):
+                raise ScalarKindError(f"{x} lies outside {self}")
+            total += int(c) << (self.bits * self._slot(e))
+        return total
+
+    def encode_vector(self, v: dict) -> dict:
+        return {k: self.encode(c) for k, c in v.items()}
+
+    def decode(self, packed: int) -> MultiPoly:
+        """The polynomial whose packed value is ``packed``."""
+        full = 1 << self.bits
+        mask = full - 1
+        inner = len(self.names) - 1
+        terms = {}
+        slot = 0
+        while packed:
+            c = packed & mask
+            if c >= full >> 1:
+                c -= full
+            if c:
+                e, rest = [], slot
+                for _ in range(inner):
+                    rest, k = divmod(rest, self.slots)
+                    e.append(k)
+                terms[tuple(e) + (rest,)] = c
+            packed = (packed - c) >> self.bits
+            slot += 1
+        return MultiPoly(self.names, terms)
+
+
+def scalar_kind(layout) -> str:
+    """What a sweep ran on: "rational", or its Kronecker layout."""
+    return "rational" if layout is None else str(layout)
+
+
+def _is_int(x) -> bool:
+    return type(x) is int or (_is_rat(x) and x.denominator == 1)
 
 
 class Cyclotomic3:

@@ -140,6 +140,45 @@ class TestVerify:
         assert len(calls) == 3
         capsys.readouterr()
 
+    def test_symbolic_pass_constructs_few_perms(self, monkeypatch, capsys):
+        # products, inverses and sigma's identity are stored, so a warm
+        # symbolic pass builds almost no permutations
+        from hopfs3.groups import Perm
+        assert main(["verify", "all", "--json"]) == 0
+        capsys.readouterr()
+        new = Perm.__dict__["__new__"].__func__
+        calls = []
+        monkeypatch.setattr(Perm, "__new__", staticmethod(
+            lambda cls, images: calls.append(1) or new(cls, images)))
+        assert main(["verify", "all", "--json"]) == 0
+        assert 0 < len(calls) <= 200
+        counts = {r["check"]: r["counts"]
+                  for r in json.loads(capsys.readouterr().out)}
+        assert counts["hopf.axioms"]["scalars"] == "kronecker B=24 K=13"
+        assert counts["diamond.associativity"]["scalars"] == \
+            "kronecker B=8 K=7"
+
+    def test_axioms_witness_in_details(self, wrong_sign_symbolic,
+                                       monkeypatch, capsys):
+        import hopfs3.cli as cli
+        monkeypatch.setattr(cli, "_algebra", lambda _args: wrong_sign_symbolic)
+        assert main(["verify", "hopf", "--json"]) == 1
+        reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+        axioms = reports["hopf.axioms"]
+        assert axioms["status"] == "fail"
+        assert axioms["details"][0].startswith(
+            "Delta(e7 e54) - Delta(e7) Delta(e54) = (")
+        assert "a1" in axioms["details"][0] or "a2" in axioms["details"][0]
+        assert axioms["details"][1:4] == ["('coassoc', 7)", "('coassoc', 9)",
+                                          "('coassoc', 12)"]
+
+    def test_point_pass_is_rational(self, capsys):
+        assert main(["verify", "diamond", "--a1=1/3", "--a2=-1/2",
+                     "--json"]) == 0
+        counts = {r["check"]: r["counts"]
+                  for r in json.loads(capsys.readouterr().out)}
+        assert counts["diamond.associativity"]["scalars"] == "rational"
+
     def test_bad_scope(self):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "everything"])

@@ -1,6 +1,8 @@
 """The 72-dimensional Hopf algebra: structure maps, axiom certificates,
 Hopf-ideal property, filtration lemmas, and the coradical."""
 
+import collections
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -8,20 +10,24 @@ from fractions import Fraction
 import pytest
 
 from hopfs3.groups import conjugate, parse_perm
-from hopfs3.hopf72 import (adjoint_isotypics, build, c_identity,
-                           coideal_elements, coradical_certificate,
-                           dump_tables, gr_check, lemma31_suite,
-                           relation_elements, verify_hopf_axioms,
-                           verify_hopf_ideal)
-from hopfs3.linalg import vec_add, vec_tensor
+from hopfs3.hopf72 import (_format_witness, adjoint_isotypics, axiom_layout,
+                           build, c_identity, coideal_elements,
+                           coradical_certificate, dump_tables, gr_check,
+                           lemma31_suite, relation_elements,
+                           verify_hopf_axioms, verify_hopf_ideal)
+from hopfs3.linalg import vec_add, vec_scale, vec_tensor
 from hopfs3.rewrite import S3, X12, X13, X23, smash_of
-from hopfs3.scalars import PolyRing
+from hopfs3.scalars import PolyRing, ScalarKindError
 
 R = PolyRing("a1", "a2")
 A1, A2 = R.gens()
 
 G = {s: parse_perm(s, 3) for s in ("e", "(12)", "(13)", "(23)", "(123)",
                                    "(132)")}
+
+
+WRONG_SIGN_DIGEST = (
+    "3b64bdbec3aea27361e90d5915d05ee7a0f1dac945b6836c9b09addfbf4fdac6")
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +105,12 @@ class TestStructureMaps:
             rhs = H.mult(H.S({k: 1}), H.S({i: 1}))
             assert lhs == rhs, (i, k)
 
+    def test_tensor_mult_with_buckets(self, H):
+        for i, k in ((0, 0), (7, 54), (40, 13), (71, 71)):
+            x, y = H.comult[i], H.comult[k]
+            assert H.tensor_mult(x, y, H.tag_buckets(y)) == \
+                H.tensor_mult(x, y)
+
     def test_tensor_mult_componentwise(self, H):
         rng = random.Random(9)
         for _ in range(20):
@@ -130,10 +142,24 @@ class TestAxioms:
         assert rep["basis_checked"] == 72
         assert rep["pairs_checked"] == 72 * 72
         assert (rep["delta_terms"], rep["terms_compared"]) == (2310, 29053)
+        # d = 3, N = 3, D = 94, R = 2: K = 4*3 + 1, 2*94^2*2^2*3^4 < 2^23
+        assert rep["scalars"] == "kronecker B=24 K=13"
+        assert rep["witness"] is None
+
+    def test_packed_coefficients_decode(self, H):
+        layout = axiom_layout(H)
+        values = [c for row in H.table.rows for e in row for c in e.values()]
+        values += [c for d in H.comult for c in d.values()]
+        values += [c for a in H.antipode for c in a.values()]
+        assert len(values) == 3353
+        for c in values:
+            assert layout.decode(layout.encode(c)) == c
 
     def test_numeric_point(self, Hnum):
         rep = verify_hopf_axioms(Hnum)
         assert rep["ok"], rep["failures"][:5]
+        assert rep["scalars"] == "rational"
+        assert axiom_layout(Hnum) is None
 
     def test_degenerate_point(self):
         rep = verify_hopf_axioms(build(0, 0))
@@ -153,6 +179,47 @@ class TestAxioms:
         assert {f[0] for f in rep["failures"]} == {
             "coassoc", "counit", "antipode", "comult_mult"}
         assert len(rep["failures"]) == 176
+
+    def test_wrong_sign_symbolic(self, wrong_sign_symbolic):
+        # the same control over Q[a1, a2], packed; the failure list is
+        # the one the unpacked MultiPoly sweep gives (measured before
+        # packing: 219 failures, this digest)
+        H1 = wrong_sign_symbolic
+        rep = verify_hopf_axioms(H1)
+        failures = rep["failures"]
+        assert rep["scalars"].startswith("kronecker")
+        assert len(failures) == 219
+        assert collections.Counter(f[0] for f in failures) == {
+            "comult_mult": 153, "coassoc": 56, "counit": 7, "antipode": 3}
+        assert failures[:3] == [("coassoc", 7), ("coassoc", 9),
+                                ("coassoc", 12)]
+        assert hashlib.sha256(repr(failures).encode()).hexdigest() == \
+            WRONG_SIGN_DIGEST
+        # the witness is the first failing pair's difference, decoded
+        i, k = 7, 54
+        assert [f for f in failures if f[0] == "comult_mult"][0] == \
+            ("comult_mult", i, k)
+        diff = vec_add(H1.delta(H1.table.mult_basis(i, k)),
+                       vec_scale(-1, H1.tensor_mult(H1.comult[i],
+                                                    H1.comult[k])))
+        assert diff and any(not c.is_constant() for c in diff.values())
+        assert rep["witness"] == _format_witness(None, i, k, diff)
+
+    def test_vanishing_at_evaluation_point_fails(self):
+        # a1 - 2^B is zero at a1 = 2^B, where the unperturbed inputs would
+        # be evaluated; fit measures the perturbed inputs and widens B
+        H1 = build(A1, A2)
+        layout = axiom_layout(H1)
+        bump = A1 - 2 ** layout.bits
+        with pytest.raises(ScalarKindError):
+            layout.encode(bump)
+        key = next(iter(H1.comult[0]))
+        H1.comult[0][key] = H1.comult[0][key] + bump
+        assert axiom_layout(H1).bits > layout.bits
+        rep = verify_hopf_axioms(H1)
+        assert not rep["ok"]
+        assert ("counit", 0) in rep["failures"]
+        assert rep["witness"] is not None
 
 
 class TestHopfIdeal:

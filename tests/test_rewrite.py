@@ -1,6 +1,7 @@
 """The rewriting system for the 72-dimensional family: normal forms,
 ambiguity resolution, the multiplication table, and completion."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -54,6 +55,16 @@ class TestSigmaAndSmash:
         # sigma(x12 x13) = (13)(12) = (123)
         assert sigma((X12, X13)) == G["(123)"]
         assert sigma((X12, X13, X23)) == G["(13)"]
+
+    def test_sigma_identity_per_size(self):
+        # the stored identity of each size survives warm calls of both
+        x12 = parse_perm("(12)", 4)
+        for _ in range(2):
+            assert sigma((X12, X13)) == G["(123)"]
+            assert sigma((x12, x12)) == parse_perm("e", 4)
+            assert sigma(()) == G["e"] and sigma(()).n == 3
+            assert sigma((), 4) == parse_perm("e", 4)
+            assert sigma((), 4).n == 4
 
     def test_shift_tail(self):
         # delta_s w = w delta_{sigma(w) s}
@@ -302,6 +313,28 @@ class TestMultTable:
         rep = check_associativity(table)
         assert rep["ok"]
         assert rep["checked"] == 72 * 12 * 12
+        # d = 3, N = 3, R = 2: K = 2*3 + 1, 2*2^2*3^2 = 72 < 2^7
+        assert rep["scalars"] == "kronecker B=8 K=7"
+
+    def test_associativity_perturbed_at_evaluation_point_fails(self):
+        # a1 - 2^B vanishes at a1 = 2^B, the point the unperturbed table
+        # is packed at; the packed sweep must still see it
+        table = copy.copy(structure_constants(sym_rules()))
+        table.rows = [[dict(e) for e in row] for row in table.rows]
+        # x13 x13 d(12) = (a1 - a2) d(12)
+        i = table.index[((X13,), G["(123)"])]
+        k = table.index[((X13,), G["(12)"])]
+        l = table.index[((), G["(12)"])]
+        assert table.rows[i][k] == {l: A1 - A2}
+        table.rows[i][k][l] = A1 - A2 + A1 - 2 ** 8
+        rep = check_associativity(table)
+        assert not rep["ok"]
+        assert rep["checked"] == 72 * 12 * 12
+        assert rep["scalars"] != "kronecker B=8 K=7"
+
+    def test_associativity_at_a_point_is_rational(self):
+        rep = check_associativity(structure_constants(default_rules(2, -3)))
+        assert rep["ok"] and rep["scalars"] == "rational"
 
     def test_specialization_commutes(self):
         # evaluating the symbolic table at a point equals building the

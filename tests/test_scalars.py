@@ -4,10 +4,11 @@ cube-root-of-unity extension."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from hopfs3.scalars import (Cyclotomic3, MultiPoly, NeedsSpecialization,
-                            OMEGA, PolyRing, ScalarKindError, field_invert,
+from hopfs3.scalars import (Cyclotomic3, Kronecker, MultiPoly,
+                            NeedsSpecialization, OMEGA, PolyRing,
+                            ScalarKindError, _is_rat, field_invert,
                             format_rational, parse_rational)
 
 R = PolyRing("a1", "a2")
@@ -150,3 +151,80 @@ class TestHelpers:
             assert format_rational(parse_rational(s)) == s
         with pytest.raises(ValueError):
             parse_rational("1.5x")
+
+
+@pytest.mark.parametrize("x, want", [
+    (3, True), (True, True), (Fraction(-2, 3), True),
+    (A1 - A2, False), (OMEGA, False)])
+def test_is_rat_kinds(x, want):
+    assert _is_rat(x) is want
+
+
+def int_poly(coeffs):
+    """An integer polynomial of degree <= 3 from ten coefficients."""
+    monos = [R.one, A1, A2, A1 * A1, A1 * A2, A2 * A2, A1 ** 3,
+             A1 * A1 * A2, A1 * A2 * A2, A2 ** 3]
+    p = R.zero
+    for c, m in zip(coeffs, monos):
+        p = p + m * c
+    return p
+
+
+int_poly_st = st.lists(st.integers(-9, 9), min_size=10,
+                       max_size=10).map(int_poly)
+TIGHT = 3 * A1 ** 3
+
+
+class TestKronecker:
+    def test_fraction_coefficient_raises(self):
+        with pytest.raises(ScalarKindError, match="non-integer"):
+            Kronecker.fit([A1 - A2, A1 * Fraction(1, 2)], 2, 1)
+        with pytest.raises(ScalarKindError, match="non-integer"):
+            Kronecker.fit([Fraction(1, 3), A1], 2, 1)
+
+    def test_unbounded_values_raise(self):
+        other = PolyRing("b1", "b2").gens()[0]
+        for values in ([A1, OMEGA], [A1, other], [A1, "a1"]):
+            with pytest.raises(ScalarKindError):
+                Kronecker.fit(values, 2, 1)
+        layout = Kronecker.fit([A1], 2, 1)
+        with pytest.raises(ScalarKindError):
+            layout.encode(A1 ** 3)          # a1-degree past K
+        with pytest.raises(ScalarKindError):
+            layout.encode(2 ** layout.bits * A2)
+
+    def test_rational_values_need_no_layout(self):
+        assert Kronecker.fit([1, -2, Fraction(1, 3)], 4, 100) is None
+
+    def test_size(self):
+        # d = 3, N = 9 + 1, f = 2, S = 5: K = 7, 2*5*10^2 = 1000 < 2^10
+        layout = Kronecker.fit([9 * A1 ** 3 - A2, 2], 2, 5)
+        assert (layout.bits, layout.slots) == (11, 7)
+        assert str(layout) == "kronecker B=11 K=7"
+
+    @given(int_poly_st, int_poly_st, int_poly_st, int_poly_st)
+    @example(TIGHT, TIGHT, -TIGHT, TIGHT)
+    def test_ring_map(self, p, q, r, s):
+        # at most f = 2 factors and one summand per accumulator; the
+        # example is a difference at the bound 2*S*N^f = 18 a1^6
+        layout = Kronecker.fit([p, q, r, s], 2, 1)
+        ep, eq, er, es = map(layout.encode, (p, q, r, s))
+        assert layout.decode(ep) == p
+        assert layout.decode(ep + eq) == p + q
+        assert layout.decode(ep * eq) == p * q
+        assert layout.decode(ep * eq - er * es) == p * q - r * s
+        assert (ep * eq == er * es) == (p * q == r * s)
+
+    @pytest.mark.parametrize("f, d", [(2, 1), (2, 2), (3, 2), (4, 3)])
+    def test_products_reach_degree_f_times_d(self, f, d):
+        # a1^(f d) against a1^(f d - (d + 1)) a2, each a product of f
+        # measured values; a slot count of d + 1 would put both in slot f d
+        values = [A1 ** d, A1 ** (d - 1), A2]
+        layout = Kronecker.fit(values, f, 1)
+        assert layout.slots == f * d + 1
+        top, below, a2 = map(layout.encode, values)
+        first = top ** f
+        second = top ** (f - 2) * below * a2
+        assert first != second
+        assert layout.decode(first) == A1 ** (f * d)
+        assert layout.decode(second) == A1 ** (f * d - d - 1) * A2
