@@ -84,7 +84,13 @@ def _suite_diamond(args) -> list:
     t0 = time.perf_counter()
     rules = default_rules(a1, a2, fuel=args.fuel)
     ambs = overlap_ambiguities(rules)
-    unresolved = [a for a in ambs if not resolve_ambiguity(a, rules)[0]]
+    unresolved = []
+    for amb in ambs:
+        ok, trace = resolve_ambiguity(amb, rules)
+        if not ok:
+            # the first tail whose two reductions differ, and by how much
+            g, _left, _right, diff = trace[0]
+            unresolved.append(f"{amb} under d{g}: left - right = {diff}")
     out.append(_report("diamond.ambiguities", not unresolved,
                        {"checked": len(ambs),
                         "resolved": len(ambs) - len(unresolved),

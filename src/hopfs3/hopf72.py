@@ -22,7 +22,7 @@ from .linalg import add_into, linear, rank, vec_add, vec_scale, vec_tensor
 from .rewrite import (GENERATORS, MultTable, RuleSystem, S3, X12, X13, X23,
                       _full_tail, default_rules, format_smash, sigma,
                       structure_constants)
-from .scalars import Kronecker, NeedsSpecialization, scalar_kind
+from .scalars import NeedsSpecialization, sweep_layout
 
 E3 = identity(3)
 
@@ -80,15 +80,28 @@ class Hopf72:
     def S(self, x: dict) -> dict:
         return linear(self.antipode.__getitem__, x)
 
+    def graded(self):
+        """Every coefficient of Delta and S as (map, i, key, c, weight): c
+        is the coefficient of key in comult[i] or antipode[i], and its
+        weight in the word-length grading is |w_i| - |w_p| - |w_q| for a
+        key (p, q) of Delta and |w_i| - |w_l| for a key l of S."""
+        n = self.table.grading
+        for i, d in enumerate(self.comult):
+            for pq, c in d.items():     # the key itself, not a copy
+                yield "comult", i, pq, c, n[i] - n[pq[0]] - n[pq[1]]
+        for i, a in enumerate(self.antipode):
+            for l, c in a.items():
+                yield "antipode", i, l, c, n[i] - n[l]
+
     def packed(self, layout) -> "Hopf72":
         """A copy whose product table, Delta and S hold layout-encoded
-        coefficients (itself when layout is None); see scalars.Kronecker."""
-        if layout is None:
-            return self
+        coefficients, each at its weight; see scalars.sweep_layout."""
         out = copy.copy(self)
         out.table = self.table.packed(layout)
-        out.comult = [layout.encode_vector(d) for d in self.comult]
-        out.antipode = [layout.encode_vector(a) for a in self.antipode]
+        out.comult = [{} for _ in self.comult]
+        out.antipode = [{} for _ in self.antipode]
+        for name, i, key, c, weight in self.graded():
+            getattr(out, name)[i][key] = layout.encode(c, weight)
         return out
 
     # -- tensor square arithmetic ----------------------------------------
@@ -175,9 +188,9 @@ def build(a1, a2, rules: RuleSystem = None) -> Hopf72:
 # -- axiom verification -----------------------------------------------------
 
 def axiom_layout(H: Hopf72):
-    """The Kronecker layout of verify_hopf_axioms, fitted to the product
-    table, Delta, S and the constant 1 (unit, counit, basis vectors); None
-    at a rational point.
+    """The layout of verify_hopf_axioms, fitted to the product table,
+    Delta, S and the constant 1 (unit, counit, basis vectors): a
+    Kronecker packing over Q[a1, a2], a Rescale at a rational point.
 
     With D, R and A the most terms of a Delta(e_i), a product e_i e_k and
     an S(e_i): a product in tensor_mult has four factors, and its
@@ -188,20 +201,20 @@ def axiom_layout(H: Hopf72):
     most_d = max(map(len, H.comult))
     most_r = max(len(e) for row in rows for e in row)
     most_a = max(map(len, H.antipode))
-    values = chain((c for row in rows for e in row for c in e.values()),
-                   (c for d in H.comult for c in d.values()),
-                   (c for a in H.antipode for c in a.values()), (1,))
+    weighted = chain(((c, n) for *_, c, n in H.table.graded()),
+                     ((c, n) for *_, c, n in H.graded()), ((1, 0),))
     summands = max(most_d * most_d * most_r * most_r,
                    most_d * most_a * most_r)
-    return Kronecker.fit(values, factors=4, summands=summands)
+    return sweep_layout(weighted, factors=4, summands=summands)
 
 
 def verify_hopf_axioms(H: Hopf72) -> dict:
     """Coassociativity, counit, antipode and multiplicativity of Delta,
     all by exact scalar comparison on every basis element and every
-    basis pair.  Over Q[a1, a2] the sweep runs on Kronecker-packed
-    coefficients (axiom_layout), exactly; the first comult_mult failure
-    keeps its difference Delta(e_i e_k) - Delta(e_i) Delta(e_k), decoded."""
+    basis pair.  The sweep runs on ints, exactly (axiom_layout):
+    Kronecker-packed over Q[a1, a2], in a rescaled basis at a rational
+    point.  The first comult_mult failure keeps its difference
+    Delta(e_i e_k) - Delta(e_i) Delta(e_k), decoded."""
     layout = axiom_layout(H)
     H = H.packed(layout)
     failures = []
@@ -251,14 +264,18 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     return {"basis_checked": H.dim, "pairs_checked": checked_pairs,
             "delta_terms": sum(map(len, H.comult)),
             "terms_compared": terms_compared,
-            "scalars": scalar_kind(layout),
-            "witness": witness and _format_witness(layout, *witness),
+            "scalars": str(layout),
+            "witness": witness and _format_witness(layout, H.table.grading,
+                                                 *witness),
             "failures": failures, "ok": not failures}
 
 
-def _format_witness(layout, i: int, k: int, diff: dict) -> str:
-    if layout is not None:
-        diff = {pq: layout.decode(c) for pq, c in diff.items()}
+def _format_witness(layout, grading, i: int, k: int, diff: dict) -> str:
+    """The difference in the original coordinates: its coefficient at
+    [p, q] has weight |w_i| + |w_k| - |w_p| - |w_q|."""
+    n = grading
+    diff = {(p, q): layout.decode(c, n[i] + n[k] - n[p] - n[q])
+            for (p, q), c in diff.items()}
     terms = " + ".join(f"({c})*[{p},{q}]"
                        for (p, q), c in sorted(diff.items()))
     return f"Delta(e{i} e{k}) - Delta(e{i}) Delta(e{k}) = {terms}"

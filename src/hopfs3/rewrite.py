@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .groups import Perm, identity, parse_perm, symmetric_group, transposition
 from .linalg import add_into, linear, vec_add, vec_scale
-from .scalars import Kronecker, scalar_kind
+from .scalars import sweep_layout
 
 FUEL_DEFAULT = 10 ** 6
 TRACE_TAIL = 50
@@ -374,6 +374,7 @@ class MultTable:
         self.labels = [(w, g) for w in self.words for g in S3]
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels)
+        self.grading = [len(w) for (w, _g) in self.labels]
         self._word_sigma = {w: sigma(w) for w in self.words}
         # products keyed (w1, w2, h): reduce(w1 w2, h); tails follow by
         # the smash constraint g2 = sigma(w2) g1
@@ -399,14 +400,23 @@ class MultTable:
                     self.index[lab]: c
                     for lab, c in self.products[(w1, w2, g2)].items()}
 
+    def graded(self):
+        """Every structure constant as (i, k, l, c, weight): c is the
+        coefficient of e_l in e_i e_k, and its weight in the word-length
+        grading is |w_i| + |w_k| - |w_l|."""
+        n = self.grading
+        for i, row in enumerate(self.rows):
+            for k, e in enumerate(row):
+                for l, c in e.items():
+                    yield i, k, l, c, n[i] + n[k] - n[l]
+
     def packed(self, layout) -> "MultTable":
-        """A copy whose rows hold layout-encoded coefficients (itself when
-        layout is None); see scalars.Kronecker."""
-        if layout is None:
-            return self
+        """A copy whose rows hold layout-encoded coefficients, each at
+        its weight; see scalars.sweep_layout."""
         out = copy.copy(self)
-        out.rows = [[layout.encode_vector(e) for e in row]
-                    for row in self.rows]
+        out.rows = [[{} for _ in row] for row in self.rows]
+        for i, k, l, c, weight in self.graded():
+            out.rows[i][k][l] = layout.encode(c, weight)
         return out
 
     def mult_basis(self, i: int, k: int) -> dict:
@@ -441,13 +451,13 @@ def check_associativity(table: MultTable) -> dict:
     make both sides structurally zero are skipped, which is sound because
     every rule preserves sigma.
 
-    Polynomial structure constants are compared Kronecker-packed: each
-    side sums at most R^2 products of two constants, R the most terms
-    of a product of basis elements."""
+    The sweep runs on ints (scalars.sweep_layout): polynomial structure
+    constants are compared Kronecker-packed, each side summing at most
+    R^2 products of two constants, R the most terms of a product of
+    basis elements; at a rational point the basis is rescaled."""
     most = max(len(e) for row in table.rows for e in row)
-    layout = Kronecker.fit((c for row in table.rows for e in row
-                            for c in e.values()),
-                           factors=2, summands=most * most)
+    layout = sweep_layout(((c, n) for *_, c, n in table.graded()),
+                          factors=2, summands=most * most)
     table = table.packed(layout)
     failures = []
     checked = 0
@@ -470,7 +480,7 @@ def check_associativity(table: MultTable) -> dict:
         if lhs != rhs:
             failures.append((i, j, k))
     return {"checked": checked, "failures": failures, "ok": not failures,
-            "scalars": scalar_kind(layout)}
+            "scalars": str(layout)}
 
 
 def hilbert_series(words) -> list:

@@ -4,9 +4,11 @@ Three coefficient domains, all exact: arbitrary-precision rationals
 (stdlib ``Fraction``, with plain ints accepted everywhere), multivariate
 polynomials with rational coefficients in named commuting variables, and
 the quadratic extension generated by a primitive cube root of unity
-(``w`` with ``w**2 + w + 1 == 0``).  :class:`Kronecker` packs integer
-polynomials into single ints for the exhaustive symbolic sweeps, with a
-bound that keeps the packing injective on every value a sweep forms.
+(``w`` with ``w**2 + w + 1 == 0``).  The exhaustive sweeps run on plain
+ints: :class:`Kronecker` packs integer polynomials into single ints, with
+a bound that keeps the packing injective on every value a sweep forms,
+and :class:`Rescale` clears the denominators of a rational point by a
+diagonal change of basis (:func:`sweep_layout` picks one).
 
 No floating point anywhere.  Values are immutable after construction and
 safe to share between workers.  Mixing incompatible domains raises
@@ -15,6 +17,7 @@ safe to share between workers.  Mixing incompatible domains raises
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 from typing import Union
@@ -310,9 +313,10 @@ class Kronecker:
             slot = slot * self.slots + k
         return slot
 
-    def encode(self, x) -> int:
+    def encode(self, x, weight: int = 0) -> int:
         """The packed value of an integer or integer polynomial; raises
-        ScalarKindError outside the injective domain."""
+        ScalarKindError outside the injective domain.  The weight is
+        ignored: packing is a ring map and needs no grading."""
         if isinstance(x, MultiPoly):
             if x.names != self.names:
                 raise ScalarKindError(
@@ -331,10 +335,7 @@ class Kronecker:
             total += int(c) << (self.bits * self._slot(e))
         return total
 
-    def encode_vector(self, v: dict) -> dict:
-        return {k: self.encode(c) for k, c in v.items()}
-
-    def decode(self, packed: int) -> MultiPoly:
+    def decode(self, packed: int, weight: int = 0) -> MultiPoly:
         """The polynomial whose packed value is ``packed``."""
         full = 1 << self.bits
         mask = full - 1
@@ -356,9 +357,63 @@ class Kronecker:
         return MultiPoly(self.names, terms)
 
 
-def scalar_kind(layout) -> str:
-    """What a sweep ran on: "rational", or its Kronecker layout."""
-    return "rational" if layout is None else str(layout)
+class Rescale:
+    """The diagonal change of basis e -> D^|e| e at a rational point.
+
+    A structure-map coefficient c of weight n (the grade of its source
+    less that of its target: |e_i| + |e_k| - |e_l| for e_l in e_i e_k)
+    becomes c * D^n.  The change is an isomorphism, so a sweep finds the
+    same equalities and failures in either basis.  When c is homogeneous
+    of weight twice its degree in the parameters, as in A_[a1, a2] with
+    the word-length grading (x_t -> D x_t carries A_[a] onto A_[D^2 a]),
+    the fitted D makes it an int; otherwise it stays an exact Fraction.
+    """
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: int):
+        self.base = base
+
+    @classmethod
+    def fit(cls, weighted) -> "Rescale":
+        """D for the rational (value, weight) pairs given: weight by
+        weight, lowest first, the lcm L_n of the denominators at weight
+        n > 0 joins D unless L_n already divides D^n."""
+        lcms: dict = {}
+        for c, n in weighted:
+            if n > 0:
+                lcms[n] = math.lcm(lcms.get(n, 1), c.denominator)
+        base = 1
+        for n in sorted(lcms):
+            if base ** n % lcms[n]:
+                base = math.lcm(base, lcms[n])
+        return cls(base)
+
+    def __str__(self):
+        return f"rescaled D={self.base}"
+
+    __repr__ = __str__
+
+    def encode(self, x, weight: int):
+        """x * D^weight: an int when it is whole, else an exact Fraction."""
+        if weight >= 0:
+            v = x * self.base ** weight
+        else:
+            v = Fraction(x, self.base ** -weight)
+        return v if type(v) is int or v.denominator != 1 else v.numerator
+
+    def decode(self, x, weight: int) -> Fraction:
+        """The value whose rescaled value at this weight is x."""
+        return Fraction(x) / Fraction(self.base) ** weight
+
+
+def sweep_layout(weighted, factors: int, summands: int):
+    """The layout an exhaustive sweep runs on, measured from its
+    (value, weight) pairs: a Kronecker packing (``Kronecker.fit``) when
+    polynomials are present, else the Rescale of a rational point."""
+    weighted = list(weighted)
+    return (Kronecker.fit((c for c, _n in weighted), factors, summands)
+            or Rescale.fit(weighted))
 
 
 def _is_int(x) -> bool:

@@ -10,18 +10,32 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-@pytest.fixture
-def wrong_sign_symbolic():
-    """The algebra over Q[a1, a2] with one term of Delta(x13) negated and
-    the Delta/S tables rebuilt from it; a control the axioms must reject."""
+def wrong_sign(a1, a2):
+    """The algebra at (a1, a2) with one term of Delta(x13) negated and the
+    Delta/S tables rebuilt from it; a control the axioms must reject."""
     from hopfs3.hopf72 import build
     from hopfs3.rewrite import X13
-    from hopfs3.scalars import PolyRing
 
-    H = build(*PolyRing("a1", "a2").gens())
+    H = build(a1, a2)
     gen = H._gen_comult[X13]
     key = next(iter(gen))
     gen[key] = -gen[key]
     H.comult = [H.word_comult(w, g) for (w, g) in H.labels]
     H.antipode = [H.word_antipode(w, g) for (w, g) in H.labels]
     return H
+
+
+@pytest.fixture
+def wrong_sign_symbolic():
+    """The wrong-sign control over Q[a1, a2]."""
+    from hopfs3.scalars import PolyRing
+
+    return wrong_sign(*PolyRing("a1", "a2").gens())
+
+
+@pytest.fixture
+def wrong_sign_point():
+    """The wrong-sign control at the rational point (1/3, -1/2)."""
+    from fractions import Fraction
+
+    return wrong_sign(Fraction(1, 3), Fraction(-1, 2))

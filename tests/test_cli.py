@@ -177,7 +177,33 @@ class TestVerify:
                      "--json"]) == 0
         counts = {r["check"]: r["counts"]
                   for r in json.loads(capsys.readouterr().out)}
-        assert counts["diamond.associativity"]["scalars"] == "rational"
+        assert counts["diamond.associativity"]["scalars"] == "rescaled D=6"
+
+    def test_ambiguity_details_show_difference(self, monkeypatch, capsys):
+        # 1 added to the d(12) coefficient of x13 x13 -> (a1 - a2) d(12):
+        # each unresolved ambiguity names the first tail where its two
+        # reductions part, and their nonzero difference
+        import hopfs3.cli as cli
+        from hopfs3.rewrite import Rule, RuleSystem, default_rules
+
+        def perturbed(a1, a2, fuel):
+            first, *rest = default_rules(a1, a2, fuel=fuel).rules
+            key = next(iter(first.rhs))
+            rhs = {**first.rhs, key: first.rhs[key] + 1}
+            return RuleSystem([Rule(first.lhs, rhs)] + rest, fuel=fuel)
+
+        monkeypatch.setattr(cli, "default_rules", perturbed)
+        assert main(["verify", "diamond", "--a1=1/3", "--a2=-1/2",
+                     "--json"]) == 1
+        reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+        amb = reports["diamond.ambiguities"]
+        assert amb["status"] == "fail"
+        assert amb["counts"]["resolved"] == 13
+        assert amb["details"][0] == ("(0, 0, ((13), (13), (13))) under d(12): "
+                                     "left - right = (-1)*x13.d(12)")
+        assert len(amb["details"]) == 10
+        for d in amb["details"]:
+            assert " under d" in d and not d.endswith("= 0")
 
     def test_bad_scope(self):
         with pytest.raises(SystemExit) as exc:

@@ -8,16 +8,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hopfs3.groups import conjugate, parse_perm
-from hopfs3.hopf72 import (_format_witness, adjoint_isotypics, axiom_layout,
-                           build, c_identity, coideal_elements,
-                           coradical_certificate, dump_tables, gr_check,
-                           lemma31_suite, relation_elements,
-                           verify_hopf_axioms, verify_hopf_ideal)
+from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build, c_identity,
+                           coideal_elements, coradical_certificate,
+                           dump_tables, gr_check, lemma31_suite,
+                           relation_elements, verify_hopf_axioms,
+                           verify_hopf_ideal)
 from hopfs3.linalg import vec_add, vec_scale, vec_tensor
 from hopfs3.rewrite import S3, X12, X13, X23, smash_of
-from hopfs3.scalars import PolyRing, ScalarKindError
+from hopfs3.scalars import PolyRing, Rescale, ScalarKindError
 
 R = PolyRing("a1", "a2")
 A1, A2 = R.gens()
@@ -158,8 +159,17 @@ class TestAxioms:
     def test_numeric_point(self, Hnum):
         rep = verify_hopf_axioms(Hnum)
         assert rep["ok"], rep["failures"][:5]
-        assert rep["scalars"] == "rational"
-        assert axiom_layout(Hnum) is None
+        assert rep["scalars"] == "rescaled D=1"
+        assert isinstance(axiom_layout(Hnum), Rescale)
+
+    def test_rescaled_point(self):
+        # at (1/3, -1/2) the sweep runs in the basis D^|w| e_(w,g), D = 6;
+        # it must pass with the counts of the symbolic sweep
+        rep = verify_hopf_axioms(build(Fraction(1, 3), Fraction(-1, 2)))
+        assert rep["ok"], rep["failures"][:5]
+        assert rep["scalars"] == "rescaled D=6"
+        assert (rep["delta_terms"], rep["terms_compared"]) == (2310, 29053)
+        assert rep["witness"] is None
 
     def test_degenerate_point(self):
         rep = verify_hopf_axioms(build(0, 0))
@@ -203,7 +213,9 @@ class TestAxioms:
                        vec_scale(-1, H1.tensor_mult(H1.comult[i],
                                                     H1.comult[k])))
         assert diff and any(not c.is_constant() for c in diff.values())
-        assert rep["witness"] == _format_witness(None, i, k, diff)
+        assert rep["witness"] == \
+            "Delta(e7 e54) - Delta(e7) Delta(e54) = " + " + ".join(
+                f"({c})*[{p},{q}]" for (p, q), c in sorted(diff.items()))
 
     def test_vanishing_at_evaluation_point_fails(self):
         # a1 - 2^B is zero at a1 = 2^B, where the unperturbed inputs would
@@ -220,6 +232,75 @@ class TestAxioms:
         assert not rep["ok"]
         assert ("counit", 0) in rep["failures"]
         assert rep["witness"] is not None
+
+
+    def test_wrong_sign_at_point(self, wrong_sign_point):
+        # the same control at (1/3, -1/2), in the rescaled basis: the
+        # failures and the witness, in the original coordinates, are those
+        # of the unrescaled Fraction sweep
+        rep = verify_hopf_axioms(wrong_sign_point)
+        failures = rep["failures"]
+        assert rep["scalars"] == "rescaled D=6"
+        assert len(failures) == 219
+        assert collections.Counter(f[0] for f in failures) == {
+            "comult_mult": 153, "coassoc": 56, "counit": 7, "antipode": 3}
+        assert failures[:3] == [("coassoc", 7), ("coassoc", 9),
+                                ("coassoc", 12)]
+        assert hashlib.sha256(repr(failures).encode()).hexdigest() == \
+            WRONG_SIGN_DIGEST
+        assert rep["witness"] == (
+            "Delta(e7 e54) - Delta(e7) Delta(e54) = (1)*[12,6] + "
+            "(2)*[12,60] + (-2)*[24,24] + (-2/3)*[30,0] + (-2/3)*[36,0] + "
+            "(-2)*[54,12]")
+
+    def test_non_homogeneous_perturbation_at_point(self):
+        # 1/7 [x13 de, x13 d(13)] added to Delta(x13 de) has weight -1, so
+        # it stays a Fraction after rescaling; the sweep still finds the
+        # failures and witness of the unrescaled Fraction sweep
+        H1 = build(Fraction(1, 3), Fraction(-1, 2))
+        i = H1.index[((X13,), G["e"])]
+        q = H1.index[((X13,), G["(13)"])]
+        assert (i, q) not in H1.comult[i]
+        H1.comult[i] = {**H1.comult[i], (i, q): Fraction(1, 7)}
+        layout = axiom_layout(H1)
+        assert str(layout) == "rescaled D=6"
+        assert H1.packed(layout).comult[i][(i, q)] == Fraction(1, 42)
+        rep = verify_hopf_axioms(H1)
+        failures = rep["failures"]
+        assert len(failures) == 74
+        assert collections.Counter(f[0] for f in failures) == {
+            "coassoc": 52, "comult_mult": 22}
+        assert failures[:3] == [("coassoc", 7), ("coassoc", 9),
+                                ("coassoc", 12)]
+        assert hashlib.sha256(repr(failures).encode()).hexdigest() == (
+            "f2ee4f53109796cb0e19deb50c71e07d823044ef536e916d26c45908715d0be8")
+        assert rep["witness"] == \
+            "Delta(e10 e24) - Delta(e10) Delta(e24) = (1/14)*[12,17]"
+
+    @pytest.mark.parametrize("height", [9, 999, 10 ** 6])
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_rescaled_coefficients_round_trip(self, height, data):
+        # at a generic point of each height the benchmark's point sweep
+        # draws from, every rescaled coefficient of the table, Delta and S
+        # is an int, and decoding gives back all 3353 original values
+        def rational():
+            return st.builds(Fraction,
+                             st.integers(-height, height).filter(bool),
+                             st.integers(1, height))
+        a1, a2 = data.draw(rational()), data.draw(rational())
+        # the coefficients factor over a1, a2, a1 - a2 and a1 - 2 a2
+        assume(a1 != a2 and a1 != 2 * a2)
+        H1 = build(a1, a2)
+        layout = axiom_layout(H1)
+        packed = H1.packed(layout)
+        original = list(H1.table.graded()) + list(H1.graded())
+        rescaled = list(packed.table.graded()) + list(packed.graded())
+        assert len(original) == len(rescaled) == 3353
+        for (*key, c, weight), (*key2, v, weight2) in zip(original, rescaled):
+            assert (key2, weight2) == (key, weight)
+            assert type(v) is int
+            assert layout.decode(v, weight) == c
 
 
 class TestHopfIdeal:

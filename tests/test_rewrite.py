@@ -2,6 +2,7 @@
 ambiguity resolution, the multiplication table, and completion."""
 
 import copy
+import hashlib
 import random
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ from hopfs3.rewrite import (GENERATORS, NonterminationError, Rule,
                             smash_unit, structure_constants, uniform_rule,
                             word_key)
 from hopfs3.linalg import vec_add
-from hopfs3.scalars import PolyRing
+from hopfs3.scalars import PolyRing, Rescale
 
 R = PolyRing("a1", "a2")
 A1, A2 = R.gens()
@@ -285,6 +286,21 @@ class TestAmbiguities:
         assert missed == []
 
 
+def _point_table():
+    """The table at (1/3, -1/2), with rows that can be perturbed."""
+    table = copy.copy(structure_constants(default_rules(Fraction(1, 3),
+                                                        Fraction(-1, 2))))
+    table.rows = [[dict(e) for e in row] for row in table.rows]
+    return table
+
+
+def _x13_x13_d12(table) -> tuple:
+    """(i, k, l): e_i e_k = x13 x13 d(12) = (a1 - a2) e_l."""
+    return (table.index[((X13,), G["(123)"])],
+            table.index[((X13,), G["(12)"])],
+            table.index[((), G["(12)"])])
+
+
 class TestMultTable:
     def test_dimension(self):
         table = structure_constants(sym_rules())
@@ -321,10 +337,7 @@ class TestMultTable:
         # is packed at; the packed sweep must still see it
         table = copy.copy(structure_constants(sym_rules()))
         table.rows = [[dict(e) for e in row] for row in table.rows]
-        # x13 x13 d(12) = (a1 - a2) d(12)
-        i = table.index[((X13,), G["(123)"])]
-        k = table.index[((X13,), G["(12)"])]
-        l = table.index[((), G["(12)"])]
+        i, k, l = _x13_x13_d12(table)
         assert table.rows[i][k] == {l: A1 - A2}
         table.rows[i][k][l] = A1 - A2 + A1 - 2 ** 8
         rep = check_associativity(table)
@@ -332,9 +345,43 @@ class TestMultTable:
         assert rep["checked"] == 72 * 12 * 12
         assert rep["scalars"] != "kronecker B=8 K=7"
 
+    def test_associativity_non_integral_perturbation_at_point(self):
+        # +1/7 on x13 x13 d(12) = (a1 - a2) d(12) at (1/3, -1/2): the
+        # weight-2 denominators grow to 42, so D = 42, and the sweep finds
+        # the failures of the unrescaled Fraction sweep (35, this digest)
+        table = _point_table()
+        i, k, l = _x13_x13_d12(table)
+        assert table.rows[i][k] == {l: Fraction(5, 6)}
+        table.rows[i][k][l] += Fraction(1, 7)
+        rep = check_associativity(table)
+        assert rep["scalars"] == "rescaled D=42"
+        assert rep["checked"] == 72 * 12 * 12
+        assert len(rep["failures"]) == 35
+        assert rep["failures"][:3] == [(8, 15, 14), (14, 15, 14), (15, 7, 26)]
+        assert hashlib.sha256(repr(rep["failures"]).encode()).hexdigest() == (
+            "97197b7fc7b9cea90687c5259be909476643af7fee3196829ee9b7fd1b1d9d56")
+
+    def test_associativity_non_homogeneous_perturbation_at_point(self):
+        # 1/7 x13 de added to de de = de: weight -1, so it stays the
+        # Fraction 1/42 after rescaling, and the sweep still finds the
+        # failures of the unrescaled Fraction sweep (7, this digest)
+        table = _point_table()
+        e = table.index[((), G["e"])]
+        x = table.index[((X13,), G["e"])]
+        assert table.rows[e][e] == {e: 1}
+        table.rows[e][e][x] = Fraction(1, 7)
+        assert table.packed(Rescale(6)).rows[e][e] == {e: 1,
+                                                       x: Fraction(1, 42)}
+        rep = check_associativity(table)
+        assert rep["scalars"] == "rescaled D=6"
+        assert len(rep["failures"]) == 7
+        assert rep["failures"][:3] == [(0, 0, 0), (0, 0, 8), (0, 0, 19)]
+        assert hashlib.sha256(repr(rep["failures"]).encode()).hexdigest() == (
+            "b03a195fd130afa96562884a7841eda5609d8d28768d1946863f111c795bf300")
+
     def test_associativity_at_a_point_is_rational(self):
         rep = check_associativity(structure_constants(default_rules(2, -3)))
-        assert rep["ok"] and rep["scalars"] == "rational"
+        assert rep["ok"] and rep["scalars"] == "rescaled D=1"
 
     def test_specialization_commutes(self):
         # evaluating the symbolic table at a point equals building the

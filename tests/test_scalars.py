@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from hopfs3.scalars import (Cyclotomic3, Kronecker, MultiPoly,
-                            NeedsSpecialization, OMEGA, PolyRing,
+                            NeedsSpecialization, OMEGA, PolyRing, Rescale,
                             ScalarKindError, _is_rat, field_invert,
-                            format_rational, parse_rational)
+                            format_rational, parse_rational, sweep_layout)
 
 R = PolyRing("a1", "a2")
 A1, A2 = R.gens()
@@ -228,3 +228,31 @@ class TestKronecker:
         assert first != second
         assert layout.decode(first) == A1 ** (f * d)
         assert layout.decode(second) == A1 ** (f * d - d - 1) * A2
+
+
+class TestRescale:
+    def test_fit_lowest_weight_first(self):
+        # a1 = 1/3, a2 = -1/2: weight 2 gives D = 6, and 6^4 already
+        # clears the weight-4 denominator 36
+        half, third = Fraction(-1, 2), Fraction(1, 3)
+        weighted = [(third, 2), (half, 2), (third * half, 4), (third, 0)]
+        layout = Rescale.fit(weighted)
+        assert str(layout) == "rescaled D=6"
+        assert [layout.encode(c, n) for c, n in weighted] == \
+            [12, -18, -216, Fraction(1, 3)]
+        # a weight-4 denominator that 6^4 does not clear joins D
+        assert Rescale.fit(weighted + [(Fraction(1, 5), 4)]).base == 30
+        assert Rescale.fit([(7, 2), (Fraction(1, 2), 0)]).base == 1
+
+    @given(rationals, st.integers(-3, 8), st.integers(1, 60))
+    def test_decode_inverts_encode(self, c, weight, base):
+        layout = Rescale(base)
+        v = layout.encode(c, weight)
+        assert layout.decode(v, weight) == c
+        assert type(v) is int or v.denominator != 1
+
+    def test_sweep_layout(self):
+        # polynomials are packed, a rational point is rescaled
+        assert isinstance(sweep_layout([(A1, 2), (3, 0)], 2, 1), Kronecker)
+        layout = sweep_layout([(Fraction(1, 2), 2), (3, 0)], 2, 1)
+        assert isinstance(layout, Rescale) and layout.base == 2
