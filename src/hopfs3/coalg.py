@@ -5,10 +5,13 @@ dict ``label -> {(label, label): coeff}`` and the counit as a dict.
 Vectors are sparse dicts ``label -> coeff``.
 
 Provides dual group coalgebras k^G, matrix coalgebras, direct sums, the
-skew-primitive solver used to pin down the deformation parameters,
-matrix-coefficient subcoalgebras of k^G, and the coalgebra-filtration
-certificate.  The sparse-vector helpers ``vec_add``, ``vec_scale`` and
-``vec_tensor`` come from :mod:`hopfs3.linalg` and are importable from here.
+skew-primitive solver used to pin down the deformation parameters, and
+the matrix-coefficient subcoalgebras of k^G.  The coradical certificate
+of the 72-dimensional algebra (hopf72.coradical_certificate) compares
+its F_0 with DualGroupCoalgebra and splits it with
+simple_subcoalgebras_of_dual_group.  The sparse-vector helpers
+``vec_add``, ``vec_scale`` and ``vec_tensor`` come from
+:mod:`hopfs3.linalg` and are importable from here.
 """
 
 from __future__ import annotations
@@ -224,62 +227,3 @@ def dual_basis_e(fs: dict, elems) -> dict:
         for j in range(1, d + 1):
             out[(i, j)] = {g.inv(): c for g, c in fs[(j, i)].items()}
     return out
-
-
-# -- filtration certificate -------------------------------------------------
-
-def verify_coalgebra_filtration(C: FinCoalgebra, subspaces) -> tuple:
-    """Check Delta(F_n) subset of sum_i F_i (x) F_{n-i} for an increasing
-    filtration given by spanning sets of vectors.
-
-    Fast path for the common case where every spanning vector is a basis
-    vector (then spans are support sets).  Returns (ok, message).
-    """
-    for n in range(1, len(subspaces)):
-        # nesting check via span membership (basis-vector fast path)
-        if not _span_contains_all(subspaces[n], subspaces[n - 1], C):
-            return False, f"F_{n - 1} not contained in F_{n}"
-    if not _span_contains_all(subspaces[-1], [{l: 1} for l in C.labels], C):
-        return False, "filtration does not exhaust the coalgebra"
-    for n, F in enumerate(subspaces):
-        allowed = set()
-        basis_only = True
-        for i in range(n + 1):
-            for u in subspaces[i]:
-                for v in subspaces[n - i]:
-                    if len(u) == 1 and len(v) == 1:
-                        (a, ca), = u.items()
-                        (b, cb), = v.items()
-                        allowed.add((a, b))
-                    else:
-                        basis_only = False
-        if not basis_only:
-            raise CoalgError("general spanning sets not supported in the "
-                             "tensor step; pass basis vectors")
-        for v in F:
-            img = C.delta(v)
-            bad = [p for p in img if p not in allowed]
-            if bad:
-                return False, (f"Delta(F_{n}) leaves the allowed span at "
-                               f"{bad[0]}")
-    return True, "filtration certificate passed"
-
-
-def _span_contains_all(spanning, vectors, C: FinCoalgebra) -> bool:
-    simple = all(len(v) == 1 and next(iter(v.values())) == 1 for v in spanning)
-    if simple:
-        support = {next(iter(v)) for v in spanning}
-        return all(set(v) <= support for v in vectors)
-    idx = {l: k for k, l in enumerate(C.labels)}
-    dense_span = [[0] * C.dim for _ in spanning]
-    for r, v in enumerate(spanning):
-        for l, c in v.items():
-            dense_span[r][idx[l]] = c
-    base = rank(dense_span)
-    for v in vectors:
-        row = [0] * C.dim
-        for l, c in v.items():
-            row[idx[l]] = c
-        if rank(dense_span + [row]) != base:
-            return False
-    return True

@@ -15,11 +15,16 @@ elements of A (x) A are {(index, index): coeff} dicts.
 from __future__ import annotations
 
 import copy
+from collections import namedtuple
+from functools import reduce
 from itertools import chain, product
 
-from .groups import Perm, conjugate, identity, symmetric_group
+from .coalg import (DualGroupCoalgebra, dual_basis_e, matrix_coefficients,
+                    simple_subcoalgebras_of_dual_group)
+from .groups import (Perm, builtin_irreps, conjugate, identity, parse_perm,
+                     symmetric_group)
 from .linalg import add_into, linear, rank, vec_add, vec_scale, vec_tensor
-from .rewrite import (GENERATORS, MultTable, RuleSystem, S3, X12, X13, X23,
+from .rewrite import (GENERATORS, MultTable, S3, X12, X13, X23,
                       _full_tail, default_rules, format_smash, sigma,
                       structure_constants)
 from .scalars import NeedsSpecialization, sweep_layout
@@ -179,10 +184,12 @@ class Hopf72:
         return acc
 
 
-def build(a1, a2, rules: RuleSystem = None) -> Hopf72:
-    if rules is None:
-        rules = default_rules(a1, a2)
-    return Hopf72(a1, a2, structure_constants(rules))
+def build(a1, a2, table: MultTable = None) -> Hopf72:
+    """The algebra at (a1, a2) on the given product table, by default the
+    table of default_rules(a1, a2)."""
+    if table is None:
+        table = structure_constants(default_rules(a1, a2))
+    return Hopf72(a1, a2, table)
 
 
 # -- axiom verification -----------------------------------------------------
@@ -283,9 +290,6 @@ def _format_witness(layout, grading, i: int, k: int, diff: dict) -> str:
 
 def _dual_e() -> dict:
     """The dual basis e_ij of the standard-representation coefficients."""
-    from .coalg import dual_basis_e, matrix_coefficients
-    from .groups import builtin_irreps
-
     elems = symmetric_group(3)
     std = [r for r in builtin_irreps(elems) if r.name == "standard"][0]
     return dual_basis_e(matrix_coefficients(std), elems)
@@ -301,8 +305,6 @@ def _mixed_relations() -> list:
 def relation_elements(a1, a2) -> list:
     """The five generators of the defining ideal, as raw SmashElt of the
     smash product (not reduced): named (label, element) pairs."""
-    from .groups import parse_perm
-
     def square(t, spec: dict):
         elt = _full_tail(((t, t), 1))
         for s, c in spec.items():
@@ -339,7 +341,7 @@ def coideal_elements(a1, a2) -> list:
     return out
 
 
-def verify_hopf_ideal(a1, a2, H: Hopf72 = None) -> dict:
+def verify_hopf_ideal(a1, a2, H: Hopf72) -> dict:
     """Certificate that the defining ideal I is a Hopf ideal: every
     generator has counit 0, vanishes in A, comultiplies into
     I (x) A + A (x) I and has antipode in I.
@@ -348,8 +350,6 @@ def verify_hopf_ideal(a1, a2, H: Hopf72 = None) -> dict:
     anti-algebra map T -> A, each fixed by its values on the generators;
     so Delta and S of a relation are pushed through Hopf72.word_comult and
     word_antipode, the maps that build the tables, and must vanish."""
-    if H is None:
-        H = build(a1, a2)
     failures = []
     for name, r in (relation_elements(a1, a2) + coideal_elements(a1, a2)):
         eps = 0
@@ -367,13 +367,11 @@ def verify_hopf_ideal(a1, a2, H: Hopf72 = None) -> dict:
     return {"failures": failures, "ok": not failures}
 
 
-def c_identity(a1, a2, H: Hopf72 = None) -> dict:
+def c_identity(a1, a2, H: Hopf72) -> dict:
     """The matrix-coefficient identities pinning the parameters:
     x13^2 - x12^2 = a1 - a1 e11 - a2 e12 and
     x23^2 - x12^2 = a2 - a1 e21 - a2 e22 in A, plus the comultiplication
     shape Delta(cb_i) = cb_i (x) 1 + sum_j e_ij (x) cb_j."""
-    if H is None:
-        H = build(a1, a2)
     e = _dual_e()
     failures = []
     for i, (_name, rel) in enumerate(coideal_elements(a1, a2)[:2]):
@@ -393,40 +391,34 @@ def c_identity(a1, a2, H: Hopf72 = None) -> dict:
 
 # -- filtration, adjoint pieces, structural lemmas --------------------------
 
-class IsotypicPiece:
-    def __init__(self, g: Perm, n: int, members: list):
-        self.g = g
-        self.n = n
-        self.members = members      # list of basis indices
-
-    def __repr__(self):
-        return f"IsotypicPiece(g={self.g}, n={self.n}, dim={len(self.members)})"
+# the basis indices of F_n whose ad-delta eigenvalue is g
+IsotypicPiece = namedtuple("IsotypicPiece", "g n members")
 
 
-def adjoint_action_delta(H: Hopf72, h: Perm, x: dict) -> dict:
-    """ad delta_h (x) = sum_t delta_t x S(delta_{t^-1 h})."""
-    out: dict = {}
-    for t in S3:
-        mid = H.mult(H.delta_elt(t), x)
-        out = vec_add(out, H.mult(mid, H.delta_elt((t.inv() * h).inv())))
-    return out
+def adjoint_action(H: Hopf72, y: dict, right: bool = False):
+    """x -> sum y1 x S(y2), the adjoint action of y, or on the right
+    x -> sum S(y1) x y2; Delta(y) and S are applied once, here."""
+    legs = [(H.S({p: c}), {q: 1}) if right else ({p: c}, H.S({q: 1}))
+            for (p, q), c in H.delta(y).items()]
+    return lambda x: reduce(vec_add, (H.mult(H.mult(a, x), b)
+                                      for a, b in legs), {})
 
 
 def adjoint_isotypics(H: Hopf72, n: int) -> list:
     """Decompose F_n = span{w delta_g : |w| <= n} into the ad-delta
     eigencomponents; verified by applying ad delta_h to every member."""
-    if n > 4:
-        raise ValueError("filtration tops out at degree 4")
+    ads = {h: adjoint_action(H, H.delta_elt(h)) for h in S3}
     pieces: dict = {}
     for i, (w, g) in enumerate(H.labels):
-        if len(w) > n:
+        if H.table.grading[i] > n:
             continue
-        for h in S3:
-            img = adjoint_action_delta(H, h, {i: 1})
-            expect = {i: 1} if h == sigma(w).inv() else {}
-            if img != expect:
-                raise HopfError(f"ad delta_{h} not diagonal on basis {i}")
-        pieces.setdefault(sigma(w).inv(), []).append(i)
+        tag = sigma(w).inv()
+        for h, ad in ads.items():
+            img = ad({i: 1})
+            if img != ({i: 1} if h == tag else {}):
+                raise HopfError(f"ad delta_{h} not diagonal on basis {i}: "
+                                f"image {img}")
+        pieces.setdefault(tag, []).append(i)
     return [IsotypicPiece(g, n, members)
             for g, members in sorted(pieces.items())]
 
@@ -434,14 +426,14 @@ def adjoint_isotypics(H: Hopf72, n: int) -> list:
 def lemma31_suite(H: Hopf72) -> dict:
     """The structural property suite of the degree filtration."""
     failures = []
+    n = H.table.grading
     tags = {i: sigma(w).inv() for i, (w, g) in enumerate(H.labels)}
 
     # (a) F_n^g . F_m^h lands in F_{n+m}^{gh}, term by term
-    for i, (w1, g1) in enumerate(H.labels):
-        for k, (w2, g2) in enumerate(H.labels):
+    for i in range(H.dim):
+        for k in range(H.dim):
             for l in H.table.mult_basis(i, k):
-                (w, _g) = H.labels[l]
-                if len(w) > len(w1) + len(w2):
+                if n[l] > n[i] + n[k]:
                     failures.append(("filtration-product", i, k))
                 if tags[l] != tags[i] * tags[k]:
                     failures.append(("isotypic-product", i, k))
@@ -457,41 +449,38 @@ def lemma31_suite(H: Hopf72) -> dict:
     # antipode: S is an algebra anti-homomorphism, so it carries the
     # left-adjoint piece F_n^g onto the right-adjoint piece for g^-1;
     # both gradings are verified honestly via the table
-    rtags = {}
-    for i, (w, g) in enumerate(H.labels):
-        rtags[i] = g.inv() * sigma(w) * g
-        for h in S3:
-            img: dict = {}
-            for t in S3:
-                mid = H.mult(H.delta_elt(t.inv()), {i: 1})
-                img = vec_add(img, H.mult(mid, H.delta_elt(t.inv() * h)))
-            expect = {i: 1} if h == rtags[i] else {}
-            if img != expect:
-                failures.append(("right-adjoint", i, str(h)))
-    for i, (w, g) in enumerate(H.labels):
-        for l in H.antipode[i]:
-            (w2, _g2) = H.labels[l]
-            if len(w2) > len(w) or rtags[l] != tags[i].inv():
-                failures.append(("antipode-piece", i))
-    smat = [[0] * H.dim for _ in range(H.dim)]
+    rtags = {i: g.inv() * sigma(w) * g for i, (w, g) in enumerate(H.labels)}
+    ads = {h: adjoint_action(H, H.delta_elt(h), right=True) for h in S3}
     for i in range(H.dim):
-        for l, c in H.antipode[i].items():
-            smat[l][i] = c
+        for h, ad in ads.items():
+            if ad({i: 1}) != ({i: 1} if h == rtags[i] else {}):
+                failures.append(("right-adjoint", i, str(h)))
+    raises_length = False
+    for i in range(H.dim):
+        for l in H.antipode[i]:
+            raises_length |= n[l] > n[i]
+            if n[l] > n[i] or rtags[l] != tags[i].inv():
+                failures.append(("antipode-piece", i))
+    # S never raises word length, so it is block triangular and
+    # invertible exactly when its length-preserving diagonal blocks are
+    blocks: dict = {}
+    for i, m in enumerate(n):
+        blocks.setdefault(m, []).append(i)
     try:
-        inv_ok = rank(smat) == H.dim
+        inv_ok = None if raises_length else all(
+            rank([[H.antipode[i].get(l, 0) for i in b] for l in b]) == len(b)
+            for b in blocks.values())
     except NeedsSpecialization:
         inv_ok = None
     if inv_ok is False:
         failures.append(("antipode-rank",))
 
     # (d) supp F_1 and (e) F_1^e = k^{S3}
-    supp = sorted({tags[i] for i, (w, g) in enumerate(H.labels)
-                   if len(w) <= 1})
+    supp = sorted({tags[i] for i in range(H.dim) if n[i] <= 1})
     expected_supp = sorted({E3} | {t for t in GENERATORS})
     if supp != expected_supp:
         failures.append(("supp-F1", [str(s) for s in supp]))
-    f1e = [i for i, (w, g) in enumerate(H.labels)
-           if len(w) <= 1 and tags[i] == E3]
+    f1e = [i for i in range(H.dim) if n[i] <= 1 and tags[i] == E3]
     if sorted(f1e) != sorted(H.index[((), g)] for g in S3):
         failures.append(("F1e",))
 
@@ -500,36 +489,32 @@ def lemma31_suite(H: Hopf72) -> dict:
 
 
 def coradical_certificate(H: Hopf72) -> dict:
-    """Filtration certificate: F_0 <= F_1 <= ... <= F_4 = A is a coalgebra
-    filtration, F_0 is a subcoalgebra isomorphic to k^{S3} splitting into
-    simple pieces of ranks (1,1,2).  Together these pin the coradical."""
-    from .coalg import (FinCoalgebra, simple_subcoalgebras_of_dual_group,
-                        verify_coalgebra_filtration)
-    from .groups import builtin_irreps
-
+    """Filtration certificate: F_n = span{w delta_g : |w| <= n}, nested
+    and exhausting A, is a coalgebra filtration, and F_0 is a
+    subcoalgebra isomorphic to k^{S3} splitting into simple pieces of
+    ranks (1,1,2).  Together these pin the coradical."""
     failures = []
-    elems = symmetric_group(3)
-    comult = {i: dict(H.comult[i]) for i in range(H.dim)}
-    counit = {i: H.counit[i] for i in range(H.dim)}
-    C = FinCoalgebra(list(range(H.dim)), comult, counit)
-    layers = []
-    for n in range(5):
-        layers.append([{i: 1} for i, (w, g) in enumerate(H.labels)
-                       if len(w) <= n])
-    filt_ok, filt_msg = verify_coalgebra_filtration(C, layers)
-    if not filt_ok:
-        failures.append(("filtration", filt_msg))
+    # Delta(F_n) <= sum_i F_i (x) F_{n-i}: |w_p| + |w_q| <= |w_i| for every
+    # term [p, q] of Delta(e_i); the first offending term is the witness
+    n = H.table.grading
+    bad = next(((i, pq) for i, d in enumerate(H.comult) for pq in d
+                if n[pq[0]] + n[pq[1]] > n[i]), None)
+    if bad:
+        i, pq = bad
+        failures.append(("filtration", f"Delta(F_{n[i]}) leaves the "
+                                       f"allowed span at {pq}"))
 
     # F_0 carries exactly the dual-group comultiplication
-    for g in S3:
-        i = H.index[((), g)]
-        expect = {(H.index[((), t)], H.index[((), t.inv() * g)]): 1
-                  for t in elems}
-        if H.comult[i] != expect:
+    kG = DualGroupCoalgebra(S3)
+    idx = H.index
+    for g in kG.elems:
+        expect = {(idx[((), t)], idx[((), u)]): c
+                  for (t, u), c in kG.comult[g].items()}
+        if H.comult[idx[((), g)]] != expect:
             failures.append(("F0-comult", str(g)))
 
-    irreps = builtin_irreps(elems)
-    pieces = simple_subcoalgebras_of_dual_group(elems, irreps)
+    pieces = simple_subcoalgebras_of_dual_group(kG.elems,
+                                                builtin_irreps(kG.elems))
     dims = sorted(d * d for (_name, d, _fs) in pieces)
     if dims != [1, 1, 4]:
         failures.append(("F0-decomposition", dims))
@@ -539,21 +524,27 @@ def coradical_certificate(H: Hopf72) -> dict:
                           "bound, all of F_0 by cosemisimplicity)"}
 
 
-def gr_check(H: Hopf72, H0: Hopf72 = None) -> dict:
+def gr_check(H: Hopf72) -> dict:
     """The associated graded algebra of the length filtration equals the
-    parameter-free table: top-length parts of all products match build(0,0)."""
-    if H0 is None:
-        H0 = build(0, 0)
+    parameter-free algebra: the top-length part of every product e_i e_k
+    (length |w_i| + |w_k|) is e_i e_k in the table of default_rules(0, 0),
+    which must be graded."""
+    table = H.table
+    table0 = structure_constants(default_rules(0, 0))
+    if table0.labels != table.labels:
+        return {"failures": [("labels",)], "ok": False}
+    n = table.grading
     failures = []
-    for (w1, w2, h), nf in H.table.products.items():
-        top = len(w1) + len(w2)
-        lhs = {k: c for k, c in nf.items() if len(k[0]) == top}
-        rhs0 = H0.table.products[(w1, w2, h)]
-        rhs = {k: c for k, c in rhs0.items() if len(k[0]) == top}
-        if any(len(k[0]) != top for k in rhs0):
-            failures.append(("graded0", w1, w2, str(h)))
-        if lhs != rhs:
-            failures.append(("top-part", w1, w2, str(h)))
+    for i, (w1, _g1) in enumerate(table.labels):
+        for k in table.compatible_followers(i):
+            w2, h = table.labels[k]
+            top = n[i] + n[k]
+            row0 = table0.rows[i][k]
+            if any(n[l] != top for l in row0):
+                failures.append(("graded0", w1, w2, str(h)))
+            if ({l: c for l, c in table.rows[i][k].items() if n[l] == top}
+                    != {l: c for l, c in row0.items() if n[l] == top}):
+                failures.append(("top-part", w1, w2, str(h)))
     return {"failures": failures, "ok": not failures}
 
 
@@ -563,11 +554,16 @@ def dump_tables(H: Hopf72) -> str:
     for i, (w, g) in enumerate(H.labels):
         name = format_smash({(w, g): 1})
         lines.append(f"basis {i}: {name}")
-    for (w1, w2, h) in sorted(H.table.products,
-                              key=lambda k: (str(k[0]), str(k[1]), str(k[2]))):
+    # e_i e_k, keyed and ordered by (w_i, w_k, g_k) as text
+    table = H.table
+    products = sorted(((str(w1), *map(str, table.labels[k])), i, k)
+                      for i, (w1, _g1) in enumerate(table.labels)
+                      for k in table.compatible_followers(i))
+    for _key, i, k in products:
+        (w1, _g1), (w2, h) = table.labels[i], table.labels[k]
+        row = {table.labels[l]: c for l, c in table.rows[i][k].items()}
         lines.append(f"mult {format_smash({(w1, h): 1})} * "
-                     f"{format_smash({(w2, h): 1})} = "
-                     f"{format_smash(H.table.products[(w1, w2, h)])}")
+                     f"{format_smash({(w2, h): 1})} = {format_smash(row)}")
     for i in range(H.dim):
         items = sorted(H.comult[i].items())
         lines.append("comult %d: %s" % (

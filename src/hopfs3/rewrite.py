@@ -365,40 +365,34 @@ class MultTable:
     system's scalars.  Basis labels are (word, g) pairs ordered deglex
     then by group element."""
 
-    def __init__(self, rules: RuleSystem, words=None):
+    def __init__(self, rules: RuleSystem):
         if not rules.sigma_preserving:
             raise ValueError("rules must preserve sigma for the table "
                              "zero-filter to be valid")
         self.rules = rules
-        self.words = list(words) if words is not None else irreducible_words(rules)
+        self.words = irreducible_words(rules)
         self.labels = [(w, g) for w in self.words for g in S3]
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels)
         self.grading = [len(w) for (w, _g) in self.labels]
         self._word_sigma = {w: sigma(w) for w in self.words}
-        # products keyed (w1, w2, h): reduce(w1 w2, h); tails follow by
-        # the smash constraint g2 = sigma(w2) g1
-        self.products = {}
-        for w1 in self.words:
-            for w2 in self.words:
-                s12 = sigma(w1 + w2)
-                for h in S3:
-                    nf = rules.reduce_term(w1 + w2, h)
-                    for (w, g) in nf:
-                        if (w, g) not in self.index:
-                            raise ValueError(
-                                f"normal form leaves the basis: {w}, {g}")
-                        assert g == h and sigma(w) == s12
-                    self.products[(w1, w2, h)] = nf
         # rows[i][k] = e_i e_k as {index: coeff}; w1 dg1 * w2 dg2 is zero
-        # unless g2 = sigma(w2) g1
+        # unless g2 = sigma(w2) g1, and then it is the normal form of
+        # w1 w2 dg2, which must lie in the basis with tail g2 and sigma
+        # sigma(w1 w2)
         self.rows = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
         for i, (w1, g1) in enumerate(self.labels):
             for w2 in self.words:
-                g2 = self._word_sigma[w2] * g1
-                self.rows[i][self.index[(w2, g2)]] = {
-                    self.index[lab]: c
-                    for lab, c in self.products[(w1, w2, g2)].items()}
+                s2 = self._word_sigma[w2]
+                g2 = s2 * g1
+                s12 = s2 * self._word_sigma[w1]
+                row = self.rows[i][self.index[(w2, g2)]]
+                for (w, g), c in rules.reduce_term(w1 + w2, g2).items():
+                    if (w, g) not in self.index:
+                        raise ValueError(
+                            f"normal form leaves the basis: {w}, {g}")
+                    assert g == g2 and self._word_sigma[w] == s12
+                    row[self.index[(w, g)]] = c
 
     def graded(self):
         """Every structure constant as (i, k, l, c, weight): c is the

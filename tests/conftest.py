@@ -39,3 +39,20 @@ def wrong_sign_point():
     from fractions import Fraction
 
     return wrong_sign(Fraction(1, 3), Fraction(-1, 2))
+
+
+@pytest.fixture
+def extra_row_term():
+    """The algebra at (1/3, -1/2) with delta_(23) delta_(23) = delta_(23)
+    + delta_e in its table: one term added to a delta_h e_k row, a control
+    the adjoint gradings must reject."""
+    from fractions import Fraction
+
+    from hopfs3.groups import parse_perm
+    from hopfs3.hopf72 import build
+
+    H = build(Fraction(1, 3), Fraction(-1, 2))
+    d = H.index[((), parse_perm("(23)", 3))]
+    e = H.index[((), parse_perm("e", 3))]
+    H.table.rows[d][d] = {d: 1, e: 1}
+    return H

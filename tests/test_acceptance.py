@@ -222,8 +222,8 @@ def test_criterion_10_classification():
     from hopfs3.groups import symmetric_group
     with _Timed(10, "orbit action, equivalence properties, verify_iso", 30.0):
         S3 = symmetric_group(3)
-        # well-definedness: every factorization in the table composes to
-        # its key (asserted inside act) and the action is a right action
+        # well-definedness: act is mu (a rho(theta)), rho the standard
+        # irrep, and it is a right action
         rng = random.Random(1)
         pts = [(Fraction(rng.randint(-5, 5)), Fraction(rng.randint(-5, 5)))
                for _ in range(12)]

@@ -72,6 +72,8 @@ class TestVerify:
         ["verify", "diamond", "--a1", "1", "--a2", "1/0"],
         ["dump", "--a1", "foo"],
         ["dump", "--a2=1/0"],
+        # symbolic is the default when neither parameter is given
+        ["verify", "all", "--symbolic"],
     ])
     def test_bad_parameter(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -80,7 +82,8 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert "not a rational number" in captured.err
+        assert ("unrecognized arguments: --symbolic" if "--symbolic" in argv
+                else "not a rational number") in captured.err
 
     def test_budget_exceeded_fails(self, capsys):
         # a zero budget skips the associativity sweep, which then must
@@ -127,17 +130,22 @@ class TestVerify:
         assert "fuel must be a whole number" in captured.err
 
     def test_one_algebra_per_call(self, monkeypatch, capsys):
-        # the hopf and lemmas suites share one algebra; gr_check adds the
-        # parameter-free one.  A later call builds its own again.
+        # the diamond, hopf and lemmas suites share one table and the hopf
+        # and lemmas suites one algebra on it; gr_check adds the
+        # parameter-free table.  A later call builds its own again.
         import hopfs3.hopf72 as hopf72
-        calls = []
+        from hopfs3.rewrite import MultTable
+        calls, tables = [], []
         build = hopf72.build
         monkeypatch.setattr(hopf72, "build",
                             lambda *a, **k: calls.append(a) or build(*a, **k))
+        init = MultTable.__init__
+        monkeypatch.setattr(MultTable, "__init__",
+                            lambda t, *a: tables.append(a) or init(t, *a))
         assert main(["verify", "all", "--json"]) == 0
-        assert len(calls) == 2
+        assert (len(calls), len(tables)) == (1, 2)
         assert main(["verify", "lemmas", "--json"]) == 0
-        assert len(calls) == 3
+        assert (len(calls), len(tables)) == (2, 3)
         capsys.readouterr()
 
     def test_symbolic_pass_constructs_few_perms(self, monkeypatch, capsys):
@@ -157,6 +165,21 @@ class TestVerify:
         assert counts["hopf.axioms"]["scalars"] == "kronecker B=24 K=13"
         assert counts["diamond.associativity"]["scalars"] == \
             "kronecker B=8 K=7"
+
+    def test_isotypics_failure_is_reported(self, extra_row_term,
+                                           monkeypatch, capsys):
+        # ad delta_e is no longer diagonal on delta_(23): the suite reports
+        # the basis index and h, and exits 1 without a traceback
+        import hopfs3.cli as cli
+        monkeypatch.setattr(cli, "_algebra", lambda _args: extra_row_term)
+        assert main(["verify", "lemmas", "--json", "--a1=1/3",
+                     "--a2=-1/2"]) == 1
+        reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+        assert reports["lemmas.structure"]["status"] == "fail"
+        isotypics = reports["lemmas.isotypics"]
+        assert isotypics["status"] == "fail"
+        assert isotypics["details"][0].startswith(
+            "ad delta_e not diagonal on basis 1")
 
     def test_axioms_witness_in_details(self, wrong_sign_symbolic,
                                        monkeypatch, capsys):

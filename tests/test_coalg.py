@@ -1,5 +1,5 @@
 """Finite-dimensional coalgebra toolkit: constructions, the
-skew-primitive solver, and the filtration certificate."""
+skew-primitive solver."""
 
 from fractions import Fraction
 
@@ -11,8 +11,7 @@ from hopfs3.coalg import (CoalgError, DualGroupCoalgebra, FinCoalgebra,
                           matrix_coefficients,
                           simple_subcoalgebras_of_dual_group,
                           skew_primitive_closed_form, skew_primitive_space,
-                          vec_add, vec_scale, vec_tensor,
-                          verify_coalgebra_filtration)
+                          vec_add, vec_scale, vec_tensor)
 from hopfs3.groups import builtin_irreps, parse_perm, symmetric_group
 from hopfs3.linalg import span_equal
 
@@ -141,20 +140,3 @@ class TestMatrixCoefficients:
         irreps = [r for r in builtin_irreps(S3) if r.dim == 1]
         with pytest.raises(CoalgError):
             simple_subcoalgebras_of_dual_group(S3, irreps)
-
-
-class TestFiltration:
-    def test_trivial_filtration_of_dual_group(self):
-        C = DualGroupCoalgebra(S3)
-        full = [{g: 1} for g in S3]
-        ok, msg = verify_coalgebra_filtration(C, [full])
-        assert ok, msg
-
-    def test_broken_filtration_detected(self):
-        # dropping delta_e from the bottom layer breaks the containment
-        C = DualGroupCoalgebra(S3)
-        e = parse_perm("e", 3)
-        partial = [{g: 1} for g in S3 if g != e]
-        ok, msg = verify_coalgebra_filtration(C, [partial, [{g: 1} for g in S3]])
-        assert not ok
-        assert msg

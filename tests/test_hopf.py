@@ -17,7 +17,9 @@ from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build, c_identity,
                            relation_elements, verify_hopf_axioms,
                            verify_hopf_ideal)
 from hopfs3.linalg import vec_add, vec_scale, vec_tensor
-from hopfs3.rewrite import S3, X12, X13, X23, smash_of
+from hopfs3.hopf72 import Hopf72
+from hopfs3.rewrite import (S3, X12, X13, X23, Rule, RuleSystem, _full_tail,
+                            default_rules, smash_of, structure_constants)
 from hopfs3.scalars import PolyRing, Rescale, ScalarKindError
 
 R = PolyRing("a1", "a2")
@@ -26,6 +28,12 @@ A1, A2 = R.gens()
 G = {s: parse_perm(s, 3) for s in ("e", "(12)", "(13)", "(23)", "(123)",
                                    "(132)")}
 
+
+POINT = (Fraction(1, 3), Fraction(-1, 2))
+
+# sha256 of repr(sorted(failures)) of the hopf.graded control below
+GRADED_CONTROL_DIGEST = (
+    "04022193133f59f7bc655b5ad37e98abae9e6b5dbd9a0398da6940ce843e6950")
 
 WRONG_SIGN_DIGEST = (
     "3b64bdbec3aea27361e90d5915d05ee7a0f1dac945b6836c9b09addfbf4fdac6")
@@ -386,6 +394,56 @@ class TestFiltration:
     def test_graded(self, H):
         rep = gr_check(H)
         assert rep["ok"], rep["failures"][:5]
+
+
+class TestControls:
+    """Each certificate of the filtration rejects a control at (1/3, -1/2)."""
+
+    def test_coradical_rejects_short_coproduct_term(self):
+        # [x12 de, x12 de] has length 2, too long for Delta of x12 de
+        H = build(*POINT)
+        p = H.table.grading.index(1)
+        H.comult[p] = {**H.comult[p], (p, p): 1}
+        rep = coradical_certificate(H)
+        assert rep["failures"] == [
+            ("filtration", "Delta(F_1) leaves the allowed span at (6, 6)")]
+
+    def test_graded_rejects_perturbed_rule(self):
+        # x13 x23 -> -2 x23 x12 - x12 x13 changes top parts of products
+        rules = default_rules(*POINT).rules
+        assert rules[3].lhs == (X13, X23)
+        rules[3] = Rule((X13, X23), _full_tail(((X23, X12), -2),
+                                               ((X12, X13), -1)))
+        H = Hopf72(*POINT, structure_constants(RuleSystem(rules)))
+        failures = gr_check(H)["failures"]
+        assert len(failures) == 48
+        assert {f[0] for f in failures} == {"top-part"}
+        assert hashlib.sha256(repr(sorted(failures)).encode()).hexdigest() \
+            == GRADED_CONTROL_DIGEST
+
+    def test_structure_rejects_added_row_term(self, extra_row_term):
+        rep = lemma31_suite(extra_row_term)
+        assert rep["failures"] == [("right-adjoint", 1, "e"),
+                                   ("right-adjoint", 1, "(23)")]
+
+    def test_antipode_rank_rejects_copied_column(self):
+        # S(x12 d(23)) := S(x12 de), a column copied within length 1
+        H = build(*POINT)
+        i = H.index[((X12,), G["e"])]
+        j = H.index[((X12,), G["(23)"])]
+        H.antipode[j] = dict(H.antipode[i])
+        rep = lemma31_suite(H)
+        assert rep["failures"] == [("antipode-rank",)]
+        assert rep["antipode_invertible"] is False
+
+    def test_antipode_rank_open_when_length_rises(self):
+        # S(delta_e) := delta_e + x12 de raises word length, so S is not
+        # block triangular and its diagonal blocks decide nothing
+        H = build(*POINT)
+        H.antipode[0] = {**H.antipode[0], H.index[((X12,), G["e"])]: 1}
+        rep = lemma31_suite(H)
+        assert ("antipode-piece", 0) in rep["failures"]
+        assert rep["antipode_invertible"] is None
 
 
 class TestDump:

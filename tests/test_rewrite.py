@@ -393,18 +393,18 @@ class TestMultTable:
                   Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
             num = structure_constants(default_rules(*pt))
             assert num.labels == sym.labels
-            for k, nf in sym.products.items():
-                ev = {lab: c.evaluate(pt) if not isinstance(c, (int, Fraction))
-                      else Fraction(c) for lab, c in nf.items()}
-                ev = {lab: c for lab, c in ev.items() if c}
-                got = {lab: Fraction(c) for lab, c in num.products[k].items()}
-                assert ev == got, k
+            for i, k, l, c, _weight in sym.graded():
+                ev = c.evaluate(pt) if not isinstance(c, (int, Fraction)) \
+                    else Fraction(c)
+                assert num.rows[i][k].get(l, 0) == ev, (i, k, l)
+            # and no term of the point table is missing from the symbolic
+            for i, k, l, _c, _weight in num.graded():
+                assert l in sym.rows[i][k], (i, k, l)
 
     def test_graded_at_zero(self):
         table = structure_constants(default_rules(0, 0))
-        for (w1, w2, _h), nf in table.products.items():
-            for (w, _g) in nf:
-                assert len(w) == len(w1) + len(w2)
+        for *_ikl, _c, weight in table.graded():
+            assert weight == 0
 
 
 class TestCompletion:
