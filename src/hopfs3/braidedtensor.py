@@ -39,17 +39,6 @@ def tensor_elt(word, coeff=1) -> dict:
     return {word: coeff} if coeff else {}
 
 
-def elt_mult(x: dict, y: dict) -> dict:
-    """Concatenation product on T(V)."""
-    out: dict = {}
-    for w1, c1 in x.items():
-        for w2, c2 in y.items():
-            w = w1 + w2
-            _check_cap(w)
-            add_into(out, w, c1 * c2)
-    return out
-
-
 # -- word-level braiding ----------------------------------------------------
 
 def _cross_letter(c: dict, u, dword: tuple) -> dict:
@@ -80,13 +69,6 @@ def word_cross(c: dict, bword: tuple, dword: tuple) -> dict:
 
 # -- the braided tensor square ----------------------------------------------
 
-def square_elt(w1, w2, coeff=1) -> dict:
-    w1, w2 = tuple(w1), tuple(w2)
-    _check_cap(w1)
-    _check_cap(w2)
-    return {(w1, w2): coeff} if coeff else {}
-
-
 def braided_square_mult(x: dict, y: dict, c: dict) -> dict:
     """(a (x) b)(d (x) e) = sum a d' (x) b' e over c(b (x) d) = sum d' (x) b'."""
     out: dict = {}
@@ -116,25 +98,6 @@ def is_primitive(x: dict, c: dict) -> bool:
     """Delta(x) == x (x) 1 + 1 (x) x, exactly."""
     expected = vec_add(vec_tensor(x, {(): 1}), vec_tensor({(): 1}, x))
     return comult(x, c) == expected
-
-
-def check_comult_coassociative(c: dict, letters, max_len: int = 4) -> bool:
-    """(Delta (x) id)Delta == (id (x) Delta)Delta on all words up to max_len."""
-    words = [()]
-    for _ in range(max_len):
-        words = [w + (a,) for w in words for a in letters]
-        for w in words:
-            d = comult(tensor_elt(w), c)
-            lhs: dict = {}
-            rhs: dict = {}
-            for (u, v), coeff in d.items():
-                for (u1, u2), c2 in comult(tensor_elt(u), c).items():
-                    add_into(lhs, (u1, u2, v), coeff * c2)
-                for (v1, v2), c2 in comult(tensor_elt(v), c).items():
-                    add_into(rhs, (u, v1, v2), coeff * c2)
-            if lhs != rhs:
-                return False
-    return True
 
 
 # -- the quadratic relation space -------------------------------------------

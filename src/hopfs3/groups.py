@@ -154,18 +154,9 @@ def centralizer(g: Perm, elems) -> list:
     return sorted(h for h in elems if h * g == g * h)
 
 
-def is_subgroup(sub, elems) -> bool:
-    s = set(sub)
-    if not s or not s.issubset(set(elems)):
-        return False
-    return all(a * b.inv() in s for a in s for b in s)
-
-
 def coset_representatives(elems, sub) -> list:
     """One representative per left coset gH, minimal in the element order;
     the identity coset comes first."""
-    if not is_subgroup(sub, elems):
-        raise GroupError("not a subgroup")
     reps, covered = [], set()
     for g in sorted(elems):
         if g not in covered:
@@ -184,14 +175,6 @@ def mat_mult(A, B):
                        for j in range(m)) for i in range(n))
 
 
-def mat_eq(A, B) -> bool:
-    return all(a == b for ra, rb in zip(A, B) for a, b in zip(ra, rb))
-
-
-def mat_identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
 class Irrep:
     """An irreducible representation given by explicit matrices."""
 
@@ -203,14 +186,6 @@ class Irrep:
 
     def __call__(self, g: Perm):
         return self.matrices[g]
-
-    def is_representation(self) -> bool:
-        e = next(g for g in self.elems if g.is_identity())
-        if not mat_eq(self.matrices[e], mat_identity(self.dim)):
-            return False
-        return all(mat_eq(self.matrices[g * h],
-                          mat_mult(self.matrices[g], self.matrices[h]))
-                   for g in self.elems for h in self.elems)
 
     def __repr__(self):
         return f"Irrep({self.name}, dim={self.dim})"

@@ -70,16 +70,6 @@ class GrowthError(RuntimeError):
 
 # -- SmashElt helpers (plain dicts {(word, g): coeff}) ----------------------
 
-def smash_of(word, g: Perm, coeff=1) -> dict:
-    word = tuple(word)
-    return {(word, g): coeff} if coeff else {}
-
-
-def smash_unit() -> dict:
-    """1 = sum_g (empty word) delta_g."""
-    return {((), g): 1 for g in S3}
-
-
 def smash_sorted_items(x: dict):
     return sorted(x.items(), key=lambda kv: (word_key(kv[0][0]), kv[0][1]))
 
@@ -97,12 +87,6 @@ def format_smash(x: dict) -> str:
 def _gen_name(t: Perm) -> str:
     pts = sorted(i for i in range(1, t.n + 1) if t(i) != i)
     return "x" + "".join(str(p) for p in pts)
-
-
-def shift_tail(kappa: dict, word) -> dict:
-    """kappa * w = w * kappa' with kappa'[sigma(w) s] = kappa[s]."""
-    word = tuple(word)
-    return {sigma(word, g.n) * g: c for g, c in kappa.items()}
 
 
 def smash_mult(x: dict, y: dict, rules=None) -> dict:
@@ -425,9 +409,6 @@ class MultTable:
                 for l, c in self.mult_basis(i, k).items():
                     add_into(out, l, c1 * c2 * c)
         return out
-
-    def unit_vector(self) -> dict:
-        return {self.index[((), g)]: 1 for g in S3}
 
     def compatible_followers(self, i: int) -> list:
         """Indices k with a structurally nonzero product i * k."""

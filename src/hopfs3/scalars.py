@@ -20,9 +20,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Union
-
-Rat = Union[int, Fraction]
 
 
 class ScalarKindError(TypeError):
@@ -215,17 +212,6 @@ class PolyRing:
 
     def gens(self) -> tuple:
         return tuple(MultiPoly.gen(self.names, i) for i in range(len(self.names)))
-
-    def const(self, c) -> MultiPoly:
-        return MultiPoly.const(self.names, c)
-
-    @property
-    def zero(self) -> MultiPoly:
-        return MultiPoly(self.names, {})
-
-    @property
-    def one(self) -> MultiPoly:
-        return MultiPoly.const(self.names, 1)
 
     def __repr__(self):
         return f"PolyRing{self.names}"
@@ -517,12 +503,3 @@ def field_invert(x):
             return MultiPoly.const(x.names, Fraction(1) / c)
         raise NeedsSpecialization(f"cannot invert nonconstant polynomial {x}")
     raise ScalarKindError(f"no inverse for {type(x).__name__}")
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse "p" or "p/q" into an exact rational."""
-    return Fraction(text.strip())
-
-
-def format_rational(x: Rat) -> str:
-    return str(Fraction(x))

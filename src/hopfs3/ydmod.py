@@ -72,20 +72,6 @@ class YDModuleOverGroup:
         return c
 
 
-def braiding_matrix(V: YDModuleOverGroup):
-    """Dense (dim^2 x dim^2) matrix of the braiding, row/col order = pairs
-    in label-list order."""
-    pairs = [(u, v) for u in V.labels for v in V.labels]
-    index = {p: i for i, p in enumerate(pairs)}
-    c = V.braiding()
-    n = len(pairs)
-    mat = [[0] * n for _ in range(n)]
-    for p, img in c.items():
-        for q, coeff in img.items():
-            mat[index[q]][index[p]] = coeff
-    return mat
-
-
 def braid_relation_holds(V: YDModuleOverGroup) -> bool:
     """(c x 1)(1 x c)(c x 1) == (1 x c)(c x 1)(1 x c) on all basis triples."""
     c = V.braiding()

@@ -5,11 +5,10 @@ from itertools import combinations
 
 import pytest
 
-from hopfs3.braidedtensor import (WordTooLong, braided_square_mult,
-                                  check_comult_coassociative, comult,
-                                  degree2_primitive_basis, elt_mult,
-                                  is_primitive, quadratic_relations,
-                                  square_elt, tensor_elt, word_cross)
+from hopfs3.braidedtensor import (WordTooLong, braided_square_mult, comult,
+                                  degree2_primitive_basis, is_primitive,
+                                  quadratic_relations, tensor_elt, word_cross)
+from hopfs3.coalg import FinCoalgebra
 from hopfs3.groups import transposition
 from hopfs3.linalg import span_equal, vec_add, vec_scale
 from hopfs3.ydmod import v3
@@ -18,6 +17,17 @@ T12 = transposition(3, 1, 2)
 T13 = transposition(3, 1, 3)
 T23 = transposition(3, 2, 3)
 C3 = v3().braiding()
+
+
+def truncated_tensor_coalgebra(c: dict, max_len: int = 4) -> FinCoalgebra:
+    """T(V) cut to the words of length <= max_len, a subcoalgebra: Delta
+    from comult under the braiding c, and eps(w) = [w == ()]."""
+    words = [()]
+    for n in range(max_len):
+        words += [w + (t,) for w in words if len(w) == n
+                  for t in (T12, T13, T23)]
+    return FinCoalgebra(words, {w: comult(tensor_elt(w), c) for w in words},
+                        {w: int(w == ()) for w in words})
 
 
 class TestWordCross:
@@ -62,21 +72,21 @@ class TestWordCross:
 
 class TestBraidedSquare:
     def test_mult_unit(self):
-        one = square_elt((), ())
-        x = square_elt((T12,), (T13,), 3)
+        one = {((), ()): 1}
+        x = {((T12,), (T13,)): 3}
         assert braided_square_mult(one, x, C3) == x
         assert braided_square_mult(x, one, C3) == x
 
     def test_mult_example(self):
         # (1 (x) x12)(x13 (x) 1) = c(x12 (x) x13) = -x23 (x) x12
-        left = square_elt((), (T12,))
-        right = square_elt((T13,), ())
+        left = {((), (T12,)): 1}
+        right = {((T13,), ()): 1}
         assert braided_square_mult(left, right, C3) == \
             {((T23,), (T12,)): -1}
 
     def test_associative_on_samples(self):
-        elts = [square_elt((T12,), (T13,)), square_elt((), (T23,)),
-                square_elt((T13,), ())]
+        elts = [{((T12,), (T13,)): 1}, {((), (T23,)): 1},
+                {((T13,), ()): 1}]
         a, b, c = elts
         lhs = braided_square_mult(braided_square_mult(a, b, C3), c, C3)
         rhs = braided_square_mult(a, braided_square_mult(b, c, C3), C3)
@@ -102,7 +112,19 @@ class TestComult:
         assert not is_primitive(tensor_elt((T12, T13)), C3)
 
     def test_coassociative(self):
-        assert check_comult_coassociative(C3, (T12, T13, T23), max_len=4)
+        T = truncated_tensor_coalgebra(C3)
+        assert len(T.labels) == 121
+        assert all(T.coassociative_at(w) for w in T.labels)
+        assert all(T.counit_at(w) for w in T.labels)
+
+    @pytest.mark.parametrize("pair", [(u, v) for u in (T12, T13, T23)
+                                      for v in (T12, T13, T23)], ids=str)
+    def test_doubled_braiding_coefficient_breaks_coassociativity(self, pair):
+        c = dict(C3)
+        (key, coeff), = c[pair].items()
+        c[pair] = {key: 2 * coeff}
+        T = truncated_tensor_coalgebra(c)
+        assert not all(T.coassociative_at(w) for w in T.labels)
 
     def test_multiplicative(self):
         # Delta is an algebra map T(V) -> T(V) (x)_c T(V), degree <= 4
@@ -111,7 +133,7 @@ class TestComult:
             [(a, b) for a in letters for b in letters]
         for w1 in words:
             for w2 in words:
-                lhs = comult(elt_mult(tensor_elt(w1), tensor_elt(w2)), C3)
+                lhs = comult(tensor_elt(w1 + w2), C3)
                 rhs = braided_square_mult(comult(tensor_elt(w1), C3),
                                           comult(tensor_elt(w2), C3), C3)
                 assert lhs == rhs, (w1, w2)
@@ -170,9 +192,9 @@ class TestCaps:
     def test_word_cap(self):
         with pytest.raises(WordTooLong):
             tensor_elt((T12,) * 9)
-        long = tensor_elt((T12,) * 5)
+        (long,) = tensor_elt((T12,) * 5)
         with pytest.raises(WordTooLong):
-            elt_mult(long, long)
+            tensor_elt(long + long)
 
     def test_scale_and_add(self):
         x = tensor_elt((T12,), 2)

@@ -265,6 +265,13 @@ class TestClassify:
     def test_missing_file(self, tmp_path, capsys):
         assert main(["classify", str(tmp_path / "nope.txt")]) == 2
 
+    def test_not_utf8(self, tmp_path, capsys):
+        f = tmp_path / "pairs.txt"
+        f.write_bytes(b"\xff\xfe1, 2\n")
+        assert main(["classify", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_empty_file(self, tmp_path, capsys):
         f = tmp_path / "pairs.txt"
         f.write_text("")

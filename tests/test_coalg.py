@@ -6,9 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hopfs3.coalg import (CoalgError, DualGroupCoalgebra, FinCoalgebra,
-                          MatrixCoalgebra, direct_sum, dual_basis_e,
-                          grouplike_coalgebra,
-                          matrix_coefficients,
+                          MatrixCoalgebra, dual_basis_e, matrix_coefficients,
                           simple_subcoalgebras_of_dual_group,
                           skew_primitive_closed_form, skew_primitive_space,
                           vec_add, vec_scale, vec_tensor)
@@ -18,41 +16,63 @@ from hopfs3.linalg import span_equal
 S3 = sorted(symmetric_group(3))
 
 
+def axiom_failures(C: FinCoalgebra) -> list:
+    """(check, label) for every basis element failing an axiom."""
+    return ([("coassoc", l) for l in C.labels if not C.coassociative_at(l)]
+            + [("counit", l) for l in C.labels if not C.counit_at(l)])
+
+
 class TestConstructions:
     def test_matrix_coalgebra_axioms(self):
         for n in (1, 2, 3):
             E = MatrixCoalgebra(n)
-            assert E.dim == n * n
-            assert E.check_coassociative()
-            assert E.check_counit()
+            assert len(E.labels) == n * n
+            assert axiom_failures(E) == []
 
     def test_dual_group_coalgebra(self):
         C = DualGroupCoalgebra(S3)
-        assert C.dim == 6
-        assert C.check_coassociative()
-        assert C.check_counit()
+        assert len(C.labels) == 6
+        assert axiom_failures(C) == []
         # delta_g splits over all factorizations g = t (t^-1 g)
         g = parse_perm("(123)", 3)
         d = C.delta({g: 1})
         assert len(d) == 6
         for (t, u), c in d.items():
             assert c == 1 and t * u == g
-        # counit picks out the identity coefficient
-        assert C.eps({parse_perm("e", 3): 5, g: 3}) == 5
-
-    def test_dual_group_algebra_ops(self):
-        C = DualGroupCoalgebra(S3)
-        x = {g: 1 for g in S3}
-        assert C.mult(x, C.unit()) == C.unit()
-        assert C.mult(x, x) == x
-        g = parse_perm("(123)", 3)
-        assert C.antipode({g: 1}) == {g.inv(): 1}
+        # the counit is the coefficient at the identity
+        assert C.counit == {h: int(h == parse_perm("e", 3)) for h in S3}
 
     def test_direct_sum(self):
-        C = direct_sum(grouplike_coalgebra("g"), MatrixCoalgebra(2))
-        assert C.dim == 5
-        assert C.check_coassociative()
-        assert C.check_counit()
+        # the ambient of the skew-primitive solver: kg + M_2(k)*
+        C, _ = skew_primitive_space("g", MatrixCoalgebra(2))
+        assert C.labels[0] == "g" and len(C.labels) == 5
+        assert axiom_failures(C) == []
+        with pytest.raises(CoalgError):
+            skew_primitive_space(("e", 1, 1), MatrixCoalgebra(2))
+
+
+class TestAxiomControls:
+    """The per-label checks reject a broken Delta or eps at that label."""
+
+    def test_dropped_comult_term(self):
+        # Delta(e12) = e12 (x) e22 with e11 (x) e12 dropped; coassociativity
+        # also breaks at e11 and e22, whose Delta has a leg e12
+        E = MatrixCoalgebra(2)
+        e = E.e
+        E.comult[e(1, 2)] = {(e(1, 2), e(2, 2)): 1}
+        assert not E.coassociative_at(e(1, 2))
+        assert axiom_failures(E) == [
+            ("coassoc", e(1, 1)), ("coassoc", e(1, 2)), ("coassoc", e(2, 2)),
+            ("counit", e(1, 2))]
+
+    def test_wrong_counit(self):
+        # eps(e22) = 2 breaks the counit law wherever e22 is a leg of Delta
+        E = MatrixCoalgebra(2)
+        e = E.e
+        E.counit[e(2, 2)] = 2
+        assert not E.counit_at(e(2, 2))
+        assert axiom_failures(E) == [("counit", e(1, 2)), ("counit", e(2, 1)),
+                                     ("counit", e(2, 2))]
 
 
 def _skew_defect(ambient, g_label, E, xs):
@@ -73,7 +93,7 @@ class TestSkewPrimitiveSolver:
     def test_rank2_solution_space(self):
         E = MatrixCoalgebra(2)
         ambient, basis = skew_primitive_space("g", E)
-        assert ambient.dim == 5
+        assert len(ambient.labels) == 5
         assert len(basis) == 2
         # every basis tuple really solves the defining equation
         for xs in basis:

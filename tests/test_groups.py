@@ -7,9 +7,8 @@ from hypothesis import given, strategies as st
 from hopfs3 import groups
 from hopfs3.groups import (GroupError, Irrep, Perm, builtin_irreps,
                            centralizer, conjugacy_class, conjugate,
-                           coset_representatives, identity, is_subgroup,
-                           mat_eq, mat_identity, mat_mult, parse_perm,
-                           symmetric_group, transposition)
+                           coset_representatives, identity, mat_mult,
+                           parse_perm, symmetric_group, transposition)
 from hopfs3.scalars import Cyclotomic3
 
 S3 = symmetric_group(3)
@@ -109,11 +108,6 @@ class TestSubgroupTools:
         assert len(centralizer(transposition(3, 1, 2), S3)) == 2
         assert len(centralizer(parse_perm("(123)", 3), S3)) == 3
 
-    def test_is_subgroup(self):
-        z3 = [identity(3), parse_perm("(123)", 3), parse_perm("(132)", 3)]
-        assert is_subgroup(z3, S3)
-        assert not is_subgroup([identity(3), parse_perm("(123)", 3)], S3)
-
     def test_coset_representatives(self):
         cent = centralizer(transposition(3, 1, 2), S3)
         reps = coset_representatives(S3, cent)
@@ -133,11 +127,11 @@ class TestIrreps:
 
     def test_representation_property(self):
         for r in builtin_irreps(S3):
-            assert r.is_representation()
-            assert mat_eq(r(identity(3)), mat_identity(r.dim))
+            assert r(identity(3)) == tuple(
+                tuple(int(i == j) for j in range(r.dim)) for i in range(r.dim))
             for g in S3:
                 for h in S3:
-                    assert mat_eq(r(g * h), mat_mult(r(g), r(h)))
+                    assert r(g * h) == mat_mult(r(g), r(h))
 
     def test_characters(self):
         irreps = {r.name: r for r in builtin_irreps(S3)}

@@ -4,9 +4,8 @@ of structure between the two sides."""
 import pytest
 
 from hopfs3.groups import parse_perm, symmetric_group, transposition
-from hopfs3.ydmod import (YDError, braid_relation_holds, braiding_matrix,
-                          dual_braiding, dualize, induce, simples_list,
-                          undualize, v3)
+from hopfs3.ydmod import (YDError, braid_relation_holds, dual_braiding,
+                          dualize, induce, simples_list, undualize, v3)
 
 S3 = symmetric_group(3)
 T12 = transposition(3, 1, 2)
@@ -39,14 +38,6 @@ class TestV3:
 
     def test_braid_relation(self):
         assert braid_relation_holds(v3())
-
-    def test_braiding_matrix_shape(self):
-        m = braiding_matrix(v3())
-        assert len(m) == 9 and all(len(row) == 9 for row in m)
-        # permutation-with-signs matrix: one entry per column
-        for j in range(9):
-            col = [m[i][j] for i in range(9)]
-            assert sum(1 for x in col if x) == 1
 
 
 class TestInducedSimples:
