@@ -114,10 +114,8 @@ def theta_morphism(mu, theta: Perm):
 def verify_iso(theta, fuel: int = FUEL_DEFAULT) -> dict:
     """Certificate for the isomorphism claim: with b = a <| (mu^2, theta),
     the Theta_{mu,theta}-images of the defining relations of the algebra
-    at b reduce to zero under the rules of the algebra at a, symbolically
-    over Q[a1, a2, mu]."""
-    from .hopf72 import relation_elements
-
+    at b (one per rule of default_rules) reduce to zero under the rules of
+    the algebra at a, symbolically over Q[a1, a2, mu]."""
     a1, a2, mu = PolyRing("a1", "a2", "mu").gens()
     if isinstance(theta, str):
         theta = parse_perm(theta, 3)
@@ -125,10 +123,8 @@ def verify_iso(theta, fuel: int = FUEL_DEFAULT) -> dict:
     rules_a = default_rules(a1, a2, fuel=fuel)
     Theta = theta_morphism(mu, theta)
     failures = []
-    for name, rel in relation_elements(b[0], b[1]):
-        image = Theta(rel)
-        reduced = rules_a.reduce(image)
-        if reduced:
+    for name, rel in default_rules(*b).relations():
+        if rules_a.reduce(Theta(rel)):
             failures.append(name)
     return {"theta": str(theta), "orientation": "images of I_{a <| (mu^2, theta)}"
                                                 " vanish in A_a",

@@ -241,7 +241,7 @@ def cmd_verify(args) -> int:
 def cmd_classify(args) -> int:
     from .classify import canonical_rep, format_pair, parse_pair
     try:
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             lines = [ln.strip() for ln in fh]
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,13 +21,13 @@ from itertools import chain, product
 
 from .coalg import (DualGroupCoalgebra, FinCoalgebra, dual_basis_e,
                     matrix_coefficients, simple_subcoalgebras_of_dual_group)
-from .groups import (Perm, builtin_irreps, conjugate, identity, parse_perm,
-                     symmetric_group)
+from .groups import Perm, builtin_irreps, identity, symmetric_group
 from .linalg import add_into, linear, rank, vec_add, vec_scale, vec_tensor
 from .rewrite import (GENERATORS, MultTable, S3, X12, X13, X23,
                       _full_tail, default_rules, format_smash, sigma,
                       structure_constants)
 from .scalars import NeedsSpecialization, sweep_layout
+from .ydmod import dualize, v3
 
 E3 = identity(3)
 
@@ -45,8 +45,12 @@ class Hopf72:
             self._tag[i] = sigma(w).inv() * g
         self.counit = [1 if (not w and g == E3) else 0
                        for (w, g) in self.labels]
-        self._gen_comult = {t: self._comult_generator(t) for t in GENERATORS}
-        self._gen_antipode = {t: self._antipode_generator(t) for t in GENERATORS}
+        # lambda(x_t) = sum c delta_h (x) x_u, the coaction of V over k^{S3}
+        coaction = dualize(v3()).coaction
+        self._gen_comult = {t: self._comult_generator(t, coaction[t])
+                            for t in GENERATORS}
+        self._gen_antipode = {t: self._antipode_generator(coaction[t])
+                              for t in GENERATORS}
         self.comult = [self.word_comult(w, g) for (w, g) in self.labels]
         self.antipode = [self.word_antipode(w, g) for (w, g) in self.labels]
 
@@ -137,22 +141,20 @@ class Hopf72:
 
     # -- generator structure maps ----------------------------------------
 
-    def _comult_generator(self, t: Perm) -> dict:
-        """Delta(x_t) = x_t (x) 1 + sum_h sgn(h) delta_h (x) x_{h^-1 t h}."""
+    def _comult_generator(self, t: Perm, coaction: dict) -> dict:
+        """Delta(x_t) = x_t (x) 1 + x_(-1) (x) x_(0), the bosonization of
+        the coaction sum c delta_h (x) x_u of x_t."""
         out = vec_tensor(self.x_elt(t), self.unit())
-        for h in S3:
-            c = conjugate(t, h.inv())
-            term = vec_tensor(self.delta_elt(h), self.x_elt(c))
-            out = vec_add(out, vec_scale(h.sign(), term))
+        for (h, u), c in coaction.items():
+            out.update(vec_tensor({self.index[((), h)]: c}, self.x_elt(u)))
         return out
 
-    def _antipode_generator(self, t: Perm) -> dict:
-        """S(x_t) = -sum_h sgn(h) delta_{h^-1} x_{h^-1 t h}."""
+    def _antipode_generator(self, coaction: dict) -> dict:
+        """S(x_t) = -S(x_(-1)) x_(0) = -sum c delta_{h^-1} x_u, and
+        delta_{h^-1} x_u = x_u delta_{u h^-1}."""
         out: dict = {}
-        for h in S3:
-            c = conjugate(t, h.inv())
-            # delta_s x_c = x_c delta_{c s}
-            add_into(out, self.index[((c,), c * h.inv())], -h.sign())
+        for (h, u), c in coaction.items():
+            add_into(out, self.index[((u,), u * h.inv())], -c)
         return out
 
     def word_comult(self, w, g: Perm) -> dict:
@@ -271,34 +273,9 @@ def _dual_e() -> dict:
     return dual_basis_e(matrix_coefficients(std), elems)
 
 
-def _mixed_relations() -> list:
-    return [("R_(13)(23)", _full_tail(((X13, X23), 1), ((X23, X12), 1),
-                                  ((X12, X13), 1))),
-            ("R_(23)(13)", _full_tail(((X23, X13), 1), ((X13, X12), 1),
-                                  ((X12, X23), 1)))]
-
-
-def relation_elements(a1, a2) -> list:
-    """The five generators of the defining ideal, as raw SmashElt of the
-    smash product (not reduced): named (label, element) pairs."""
-    def square(t, spec: dict):
-        elt = _full_tail(((t, t), 1))
-        for s, c in spec.items():
-            add_into(elt, ((), parse_perm(s, 3)), c)
-        return elt
-
-    return _mixed_relations() + [
-        ("sq13", square(X13, {"(12)": -(a1 - a2), "(123)": -(a1 - a2),
-                              "(23)": -a1, "(132)": -a1})),
-        ("sq23", square(X23, {"(13)": -a2, "(123)": -a2,
-                              "(12)": -(a2 - a1), "(132)": -(a2 - a1)})),
-        ("sq12", square(X12, {"(23)": a1, "(123)": a1,
-                              "(13)": a2, "(132)": a2}))]
-
-
 def coideal_elements(a1, a2) -> list:
-    """Spanning elements of the coideal generating the ideal: the two
-    c-relations, the two mixed relations, and the sum of squares."""
+    """The relations in the paper's form that no rule states verbatim:
+    the two c-relations and the sum of squares."""
     e = _dual_e()
     a = (a1, a2)
     out = []
@@ -311,29 +288,25 @@ def coideal_elements(a1, a2) -> list:
             for g, c in e[(i + 1, j + 1)].items():
                 add_into(elt, ((), g), a[j] * c)
         out.append((f"c{i + 1}-rel", elt))
-    out += _mixed_relations()
     out.append(("sum_squares",
                 _full_tail(*(((t, t), 1) for t in GENERATORS))))
     return out
 
 
 def verify_hopf_ideal(H: Hopf72) -> dict:
-    """Certificate that the defining ideal I is a Hopf ideal: every
-    generator has counit 0, vanishes in A, comultiplies into
-    I (x) A + A (x) I and has antipode in I.
+    """Certificate that the defining ideal I, spanned as an ideal by the
+    relations of the table's rules, is a Hopf ideal: every rule relation
+    and every coideal element has counit 0, vanishes in A, comultiplies
+    into I (x) A + A (x) I and has antipode in I.
 
     (pi (x) pi) Delta_T is an algebra map T -> A (x) A and pi S_T an
     anti-algebra map T -> A, each fixed by its values on the generators;
     so Delta and S of a relation are pushed through Hopf72.word_comult and
     word_antipode, the maps that build the tables, and must vanish."""
     failures = []
-    for name, r in (relation_elements(H.a1, H.a2)
+    for name, r in (H.table.rules.relations()
                     + coideal_elements(H.a1, H.a2)):
-        eps = 0
-        for (w, g), c in r.items():
-            if not w and g == E3:
-                eps = eps + c
-        if eps != 0:
+        if r.get(((), E3), 0):
             failures.append((name, "counit"))
         if H.from_smash(r):
             failures.append((name, "not in kernel"))

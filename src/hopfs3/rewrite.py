@@ -11,7 +11,7 @@ No monomial order is assumed to terminate reduction.  Instead the system
 is certified three ways: fuel-bounded termination, resolution of every
 overlap ambiguity, and exhaustive associativity of the resulting
 multiplication table.  Every rule here maps a word to terms with the
-same permutation image sigma(w); that invariant is asserted and is what
+same permutation image sigma(w), which RuleSystem enforces and which
 makes the structural zero-filter in the associativity sweep rigorous.
 """
 
@@ -36,12 +36,21 @@ GENERATORS = (X12, X13, X23)
 
 S3 = symmetric_group(3)
 
-_LETTER_KEY = {X12: 0, X13: 1, X23: 2}
+
+class _CycleNames(dict):
+    """Perm -> its cycle name, computed once per letter."""
+
+    def __missing__(self, t):
+        self[t] = name = str(t)
+        return name
+
+
+_CYCLE_NAME = _CycleNames()
 
 
 def word_key(w: tuple):
-    """Deglex with x12 < x13 < x23 (falls back to string order off S3)."""
-    return (len(w), tuple(_LETTER_KEY.get(t, str(t)) for t in w))
+    """Deglex, letters ordered by cycle name: x12 < x13 < x23 on S3."""
+    return (len(w), tuple(map(_CYCLE_NAME.__getitem__, w)))
 
 
 _IDENTITIES: dict = {}      # n -> identity(n), the start of every sigma
@@ -79,14 +88,15 @@ def format_smash(x: dict) -> str:
         return "0"
     parts = []
     for (w, g), c in smash_sorted_items(x):
-        wtxt = "".join(_gen_name(t) for t in w) or "1"
-        parts.append(f"({c})*{wtxt}.d{g}")
+        parts.append(f"({c})*{_word_name(w) or '1'}.d{g}")
     return " + ".join(parts)
 
 
-def _gen_name(t: Perm) -> str:
-    pts = sorted(i for i in range(1, t.n + 1) if t(i) != i)
-    return "x" + "".join(str(p) for p in pts)
+def _word_name(w) -> str:
+    """x13x23 for the word (X13, X23): each letter named by the points it
+    moves."""
+    return "".join("x" + "".join(str(i) for i in range(1, t.n + 1)
+                                 if t(i) != i) for t in w)
 
 
 def smash_mult(x: dict, y: dict, rules=None) -> dict:
@@ -112,17 +122,14 @@ def smash_mult(x: dict, y: dict, rules=None) -> dict:
 # -- rules ------------------------------------------------------------------
 
 class Rule:
-    __slots__ = ("lhs", "rhs", "sigma_preserving")
+    __slots__ = ("lhs", "rhs")
 
     def __init__(self, lhs, rhs: dict):
         self.lhs = tuple(lhs)
         self.rhs = {k: c for k, c in rhs.items() if c}
-        n = self.lhs[0].n
-        s = sigma(self.lhs, n)
-        self.sigma_preserving = all(sigma(w, n) == s for (w, _g) in self.rhs)
 
     def __repr__(self):
-        return f"Rule({''.join(_gen_name(t) for t in self.lhs)} -> {format_smash(self.rhs)})"
+        return f"Rule({_word_name(self.lhs)} -> {format_smash(self.rhs)})"
 
 
 class RuleSystem:
@@ -140,15 +147,27 @@ class RuleSystem:
         self._by_len = _by_length(lhss)
         self._rule_of = {lhs: i for i, lhs in enumerate(lhss)}
         for r in self.rules:
+            s = sigma(r.lhs)
             for (w, _g) in r.rhs:
                 if len(w) > len(r.lhs):
                     raise ValueError(f"rhs word longer than lhs in {r!r}")
                 if len(w) == len(r.lhs) and self._find_redex(w) is not None:
                     raise ValueError(f"reducible same-length rhs word in {r!r}")
+                # the rules then hold in the smash product over k^{S_n},
+                # and the table's zero-filter is sound
+                if sigma(w, s.n) != s:
+                    raise ValueError(f"rhs word changes sigma in {r!r}")
 
-    @property
-    def sigma_preserving(self) -> bool:
-        return all(r.sigma_preserving for r in self.rules)
+    def relations(self) -> list:
+        """The defining relation of each rule, named by its lhs word:
+        lhs delta_g summed over every g in S_n, minus the rhs."""
+        group = symmetric_group(self.rules[0].lhs[0].n)
+        out = []
+        for r in self.rules:
+            elt = {(r.lhs, g): 1 for g in group}
+            elt.update(vec_scale(-1, r.rhs))    # no rhs word is the lhs
+            out.append((_word_name(r.lhs), elt))
+        return out
 
     def _find_redex(self, word):
         """(position, rule index) of the leftmost redex, or None."""
@@ -350,9 +369,6 @@ class MultTable:
     then by group element."""
 
     def __init__(self, rules: RuleSystem):
-        if not rules.sigma_preserving:
-            raise ValueError("rules must preserve sigma for the table "
-                             "zero-filter to be valid")
         self.rules = rules
         self.words = irreducible_words(rules)
         self.labels = [(w, g) for w in self.words for g in S3]

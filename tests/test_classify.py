@@ -150,3 +150,15 @@ class TestIsomorphisms:
         for theta in ("(12)", "(123)"):
             rep = verify_iso(theta)
             assert rep["ok"], rep["failures"]
+
+    def test_verify_iso_rejects_wrong_scaling(self, monkeypatch):
+        # letters scaled by mu^2 instead of mu: the homogeneous relations
+        # still transport, the six with lower-order tails do not
+        import hopfs3.classify as classify
+        scale_by = classify.theta_morphism
+        monkeypatch.setattr(classify, "theta_morphism",
+                            lambda mu, theta: scale_by(mu * mu, theta))
+        for theta in ("(12)", "(123)"):
+            assert verify_iso(theta)["failures"] == [
+                "x13x13", "x23x23", "x12x12", "x12x13x12", "x23x12x23",
+                "x23x12x13"]

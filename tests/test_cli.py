@@ -272,6 +272,12 @@ class TestClassify:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_byte_order_mark(self, tmp_path, capsys):
+        f = tmp_path / "pairs.txt"
+        f.write_bytes(b"\xef\xbb\xbf1, 2\n")
+        assert main(["classify", str(f)]) == 0
+        assert "line 1: (1, 2) -> orbit" in capsys.readouterr().out
+
     def test_empty_file(self, tmp_path, capsys):
         f = tmp_path / "pairs.txt"
         f.write_text("")

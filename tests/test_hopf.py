@@ -14,8 +14,7 @@ from hopfs3.groups import conjugate, parse_perm
 from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build, c_identity,
                            coideal_elements, coradical_certificate,
                            dump_tables, gr_check, lemma31_suite,
-                           relation_elements, verify_hopf_axioms,
-                           verify_hopf_ideal)
+                           verify_hopf_axioms, verify_hopf_ideal)
 from hopfs3.linalg import vec_add, vec_scale, vec_tensor
 from hopfs3.hopf72 import Hopf72
 from hopfs3.rewrite import (S3, X12, X13, X23, Rule, RuleSystem, _full_tail,
@@ -313,41 +312,60 @@ class TestAxioms:
 
 
 class TestHopfIdeal:
-    def test_five_relations(self):
-        rels = relation_elements(A1, A2)
-        assert len(rels) == 5
-        assert {n for n, _ in rels} == \
-            {"R_(13)(23)", "R_(23)(13)", "sq13", "sq23", "sq12"}
+    def test_eight_rule_relations(self):
+        rels = default_rules(A1, A2).relations()
+        assert [n for n, _ in rels] == [
+            "x13x13", "x23x23", "x12x12", "x13x23", "x23x13",
+            "x12x13x12", "x23x12x23", "x23x12x13"]
+        # x13^2 - (a1 - a2)(d(12) + d(123)) - a1 (d(23) + d(132))
+        sq13 = _full_tail(((X13, X13), 1))
+        sq13.update({((), G["(12)"]): -(A1 - A2), ((), G["(123)"]): -(A1 - A2),
+                     ((), G["(23)"]): -A1, ((), G["(132)"]): -A1})
+        assert rels[0][1] == sq13
 
-    def test_five_coideal_elements(self):
-        assert len(coideal_elements(A1, A2)) == 5
+    def test_three_coideal_elements(self):
+        assert [n for n, _ in coideal_elements(A1, A2)] == [
+            "c1-rel", "c2-rel", "sum_squares"]
 
     def test_symbolic_certificate(self, H):
         rep = verify_hopf_ideal(H)
         assert rep["ok"], rep["failures"]
 
     def test_wrong_parameters_fail(self):
-        # the relations at (1, 0) do not hold in the algebra at (1, 2)
+        # the rule relations are those of the table at (1, 2); the
+        # c-relations at (1, 0) do not hold in that algebra
         rep = verify_hopf_ideal(Hopf72(Fraction(1), Fraction(0),
                                        build(1, 2).table))
         assert not rep["ok"]
         assert rep["failures"] == [
             (name, what)
-            for name in ("sq13", "sq23", "sq12", "c1-rel", "c2-rel")
+            for name in ("c1-rel", "c2-rel")
             for what in ("not in kernel", "comult not in I(x)A + A(x)I",
                          "antipode not in I")]
 
     def test_relations_vanish_in_quotient(self, H):
-        for name, r in relation_elements(A1, A2):
-            assert H.from_smash(r) == {}, name
-        for name, r in coideal_elements(A1, A2):
+        for name, r in (default_rules(A1, A2).relations()
+                        + coideal_elements(A1, A2)):
             assert H.from_smash(r) == {}, name
 
     def test_perturbed_relation_does_not_vanish(self, H):
-        _, sq13 = next((n, r) for n, r in relation_elements(A1, A2)
-                       if n == "sq13")
+        _, sq13 = default_rules(A1, A2).relations()[0]
         wrong = vec_add(sq13, {((), G["(12)"]): 1})
         assert H.from_smash(wrong) != {}
+
+    def test_perturbed_rule_leaves_the_coideal(self):
+        # rule 4 as x13x23 -> -2 x23x12 - x12x13 at (1/3, -1/2): every
+        # relation still vanishes in its own table, but Delta and S of the
+        # mixed and cubic ones leave I (x) A + A (x) I and I
+        rules = default_rules(*POINT).rules
+        rules[3] = Rule((X13, X23), _full_tail(((X23, X12), -2),
+                                               ((X12, X13), -1)))
+        H1 = Hopf72(*POINT, structure_constants(RuleSystem(rules)))
+        assert verify_hopf_ideal(H1)["failures"] == [
+            (name, what)
+            for name in ("x13x23", "x23x13", "x12x13x12", "x23x12x23",
+                         "x23x12x13")
+            for what in ("comult not in I(x)A + A(x)I", "antipode not in I")]
 
 
 class TestCIdentity:

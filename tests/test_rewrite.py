@@ -104,8 +104,14 @@ class TestRuleSystem:
                         (X13, X23), (X23, X13),
                         (X12, X13, X12), (X23, X12, X23), (X23, X12, X13)}
 
-    def test_sigma_preserving(self):
-        assert sym_rules().sigma_preserving
+    def test_sigma_changing_rule_rejected(self):
+        # rule 4 with an extra tail 1 delta_e: sigma(()) = e differs from
+        # sigma(x13 x23); the system would still give 12 irreducible
+        # words and 23 ambiguities, but not a presentation over k^{S3}
+        rules = sym_rules().rules
+        rules[3] = Rule(rules[3].lhs, {**rules[3].rhs, ((), G["e"]): 1})
+        with pytest.raises(ValueError, match="changes sigma"):
+            RuleSystem(rules)
 
     def test_inclusion_ambiguity_rejected(self):
         with pytest.raises(ValueError):

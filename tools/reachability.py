@@ -31,15 +31,19 @@ def defined_functions() -> dict:
     or method; dunders, lambdas and comprehensions aside."""
     out = {}
     for path in sorted((SRC / "hopfs3").glob("*.py")):
-        todo = [compile(path.read_text(), str(path), "exec")]
+        # (code, qualname), the qualname built from the class/def nesting
+        todo = [(compile(path.read_text(), str(path), "exec"), "")]
         while todo:
-            code = todo.pop()
-            todo.extend(c for c in code.co_consts if hasattr(c, "co_code"))
-            name = code.co_name
-            if (code.co_flags & inspect.CO_NEWLOCALS      # not a class body
-                    and not name.startswith(("<", "__"))):
-                out[str(path), code.co_firstlineno] = (
-                    f"{path.stem}.{code.co_qualname}")
+            code, qualname = todo.pop()
+            if code.co_flags & inspect.CO_NEWLOCALS:      # not a class body
+                inner = qualname + ".<locals>."
+                if not code.co_name.startswith(("<", "__")):
+                    out[str(path), code.co_firstlineno] = (
+                        f"{path.stem}.{qualname}")
+            else:                                         # module or class
+                inner = qualname and qualname + "."
+            todo.extend((c, inner + c.co_name) for c in code.co_consts
+                        if hasattr(c, "co_code"))
     return out
 
 
