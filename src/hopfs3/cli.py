@@ -46,6 +46,17 @@ def _fuel(text: str) -> int:
     return int(text)
 
 
+def _budget(text: str) -> float:
+    """The value of --budget-sec: seconds, 0 or more (inf for no budget)."""
+    try:
+        if float(text) >= 0:                # nan fails the comparison
+            return float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(
+        f"budget must be a number of seconds, 0 or more: {text!r}")
+
+
 def _params(args):
     if args.a1 is None and args.a2 is None:
         R = PolyRing("a1", "a2")
@@ -284,15 +295,16 @@ class _Parser(argparse.ArgumentParser):
 def _add_params(p: argparse.ArgumentParser) -> None:
     for flag in PARAMS:
         p.add_argument(flag, type=_rational,
-                       help=f"rational {flag[2:]} (default: symbolic)")
+                       help=f"rational {flag[2:]}; symbolic when neither "
+                            "--a1 nor --a2 is given, 0 when only the other is")
 
 
 def _join_params(argv: list) -> list:
-    """'--a2 -1/2' -> '--a2=-1/2', so that a negative fraction is read as
-    the value, not as an unknown option."""
+    """'--a2 -1/2' -> '--a2=-1/2', so that a negative value is read as
+    the value, not as an unknown option; the same for the verify limits."""
     out = []
     for tok in argv:
-        if out and out[-1] in PARAMS:
+        if out and out[-1] in PARAMS + ("--budget-sec", "--fuel"):
             out[-1] += "=" + tok
         else:
             out.append(tok)
@@ -311,8 +323,9 @@ def make_parser() -> argparse.ArgumentParser:
                    help="which suite to run")
     _add_params(v)
     v.add_argument("--json", action="store_true", help="machine-readable output")
-    v.add_argument("--budget-sec", type=float, default=600.0,
-                   dest="budget_sec", help="wall-clock budget")
+    v.add_argument("--budget-sec", type=_budget, default="600",
+                   dest="budget_sec",
+                   help="wall-clock budget in seconds (0 or more)")
     v.add_argument("--fuel", type=_fuel, default=FUEL_DEFAULT,
                    help="rewrite fuel per reduction")
     v.set_defaults(func=cmd_verify, table=None, algebra=None)

@@ -27,7 +27,7 @@ from .rewrite import (GENERATORS, MultTable, S3, X12, X13, X23,
                       _full_tail, default_rules, format_smash, sigma,
                       structure_constants)
 from .scalars import NeedsSpecialization, sweep_layout
-from .ydmod import dualize, v3
+from .ydmod import v3
 
 E3 = identity(3)
 
@@ -46,7 +46,7 @@ class Hopf72:
         self.counit = [1 if (not w and g == E3) else 0
                        for (w, g) in self.labels]
         # lambda(x_t) = sum c delta_h (x) x_u, the coaction of V over k^{S3}
-        coaction = dualize(v3()).coaction
+        coaction = v3().coaction
         self._gen_comult = {t: self._comult_generator(t, coaction[t])
                             for t in GENERATORS}
         self._gen_antipode = {t: self._antipode_generator(coaction[t])

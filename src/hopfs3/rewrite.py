@@ -148,7 +148,7 @@ class RuleSystem:
         self._rule_of = {lhs: i for i, lhs in enumerate(lhss)}
         for r in self.rules:
             s = sigma(r.lhs)
-            for (w, _g) in r.rhs:
+            for w in dict.fromkeys(w for (w, _g) in r.rhs):
                 if len(w) > len(r.lhs):
                     raise ValueError(f"rhs word longer than lhs in {r!r}")
                 if len(w) == len(r.lhs) and self._find_redex(w) is not None:
@@ -388,10 +388,10 @@ class MultTable:
                 s12 = s2 * self._word_sigma[w1]
                 row = self.rows[i][self.index[(w2, g2)]]
                 for (w, g), c in rules.reduce_term(w1 + w2, g2).items():
-                    if (w, g) not in self.index:
+                    if ((w, g) not in self.index or g != g2
+                            or self._word_sigma[w] != s12):
                         raise ValueError(
                             f"normal form leaves the basis: {w}, {g}")
-                    assert g == g2 and self._word_sigma[w] == s12
                     row[self.index[(w, g)]] = c
 
     def graded(self):

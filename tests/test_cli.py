@@ -129,6 +129,43 @@ class TestVerify:
         assert len(captured.err.splitlines()) == 1
         assert "fuel must be a whole number" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["--budget-sec=-1"], ["--budget-sec", "-1"], ["--budget-sec=-0.5"],
+        ["--budget-sec=nan"], ["--budget-sec", "NaN"], ["--budget-sec=ten"],
+        ["--budget-sec", "-inf"], ["--budget-sec", "-1e3"],
+    ])
+    def test_bad_budget(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "diamond", "--a1", "1", "--a2", "2", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "budget must be a number of seconds" in captured.err
+
+    def test_infinite_budget_passes(self, capsys):
+        assert main(["verify", "diamond", "--a1=1/3", "--a2=-1/2",
+                     "--budget-sec", "inf"]) == 0
+        capsys.readouterr()
+
+    def test_optimized_run_reports_the_same(self):
+        # python -O drops asserts; no check may rest on one
+        argv = ["-m", "hopfs3.cli", "verify", "diamond", "--a1=1/3",
+                "--a2=-1/2", "--json"]
+        src = str(Path(hopfs3.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        runs = []
+        for flags in ([], ["-O"]):
+            proc = subprocess.run([sys.executable, *flags, *argv], env=env,
+                                  capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            reports = json.loads(proc.stdout)
+            for r in reports:
+                del r["ms"]
+            runs.append(reports)
+        assert runs[0] == runs[1]
+
     def test_one_algebra_per_call(self, monkeypatch, capsys):
         # the diamond, hopf and lemmas suites share one table and the hopf
         # and lemmas suites one algebra on it; gr_check adds the

@@ -373,6 +373,20 @@ class TestCIdentity:
         rep = c_identity(H)
         assert rep["ok"], rep["failures"]
 
+    def test_wrong_parameter_rejected(self):
+        # the table of (1, 0), read as if a2 were 2
+        H = build(1, 0)
+        H.a2 = 2
+        assert c_identity(H)["failures"] == [("c1", "value"), ("c2", "value")]
+
+    def test_wrong_comult_rejected(self):
+        # one coefficient of Delta(delta_(12)) doubled
+        H = build(1, 0)
+        comult = H.comult[H.index[((), G["(12)"])]]
+        comult[next(iter(comult))] = 2
+        assert c_identity(H)["failures"] == [("c1", "comult shape"),
+                                             ("c2", "comult shape")]
+
     def test_delta23_coefficient(self, H):
         # coefficient of delta_(23) in x13^2 - x12^2 is 2 a1
         c1 = H.mult(H.x_elt(X13), H.x_elt(X13))

@@ -113,6 +113,14 @@ class TestRuleSystem:
         with pytest.raises(ValueError, match="changes sigma"):
             RuleSystem(rules)
 
+    def test_sigma_changed_after_acceptance_fails_table_build(self):
+        # the same extra tail, put in after RuleSystem accepted rule 4:
+        # the table build refuses the normal form, also under python -O
+        rules = sym_rules()
+        rules.rules[3].rhs[((), G["e"])] = 1
+        with pytest.raises(ValueError, match="leaves the basis"):
+            structure_constants(rules)
+
     def test_inclusion_ambiguity_rejected(self):
         with pytest.raises(ValueError):
             RuleSystem([Rule((X12, X12), {}), Rule((X12, X12, X13), {})])

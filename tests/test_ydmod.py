@@ -1,16 +1,18 @@
-"""Yetter-Drinfeld modules over kS3 and over its dual, and the transport
-of structure between the two sides."""
+"""Yetter-Drinfeld modules over k^{S3}: the coaction, the action and the
+braiding read from it, the induced simples, and the axiom checker."""
 
 import pytest
 
 from hopfs3.groups import parse_perm, symmetric_group, transposition
-from hopfs3.ydmod import (YDError, braid_relation_holds, dual_braiding,
-                          dualize, induce, simples_list, undualize, v3)
+from hopfs3.ydmod import (YDError, braid_relation_holds, induce, simples_list,
+                          v3)
 
 S3 = symmetric_group(3)
 T12 = transposition(3, 1, 2)
 T13 = transposition(3, 1, 3)
 T23 = transposition(3, 2, 3)
+E = parse_perm("e", 3)
+C123 = parse_perm("(123)", 3)
 
 
 class TestV3:
@@ -18,17 +20,26 @@ class TestV3:
         V = v3()
         assert V.dim == 3
         assert sorted(map(str, V.labels)) == ["(12)", "(13)", "(23)"]
-        assert all(V.degree[t] == t for t in V.labels)
+        assert all(V.dual_degree[t] == t for t in V.labels)
 
     def test_axioms(self):
         assert v3().axiom_failures() == []
 
     def test_signed_conjugation_action(self):
         V = v3()
-        assert V.act_label(T12, T13) == {T23: -1}
-        assert V.act_label(T12, T12) == {T12: -1}
-        c123 = parse_perm("(123)", 3)
-        assert V.act_label(c123, T12) == {T23: 1}
+        assert V.act(T12, {T13: 1}) == {T23: -1}
+        assert V.act(T12, {T12: 1}) == {T12: -1}
+        assert V.act(C123, {T12: 1}) == {T23: 1}
+        assert V.act(T12, {T12: 2, T13: 5}) == {T12: -2, T23: -5}
+
+    def test_coaction(self):
+        # lambda(x_t) = sum_g sgn(g) delta_g (x) x_{g^-1 t g}
+        lam = v3().coaction[T12]
+        assert len(lam) == 6
+        assert lam[(E, T12)] == 1
+        assert lam[(T13, T23)] == -1
+        # g = (123): g^-1 (12) g = (13)
+        assert lam[(C123, T13)] == 1
 
     def test_braiding(self):
         c = v3().braiding()
@@ -38,6 +49,28 @@ class TestV3:
 
     def test_braid_relation(self):
         assert braid_relation_holds(v3())
+
+
+class TestAxiomControls:
+    """Each perturbation of v3 breaks one axiom that axiom_failures checks."""
+
+    def test_negated_coefficient_breaks_coassociativity(self):
+        V = v3()
+        V.coaction[T12][(T13, T23)] *= -1
+        assert V.axiom_failures() == [
+            f"coaction not coassociative on {t}" for t in V.labels]
+
+    def test_wrong_dual_degree_breaks_yd_condition(self):
+        V = v3()
+        V.dual_degree[T12] = C123
+        bad = V.axiom_failures()
+        assert len(bad) == 9
+        assert all("leaves dual degree" in b for b in bad)
+
+    def test_identity_coefficient_breaks_counit(self):
+        V = v3()
+        V.coaction[T12][(E, T12)] = 2
+        assert V.axiom_failures()[0] == "counit fails on (12)"
 
 
 class TestInducedSimples:
@@ -50,9 +83,18 @@ class TestInducedSimples:
         assert sum(dims) == 16
 
     def test_every_simple_is_yd(self):
+        # counit, coassociativity and the YD condition, on every label
         for g, irr, M in simples_list(S3):
             assert M.axiom_failures() == [], (g, irr.name)
             assert braid_relation_holds(M), (g, irr.name)
+
+    def test_braiding_from_the_action(self):
+        # c(u (x) v) = deg(u).v (x) u, deg(u) = dual_degree(u)^-1
+        for g, irr, M in simples_list(S3):
+            expect = {(u, v): {(o, u): x for o, x in
+                               M.act(M.dual_degree[u].inv(), {v: 1}).items()}
+                      for u in M.labels for v in M.labels}
+            assert M.braiding() == expect, (g, irr.name)
 
     def test_v3_is_the_sign_induction(self):
         # M((12), sgn) is v3 up to relabeling: same degrees, same braiding
@@ -62,10 +104,10 @@ class TestInducedSimples:
                    if r.dim == 1 and any(r(g)[0][0] == -1 for g in cent))
         M = induce(T12, sgn, S3)
         assert M.dim == 3
-        assert sorted(str(M.degree[l]) for l in M.labels) == \
+        assert sorted(str(M.dual_degree[l]) for l in M.labels) == \
             ["(12)", "(13)", "(23)"]
         V = v3()
-        relabel = {l: M.degree[l] for l in M.labels}
+        relabel = {l: M.dual_degree[l] for l in M.labels}
 
         # isomorphic via a diagonal sign change b_l -> eps_l x_{deg l};
         # the sign pattern depends on the coset representative choice
@@ -73,8 +115,8 @@ class TestInducedSimples:
             for g in S3:
                 for l in M.labels:
                     img = {relabel[o]: c * eps[o] * eps[l]
-                           for o, c in M.act_label(g, l).items()}
-                    if img != V.act_label(g, relabel[l]):
+                           for o, c in M.act(g, {l: 1}).items()}
+                    if img != V.act(g, {relabel[l]: 1}):
                         return False
             return True
 
@@ -88,41 +130,3 @@ class TestInducedSimples:
                           and all(r(g)[0][0] == 1 for g in S3))
         with pytest.raises(YDError):
             induce(T12, trivial_s3, S3)
-
-
-class TestDualSide:
-    def test_dualize_v3_structure(self):
-        W = dualize(v3())
-        # dual degree of x_t is t^-1 = t for transpositions
-        assert all(W.dual_degree[t] == t for t in W.labels)
-        # coaction lambda(x_t) = sum_g sgn(g) delta_g (x) x_{g^-1 t g}
-        lam = W.coaction[T12]
-        assert len(lam) == 6
-        assert lam[(parse_perm("e", 3), T12)] == 1
-        assert lam[(T13, T23)] == -1
-        c123 = parse_perm("(123)", 3)
-        # g = (123): g^-1 (12) g = (13)
-        assert lam[(c123, T13)] == 1
-
-    def test_act_delta_projects(self):
-        W = dualize(v3())
-        x = {T12: 2, T13: 5}
-        assert W.act_delta(T12, x) == {T12: 2}
-        assert W.act_delta(parse_perm("e", 3), x) == {}
-
-    def test_dual_axioms(self):
-        for _, _, M in simples_list(S3):
-            W = dualize(M)
-            assert W.coaction_coassociative()
-            assert W.yd_compatible()
-
-    def test_roundtrip(self):
-        for _, _, M in simples_list(S3):
-            M2 = undualize(dualize(M))
-            assert M2.labels == M.labels
-            assert M2.degree == M.degree
-            assert M2.action == M.action
-
-    def test_transported_braiding_matches(self):
-        V = v3()
-        assert dual_braiding(dualize(V)) == V.braiding()
