@@ -155,19 +155,15 @@ def _suite_hopf(args) -> list:
                         "terms_compared": rep["terms_compared"],
                         "scalars": rep["scalars"]},
                        witness + rep["failures"], t0))
-    t0 = time.perf_counter()
-    rep = verify_hopf_ideal(H)
-    out.append(_report("hopf.ideal", rep["ok"], {}, rep["failures"], t0))
-    t0 = time.perf_counter()
-    rep = c_identity(H)
-    out.append(_report("hopf.c_identity", rep["ok"], {}, rep["failures"], t0))
-    t0 = time.perf_counter()
-    rep = coradical_certificate(H)
-    out.append(_report("hopf.coradical", rep["ok"],
-                       {"conclusion": rep["conclusion"]}, rep["failures"], t0))
-    t0 = time.perf_counter()
-    rep = gr_check(H)
-    out.append(_report("hopf.graded", rep["ok"], {}, rep["failures"], t0))
+    for name, check, keys in (
+            ("hopf.ideal", verify_hopf_ideal, ("elements",)),
+            ("hopf.c_identity", c_identity, ("values", "comult_shapes")),
+            ("hopf.coradical", coradical_certificate, ("conclusion",)),
+            ("hopf.graded", gr_check, ("products",))):
+        t0 = time.perf_counter()
+        rep = check(H)
+        out.append(_report(name, rep["ok"], {k: rep[k] for k in keys},
+                           rep["failures"], t0))
     return out
 
 

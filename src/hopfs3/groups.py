@@ -66,19 +66,7 @@ class Perm(tuple):
         return inverse
 
     def sign(self) -> int:
-        seen = [False] * len(self)
-        sign = 1
-        for i in range(len(self)):
-            if seen[i]:
-                continue
-            j, length = i, 0
-            while not seen[j]:
-                seen[j] = True
-                j = self[j] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
+        return (-1) ** sum(len(c) - 1 for c in self.cycles())
 
     def is_identity(self) -> bool:
         return all(self[i] == i + 1 for i in range(len(self)))

@@ -22,7 +22,8 @@ from itertools import chain, product
 from .coalg import (DualGroupCoalgebra, FinCoalgebra, dual_basis_e,
                     matrix_coefficients, simple_subcoalgebras_of_dual_group)
 from .groups import Perm, builtin_irreps, identity, symmetric_group
-from .linalg import add_into, linear, rank, vec_add, vec_scale, vec_tensor
+from .linalg import (add_into, linear, pruned, rank, vec_add, vec_scale,
+                     vec_tensor)
 from .rewrite import (GENERATORS, MultTable, S3, X12, X13, X23,
                       _full_tail, default_rules, format_smash, sigma,
                       structure_constants)
@@ -40,9 +41,11 @@ class Hopf72:
         self.labels = table.labels
         self.index = table.index
         self.dim = table.dim
-        self._tag = {}            # index -> sigma(w)^-1 g, the tail-compat tag
-        for i, (w, g) in enumerate(self.labels):
-            self._tag[i] = sigma(w).inv() * g
+        # e_p e_r is structurally zero unless the tail g of p is the
+        # tail-compat tag sigma(w)^-1 g of r; both as positions in S3
+        code = {g: n for n, g in enumerate(S3)}
+        self._tail = [code[g] for (_w, g) in self.labels]
+        self._tag = [code[sigma(w).inv() * g] for (w, g) in self.labels]
         self.counit = [1 if (not w and g == E3) else 0
                        for (w, g) in self.labels]
         # lambda(x_t) = sum c delta_h (x) x_u, the coaction of V over k^{S3}
@@ -93,51 +96,56 @@ class Hopf72:
 
     def packed(self, layout) -> "Hopf72":
         """A copy whose product table, Delta and S hold layout-encoded
-        coefficients, each at its weight; see scalars.sweep_layout."""
+        coefficients, each at its weight (see scalars.sweep_layout); each
+        Delta(e_i) is Joined, so its groupings are built once."""
         out = copy.copy(self)
         out.table = self.table.packed(layout)
-        out.comult = [{} for _ in self.comult]
+        out.comult = [Joined() for _ in self.comult]
         out.antipode = [{} for _ in self.antipode]
         for name, i, key, c, weight in self.graded():
             getattr(out, name)[i][key] = layout.encode(c, weight)
+        for d in out.comult:
+            d.by_tails = out._grouped(d, out._tail)
+            d.by_tags = out._grouped(d, out._tag)
         return out
 
     # -- tensor square arithmetic ----------------------------------------
 
-    def tag_buckets(self, y: dict) -> dict:
-        """The terms of y in A (x) A grouped by the tail-compat tags of
-        their two legs."""
-        buckets: dict = {}
-        for (i2, j2), c in y.items():
-            buckets.setdefault((self._tag[i2], self._tag[j2]), []).append(
-                ((i2, j2), c))
-        return buckets
-
-    def tensor_mult(self, x: dict, y: dict, buckets: dict = None) -> dict:
-        """Componentwise product on A (x) A, bucketed by tail-compat tags
-        so structurally zero pairs are never touched; buckets, when given,
-        is tag_buckets(y)."""
-        if buckets is None:
-            buckets = self.tag_buckets(y)
+    def _grouped(self, x: dict, code: list) -> dict:
+        """The terms (p, q, c) of x in A (x) A grouped by code[p], code[q]."""
         out: dict = {}
-        rows = self.table.rows
-        for (i1, j1), c1 in x.items():
-            left_row, right_row = rows[i1], rows[j1]
-            g1 = self.labels[i1][1]
-            h1 = self.labels[j1][1]
-            for (i2, j2), c2 in buckets.get((g1, h1), ()):
-                left = left_row[i2]
-                if not left:
-                    continue
-                right = right_row[j2]
-                if not right:
-                    continue
-                c = c1 * c2
-                for l, cl in left.items():
-                    ccl = c * cl
-                    for m, cm in right.items():
-                        add_into(out, (l, m), ccl * cm)
+        for (p, q), c in x.items():
+            out.setdefault(code[p] * len(S3) + code[q], []).append((p, q, c))
         return out
+
+    def tensor_mult(self, x: dict, y: dict) -> dict:
+        """Componentwise product on A (x) A, as a join: the terms of x,
+        grouped by the tails of their two legs, meet only the terms of y
+        whose legs carry the same tail-compat tags, which are exactly the
+        pairs of terms whose product can be non-zero.  The products are
+        summed on int keys l * dim + m and pruned once, at the end.  A
+        Joined factor brings its groupings; a plain dict is grouped here."""
+        xb = (x.by_tails if isinstance(x, Joined)
+              else self._grouped(x, self._tail))
+        yb = y.by_tags if isinstance(y, Joined) else self._grouped(y, self._tag)
+        rows, dim = self.table.rows, self.dim
+        acc: dict = {}
+        get = acc.get
+        for key in xb.keys() & yb.keys():
+            ys = yb[key]
+            for p, q, c1 in xb[key]:
+                left_row, right_row = rows[p], rows[q]
+                for r, s, c2 in ys:
+                    left, right = left_row[r], right_row[s]
+                    if not (left and right):
+                        continue
+                    c = c1 * c2
+                    right = right.items()
+                    for l, cl in left.items():
+                        ccl, base = c * cl, l * dim
+                        for m, cm in right:
+                            acc[base + m] = get(base + m, 0) + ccl * cm
+        return pruned(acc, self.dim)
 
     # -- generator structure maps ----------------------------------------
 
@@ -175,6 +183,13 @@ class Hopf72:
         return acc
 
 
+class Joined(dict):
+    """An element of A (x) A whose terms Hopf72.packed grouped once for
+    tensor_mult: by the tails of their legs, for a left factor, and by
+    their tail-compat tags, for a right one.  Not to be changed after."""
+    __slots__ = ("by_tails", "by_tags")
+
+
 def build(a1, a2, table: MultTable = None) -> Hopf72:
     """The algebra at (a1, a2) on the given product table, by default the
     table of default_rules(a1, a2)."""
@@ -192,9 +207,11 @@ def axiom_layout(H: Hopf72):
 
     With D, R and A the most terms of a Delta(e_i), a product e_i e_k and
     an S(e_i): a product in tensor_mult has four factors, and its
-    accumulator at most D^2 R^2 summands; the antipode convolutions sum at
-    most D A R products of four factors (c, S, 1, row); coassociativity
-    (D^2 summands) and Delta of a product (R D) stay below both."""
+    accumulator at most D^2 R^2 summands (the join only skips products
+    that are structurally zero, and only final sums are tested for 0);
+    the antipode convolutions sum at most D A R products of four factors
+    (c, S, 1, row); coassociativity (D^2 summands) and Delta of a product
+    (R D) stay below both."""
     rows = H.table.rows
     most_d = max(map(len, H.comult))
     most_r = max(len(e) for row in rows for e in row)
@@ -229,16 +246,14 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
 
         conv_l = linear(lambda pq: H.mult(H.antipode[pq[0]], {pq[1]: 1}), d)
         conv_r = linear(lambda pq: H.mult({pq[0]: 1}, H.antipode[pq[1]]), d)
-        expected = {k: H.counit[i] * c for k, c in H.unit().items()
-                    if H.counit[i]}
+        expected = vec_scale(H.counit[i], H.unit())
         if conv_l != expected or conv_r != expected:
             failures.append(("antipode", i))
 
-    buckets = [H.tag_buckets(d) for d in H.comult]
     checked_pairs = terms_compared = 0
     for i, k in product(range(H.dim), repeat=2):
         lhs = H.delta(H.table.mult_basis(i, k))
-        rhs = H.tensor_mult(H.comult[i], H.comult[k], buckets[k])
+        rhs = H.tensor_mult(H.comult[i], H.comult[k])
         checked_pairs += 1
         terms_compared += len(rhs)
         if lhs != rhs:
@@ -281,9 +296,7 @@ def coideal_elements(a1, a2) -> list:
     out = []
     for i, t in enumerate((X13, X23)):
         # c_i - a_i + sum_j a_j e_ij, with c_i = x_t^2 - x12^2
-        elt = _full_tail(((t, t), 1), ((X12, X12), -1))
-        for g in S3:
-            add_into(elt, ((), g), -a[i])
+        elt = _full_tail(((t, t), 1), ((X12, X12), -1), ((), -a[i]))
         for j in range(2):
             for g, c in e[(i + 1, j + 1)].items():
                 add_into(elt, ((), g), a[j] * c)
@@ -304,8 +317,8 @@ def verify_hopf_ideal(H: Hopf72) -> dict:
     so Delta and S of a relation are pushed through Hopf72.word_comult and
     word_antipode, the maps that build the tables, and must vanish."""
     failures = []
-    for name, r in (H.table.rules.relations()
-                    + coideal_elements(H.a1, H.a2)):
+    elements = H.table.rules.relations() + coideal_elements(H.a1, H.a2)
+    for name, r in elements:
         if r.get(((), E3), 0):
             failures.append((name, "counit"))
         if H.from_smash(r):
@@ -314,7 +327,8 @@ def verify_hopf_ideal(H: Hopf72) -> dict:
             failures.append((name, "comult not in I(x)A + A(x)I"))
         if linear(lambda wg: H.word_antipode(*wg), r):
             failures.append((name, "antipode not in I"))
-    return {"failures": failures, "ok": not failures}
+    return {"elements": len(elements), "failures": failures,
+            "ok": not failures}
 
 
 def c_identity(H: Hopf72) -> dict:
@@ -324,19 +338,21 @@ def c_identity(H: Hopf72) -> dict:
     shape Delta(cb_i) = cb_i (x) 1 + sum_j e_ij (x) cb_j."""
     e = _dual_e()
     failures = []
-    for i, (_name, rel) in enumerate(coideal_elements(H.a1, H.a2)[:2]):
+    values = coideal_elements(H.a1, H.a2)[:2]
+    for i, (_name, rel) in enumerate(values):
         if H.from_smash(rel):
             failures.append((f"c{i + 1}", "value"))
     cbar = [H.from_smash(_full_tail(((t, t), 1), ((X12, X12), -1)))
             for t in (X13, X23)]
-    for i in range(2):
+    for i in range(len(cbar)):
         rhs = vec_tensor(cbar[i], H.unit())
         for j in range(2):
             e_ij = {H.index[((), g)]: c for g, c in e[(i + 1, j + 1)].items()}
             rhs = vec_add(rhs, vec_tensor(e_ij, cbar[j]))
         if H.delta(cbar[i]) != rhs:
             failures.append((f"c{i + 1}", "comult shape"))
-    return {"failures": failures, "ok": not failures}
+    return {"values": len(values), "comult_shapes": len(cbar),
+            "failures": failures, "ok": not failures}
 
 
 # -- filtration, adjoint pieces, structural lemmas --------------------------
@@ -430,8 +446,7 @@ def lemma31_suite(H: Hopf72) -> dict:
 
     # (d) supp F_1 and (e) F_1^e = k^{S3}
     supp = sorted({tags[i] for i in range(H.dim) if n[i] <= 1})
-    expected_supp = sorted({E3} | {t for t in GENERATORS})
-    if supp != expected_supp:
+    if supp != sorted({E3, *GENERATORS}):
         failures.append(("supp-F1", [str(s) for s in supp]))
     f1e = [i for i in range(H.dim) if n[i] <= 1 and tags[i] == E3]
     if sorted(f1e) != sorted(H.index[((), g)] for g in S3):
@@ -485,20 +500,22 @@ def gr_check(H: Hopf72) -> dict:
     table = H.table
     table0 = structure_constants(default_rules(0, 0))
     if table0.labels != table.labels:
-        return {"failures": [("labels",)], "ok": False}
+        return {"products": 0, "failures": [("labels",)], "ok": False}
     n = table.grading
     failures = []
-    for i, (w1, _g1) in enumerate(table.labels):
-        for k in table.compatible_followers(i):
-            w2, h = table.labels[k]
-            top = n[i] + n[k]
-            row0 = table0.rows[i][k]
-            if any(n[l] != top for l in row0):
-                failures.append(("graded0", w1, w2, str(h)))
-            if ({l: c for l, c in table.rows[i][k].items() if n[l] == top}
-                    != {l: c for l, c in row0.items() if n[l] == top}):
-                failures.append(("top-part", w1, w2, str(h)))
-    return {"failures": failures, "ok": not failures}
+    pairs = [(i, k) for i in range(table.dim)
+             for k in table.compatible_followers(i)]
+    for i, k in pairs:
+        (w1, _g1), (w2, h) = table.labels[i], table.labels[k]
+        top = n[i] + n[k]
+        row0 = table0.rows[i][k]
+        if any(n[l] != top for l in row0):
+            failures.append(("graded0", w1, w2, str(h)))
+        if ({l: c for l, c in table.rows[i][k].items() if n[l] == top}
+                != {l: c for l, c in row0.items() if n[l] == top}):
+            failures.append(("top-part", w1, w2, str(h)))
+    return {"products": len(pairs), "failures": failures,
+            "ok": not failures}
 
 
 def dump_tables(H: Hopf72) -> str:

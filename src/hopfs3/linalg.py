@@ -4,9 +4,9 @@ Sparse vectors are ``{key: coeff}`` dicts that never store a zero
 coefficient, so two vectors are equal exactly when their dicts are equal
 and a vector is zero exactly when its dict is empty.  Every certificate
 ends in such a comparison; the kernel below is the one place that keeps
-the rule.  Products of nonzero scalars are nonzero in every scalar domain
-of the package, so scaling and tensoring zero-free vectors needs no
-pruning.
+the rule (``pruned`` ends a sum accumulated without ``add_into``).
+Products of nonzero scalars are nonzero in every scalar domain of the
+package, so scaling and tensoring zero-free vectors needs no pruning.
 
 Row reduction only ever divides by invertible scalars.  Over polynomial
 scalars that means nonzero constants: if elimination would require
@@ -28,6 +28,12 @@ def add_into(acc: dict, key, c) -> None:
         acc[key] = s
     elif key in acc:
         del acc[key]
+
+
+def pruned(acc: dict, dim: int) -> dict:
+    """The non-zero entries of an A (x) A accumulator summed on int keys
+    l * dim + m without add_into, keyed (l, m): its one pruning."""
+    return {divmod(k, dim): c for k, c in acc.items() if c}
 
 
 def vec_add(u: dict, v: dict) -> dict:

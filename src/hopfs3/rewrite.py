@@ -79,17 +79,11 @@ class GrowthError(RuntimeError):
 
 # -- SmashElt helpers (plain dicts {(word, g): coeff}) ----------------------
 
-def smash_sorted_items(x: dict):
-    return sorted(x.items(), key=lambda kv: (word_key(kv[0][0]), kv[0][1]))
-
-
 def format_smash(x: dict) -> str:
-    if not x:
-        return "0"
-    parts = []
-    for (w, g), c in smash_sorted_items(x):
-        parts.append(f"({c})*{_word_name(w) or '1'}.d{g}")
-    return " + ".join(parts)
+    """sum c w delta_g as text, ordered by word_key, then by g."""
+    items = sorted(x.items(), key=lambda kv: (word_key(kv[0][0]), kv[0][1]))
+    return " + ".join(f"({c})*{_word_name(w) or '1'}.d{g}"
+                      for (w, g), c in items) or "0"
 
 
 def _word_name(w) -> str:
@@ -445,41 +439,39 @@ def check_associativity(table: MultTable) -> dict:
     The sweep runs on ints (scalars.sweep_layout): polynomial structure
     constants are compared Kronecker-packed, each side summing at most
     R^2 products of two constants, R the most terms of a product of
-    basis elements; at a rational point the basis is rescaled."""
+    basis elements; at a rational point the basis is rescaled.  Both
+    sides are summed, over the rows' items, into one difference, which
+    vanishes exactly when the packed sides are equal: the bounds are
+    those of each side."""
     most = max(len(e) for row in table.rows for e in row)
     layout = sweep_layout(((c, n) for *_, c, n in table.graded()),
                           factors=2, summands=most * most)
     table = table.packed(layout)
+    items = [[tuple(e.items()) for e in row] for row in table.rows]
+    followers = [table.compatible_followers(i) for i in range(table.dim)]
     failures = []
     checked = 0
-    triples = ((i, j, k)
-               for i in range(table.dim)
-               for j in table.compatible_followers(i)
-               for k in table.compatible_followers(j))
-    for (i, j, k) in triples:
-        xy = table.mult_basis(i, j)
-        lhs: dict = {}
-        for l, c in xy.items():
-            for m, c2 in table.mult_basis(l, k).items():
-                add_into(lhs, m, c * c2)
-        yz = table.mult_basis(j, k)
-        rhs: dict = {}
-        for l, c in yz.items():
-            for m, c2 in table.mult_basis(i, l).items():
-                add_into(rhs, m, c * c2)
-        checked += 1
-        if lhs != rhs:
-            failures.append((i, j, k))
+    for i, row_i in enumerate(items):
+        for j in followers[i]:
+            for k in followers[j]:
+                diff: dict = {}
+                get = diff.get
+                for l, c in row_i[j]:
+                    for m, c2 in items[l][k]:
+                        diff[m] = get(m, 0) + c * c2
+                for l, c in items[j][k]:
+                    for m, c2 in row_i[l]:
+                        diff[m] = get(m, 0) - c * c2
+                checked += 1
+                if any(diff.values()):
+                    failures.append((i, j, k))
     return {"checked": checked, "failures": failures, "ok": not failures,
             "scalars": str(layout)}
 
 
 def hilbert_series(words) -> list:
     """Counts of basis words per length, as a list indexed by degree."""
-    if not words:
-        return []
-    top = max(len(w) for w in words)
-    out = [0] * (top + 1)
+    out = [0] * (max(map(len, words), default=-1) + 1)
     for w in words:
         out[len(w)] += 1
     return out

@@ -203,6 +203,15 @@ class TestVerify:
         assert counts["diamond.associativity"]["scalars"] == \
             "kronecker B=8 K=7"
 
+    def test_hopf_checks_report_counts(self, capsys):
+        assert main(["verify", "hopf", "--json", "--a1=1/3",
+                     "--a2=-1/2"]) == 0
+        counts = {r["check"]: r["counts"]
+                  for r in json.loads(capsys.readouterr().out)}
+        assert counts["hopf.ideal"] == {"elements": 11}
+        assert counts["hopf.c_identity"] == {"values": 2, "comult_shapes": 2}
+        assert counts["hopf.graded"] == {"products": 72 * 12}
+
     def test_isotypics_failure_is_reported(self, extra_row_term,
                                            monkeypatch, capsys):
         # ad delta_e is no longer diagonal on delta_(23): the suite reports

@@ -15,8 +15,8 @@ from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build, c_identity,
                            coideal_elements, coradical_certificate,
                            dump_tables, gr_check, lemma31_suite,
                            verify_hopf_axioms, verify_hopf_ideal)
-from hopfs3.linalg import vec_add, vec_scale, vec_tensor
-from hopfs3.hopf72 import Hopf72
+from hopfs3.linalg import add_into, vec_add, vec_scale, vec_tensor
+from hopfs3.hopf72 import Hopf72, Joined
 from hopfs3.rewrite import (S3, X12, X13, X23, Rule, RuleSystem, _full_tail,
                             default_rules, structure_constants)
 from hopfs3.scalars import PolyRing, Rescale, ScalarKindError
@@ -115,11 +115,36 @@ class TestStructureMaps:
             rhs = H.mult(H.S({k: 1}), H.S({i: 1}))
             assert lhs == rhs, (i, k)
 
-    def test_tensor_mult_with_buckets(self, H):
-        for i, k in ((0, 0), (7, 54), (40, 13), (71, 71)):
-            x, y = H.comult[i], H.comult[k]
-            assert H.tensor_mult(x, y, H.tag_buckets(y)) == \
-                H.tensor_mult(x, y)
+    def test_tensor_mult_matches_unjoined_sum(self, H):
+        # the joined product against the sum over every pair of terms, on
+        # 8 pairs (i, k) with e_i e_k != 0 at (0, 0) and 8 incompatible
+        # ones: symbolically, at (0, 0), and on the packed copy, whose
+        # Delta(e_i) are Joined
+        H0 = build(0, 0)
+        rng = random.Random(12)
+        pairs = []
+        for i in rng.sample(range(H.dim), 8):
+            followers = H.table.compatible_followers(i)
+            pairs += [(i, rng.choice([k for k in followers
+                                      if H0.table.rows[i][k]])),
+                      (i, rng.choice([k for k in range(H.dim)
+                                      if k not in followers]))]
+        packed = H.packed(axiom_layout(H))
+        assert isinstance(packed.comult[0], Joined)
+        for alg in (H, H0, packed):
+            nonzero = []
+            for i, k in pairs:
+                x, y = alg.comult[i], alg.comult[k]
+                expected: dict = {}
+                for ((p, q), c1), ((r, s), c2) in itertools.product(
+                        x.items(), y.items()):
+                    for key, c in vec_tensor(alg.mult({p: 1}, {r: 1}),
+                                             alg.mult({q: 1}, {s: 1})).items():
+                        add_into(expected, key, c1 * c2 * c)
+                assert alg.tensor_mult(x, y) == expected, (i, k)
+                nonzero.append(bool(expected))
+            # Delta(e_i) Delta(e_k) = Delta(e_i e_k)
+            assert nonzero == [True, False] * 8
 
     def test_tensor_mult_componentwise(self, H):
         rng = random.Random(9)
@@ -128,6 +153,18 @@ class TestStructureMaps:
             lhs = H.tensor_mult(vec_tensor(a, b), vec_tensor(c, d))
             rhs = vec_tensor(H.mult(a, c), H.mult(b, d))
             assert lhs == rhs
+
+    def test_axioms_call_tensor_mult_once_per_pair(self, Hnum, monkeypatch):
+        calls = []
+        tensor_mult = Hopf72.tensor_mult
+
+        def counted(self, x, y):
+            calls.append(1)
+            return tensor_mult(self, x, y)
+
+        monkeypatch.setattr(Hopf72, "tensor_mult", counted)
+        assert verify_hopf_axioms(Hnum)["ok"]
+        assert len(calls) == 72 * 72
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_word_maps_match_tables(self, H, n):
