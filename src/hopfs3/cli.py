@@ -131,7 +131,8 @@ def _suite_diamond(args) -> list:
         rep = {"mode": "exhaustive", **check_associativity(table)}
     out.append(_report("diamond.associativity", rep["ok"],
                        {"mode": rep["mode"], "checked": rep["checked"],
-                        "scalars": rep.get("scalars"), "params": label},
+                        "scalars": rep.get("scalars"), "params": label,
+                        "stats": table.stats},
                        rep["failures"][:5], t0))
     return out
 

@@ -44,16 +44,19 @@ class FinCoalgebra:
 
     def coassociative_at(self, label) -> bool:
         """(Delta (x) id) Delta == (id (x) Delta) Delta on the basis
-        element label."""
+        element label: both sides are summed on 3-tuple keys into one
+        difference, which must vanish."""
         comult = self.comult
-        lhs: dict = {}
-        rhs: dict = {}
+        diff: dict = {}
+        get = diff.get
         for (p, q), c in comult[label].items():
             for (p1, p2), c2 in comult[p].items():
-                add_into(lhs, (p1, p2, q), c * c2)
+                key = (p1, p2, q)
+                diff[key] = get(key, 0) + c * c2
             for (q1, q2), c2 in comult[q].items():
-                add_into(rhs, (p, q1, q2), c * c2)
-        return lhs == rhs
+                key = (p, q1, q2)
+                diff[key] = get(key, 0) - c * c2
+        return not any(diff.values())
 
     def counit_at(self, label) -> bool:
         """(eps (x) id) Delta == id == (id (x) eps) Delta on the basis

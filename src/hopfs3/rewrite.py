@@ -3,9 +3,12 @@
 Elements are finite sums of w * delta_g with w a word in the generators
 x12, x13, x23 (stored as the corresponding transpositions) and g in S3.
 The delta-commutation delta_g x_t = x_t delta_{t g} is built into this
-representation, so the only oriented rules are the eight x-word rules;
-a rule applied under a tail keeps exactly the rhs terms whose own tail
-matches after shifting past the suffix.
+representation, so the only oriented rules are the eight x-word rules.
+A rule applied to w delta_g at a redex u lhs v keeps exactly the rhs
+terms whose tail is sigma(v)^-1 g, so one rewrite of the word w serves
+every tail: RuleSystem reduces words whose coefficients are functions on
+S_n (Tails, the ring k^{S_n}), and the normal form of w delta_g is the
+g-slice of the normal form of w.
 
 No monomial order is assumed to terminate reduction.  Instead the system
 is certified three ways: fuel-bounded termination, resolution of every
@@ -18,6 +21,7 @@ makes the structural zero-filter in the associativity sweep rigorous.
 from __future__ import annotations
 
 import copy
+import functools
 from collections import deque
 from fractions import Fraction
 
@@ -77,6 +81,40 @@ class GrowthError(RuntimeError):
     pass
 
 
+class Tails(dict):
+    """A function on S_n as {g: value}, never storing a zero: the
+    coefficient of a word, standing for sum_g value(g) w delta_g.  Sum
+    and product are pointwise, so Tails form the ring k^{S_n}."""
+
+    __slots__ = ()
+
+    def __add__(self, other: "Tails") -> "Tails":
+        out = Tails(self)
+        for g, c in other.items():
+            add_into(out, g, c)
+        return out
+
+    def __radd__(self, zero) -> "Tails":
+        """0 + f, where add_into starts a sum."""
+        return self
+
+    def __mul__(self, other: "Tails") -> "Tails":
+        if len(other) < len(self):
+            self, other = other, self
+        return Tails({g: c * other[g] for g, c in self.items() if g in other})
+
+
+@functools.cache
+def _unit(n: int) -> Tails:
+    """The unit of k^{S_n}: 1 at every g."""
+    return Tails.fromkeys(symmetric_group(n), 1)
+
+
+def _slice(x: dict, g: Perm) -> dict:
+    """The g-slice {(w, g): f(g)} of a word vector {w: f}."""
+    return {(w, g): f[g] for w, f in x.items() if g in f}
+
+
 # -- SmashElt helpers (plain dicts {(word, g): coeff}) ----------------------
 
 def format_smash(x: dict) -> str:
@@ -130,7 +168,10 @@ class RuleSystem:
     def __init__(self, rules, fuel: int = FUEL_DEFAULT):
         self.rules = list(rules)
         self.fuel = fuel
-        self._memo: dict = {}
+        self._normal_forms: dict = {}      # word -> {word: Tails}
+        # word normal forms asked for, and the fuel their rewrites spent
+        self.reductions = 0
+        self.rewrite_steps = 0
         lhss = [r.lhs for r in self.rules]
         for i, a in enumerate(lhss):
             for j, b in enumerate(lhss):
@@ -168,32 +209,50 @@ class RuleSystem:
         redex = find_redex(word, self._by_len)
         return redex and (redex[0], self._rule_of[redex[1]])
 
-    def apply_rule_at(self, word, g: Perm, pos: int, rule_index: int) -> dict:
-        """One elementary rewrite of w dg at the given redex."""
+    def _rewrite(self, word, pos: int, rule_index: int) -> dict:
+        """One elementary rewrite of the word at the given redex under
+        every tail at once, as {word: Tails}: the rhs term (w_i, h_i)
+        lands on the tail sigma(v) h_i, v the suffix after the redex.
+        The coefficients are read from the rule each time."""
         rule = self.rules[rule_index]
-        L = len(rule.lhs)
-        assert word[pos:pos + L] == rule.lhs
-        u, v = word[:pos], word[pos + L:]
-        target = sigma(v, g.n).inv() * g
+        u, v = word[:pos], word[pos + len(rule.lhs):]
+        s = sigma(v, word[0].n)
         out: dict = {}
         for (wi, hi), c in rule.rhs.items():
-            if hi == target:
-                add_into(out, (u + wi + v, g), c)
+            w = u + wi + v
+            tails = out.get(w)
+            if tails is None:
+                tails = out[w] = Tails()
+            tails[s * hi] = c
         return out
 
-    def _step(self, key):
-        w, g = key
-        redex = self._find_redex(w)
-        return redex and self.apply_rule_at(w, g, *redex)
+    def _rewrite_leftmost(self, word):
+        redex = self._find_redex(word)
+        return redex and self._rewrite(word, *redex)
+
+    def normal_form(self, word: tuple) -> dict:
+        """Normal form of the word under every tail, as {word: Tails};
+        its g-slice is the normal form of word delta_g.  Memoized per
+        system, by word.  One unit of fuel is one rewrite of a word,
+        under every tail; a nontermination trace names each rewritten
+        word with the least tail of its coefficient."""
+        self.reductions += 1
+        nf = self._normal_forms.get(word)
+        if nf is None:
+            one = _unit(self.rules[0].lhs[0].n)
+            try:
+                nf, steps = _normal_form({word: one}, self._rewrite_leftmost,
+                                         self._normal_forms, self.fuel, one)
+            except NonterminationError as exc:
+                exc.trace = [(w, min(tails)) for w, tails in exc.trace]
+                raise
+            self._normal_forms[word] = nf
+            self.rewrite_steps += steps
+        return nf
 
     def reduce_term(self, word, g: Perm) -> dict:
-        """Normal form of w dg; memoized per system."""
-        key = (tuple(word), g)
-        nf = self._memo.get(key)
-        if nf is None:
-            nf = self._memo[key] = _normal_form({key: 1}, self._step,
-                                                self._memo, self.fuel)
-        return nf
+        """Normal form of w dg: the g-slice of normal_form(w)."""
+        return _slice(self.normal_form(tuple(word)), g)
 
     def reduce(self, x: dict) -> dict:
         return linear(lambda wg: self.reduce_term(*wg), x)
@@ -219,12 +278,15 @@ def find_redex(word, by_len: dict):
     return None
 
 
-def _normal_form(x: dict, step, memo: dict, fuel: int) -> dict:
-    """Normal form of the vector x.  step(key) is the one-step rewrite of
-    a key at its leftmost redex, or None when the key is irreducible;
-    irreducible keys are memoized as themselves.  Each rewrite spends one
-    unit of fuel; running out raises NonterminationError with the last
-    TRACE_TAIL rewritten keys, the one that ran out last."""
+def _normal_form(x: dict, step, memo: dict, fuel: int, one=1) -> tuple:
+    """Normal form of the vector x, and the rewrite steps it took.
+    step(key) is the one-step rewrite of a key at its leftmost redex, or
+    None when the key is irreducible; irreducible keys are memoized as
+    {key: one}.  The coefficients lie in a commutative ring with unit
+    one: numbers, or Tails for RuleSystem.  Each rewrite spends one unit
+    of fuel; running out raises NonterminationError with the last
+    TRACE_TAIL rewritten terms (key, coefficient), the one that ran out
+    last."""
     acc: dict = {}
     stack = list(x.items())
     trace = deque(maxlen=TRACE_TAIL)
@@ -234,20 +296,23 @@ def _normal_form(x: dict, step, memo: dict, fuel: int) -> dict:
         hit = memo.get(key)
         if hit is not None:
             for k, c in hit.items():
-                add_into(acc, k, coeff * c)
+                add_into(acc, k, coeff if c is one else coeff * c)
             continue
         out = step(key)
         if out is None:
             add_into(acc, key, coeff)
-            memo[key] = {key: 1}
+            memo[key] = {key: one}
             continue
-        trace.append(key)
+        trace.append((key, coeff))
         fuel -= 1
         if fuel <= 0:
             raise NonterminationError(
                 f"fuel of {budget} rewrite steps exhausted", list(trace))
-        stack.extend((k, coeff * c) for k, c in out.items())
-    return acc
+        for k, c in out.items():
+            c = coeff * c
+            if c:
+                stack.append((k, c))
+    return acc, budget - fuel
 
 
 def _contains(haystack, needle) -> bool:
@@ -338,21 +403,23 @@ def _overlaps(L1, L2) -> list:
 
 
 def resolve_ambiguity(amb, rules: RuleSystem):
-    """Reduce the overlap word both ways (left redex first, right redex
-    first) under every tail; returns (resolved, trace)."""
+    """Rewrite the overlap word both ways (left redex first, right redex
+    first), each once under every tail, and compare the reductions of
+    the two tail by tail; returns (resolved, trace), with one entry
+    (g, left, right, left - right) per tail g where they part."""
     i, j, word = amb
+    right_pos = len(word) - len(rules.rules[j].lhs)
+    left = rules._rewrite(word, 0, i)
+    right = rules._rewrite(word, right_pos, j)
     trace = []
-    ok = True
     for g in S3:
-        left = rules.reduce(rules.apply_rule_at(word, g, 0, i))
-        right_pos = len(word) - len(rules.rules[j].lhs)
-        right = rules.reduce(rules.apply_rule_at(word, g, right_pos, j))
-        if left != right:
-            ok = False
-            diff = vec_add(left, vec_scale(-1, right))
-            trace.append((g, format_smash(left), format_smash(right),
+        lg = rules.reduce(_slice(left, g))
+        rg = rules.reduce(_slice(right, g))
+        if lg != rg:
+            diff = vec_add(lg, vec_scale(-1, rg))
+            trace.append((g, format_smash(lg), format_smash(rg),
                           format_smash(diff)))
-    return ok, trace
+    return not trace, trace
 
 
 # -- the multiplication table -----------------------------------------------
@@ -360,7 +427,9 @@ def resolve_ambiguity(amb, rules: RuleSystem):
 class MultTable:
     """Structure constants of the 72-dimensional algebra over the rule
     system's scalars.  Basis labels are (word, g) pairs ordered deglex
-    then by group element."""
+    then by group element.  Each product w1 w2 of basis words is reduced
+    once, under every tail, and fills the six rows (w1, g1) * (w2,
+    sigma(w2) g1) from its slices."""
 
     def __init__(self, rules: RuleSystem):
         self.rules = rules
@@ -371,22 +440,28 @@ class MultTable:
         self.grading = [len(w) for (w, _g) in self.labels]
         self._word_sigma = {w: sigma(w) for w in self.words}
         # rows[i][k] = e_i e_k as {index: coeff}; w1 dg1 * w2 dg2 is zero
-        # unless g2 = sigma(w2) g1, and then it is the normal form of
-        # w1 w2 dg2, which must lie in the basis with tail g2 and sigma
+        # unless g2 = sigma(w2) g1, and then it is the g2-slice of the
+        # normal form of w1 w2, whose words must lie in the basis with
         # sigma(w1 w2)
+        reductions, steps = rules.reductions, rules.rewrite_steps
         self.rows = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
-        for i, (w1, g1) in enumerate(self.labels):
+        for w1 in self.words:
             for w2 in self.words:
                 s2 = self._word_sigma[w2]
-                g2 = s2 * g1
                 s12 = s2 * self._word_sigma[w1]
-                row = self.rows[i][self.index[(w2, g2)]]
-                for (w, g), c in rules.reduce_term(w1 + w2, g2).items():
-                    if ((w, g) not in self.index or g != g2
-                            or self._word_sigma[w] != s12):
-                        raise ValueError(
-                            f"normal form leaves the basis: {w}, {g}")
-                    row[self.index[(w, g)]] = c
+                nf = rules.normal_form(w1 + w2)
+                for w in nf:
+                    if self._word_sigma.get(w) != s12:
+                        raise ValueError(f"normal form leaves the basis: {w}")
+                for g1 in S3:
+                    g2 = s2 * g1
+                    row = self.rows[self.index[(w1, g1)]][self.index[(w2, g2)]]
+                    for w, tails in nf.items():
+                        if g2 in tails:
+                            row[self.index[(w, g2)]] = tails[g2]
+        # what the build spent: word normal forms asked for, rewrites
+        self.stats = {"reductions": rules.reductions - reductions,
+                      "rewrite_steps": rules.rewrite_steps - steps}
 
     def graded(self):
         """Every structure constant as (i, k, l, c, weight): c is the
@@ -543,7 +618,7 @@ class _WordRules:
         return {u + wi + v: c for wi, c in self.rules[lhs].items()}
 
     def reduce(self, x: dict, fuel: int) -> dict:
-        return _normal_form(x, self._step, self._memo, fuel)
+        return _normal_form(x, self._step, self._memo, fuel)[0]
 
 
 def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):

@@ -248,6 +248,16 @@ class TestVerify:
                   for r in json.loads(capsys.readouterr().out)}
         assert counts["diamond.associativity"]["scalars"] == "rescaled D=6"
 
+    @pytest.mark.parametrize("params", [[], ["--a1=1/3", "--a2=-1/2"]])
+    def test_associativity_reports_table_build_stats(self, params, capsys):
+        # the build reduces each of the 144 products of basis words once,
+        # under every tail, in 220 word rewrites
+        assert main(["verify", "diamond", "--json", *params]) == 0
+        counts = {r["check"]: r["counts"]
+                  for r in json.loads(capsys.readouterr().out)}
+        assert counts["diamond.associativity"]["stats"] == {
+            "reductions": 144, "rewrite_steps": 220}
+
     def test_ambiguity_details_show_difference(self, monkeypatch, capsys):
         # 1 added to the d(12) coefficient of x13 x13 -> (a1 - a2) d(12):
         # each unresolved ambiguity names the first tail where its two

@@ -17,7 +17,7 @@ from hopfs3.rewrite import (GENERATORS, NonterminationError, Rule,
                             overlap_ambiguities, resolve_ambiguity,
                             sigma, smash_mult, structure_constants,
                             uniform_rule, word_key)
-from hopfs3.linalg import vec_add
+from hopfs3.linalg import add_into, vec_add
 from hopfs3.scalars import PolyRing, Rescale
 
 R = PolyRing("a1", "a2")
@@ -163,6 +163,56 @@ def naive_redex(word, rules: RuleSystem):
             if word[p:p + len(r.lhs)] == r.lhs:
                 return p, i
     return None
+
+
+def naive_normal_form(word, g, rules: RuleSystem) -> dict:
+    """w dg reduced term by term under the one tail g, always at the
+    leftmost redex: no memo and no tail vectors."""
+    out: dict = {}
+    stack = [(tuple(word), 1)]
+    while stack:
+        w, c = stack.pop()
+        redex = naive_redex(w, rules)
+        if redex is None:
+            add_into(out, (w, g), c)
+            continue
+        p, i = redex
+        rule = rules.rules[i]
+        u, v = w[:p], w[p + len(rule.lhs):]
+        # (u lhs v) dg keeps the rhs terms with tail sigma(v)^-1 g
+        target = sigma(v, g.n).inv() * g
+        for (wi, hi), ci in rule.rhs.items():
+            if hi == target:
+                stack.append((u + wi + v, c * ci))
+    return out
+
+
+class TestAgainstNaiveRewriter:
+    """Word-keyed normal forms, sliced per tail, against the naive
+    per-(word, g) rewriter above."""
+
+    @pytest.mark.parametrize("point", ["symbolic", "(1/3,-1/2)", "(0,0)"])
+    def test_reduce_term_on_random_words(self, point):
+        a = {"symbolic": (A1, A2), "(1/3,-1/2)": (Fraction(1, 3),
+                                                  Fraction(-1, 2)),
+             "(0,0)": (0, 0)}[point]
+        rules = default_rules(*a)
+        rng = random.Random(20261019)
+        for _ in range(300):
+            w = tuple(rng.choice(GENERATORS) for _ in range(rng.randint(0, 7)))
+            for g in S3:
+                assert rules.reduce_term(w, g) == naive_normal_form(w, g, rules)
+
+    def test_table_rows(self):
+        rules = default_rules(Fraction(1, 3), Fraction(-1, 2))
+        table = structure_constants(rules)
+        rows = [[{} for _ in table.labels] for _ in table.labels]
+        for i, (w1, g1) in enumerate(table.labels):
+            for k, (w2, g2) in enumerate(table.labels):
+                if sigma(w2) * g1 == g2:
+                    rows[i][k] = {table.index[lab]: c for lab, c in
+                                  naive_normal_form(w1 + w2, g2, rules).items()}
+        assert table.rows == rows
 
 
 class TestEngine:
