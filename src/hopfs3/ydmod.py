@@ -3,12 +3,15 @@
 A module here is a k^G-module given by a dual degree in G on each basis
 label (delta_h acts as the projection onto the labels of dual degree h)
 and a coaction lambda(v) = sum_g delta_g (x) g^-1.v, exact and sparse.
-The G-action and the braiding are read off the coaction.  The induced
-simple modules are built from a conjugacy-class element and an irrep of
-its centralizer.
+The G-action and the braiding are read off the coaction; `braid_at` is
+the one action of the braiding on words of V^(x)n, at one position.  The
+induced simple modules are built from a conjugacy-class element and an
+irrep of its centralizer.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from .groups import (Perm, centralizer, conjugacy_class, conjugate,
                      coset_representatives, builtin_irreps, identity,
@@ -68,27 +71,26 @@ class YDModule:
         return c
 
 
-def braid_relation_holds(V: YDModule) -> bool:
-    """(c x 1)(1 x c)(c x 1) == (1 x c)(c x 1)(1 x c) on all basis triples."""
+def braid_at(c: dict, x: dict, j: int) -> dict:
+    """c applied to letters j and j+1 of every word of x in V^(x)n, the
+    other letters fixed; the one action of the braiding on tensor words."""
+    return linear(lambda w: {w[:j] + pq + w[j + 2:]: coeff
+                             for pq, coeff in c[w[j:j + 2]].items()}, x)
+
+
+def braid_relation_failures(V: YDModule) -> list:
+    """Every basis triple on which (c x 1)(1 x c)(c x 1) and
+    (1 x c)(c x 1)(1 x c) differ."""
     c = V.braiding()
-
-    def apply(pos, vec):
-        def on_triple(abd):
-            a, b, d = abd
-            if pos == 0:
-                return {(p, q, d): x for (p, q), x in c[(a, b)].items()}
-            return {(a, p, q): x for (p, q), x in c[(b, d)].items()}
-        return linear(on_triple, vec)
-
-    for a in V.labels:
-        for b in V.labels:
-            for d in V.labels:
-                v = {(a, b, d): 1}
-                lhs = apply(0, apply(1, apply(0, v)))
-                rhs = apply(1, apply(0, apply(1, v)))
-                if lhs != rhs:
-                    return False
-    return True
+    bad = []
+    for abd in product(V.labels, repeat=3):
+        lhs = rhs = {abd: 1}
+        for j in (0, 1, 0):
+            lhs = braid_at(c, lhs, j)
+            rhs = braid_at(c, rhs, 1 - j)
+        if lhs != rhs:
+            bad.append(abd)
+    return bad
 
 
 def induce(g: Perm, irrep, elems) -> YDModule:

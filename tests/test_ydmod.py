@@ -1,11 +1,14 @@
 """Yetter-Drinfeld modules over k^{S3}: the coaction, the action and the
-braiding read from it, the induced simples, and the axiom checker."""
+braiding read from it, the braiding at a position of a tensor word, the
+braid relation, the induced simples, and the axiom checker."""
+
+from itertools import product
 
 import pytest
 
 from hopfs3.groups import parse_perm, symmetric_group, transposition
-from hopfs3.ydmod import (YDError, braid_relation_holds, induce, simples_list,
-                          v3)
+from hopfs3.ydmod import (YDError, braid_at, braid_relation_failures, induce,
+                          simples_list, v3)
 
 S3 = symmetric_group(3)
 T12 = transposition(3, 1, 2)
@@ -47,12 +50,25 @@ class TestV3:
         assert c[(T12, T13)] == {(T23, T12): -1}
         assert c[(T12, T12)] == {(T12, T12): -1}
 
+    def test_braid_at_inner_positions(self):
+        # c at letters j, j+1 of a length-4 word; the other letters fixed
+        c = v3().braiding()
+        assert braid_at(c, {(T12, T12, T13, T23): 2}, 1) == \
+            {(T12, T23, T12, T23): -2}
+        for w in product((T12, T13, T23), repeat=4):
+            a, b, d, f = w
+            assert braid_at(c, {w: 1}, 1) == \
+                {(a, p, q, f): x for (p, q), x in c[(b, d)].items()}
+            assert braid_at(c, {w: 1}, 2) == \
+                {(a, b, p, q): x for (p, q), x in c[(d, f)].items()}
+
     def test_braid_relation(self):
-        assert braid_relation_holds(v3())
+        assert braid_relation_failures(v3()) == []
 
 
 class TestAxiomControls:
-    """Each perturbation of v3 breaks one axiom that axiom_failures checks."""
+    """Each perturbation of v3 breaks an axiom that axiom_failures or
+    braid_relation_failures checks."""
 
     def test_negated_coefficient_breaks_coassociativity(self):
         V = v3()
@@ -66,6 +82,16 @@ class TestAxiomControls:
         bad = V.axiom_failures()
         assert len(bad) == 9
         assert all("leaves dual degree" in b for b in bad)
+
+    def test_identity_dual_degree_breaks_braid_relation(self):
+        V = v3()
+        V.dual_degree[T12] = E
+        assert len(braid_relation_failures(V)) == 12
+
+    def test_negated_coefficient_breaks_braid_relation(self):
+        V = v3()
+        V.coaction[T12][(T13, T23)] *= -1
+        assert len(braid_relation_failures(V)) == 6
 
     def test_identity_coefficient_breaks_counit(self):
         V = v3()
@@ -86,7 +112,7 @@ class TestInducedSimples:
         # counit, coassociativity and the YD condition, on every label
         for g, irr, M in simples_list(S3):
             assert M.axiom_failures() == [], (g, irr.name)
-            assert braid_relation_holds(M), (g, irr.name)
+            assert braid_relation_failures(M) == [], (g, irr.name)
 
     def test_braiding_from_the_action(self):
         # c(u (x) v) = deg(u).v (x) u, deg(u) = dual_degree(u)^-1
