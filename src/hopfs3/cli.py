@@ -112,7 +112,7 @@ def _suite_diamond(args) -> list:
         ok, trace = resolve_ambiguity(amb, rules)
         if not ok:
             # the first tail whose two reductions differ, and by how much
-            g, _left, _right, diff = trace[0]
+            g, diff = trace[0]
             unresolved.append(f"{amb} under d{g}: left - right = {diff}")
     out.append(_report("diamond.ambiguities", not unresolved,
                        {"checked": len(ambs),

@@ -199,7 +199,7 @@ class RuleSystem:
         group = symmetric_group(self.rules[0].lhs[0].n)
         out = []
         for r in self.rules:
-            elt = {(r.lhs, g): 1 for g in group}
+            elt = _full_tail((r.lhs, 1), group=group)
             elt.update(vec_scale(-1, r.rhs))    # no rhs word is the lhs
             out.append((_word_name(r.lhs), elt))
         return out
@@ -320,13 +320,10 @@ def _contains(haystack, needle) -> bool:
     return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
 
 
-def _full_tail(*terms) -> dict:
-    """sum of c * w delta_g over every g in S3, for the (w, c) pairs given."""
-    out: dict = {}
-    for word, coeff in terms:
-        for g in S3:
-            add_into(out, (tuple(word), g), coeff)
-    return out
+def _full_tail(*terms, group=S3) -> dict:
+    """sum of c * w delta_g over every g in the group, for the (w, c)
+    pairs given, zero coefficients skipped; no caller gives a word twice."""
+    return {(tuple(w), g): c for w, c in terms if c for g in group}
 
 
 def default_rules(a1, a2, fuel: int = FUEL_DEFAULT) -> RuleSystem:
@@ -360,10 +357,12 @@ def default_rules(a1, a2, fuel: int = FUEL_DEFAULT) -> RuleSystem:
 # -- enumeration and ambiguities --------------------------------------------
 
 def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP) -> list:
-    """All words in the letters of the left-hand sides that avoid every
-    lhs, by breadth-first extension.  Raises GrowthError if irreducible
-    words still appear at maxlen."""
-    letters = sorted({t for r in rules.rules for t in r.lhs}, key=str)
+    """All words in the letters x_t, t every transposition of S_n, that
+    avoid every lhs, by breadth-first extension.  Raises GrowthError if
+    irreducible words still appear at maxlen."""
+    n = rules.rules[0].lhs[0].n
+    letters = sorted((transposition(n, i, j) for j in range(2, n + 1)
+                      for i in range(1, j)), key=str)
     by_len = rules._by_len.items()
     out = [()]
     layer = [()]
@@ -406,7 +405,7 @@ def resolve_ambiguity(amb, rules: RuleSystem):
     """Rewrite the overlap word both ways (left redex first, right redex
     first), each once under every tail, and compare the reductions of
     the two tail by tail; returns (resolved, trace), with one entry
-    (g, left, right, left - right) per tail g where they part."""
+    (g, left - right) per tail g where they part."""
     i, j, word = amb
     right_pos = len(word) - len(rules.rules[j].lhs)
     left = rules._rewrite(word, 0, i)
@@ -416,9 +415,7 @@ def resolve_ambiguity(amb, rules: RuleSystem):
         lg = rules.reduce(_slice(left, g))
         rg = rules.reduce(_slice(right, g))
         if lg != rg:
-            diff = vec_add(lg, vec_scale(-1, rg))
-            trace.append((g, format_smash(lg), format_smash(rg),
-                          format_smash(diff)))
+            trace.append((g, format_smash(vec_add(lg, vec_scale(-1, rg)))))
     return not trace, trace
 
 
@@ -557,68 +554,15 @@ def hilbert_series(words) -> list:
 def uniform_rule(lhs, word_rhs: dict) -> Rule:
     """A rule whose rhs has the same word combination under every tail."""
     lhs = tuple(lhs)
-    group = symmetric_group(lhs[0].n)
-    rhs: dict = {}
-    for w, c in word_rhs.items():
-        for g in group:
-            rhs[(tuple(w), g)] = c
-    return Rule(lhs, rhs)
+    return Rule(lhs, _full_tail(*word_rhs.items(),
+                                group=symmetric_group(lhs[0].n)))
 
 
 def _is_uniform(rule: Rule):
-    by_word: dict = {}
-    for (w, g), c in rule.rhs.items():
-        by_word.setdefault(w, {})[g] = c
-    order = len(symmetric_group(rule.lhs[0].n))
-    words = {}
-    for w, tails in by_word.items():
-        cs = set(tails.values())
-        if len(tails) != order or len(cs) != 1:
-            return None
-        words[w] = cs.pop()
-    return words
-
-
-class _WordRules:
-    """Mutable word-level reduction for tail-uniform systems over a field.
-
-    Rules can be added and removed during completion; the normal-form
-    memo survives additions (entries whose result became reducible are
-    purged, the rest are still valid normal forms)."""
-
-    def __init__(self, rules: dict):
-        # rules: lhs word -> {word: coeff}
-        self.rules = dict(rules)
-        self._by_len = _by_length(self.rules)
-        self._memo: dict = {}
-
-    def add_rule(self, lhs, rhs: dict):
-        self.rules[lhs] = rhs
-        self._by_len.setdefault(len(lhs), set()).add(lhs)
-        # memoized normal forms mentioning the new lead are stale now
-        stale = [w for w, nf in self._memo.items()
-                 if any(_contains(k, lhs) for k in nf)]
-        for w in stale:
-            del self._memo[w]
-
-    def remove_rule(self, lhs):
-        del self.rules[lhs]
-        self._by_len[len(lhs)].discard(lhs)
-        if not self._by_len[len(lhs)]:
-            del self._by_len[len(lhs)]
-        # removal can only make reducible words irreducible; memoized
-        # normal forms stay irreducible, so the memo remains valid
-
-    def _step(self, w):
-        redex = find_redex(w, self._by_len)
-        if redex is None:
-            return None
-        p, lhs = redex
-        u, v = w[:p], w[p + len(lhs):]
-        return {u + wi + v: c for wi, c in self.rules[lhs].items()}
-
-    def reduce(self, x: dict, fuel: int) -> dict:
-        return _normal_form(x, self._step, self._memo, fuel)[0]
+    """The rule's word coefficients {w: c} when its rhs is the same word
+    combination under every tail, else None."""
+    words = {w: c for (w, _g), c in rule.rhs.items()}
+    return words if uniform_rule(rule.lhs, words).rhs == rule.rhs else None
 
 
 def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
@@ -629,7 +573,7 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
     Returns a RuleSystem."""
     import heapq
 
-    word_rules = {}
+    word_rules = {}     # lhs -> {word: coeff}
     for r in rules.rules:
         words = _is_uniform(r)
         if words is None:
@@ -637,8 +581,20 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
         word_rules[r.lhs] = words
     homog = all(len(w) == len(lhs)
                 for lhs, rhs in word_rules.items() for w in rhs)
+    by_len = _by_length(word_rules)
+    memo: dict = {}     # irreducible words under the current rules
 
-    wr = _WordRules(word_rules)
+    def step(w):
+        redex = find_redex(w, by_len)
+        if redex is None:
+            return None
+        p, lhs = redex
+        u, v = w[:p], w[p + len(lhs):]
+        return {u + wi + v: c for wi, c in word_rules[lhs].items()}
+
+    def reduce(x: dict) -> dict:
+        return _normal_form(x, step, memo, fuel)[0]
+
     pairs = []          # heap of (overlap length, tiebreak, L1, L2, k)
     counter = 0
 
@@ -658,44 +614,43 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
 
     def insert(elt: dict):
         """Reduce an element and turn it into a rule if nonzero."""
-        elt = wr.reduce(elt, fuel)
+        elt = reduce(elt)
         if not elt:
             return
         lead = max(elt, key=word_key)
         if len(lead) > maxdeg:
             raise GrowthError("new rule exceeds maxdeg")
         inv = Fraction(1) / Fraction(elt[lead])
-        wr.add_rule(lead, {w: -c * inv for w, c in elt.items() if w != lead})
+        word_rules[lead] = {w: -c * inv for w, c in elt.items() if w != lead}
+        by_len.setdefault(len(lead), set()).add(lead)
+        memo.clear()
         # rules with a now-reducible lhs get reduced back in
-        for old in list(wr.rules):
+        for old in list(word_rules):
             if old != lead and _contains(old, lead):
-                old_rhs = wr.rules[old]
-                wr.remove_rule(old)
+                old_rhs = word_rules.pop(old)
+                by_len[len(old)].discard(old)
                 insert(vec_add({old: 1}, vec_scale(-1, old_rhs)))
-        for other in list(wr.rules):
+        for other in list(word_rules):
             push_overlaps(lead, other)
             if other != lead:
                 push_overlaps(other, lead)
 
-    for L1 in list(wr.rules):
-        for L2 in list(wr.rules):
+    for L1 in list(word_rules):
+        for L2 in list(word_rules):
             push_overlaps(L1, L2)
     while pairs:
         _n, _c, L1, L2, k = heapq.heappop(pairs)
-        if L1 not in wr.rules or L2 not in wr.rules:
+        if L1 not in word_rules or L2 not in word_rules:
             continue
-        left = wr.reduce({wi + L2[k:]: c
-                          for wi, c in wr.rules[L1].items()}, fuel)
-        right = wr.reduce({L1[:len(L1) - k] + wi: c
-                           for wi, c in wr.rules[L2].items()}, fuel)
+        left = reduce({wi + L2[k:]: c for wi, c in word_rules[L1].items()})
+        right = reduce({L1[:len(L1) - k] + wi: c
+                        for wi, c in word_rules[L2].items()})
         insert(vec_add(left, vec_scale(-1, right)))
 
     # interreduce: later rules may have made earlier right-hand sides
     # reducible
-    final = {lhs: wr.reduce(dict(rhs), fuel)
-             for lhs, rhs in wr.rules.items()}
-    done = RuleSystem([uniform_rule(lhs, rhs)
-                       for lhs, rhs in final.items()], fuel=fuel)
+    done = RuleSystem([uniform_rule(lhs, reduce(dict(rhs)))
+                       for lhs, rhs in word_rules.items()], fuel=fuel)
     # skipped overlaps above resolve only if nothing irreducible remains
     # at length maxdeg; irreducible_words raises GrowthError otherwise
     irreducible_words(done, maxlen=maxdeg)

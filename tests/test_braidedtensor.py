@@ -71,15 +71,16 @@ class TestQuadraticRelations:
         for r in quadratic_relations(3):
             assert is_primitive(r, C3)
 
-    def test_span_matches_primitive_kernel(self):
+    @pytest.mark.parametrize("n, dim", [(3, 5), (4, 17)])
+    def test_span_matches_primitive_kernel(self, n, dim):
         # independent check: kernel of 1 + c on V (x) V
-        V = v3()
+        V = v3(n)
         pairs = [(u, v) for u in V.labels for v in V.labels]
         flat = lambda r: [r.get(p, 0) for p in pairs]
-        kernel = degree2_primitive_basis(3)
+        kernel = degree2_primitive_basis(n)
         rels = [{(w[0], w[1]): c for w, c in r.items()}
-                for r in quadratic_relations(3)]
-        assert len(kernel) == 5
+                for r in quadratic_relations(n)]
+        assert len(kernel) == dim
         assert span_equal([flat(r) for r in rels],
                           [flat(k) for k in kernel])
 

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from hopfs3.braidedtensor import quadratic_relations
+from hopfs3.braidedtensor import degree2_primitive_basis
 from hopfs3.groups import parse_perm
-from hopfs3.rewrite import (GENERATORS, NonterminationError, Rule,
-                            RuleSystem, S3, X12, X13, X23,
+from hopfs3.rewrite import (GENERATORS, GrowthError, NonterminationError,
+                            Rule, RuleSystem, S3, X12, X13, X23,
                             check_associativity, complete, default_rules,
                             find_redex, hilbert_series, irreducible_words,
                             overlap_ambiguities, resolve_ambiguity,
@@ -32,15 +32,22 @@ def sym_rules():
 
 
 def s4_rules() -> RuleSystem:
-    """The quadratic relations of the S4 Nichols algebra, each oriented
-    towards its deglex-largest word."""
+    """The quadratic relations of the S4 Nichols algebra, ker(1 + c) in
+    degree 2, each oriented towards its deglex-largest word."""
     rules = []
-    for r in quadratic_relations(4):
+    for r in degree2_primitive_basis(4):
         lead = max(r, key=word_key)
         inv = Fraction(1) / Fraction(r[lead])
         rules.append(uniform_rule(lead, {w: -c * inv for w, c in r.items()
                                          if w != lead}))
     return RuleSystem(rules)
+
+
+def coxeter_rules() -> RuleSystem:
+    """kS3 as x_t^2 = 1, x12 x13 x12 = x23 = x13 x12 x13, deglex-oriented."""
+    return RuleSystem([uniform_rule((t, t), {(): 1}) for t in GENERATORS] +
+                      [uniform_rule((X12, X13, X12), {(X23,): 1}),
+                       uniform_rule((X13, X12, X13), {(X23,): 1})])
 
 
 @pytest.fixture(scope="module")
@@ -267,6 +274,11 @@ class TestBasis:
         words = irreducible_words(sym_rules())
         assert max(words, key=len) == (X13, X12, X23, X12)
 
+    def test_letters_absent_from_every_lhs_are_free(self):
+        # k<x12, x13, x23>/(x12^2) is infinite: x13 and x23 are free
+        with pytest.raises(GrowthError):
+            irreducible_words(RuleSystem([uniform_rule((X12, X12), {})]))
+
     def test_against_naive_enumeration(self):
         # independent oracle: brute-force subword avoidance on strings
         rules = sym_rules()
@@ -466,9 +478,37 @@ class TestCompletion:
         assert len(irreducible_words(done)) == 12
 
     def test_single_square(self):
+        # x13 and x23 stay free, so no completion is finite
         rules = RuleSystem([uniform_rule((X12, X12), {})])
+        with pytest.raises(GrowthError):
+            complete(rules, maxdeg=8)
+
+    def test_coxeter_presentation_of_kS3(self):
+        # x_t^2 = 1, x12 x13 x12 = x23 = x13 x12 x13: the group algebra
+        rules = coxeter_rules()
         done = complete(rules, maxdeg=8)
-        assert {r.lhs for r in done.rules} == {(X12, X12)}
+        assert len(done.rules) == 7
+        assert len(irreducible_words(done)) == 6
+        # both cubic left-hand sides become reducible during completion;
+        # their relations are reduced and re-inserted, so they still hold
+        lhss = {r.lhs for r in done.rules}
+        assert (X12, X13, X12) not in lhss and (X13, X12, X13) not in lhss
+        for _name, rel in rules.relations():
+            assert done.reduce(rel) == {}
+
+    @pytest.mark.parametrize("break_tail", ["changed", "missing"])
+    def test_rejects_one_broken_tail(self, break_tail):
+        rules = coxeter_rules().rules
+        rhs = dict(rules[3].rhs)
+        key = ((X23,), G["(13)"])
+        if break_tail == "changed":
+            rhs[key] = 2
+        else:
+            del rhs[key]
+        rules[3] = Rule(rules[3].lhs, rhs)
+        with pytest.raises(ValueError,
+                           match="completion needs tail-uniform rules"):
+            complete(RuleSystem(rules), maxdeg=8)
 
     def test_rejects_tail_dependent_rules(self):
         with pytest.raises(ValueError):
