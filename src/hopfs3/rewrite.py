@@ -649,7 +649,7 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
 
     # interreduce: later rules may have made earlier right-hand sides
     # reducible
-    done = RuleSystem([uniform_rule(lhs, reduce(dict(rhs)))
+    done = RuleSystem([uniform_rule(lhs, reduce(rhs))
                        for lhs, rhs in word_rules.items()], fuel=fuel)
     # skipped overlaps above resolve only if nothing irreducible remains
     # at length maxdeg; irreducible_words raises GrowthError otherwise
