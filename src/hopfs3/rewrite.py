@@ -1,14 +1,16 @@
 """Noncommutative rewriting over x-words with dual-group tails.
 
-Elements are finite sums of w * delta_g with w a word in the generators
-x12, x13, x23 (stored as the corresponding transpositions) and g in S3.
-The delta-commutation delta_g x_t = x_t delta_{t g} is built into this
-representation, so the only oriented rules are the eight x-word rules.
-A rule applied to w delta_g at a redex u lhs v keeps exactly the rhs
-terms whose tail is sigma(v)^-1 g, so one rewrite of the word w serves
-every tail: RuleSystem reduces words whose coefficients are functions on
-S_n (Tails, the ring k^{S_n}), and the normal form of w delta_g is the
-g-slice of the normal form of w.
+Elements are finite sums of w * delta_g, w a word in letters x_t (t a
+transposition of S_n; x12, x13, x23 for the 72-dimensional algebra) and
+g in S_n; a RuleSystem reads n, and its group, from its rules' letters.
+delta_g x_t = x_t delta_{t g} is built in, so rules act on x-words only.
+RuleSystem compiles each rule once into {lhs: {word: coeff}}: coeff is
+a scalar when the term has one value under every tail, otherwise a
+Tails, a function on S_n (the ring k^{S_n}).  One rewrite step, at a
+redex u lhs v, moves only Tails coefficients, from h to sigma(v) h; it
+serves normal forms, ambiguity resolution and completion (scalar-only,
+tail-uniform systems).  So one rewrite of w serves every tail, and the
+normal form of w delta_g is the g-slice of the normal form of w.
 
 No monomial order is assumed to terminate reduction.  Instead the system
 is certified three ways: fuel-bounded termination, resolution of every
@@ -41,31 +43,20 @@ GENERATORS = (X12, X13, X23)
 S3 = symmetric_group(3)
 
 
-class _CycleNames(dict):
-    """Perm -> its cycle name, computed once per letter."""
-
-    def __missing__(self, t):
-        self[t] = name = str(t)
-        return name
-
-
-_CYCLE_NAME = _CycleNames()
+_cycle_name = functools.cache(str)     # Perm -> its name, once per letter
 
 
 def word_key(w: tuple):
     """Deglex, letters ordered by cycle name: x12 < x13 < x23 on S3."""
-    return (len(w), tuple(map(_CYCLE_NAME.__getitem__, w)))
+    return (len(w), tuple(map(_cycle_name, w)))
 
 
-_IDENTITIES: dict = {}      # n -> identity(n), the start of every sigma
+_identity = functools.cache(identity)      # the start of every sigma
 
 
 def sigma(word: tuple, n: int = 3) -> Perm:
     """sigma(x_{t1}...x_{tn}) = t_n o ... o t_1."""
-    m = word[0].n if word else n
-    g = _IDENTITIES.get(m)
-    if g is None:
-        g = _IDENTITIES[m] = identity(m)
+    g = _identity(word[0].n if word else n)
     for t in word:
         g = t * g
     return g
@@ -83,8 +74,9 @@ class GrowthError(RuntimeError):
 
 class Tails(dict):
     """A function on S_n as {g: value}, never storing a zero: the
-    coefficient of a word, standing for sum_g value(g) w delta_g.  Sum
-    and product are pointwise, so Tails form the ring k^{S_n}."""
+    coefficient of a word, sum_g value(g) w delta_g.  Sum and product are
+    pointwise, so Tails form the ring k^{S_n}; a scalar factor is the
+    constant function, and an int factor 1 or -1 costs no product."""
 
     __slots__ = ()
 
@@ -98,7 +90,12 @@ class Tails(dict):
         """0 + f, where add_into starts a sum."""
         return self
 
-    def __mul__(self, other: "Tails") -> "Tails":
+    def __mul__(self, other) -> "Tails":
+        if type(other) is not Tails:
+            if type(other) is int and other in (1, -1):
+                return self if other == 1 else Tails(
+                    {g: -c for g, c in self.items()})
+            return Tails({g: c * other for g, c in self.items()})
         if len(other) < len(self):
             self, other = other, self
         return Tails({g: c * other[g] for g, c in self.items() if g in other})
@@ -181,9 +178,14 @@ class RuleSystem:
         # no lhs lies inside another, so at most one matches at a position
         self._by_len = _by_length(lhss)
         self._rule_of = {lhs: i for i, lhs in enumerate(lhss)}
+        # the group S_n of the letters, as the unit of k^{S_n}
+        self.group = _unit(lhss[0][0].n)
+        # each rule once as lhs -> {word: coeff}, read by every rewrite
+        self.word_rules = {r.lhs: _compile(r.rhs, self.group)
+                           for r in self.rules}
         for r in self.rules:
             s = sigma(r.lhs)
-            for w in dict.fromkeys(w for (w, _g) in r.rhs):
+            for w in self.word_rules[r.lhs]:
                 if len(w) > len(r.lhs):
                     raise ValueError(f"rhs word longer than lhs in {r!r}")
                 if len(w) == len(r.lhs) and self._find_redex(w) is not None:
@@ -196,39 +198,18 @@ class RuleSystem:
     def relations(self) -> list:
         """The defining relation of each rule, named by its lhs word:
         lhs delta_g summed over every g in S_n, minus the rhs."""
-        group = symmetric_group(self.rules[0].lhs[0].n)
         out = []
-        for r in self.rules:
-            elt = _full_tail((r.lhs, 1), group=group)
-            elt.update(vec_scale(-1, r.rhs))    # no rhs word is the lhs
-            out.append((_word_name(r.lhs), elt))
+        for lhs, rhs in self.word_rules.items():
+            elt = _full_tail((lhs, 1), group=self.group)
+            for w, c in rhs.items():        # no rhs word is the lhs
+                elt.update(((w, g), -x) for g, x in (self.group * c).items())
+            out.append((_word_name(lhs), elt))
         return out
 
     def _find_redex(self, word):
         """(position, rule index) of the leftmost redex, or None."""
         redex = find_redex(word, self._by_len)
         return redex and (redex[0], self._rule_of[redex[1]])
-
-    def _rewrite(self, word, pos: int, rule_index: int) -> dict:
-        """One elementary rewrite of the word at the given redex under
-        every tail at once, as {word: Tails}: the rhs term (w_i, h_i)
-        lands on the tail sigma(v) h_i, v the suffix after the redex.
-        The coefficients are read from the rule each time."""
-        rule = self.rules[rule_index]
-        u, v = word[:pos], word[pos + len(rule.lhs):]
-        s = sigma(v, word[0].n)
-        out: dict = {}
-        for (wi, hi), c in rule.rhs.items():
-            w = u + wi + v
-            tails = out.get(w)
-            if tails is None:
-                tails = out[w] = Tails()
-            tails[s * hi] = c
-        return out
-
-    def _rewrite_leftmost(self, word):
-        redex = self._find_redex(word)
-        return redex and self._rewrite(word, *redex)
 
     def normal_form(self, word: tuple) -> dict:
         """Normal form of the word under every tail, as {word: Tails};
@@ -239,10 +220,10 @@ class RuleSystem:
         self.reductions += 1
         nf = self._normal_forms.get(word)
         if nf is None:
-            one = _unit(self.rules[0].lhs[0].n)
             try:
-                nf, steps = _normal_form({word: one}, self._rewrite_leftmost,
-                                         self._normal_forms, self.fuel, one)
+                nf, steps = _normal_form({word: self.group}, self.word_rules,
+                                         self._by_len, self._normal_forms,
+                                         self.fuel, self.group)
             except NonterminationError as exc:
                 exc.trace = [(w, min(tails)) for w, tails in exc.trace]
                 raise
@@ -256,6 +237,19 @@ class RuleSystem:
 
     def reduce(self, x: dict) -> dict:
         return linear(lambda wg: self.reduce_term(*wg), x)
+
+
+def _compile(rhs: dict, one: Tails) -> dict:
+    """A rule's rhs {(w, h): c} as {w: coeff}: coeff is a scalar when the
+    term has one value under every tail of the group `one`, otherwise
+    its Tails."""
+    out: dict = {}
+    for (w, h), c in rhs.items():
+        out.setdefault(w, Tails())[h] = c
+    for w, f in out.items():
+        c = next(iter(f.values()))
+        out[w] = c if f == dict.fromkeys(one, c) else f
+    return out
 
 
 def _by_length(lhss) -> dict:
@@ -278,15 +272,35 @@ def find_redex(word, by_len: dict):
     return None
 
 
-def _normal_form(x: dict, step, memo: dict, fuel: int, one=1) -> tuple:
-    """Normal form of the vector x, and the rewrite steps it took.
-    step(key) is the one-step rewrite of a key at its leftmost redex, or
-    None when the key is irreducible; irreducible keys are memoized as
-    {key: one}.  The coefficients lie in a commutative ring with unit
-    one: numbers, or Tails for RuleSystem.  Each rewrite spends one unit
+def rewrite(word, word_rules: dict, by_len: dict, redex=None):
+    """One rewrite of the word at the redex (position, lhs), by default
+    its leftmost one in by_len, as {word: coeff}; None without a redex.
+    u lhs v becomes the terms u w v of word_rules[lhs]: a scalar stays
+    (it holds under every tail), and a Tails moves from h to sigma(v) h,
+    as u w delta_h v = u w v delta_{sigma(v) h}."""
+    if redex is None:
+        redex = find_redex(word, by_len)
+        if redex is None:
+            return None
+    p, lhs = redex
+    u, v = word[:p], word[p + len(lhs):]
+    out = {}
+    for w, c in word_rules[lhs].items():
+        if v and type(c) is Tails:
+            s = sigma(v)
+            c = Tails({s * h: x for h, x in c.items()})
+        out[u + w + v] = c
+    return out
+
+
+def _normal_form(x: dict, word_rules: dict, by_len: dict, memo: dict,
+                 fuel: int, one=1) -> tuple:
+    """Normal form of the vector {word: coeff} x under word_rules, and the
+    rewrite steps it took; irreducible words are memoized as {word: one}.
+    The coefficients lie in a commutative ring with unit one: numbers
+    for completion, Tails for RuleSystem.  Each rewrite spends one unit
     of fuel; running out raises NonterminationError with the last
-    TRACE_TAIL rewritten terms (key, coefficient), the one that ran out
-    last."""
+    TRACE_TAIL rewritten terms (word, coefficient), the last one last."""
     acc: dict = {}
     stack = list(x.items())
     trace = deque(maxlen=TRACE_TAIL)
@@ -298,7 +312,7 @@ def _normal_form(x: dict, step, memo: dict, fuel: int, one=1) -> tuple:
             for k, c in hit.items():
                 add_into(acc, k, coeff if c is one else coeff * c)
             continue
-        out = step(key)
+        out = rewrite(key, word_rules, by_len)
         if out is None:
             add_into(acc, key, coeff)
             memo[key] = {key: one}
@@ -404,14 +418,17 @@ def _overlaps(L1, L2) -> list:
 def resolve_ambiguity(amb, rules: RuleSystem):
     """Rewrite the overlap word both ways (left redex first, right redex
     first), each once under every tail, and compare the reductions of
-    the two tail by tail; returns (resolved, trace), with one entry
-    (g, left - right) per tail g where they part."""
+    the two tail by tail, over the group of the rules; returns
+    (resolved, trace), with one entry (g, left - right) per tail g where
+    they part."""
     i, j, word = amb
-    right_pos = len(word) - len(rules.rules[j].lhs)
-    left = rules._rewrite(word, 0, i)
-    right = rules._rewrite(word, right_pos, j)
+    one = rules.group
+    lhs_i, lhs_j = rules.rules[i].lhs, rules.rules[j].lhs
+    left, right = ({w: one * c for w, c in rewrite(
+        word, rules.word_rules, rules._by_len, redex).items()}
+        for redex in ((0, lhs_i), (len(word) - len(lhs_j), lhs_j)))
     trace = []
-    for g in S3:
+    for g in one:
         lg = rules.reduce(_slice(left, g))
         rg = rules.reduce(_slice(right, g))
         if lg != rg:
@@ -431,11 +448,12 @@ class MultTable:
     def __init__(self, rules: RuleSystem):
         self.rules = rules
         self.words = irreducible_words(rules)
-        self.labels = [(w, g) for w in self.words for g in S3]
+        self.labels = [(w, g) for w in self.words for g in rules.group]
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels)
         self.grading = [len(w) for (w, _g) in self.labels]
-        self._word_sigma = {w: sigma(w) for w in self.words}
+        n = rules.rules[0].lhs[0].n
+        self._word_sigma = {w: sigma(w, n) for w in self.words}
         # rows[i][k] = e_i e_k as {index: coeff}; w1 dg1 * w2 dg2 is zero
         # unless g2 = sigma(w2) g1, and then it is the g2-slice of the
         # normal form of w1 w2, whose words must lie in the basis with
@@ -450,7 +468,7 @@ class MultTable:
                 for w in nf:
                     if self._word_sigma.get(w) != s12:
                         raise ValueError(f"normal form leaves the basis: {w}")
-                for g1 in S3:
+                for g1 in rules.group:
                     g2 = s2 * g1
                     row = self.rows[self.index[(w1, g1)]][self.index[(w2, g2)]]
                     for w, tails in nf.items():
@@ -554,15 +572,7 @@ def hilbert_series(words) -> list:
 def uniform_rule(lhs, word_rhs: dict) -> Rule:
     """A rule whose rhs has the same word combination under every tail."""
     lhs = tuple(lhs)
-    return Rule(lhs, _full_tail(*word_rhs.items(),
-                                group=symmetric_group(lhs[0].n)))
-
-
-def _is_uniform(rule: Rule):
-    """The rule's word coefficients {w: c} when its rhs is the same word
-    combination under every tail, else None."""
-    words = {w: c for (w, _g), c in rule.rhs.items()}
-    return words if uniform_rule(rule.lhs, words).rhs == rule.rhs else None
+    return Rule(lhs, _full_tail(*word_rhs.items(), group=_unit(lhs[0].n)))
 
 
 def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
@@ -573,27 +583,17 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
     Returns a RuleSystem."""
     import heapq
 
-    word_rules = {}     # lhs -> {word: coeff}
-    for r in rules.rules:
-        words = _is_uniform(r)
-        if words is None:
-            raise ValueError("completion needs tail-uniform rules")
-        word_rules[r.lhs] = words
+    if any(type(c) is Tails
+           for rhs in rules.word_rules.values() for c in rhs.values()):
+        raise ValueError("completion needs tail-uniform rules")
+    word_rules = dict(rules.word_rules)     # lhs -> {word: coeff}
     homog = all(len(w) == len(lhs)
                 for lhs, rhs in word_rules.items() for w in rhs)
     by_len = _by_length(word_rules)
     memo: dict = {}     # irreducible words under the current rules
 
-    def step(w):
-        redex = find_redex(w, by_len)
-        if redex is None:
-            return None
-        p, lhs = redex
-        u, v = w[:p], w[p + len(lhs):]
-        return {u + wi + v: c for wi, c in word_rules[lhs].items()}
-
     def reduce(x: dict) -> dict:
-        return _normal_form(x, step, memo, fuel)[0]
+        return _normal_form(x, word_rules, by_len, memo, fuel)[0]
 
     pairs = []          # heap of (overlap length, tiebreak, L1, L2, k)
     counter = 0

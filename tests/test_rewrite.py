@@ -11,7 +11,7 @@ import pytest
 from hopfs3.braidedtensor import degree2_primitive_basis
 from hopfs3.groups import parse_perm
 from hopfs3.rewrite import (GENERATORS, GrowthError, NonterminationError,
-                            Rule, RuleSystem, S3, X12, X13, X23,
+                            Rule, RuleSystem, S3, Tails, X12, X13, X23,
                             check_associativity, complete, default_rules,
                             find_redex, hilbert_series, irreducible_words,
                             overlap_ambiguities, resolve_ambiguity,
@@ -121,12 +121,40 @@ class TestRuleSystem:
             RuleSystem(rules)
 
     def test_sigma_changed_after_acceptance_fails_table_build(self):
-        # the same extra tail, put in after RuleSystem accepted rule 4:
-        # the table build refuses the normal form, also under python -O
+        # the same extra tail, put into the compiled rule 4 after
+        # RuleSystem accepted it: the table build refuses the normal
+        # form, also under python -O
         rules = sym_rules()
-        rules.rules[3].rhs[((), G["e"])] = 1
+        rules.word_rules[X13, X23][()] = Tails({G["e"]: 1})
         with pytest.raises(ValueError, match="leaves the basis"):
             structure_constants(rules)
+
+    def test_compiled_rules(self):
+        # a term is stored as a scalar when it has one value under every
+        # tail, else as its Tails (a scalar never equals a dict)
+        def tails(spec):
+            return Tails({G[h]: c for h, c in spec.items()})
+
+        store = sym_rules().word_rules
+        assert store == {
+            (X13, X13): {(): tails({"(12)": A1 - A2, "(123)": A1 - A2,
+                                    "(23)": A1, "(132)": A1})},
+            (X23, X23): {(): tails({"(13)": A2, "(123)": A2,
+                                    "(12)": A2 - A1, "(132)": A2 - A1})},
+            (X12, X12): {(): tails({"(23)": -A1, "(123)": -A1,
+                                    "(13)": -A2, "(132)": -A2})},
+            (X13, X23): {(X23, X12): -1, (X12, X13): -1},
+            (X23, X13): {(X12, X23): -1, (X13, X12): -1},
+            (X12, X13, X12): {(X13, X12, X13): 1, (X23,): A1},
+            (X23, X12, X23): {(X12, X23, X12): 1, (X13,): -A2},
+            (X23, X12, X13): {(X13, X12, X23): 1, (X12,): tails(
+                {"(12)": A2 - A1, "e": A1 - A2, "(13)": A1,
+                 "(132)": -A1, "(23)": -A2, "(123)": A2})}}
+        # at (0, 0) the squares and the x12 term vanish; all else is scalar
+        zero = default_rules(0, 0).word_rules
+        assert sum(map(len, zero.values())) == 7
+        assert all(type(c) is int for rhs in zero.values()
+                   for c in rhs.values())
 
     def test_inclusion_ambiguity_rejected(self):
         with pytest.raises(ValueError):
@@ -347,6 +375,36 @@ class TestAmbiguities:
                 if all(resolve_ambiguity(a, bad)[0] for a in ambs):
                     missed.append((r, k))
         assert missed == []
+
+
+def _resolved(rules: RuleSystem) -> tuple:
+    """(overlaps that resolve, overlaps) of a rule system."""
+    ambs = overlap_ambiguities(rules)
+    return sum(resolve_ambiguity(a, rules)[0] for a in ambs), len(ambs)
+
+
+class TestS4Ambiguities:
+    """The diamond check over S4: tails run over the group of the rules,
+    so an S4 system is compared under all 24 tails, not under none."""
+
+    def test_completed_system_resolves(self, s4_done):
+        assert _resolved(s4_done) == (108, 108)
+
+    def test_uncompleted_system_fails(self):
+        rules = s4_rules()
+        results = [resolve_ambiguity(a, rules)
+                   for a in overlap_ambiguities(rules)]
+        assert (len(rules.rules), len(results)) == (17, 34)
+        assert sum(ok for ok, _trace in results) == 26
+        # each failure names the S4 tails where the two sides part
+        assert all(g.n == 4 for _ok, trace in results for g, _diff in trace)
+
+    def test_negated_rule_fails(self, s4_done):
+        rules = list(s4_done.rules)
+        r = rules[3]
+        assert r.lhs == (parse_perm("(23)", 4), parse_perm("(12)", 4))
+        rules[3] = Rule(r.lhs, {k: -c for k, c in r.rhs.items()})
+        assert _resolved(RuleSystem(rules)) == (96, 108)
 
 
 def _point_table():
