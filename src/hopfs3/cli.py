@@ -144,8 +144,8 @@ def _suite_hopf(args) -> list:
     out = []
     t0 = time.perf_counter()
     H = _algebra(args)
-    out.append(_report("hopf.build", True, {"dim": H.dim, "params": label},
-                       [], t0))
+    out.append(_report("hopf.build", True, {"dim": H.dim, "params": label,
+                                            "stats": H.stats}, [], t0))
     t0 = time.perf_counter()
     rep = verify_hopf_axioms(H)
     witness = [rep["witness"]] if rep["witness"] else []
@@ -157,7 +157,7 @@ def _suite_hopf(args) -> list:
                         "scalars": rep["scalars"]},
                        witness + rep["failures"], t0))
     for name, check, keys in (
-            ("hopf.ideal", verify_hopf_ideal, ("elements",)),
+            ("hopf.ideal", verify_hopf_ideal, ("elements", "stats")),
             ("hopf.c_identity", c_identity, ("values", "comult_shapes")),
             ("hopf.coradical", coradical_certificate, ("conclusion",)),
             ("hopf.graded", gr_check, ("products",))):

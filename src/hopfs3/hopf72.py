@@ -54,8 +54,10 @@ class Hopf72:
                             for t in GENERATORS}
         self._gen_antipode = {t: self._antipode_generator(coaction[t])
                               for t in GENERATORS}
-        self.comult = [self.word_comult(w, g) for (w, g) in self.labels]
+        memo: dict = {}
+        self.comult = [self.word_comult(w, g, memo) for (w, g) in self.labels]
         self.antipode = [self.word_antipode(w, g) for (w, g) in self.labels]
+        self.stats = {"tensor_mults": _products(memo)}
 
     # -- element helpers -------------------------------------------------
 
@@ -97,16 +99,16 @@ class Hopf72:
     def packed(self, layout) -> "Hopf72":
         """A copy whose product table, Delta and S hold layout-encoded
         coefficients, each at its weight (see scalars.sweep_layout); each
-        Delta(e_i) is Joined, so its groupings are built once."""
+        Delta(e_i) is Joined on every row of the table, compiled once."""
         out = copy.copy(self)
         out.table = self.table.packed(layout)
-        out.comult = [Joined() for _ in self.comult]
+        out.comult = [{} for _ in self.comult]
         out.antipode = [{} for _ in self.antipode]
         for name, i, key, c, weight in self.graded():
             getattr(out, name)[i][key] = layout.encode(c, weight)
-        for d in out.comult:
-            d.by_tails = out._grouped(d, out._tail)
-            d.by_tags = out._grouped(d, out._tag)
+        every = range(self.dim)
+        rows = out._compiled(every, self.dim), out._compiled(every, 1)
+        out.comult = [out.joined(d, rows) for d in out.comult]
         return out
 
     # -- tensor square arithmetic ----------------------------------------
@@ -118,31 +120,43 @@ class Hopf72:
             out.setdefault(code[p] * len(S3) + code[q], []).append((p, q, c))
         return out
 
+    def _compiled(self, legs, scale: int) -> dict:
+        """{p: [e_p e_r as a tuple of (l * scale, c), for every r]}."""
+        return {p: [tuple([(l * scale, c) for l, c in e.items()]) if e
+                    else () for e in self.table.rows[p]] for p in legs}
+
+    def joined(self, x: dict, rows=None) -> "Joined":
+        """x as a factor of tensor_mult; rows, its legs' compiled rows (left
+        scaled by dim, right by 1), default to those of its own legs only."""
+        left, right = rows or (self._compiled({p for p, _ in x}, self.dim),
+                               self._compiled({q for _, q in x}, 1))
+        out = Joined(x)
+        out.by_tails = {key: [(left[p], right[q], c) for p, q, c in terms]
+                        for key, terms in self._grouped(x, self._tail).items()}
+        out.by_tags = self._grouped(x, self._tag)
+        return out
+
     def tensor_mult(self, x: dict, y: dict) -> dict:
         """Componentwise product on A (x) A, as a join: the terms of x,
         grouped by the tails of their two legs, meet only the terms of y
         whose legs carry the same tail-compat tags, which are exactly the
-        pairs of terms whose product can be non-zero.  The products are
-        summed on int keys l * dim + m and pruned once, at the end.  A
-        Joined factor brings its groupings; a plain dict is grouped here."""
-        xb = (x.by_tails if isinstance(x, Joined)
-              else self._grouped(x, self._tail))
+        pairs of terms whose product can be non-zero.  Each term of x
+        brings its legs' compiled rows (joined), from which e_p e_r (x)
+        e_q e_s is summed on int keys l * dim + m, pruned once at the end."""
+        xb = (x if isinstance(x, Joined) else self.joined(x)).by_tails
         yb = y.by_tags if isinstance(y, Joined) else self._grouped(y, self._tag)
-        rows, dim = self.table.rows, self.dim
         acc: dict = {}
         get = acc.get
         for key in xb.keys() & yb.keys():
             ys = yb[key]
-            for p, q, c1 in xb[key]:
-                left_row, right_row = rows[p], rows[q]
+            for left_row, right_row, c1 in xb[key]:
                 for r, s, c2 in ys:
                     left, right = left_row[r], right_row[s]
                     if not (left and right):
                         continue
                     c = c1 * c2
-                    right = right.items()
-                    for l, cl in left.items():
-                        ccl, base = c * cl, l * dim
+                    for base, cl in left:
+                        ccl = c * cl
                         for m, cm in right:
                             acc[base + m] = get(base + m, 0) + ccl * cm
         return pruned(acc, self.dim)
@@ -165,14 +179,22 @@ class Hopf72:
             add_into(out, self.index[((u,), u * h.inv())], -c)
         return out
 
-    def word_comult(self, w, g: Perm) -> dict:
-        """Delta(w delta_g) = Delta(x_t1) ... Delta(x_tn) Delta(delta_g) in
-        A (x) A, for any word w = x_t1 ... x_tn, reduced or not."""
-        acc = {(self.index[((), t)], self.index[((), t.inv() * g)]): 1
-               for t in S3}
-        for t in reversed(w):
-            acc = self.tensor_mult(self._gen_comult[t], acc)
-        return acc
+    def word_comult(self, w, g: Perm, memo: dict = None) -> dict:
+        """Delta(w delta_g) = Delta(x_t1) Delta(x_t2 ... x_tn delta_g) in
+        A (x) A, for any word w = x_t1 ... x_tn, reduced or not.  memo, for
+        one build or verify_hopf_ideal run (by default this call), keeps
+        Delta(v delta_g) of each suffix v under (v, g), and Delta(x_t),
+        joined, under t."""
+        if not w:
+            return {(self.index[((), t)], self.index[((), t.inv() * g)]): 1
+                    for t in S3}
+        memo = {} if memo is None else memo
+        if (w, g) not in memo:
+            if w[0] not in memo:
+                memo[w[0]] = self.joined(self._gen_comult[w[0]])
+            memo[w, g] = self.tensor_mult(memo[w[0]],
+                                          self.word_comult(w[1:], g, memo))
+        return memo[w, g]
 
     def word_antipode(self, w, g: Perm) -> dict:
         """S(w delta_g) = delta_{g^-1} S(x_tn) ... S(x_t1) in A, for any
@@ -184,10 +206,14 @@ class Hopf72:
 
 
 class Joined(dict):
-    """An element of A (x) A whose terms Hopf72.packed grouped once for
-    tensor_mult: by the tails of their legs, for a left factor, and by
-    their tail-compat tags, for a right one.  Not to be changed after."""
+    """An element of A (x) A grouped for tensor_mult (Hopf72.joined): by
+    its legs' tails, with their compiled rows, and by their tags."""
     __slots__ = ("by_tails", "by_tags")
+
+
+def _products(memo: dict) -> int:
+    """The products on A (x) A a word_comult memo took: its (w, g) keys."""
+    return sum(type(key) is tuple for key in memo)
 
 
 def build(a1, a2, table: MultTable = None) -> Hopf72:
@@ -317,18 +343,19 @@ def verify_hopf_ideal(H: Hopf72) -> dict:
     so Delta and S of a relation are pushed through Hopf72.word_comult and
     word_antipode, the maps that build the tables, and must vanish."""
     failures = []
+    memo: dict = {}
     elements = H.table.rules.relations() + coideal_elements(H.a1, H.a2)
     for name, r in elements:
         if r.get(((), E3), 0):
             failures.append((name, "counit"))
         if H.from_smash(r):
             failures.append((name, "not in kernel"))
-        if linear(lambda wg: H.word_comult(*wg), r):
+        if linear(lambda wg: H.word_comult(*wg, memo), r):
             failures.append((name, "comult not in I(x)A + A(x)I"))
         if linear(lambda wg: H.word_antipode(*wg), r):
             failures.append((name, "antipode not in I"))
     return {"elements": len(elements), "failures": failures,
-            "ok": not failures}
+            "ok": not failures, "stats": {"word_comults": _products(memo)}}
 
 
 def c_identity(H: Hopf72) -> dict:

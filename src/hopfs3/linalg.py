@@ -126,15 +126,6 @@ def nullspace(rows, ncols: int):
     return basis
 
 
-def in_span(spanning, v) -> bool:
-    """Is v in the row span of `spanning`?  Exact."""
-    if not any(v):
-        return True
-    if not spanning:
-        return False
-    base_rank = rank(spanning)
-    return rank(list(spanning) + [list(v)]) == base_rank
-
-
 def span_equal(a, b) -> bool:
-    return all(in_span(a, v) for v in b) and all(in_span(b, v) for v in a)
+    """Do the rows of a and the rows of b span the same space?  Exact."""
+    return rank(a) == rank(b) == rank(list(a) + list(b))

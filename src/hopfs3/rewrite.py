@@ -323,7 +323,9 @@ def _normal_form(x: dict, word_rules: dict, by_len: dict, memo: dict,
             raise NonterminationError(
                 f"fuel of {budget} rewrite steps exhausted", list(trace))
         for k, c in out.items():
-            c = coeff * c
+            # one * c is c, but a scalar c must still become a Tails
+            if coeff is not one or type(c) is not type(one):
+                c = coeff * c
             if c:
                 stack.append((k, c))
     return acc, budget - fuel

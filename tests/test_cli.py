@@ -209,9 +209,22 @@ class TestVerify:
                      "--a2=-1/2"]) == 0
         counts = {r["check"]: r["counts"]
                   for r in json.loads(capsys.readouterr().out)}
-        assert counts["hopf.ideal"] == {"elements": 11}
+        assert counts["hopf.ideal"] == {"elements": 11,
+                                        "stats": {"word_comults": 108}}
         assert counts["hopf.c_identity"] == {"values": 2, "comult_shapes": 2}
         assert counts["hopf.graded"] == {"products": 72 * 12}
+
+    @pytest.mark.parametrize("params", [[], ["--a1=1/3", "--a2=-1/2"]])
+    def test_hopf_reports_word_comults(self, params, capsys):
+        # Delta of each word is built once per suffix: the build takes one
+        # product on A (x) A per basis element with a non-empty word, 66
+        # of them (144, one per letter, without sharing); the 11 ideal
+        # elements need Delta of 108 words w delta_g, w non-empty
+        assert main(["verify", "hopf", "--json", *params]) == 0
+        counts = {r["check"]: r["counts"]
+                  for r in json.loads(capsys.readouterr().out)}
+        assert counts["hopf.build"]["stats"] == {"tensor_mults": 66}
+        assert counts["hopf.ideal"]["stats"] == {"word_comults": 108}
 
     def test_isotypics_failure_is_reported(self, extra_row_term,
                                            monkeypatch, capsys):

@@ -38,6 +38,17 @@ WRONG_SIGN_DIGEST = (
     "3b64bdbec3aea27361e90d5915d05ee7a0f1dac945b6836c9b09addfbf4fdac6")
 
 
+def unjoined_product(alg, x: dict, y: dict) -> dict:
+    """x y in A (x) A summed over every pair of terms of x and y, each
+    product e_p e_r (x) e_q e_s read from the table."""
+    rows = alg.table.rows
+    out: dict = {}
+    for ((p, q), c1), ((r, s), c2) in itertools.product(x.items(), y.items()):
+        for key, c in vec_tensor(rows[p][r], rows[q][s]).items():
+            add_into(out, key, c1 * c2 * c)
+    return out
+
+
 @pytest.fixture(scope="module")
 def H():
     return build(A1, A2)
@@ -145,6 +156,55 @@ class TestStructureMaps:
                 nonzero.append(bool(expected))
             # Delta(e_i) Delta(e_k) = Delta(e_i e_k)
             assert nonzero == [True, False] * 8
+
+    def test_packed_tensor_mult_on_every_follower(self, H):
+        # the packed copy's product against the unjoined sum on 48 pairs:
+        # every compatible follower k of four seeded i, with Delta(e_i)
+        # Joined on the whole table and as a plain dict, whose own rows
+        # are compiled in the call
+        packed = H.packed(axiom_layout(H))
+        pairs = [(i, k) for i in random.Random(17).sample(range(H.dim), 4)
+                 for k in H.table.compatible_followers(i)]
+        assert len(pairs) == 48
+        for i, k in pairs:
+            x, y = packed.comult[i], packed.comult[k]
+            expected = unjoined_product(packed, x, y)
+            assert packed.tensor_mult(x, y) == expected, (i, k)
+            assert packed.tensor_mult(dict(x), y) == expected, (i, k)
+
+    @pytest.mark.parametrize("point", ["symbolic", "(1/3,-1/2)", "(0,0)"])
+    def test_comult_is_product_of_letters(self, point):
+        # Delta(w delta_g), built once per suffix, against the memo-free
+        # product Delta(x_t1) ... Delta(x_tn) Delta(delta_g), unjoined
+        a = {"symbolic": (A1, A2), "(1/3,-1/2)": POINT, "(0,0)": (0, 0)}
+        alg = build(*a[point])
+        for i, (w, g) in enumerate(alg.labels):
+            expected = {(alg.index[((), t)], alg.index[((), t.inv() * g)]): 1
+                        for t in S3}
+            for t in reversed(w):
+                expected = unjoined_product(alg, alg._gen_comult[t], expected)
+            assert alg.comult[i] == expected, (w, g)
+        # one product per Delta(x_t v delta_g), v a suffix of a basis word
+        assert alg.stats == {"tensor_mults": 11 * 6}
+
+    def test_wrong_sign_changes_every_word_with_x13(self, wrong_sign_point):
+        # the control of conftest rebuilds Delta through word_comult, a
+        # memo per call; here the same once more, with one memo for the
+        # whole rebuild, made after the sign change.  Both must differ
+        # from the unperturbed Delta on every basis word holding x13 (at
+        # some tail: the negated term is x13 de (x) de) and on no other
+        H = build(*POINT)
+        H1 = build(*POINT)
+        gen = H1._gen_comult[X13]
+        key = next(iter(gen))
+        gen[key] = -gen[key]
+        memo: dict = {}
+        rebuilt = [H1.word_comult(w, g, memo) for (w, g) in H1.labels]
+        assert rebuilt == wrong_sign_point.comult
+        changed = {w for (w, _g), d, e in zip(H.labels, rebuilt, H.comult)
+                   if d != e}
+        assert changed == {w for w in H.table.words if X13 in w}
+        assert len(changed) == 6
 
     def test_tensor_mult_componentwise(self, H):
         rng = random.Random(9)

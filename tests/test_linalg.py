@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from hopfs3.linalg import add_into, linear, vec_add, vec_scale, vec_tensor
+from hopfs3.linalg import (add_into, linear, span_equal, vec_add, vec_scale,
+                           vec_tensor)
 from hopfs3.scalars import OMEGA, PolyRing
 
 A1, A2 = PolyRing("a1", "a2").gens()
@@ -56,3 +57,17 @@ def test_vec_tensor_pairs_keys():
     v = {"x": Fraction(1, 2)}
     assert vec_tensor(u, v) == {("a", "x"): 1, ("b", "x"): Fraction(-1, 2)}
     assert vec_tensor(u, {}) == {}
+
+
+@pytest.mark.parametrize("a, b, equal", [
+    ([[1, 0], [0, 1]], [[1, 1], [1, -1]], True),
+    ([[1, 2, 3]], [[2, 4, 6], [0, 0, 0]], True),
+    ([[1, 0, 0]], [[0, 1, 0]], False),
+    ([[1, 0, 0], [0, 1, 0]], [[1, 1, 0]], False),
+    ([], [[0, 0]], True),
+    ([[Fraction(1, 3), 1]], [], False),
+])
+def test_span_equal(a, b, equal):
+    # equal spans exactly when rank a = rank b = rank of both together
+    assert span_equal(a, b) is equal
+    assert span_equal(b, a) is equal

@@ -156,6 +156,22 @@ class TestRuleSystem:
         assert all(type(c) is int for rhs in zero.values()
                    for c in rhs.values())
 
+    @pytest.mark.parametrize("point", ["symbolic", "(1/3,-1/2)"])
+    def test_table_build_leaves_compiled_rules_unchanged(self, point):
+        # a word's first rewrite pushes the rule's own Tails, unscaled, so
+        # normal forms share them: nothing may change one in place
+        a = {"symbolic": (A1, A2),
+             "(1/3,-1/2)": (Fraction(1, 3), Fraction(-1, 2))}[point]
+        rules = default_rules(*a)
+        before = copy.deepcopy(rules.word_rules)
+        table = structure_constants(rules)
+        assert rules.word_rules == before
+        shared = {id(c) for rhs in rules.word_rules.values()
+                  for c in rhs.values() if type(c) is Tails}
+        assert any(id(c) in shared for nf in rules._normal_forms.values()
+                   for c in nf.values())
+        assert table.stats == {"reductions": 144, "rewrite_steps": 220}
+
     def test_inclusion_ambiguity_rejected(self):
         with pytest.raises(ValueError):
             RuleSystem([Rule((X12, X12), {}), Rule((X12, X12, X13), {})])
