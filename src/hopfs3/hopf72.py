@@ -206,8 +206,8 @@ class Hopf72:
 
 
 class Joined(dict):
-    """An element of A (x) A grouped for tensor_mult (Hopf72.joined): by
-    its legs' tails, with their compiled rows, and by their tags."""
+    """An A (x) A element grouped for tensor_mult by Hopf72.joined, by its
+    legs' tails (with their rows) and tags.  Not to be changed after."""
     __slots__ = ("by_tails", "by_tags")
 
 
