@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .rewrite import (FUEL_DEFAULT, NonterminationError, check_associativity,
                       default_rules, format_smash, hilbert_series,
-                      irreducible_words, overlap_ambiguities,
+                      irreducible_words, overlap_ambiguities, rescaled,
                       resolve_ambiguity, structure_constants)
 from .scalars import PolyRing
 
@@ -69,20 +69,30 @@ def _params(args):
 
 def _table(args):
     """The multiplication table at the chosen parameters, reduced once per
-    verify call and shared by the suites that need it."""
+    call and shared by the suites that need it.  At a rational point the
+    rules are rescaled first (rewrite.rescaled): A_[a] is built as the
+    isomorphic A_[D^2 a], on ints, and reports decode what they print."""
     if args.table is None:
-        a1, a2, _label = _params(args)
-        args.table = structure_constants(default_rules(a1, a2, fuel=args.fuel))
+        a1, a2, label = _params(args)
+        rules = default_rules(a1, a2, fuel=args.fuel)
+        if label != "symbolic":
+            rules = rescaled(rules)
+        args.table = structure_constants(rules)
     return args.table
 
 
 def _algebra(args):
-    """The Hopf72 on that table, built once per verify call and shared by
-    the suites that need it."""
+    """The Hopf72 on that table, built once per call and shared by the
+    suites that need it; its parameters are those of the table's rules,
+    so D^2 a at a rational point (a has weight 2)."""
     if args.algebra is None:
         from .hopf72 import build
         a1, a2, _label = _params(args)
-        args.algebra = build(a1, a2, _table(args))
+        table = _table(args)
+        scale = table.rules.scale
+        if scale is not None:
+            a1, a2 = scale.encode(a1, 2), scale.encode(a2, 2)
+        args.algebra = build(a1, a2, table)
     return args.algebra
 
 
@@ -275,10 +285,9 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    from .hopf72 import build, dump_tables
-    a1, a2, label = _params(args)
-    H = build(a1, a2)
-    print(f"# structure tables at {label}")
+    from .hopf72 import dump_tables
+    H = _algebra(args)
+    print(f"# structure tables at {_params(args)[2]}")
     print(dump_tables(H))
     return 0
 
@@ -333,7 +342,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     d = sub.add_parser("dump", help="dump structure tables")
     _add_params(d)
-    d.set_defaults(func=cmd_dump)
+    d.set_defaults(func=cmd_dump, table=None, algebra=None,
+                   fuel=FUEL_DEFAULT)
 
     return p
 

@@ -98,14 +98,16 @@ class Hopf72:
 
     def packed(self, layout) -> "Hopf72":
         """A copy whose product table, Delta and S hold layout-encoded
-        coefficients, each at its weight (see scalars.sweep_layout); each
-        Delta(e_i) is Joined on every row of the table, compiled once."""
+        coefficients, each at its weight (see scalars.sweep_layout), or
+        its own when the layout is the identity on them; each Delta(e_i)
+        is Joined on every row of the table, compiled once."""
         out = copy.copy(self)
         out.table = self.table.packed(layout)
-        out.comult = [{} for _ in self.comult]
-        out.antipode = [{} for _ in self.antipode]
-        for name, i, key, c, weight in self.graded():
-            getattr(out, name)[i][key] = layout.encode(c, weight)
+        if not layout.identity:
+            out.comult = [{} for _ in self.comult]
+            out.antipode = [{} for _ in self.antipode]
+            for name, i, key, c, weight in self.graded():
+                getattr(out, name)[i][key] = layout.encode(c, weight)
         every = range(self.dim)
         rows = out._compiled(every, self.dim), out._compiled(every, 1)
         out.comult = [out.joined(d, rows) for d in out.comult]
@@ -256,9 +258,14 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     Kronecker-packed over Q[a1, a2], in a rescaled basis at a rational
     point.  Coassociativity and the counit are checked by
     coalg.FinCoalgebra.  The first comult_mult failure keeps its
-    difference Delta(e_i e_k) - Delta(e_i) Delta(e_k), decoded."""
+    difference Delta(e_i e_k) - Delta(e_i) Delta(e_k), decoded to the
+    original basis: through the rules' own scale, if they were
+    rescaled (rewrite.rescaled)."""
     layout = axiom_layout(H)
+    scale = H.table.rules.scale
     H = H.packed(layout)
+    if scale is not None:
+        layout = scale.then(layout)
     coalgebra = FinCoalgebra(range(H.dim), H.comult, H.counit)
     failures = []
     witness = None
@@ -546,7 +553,15 @@ def gr_check(H: Hopf72) -> dict:
 
 
 def dump_tables(H: Hopf72) -> str:
-    """Deterministic text dump of the three structure tables."""
+    """Deterministic text dump of the three structure tables, in the
+    basis of the unrescaled rules: a coefficient of the rules' scale
+    is decoded at its weight."""
+    n = H.table.grading
+    scale = H.table.rules.scale
+
+    def value(c, weight):
+        return c if scale is None else scale.decode(c, weight)
+
     lines = []
     for i, (w, g) in enumerate(H.labels):
         name = format_smash({(w, g): 1})
@@ -558,14 +573,16 @@ def dump_tables(H: Hopf72) -> str:
                       for k in table.compatible_followers(i))
     for _key, i, k in products:
         (w1, _g1), (w2, h) = table.labels[i], table.labels[k]
-        row = {table.labels[l]: c for l, c in table.rows[i][k].items()}
+        row = {table.labels[l]: value(c, n[i] + n[k] - n[l])
+               for l, c in table.rows[i][k].items()}
         lines.append(f"mult {format_smash({(w1, h): 1})} * "
                      f"{format_smash({(w2, h): 1})} = {format_smash(row)}")
     for i in range(H.dim):
         items = sorted(H.comult[i].items())
-        lines.append("comult %d: %s" % (
-            i, " + ".join(f"({c})*[{p},{q}]" for (p, q), c in items) or "0"))
+        lines.append("comult %d: %s" % (i, " + ".join(
+            f"({value(c, n[i] - n[p] - n[q])})*[{p},{q}]"
+            for (p, q), c in items) or "0"))
         sitems = sorted(H.antipode[i].items())
-        lines.append("antipode %d: %s" % (
-            i, " + ".join(f"({c})*[{l}]" for l, c in sitems) or "0"))
+        lines.append("antipode %d: %s" % (i, " + ".join(
+            f"({value(c, n[i] - n[l])})*[{l}]" for l, c in sitems) or "0"))
     return "\n".join(lines)

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .groups import Perm, identity, parse_perm, symmetric_group, transposition
 from .linalg import add_into, linear, vec_add, vec_scale
-from .scalars import sweep_layout
+from .scalars import Rescale, sweep_layout
 
 FUEL_DEFAULT = 10 ** 6
 TRACE_TAIL = 50
@@ -165,6 +165,8 @@ class RuleSystem:
     def __init__(self, rules, fuel: int = FUEL_DEFAULT):
         self.rules = list(rules)
         self.fuel = fuel
+        # the Rescale the coefficients were given in (see rescaled)
+        self.scale = None
         self._normal_forms: dict = {}      # word -> {word: Tails}
         # word normal forms asked for, and the fuel their rewrites spent
         self.reductions = 0
@@ -239,6 +241,24 @@ class RuleSystem:
         return linear(lambda wg: self.reduce_term(*wg), x)
 
 
+def rescaled(rules: RuleSystem) -> RuleSystem:
+    """The rule system, with rational coefficients, in the basis
+    e_(w,g) -> D^|w| e_(w,g): each term w of a rule gains D^(|lhs| - |w|),
+    D fitted to those (coefficient, weight) pairs (scalars.Rescale), so
+    default_rules(a1, a2) becomes default_rules(D^2 a1, D^2 a2), on ints.
+    The Rescale is kept as the system's scale, for reports to decode."""
+    def weight(rule, w):
+        return len(rule.lhs) - len(w)
+
+    scale = Rescale.fit((c, weight(r, w)) for r in rules.rules
+                        for (w, _h), c in r.rhs.items())
+    out = RuleSystem([Rule(r.lhs, {(w, h): scale.encode(c, weight(r, w))
+                                   for (w, h), c in r.rhs.items()})
+                      for r in rules.rules], fuel=rules.fuel)
+    out.scale = scale
+    return out
+
+
 def _compile(rhs: dict, one: Tails) -> dict:
     """A rule's rhs {(w, h): c} as {w: coeff}: coeff is a scalar when the
     term has one value under every tail of the group `one`, otherwise
@@ -310,7 +330,9 @@ def _normal_form(x: dict, word_rules: dict, by_len: dict, memo: dict,
         hit = memo.get(key)
         if hit is not None:
             for k, c in hit.items():
-                add_into(acc, k, coeff if c is one else coeff * c)
+                if coeff is not one:
+                    c = coeff if c is one else coeff * c
+                add_into(acc, k, c)
             continue
         out = rewrite(key, word_rules, by_len)
         if out is None:
@@ -422,7 +444,7 @@ def resolve_ambiguity(amb, rules: RuleSystem):
     first), each once under every tail, and compare the reductions of
     the two tail by tail, over the group of the rules; returns
     (resolved, trace), with one entry (g, left - right) per tail g where
-    they part."""
+    they part, decoded by the rules' scale to the unrescaled basis."""
     i, j, word = amb
     one = rules.group
     lhs_i, lhs_j = rules.rules[i].lhs, rules.rules[j].lhs
@@ -434,7 +456,11 @@ def resolve_ambiguity(amb, rules: RuleSystem):
         lg = rules.reduce(_slice(left, g))
         rg = rules.reduce(_slice(right, g))
         if lg != rg:
-            trace.append((g, format_smash(vec_add(lg, vec_scale(-1, rg)))))
+            diff = vec_add(lg, vec_scale(-1, rg))
+            if rules.scale is not None:
+                diff = {(w, h): rules.scale.decode(c, len(word) - len(w))
+                        for (w, h), c in diff.items()}
+            trace.append((g, format_smash(diff)))
     return not trace, trace
 
 
@@ -492,7 +518,10 @@ class MultTable:
 
     def packed(self, layout) -> "MultTable":
         """A copy whose rows hold layout-encoded coefficients, each at
-        its weight; see scalars.sweep_layout."""
+        its weight (see scalars.sweep_layout); the table itself when the
+        layout is the identity on its values."""
+        if layout.identity:
+            return self
         out = copy.copy(self)
         out.rows = [[{} for _ in row] for row in self.rows]
         for i, k, l, c, weight in self.graded():
@@ -534,7 +563,8 @@ def check_associativity(table: MultTable) -> dict:
     basis elements; at a rational point the basis is rescaled.  Both
     sides are summed, over the rows' items, into one difference, which
     vanishes exactly when the packed sides are equal: the bounds are
-    those of each side."""
+    those of each side.  The report names the layout from the original
+    basis: after the rules' own scale, if they were rescaled."""
     most = max(len(e) for row in table.rows for e in row)
     layout = sweep_layout(((c, n) for *_, c, n in table.graded()),
                           factors=2, summands=most * most)
@@ -557,8 +587,9 @@ def check_associativity(table: MultTable) -> dict:
                 checked += 1
                 if any(diff.values()):
                     failures.append((i, j, k))
+    scale = table.rules.scale
     return {"checked": checked, "failures": failures, "ok": not failures,
-            "scalars": str(layout)}
+            "scalars": str(layout if scale is None else scale.then(layout))}
 
 
 def hilbert_series(words) -> list:

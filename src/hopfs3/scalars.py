@@ -244,6 +244,7 @@ class Kronecker:
     """
 
     __slots__ = ("names", "bits", "slots")
+    identity = False                # packing changes every value
 
     def __init__(self, names: tuple, bits: int, slots: int):
         self.names = names
@@ -347,18 +348,26 @@ class Rescale:
     """The diagonal change of basis e -> D^|e| e at a rational point.
 
     A structure-map coefficient c of weight n (the grade of its source
-    less that of its target: |e_i| + |e_k| - |e_l| for e_l in e_i e_k)
-    becomes c * D^n.  The change is an isomorphism, so a sweep finds the
-    same equalities and failures in either basis.  When c is homogeneous
-    of weight twice its degree in the parameters, as in A_[a1, a2] with
-    the word-length grading (x_t -> D x_t carries A_[a] onto A_[D^2 a]),
-    the fitted D makes it an int; otherwise it stays an exact Fraction.
+    less that of its target: |e_i| + |e_k| - |e_l| for e_l in e_i e_k,
+    |lhs| - |w| for a term w of a rule) becomes c * D^n.  The change is
+    an isomorphism, so a sweep finds the same equalities and failures in
+    either basis.  When c is homogeneous of weight twice its degree in
+    the parameters, as in A_[a1, a2] with the word-length grading
+    (x_t -> D x_t carries A_[a] onto A_[D^2 a]), the fitted D makes it an
+    int; otherwise it stays an exact Fraction.  The CLI rescales a rule
+    system once (rewrite.rescaled), so at a rational point the table, the
+    structure maps and every check already run on the ints of A_[D^2 a];
+    a sweep's own fit there is the identity, and ``then`` gives the one
+    Rescale that reads its values back in A_[a].
     """
 
-    __slots__ = ("base",)
+    __slots__ = ("base", "identity")
 
-    def __init__(self, base: int):
+    def __init__(self, base: int, identity: bool = False):
         self.base = base
+        # set by fit when D = 1 and every value fitted is an int, so that
+        # encode gives back each value as it is
+        self.identity = identity
 
     @classmethod
     def fit(cls, weighted) -> "Rescale":
@@ -366,14 +375,23 @@ class Rescale:
         weight, lowest first, the lcm L_n of the denominators at weight
         n > 0 joins D unless L_n already divides D^n."""
         lcms: dict = {}
+        ints = True
         for c, n in weighted:
-            if n > 0:
-                lcms[n] = math.lcm(lcms.get(n, 1), c.denominator)
+            if type(c) is not int:
+                ints = False
+                if n > 0:
+                    lcms[n] = math.lcm(lcms.get(n, 1), c.denominator)
         base = 1
         for n in sorted(lcms):
             if base ** n % lcms[n]:
                 base = math.lcm(base, lcms[n])
-        return cls(base)
+        return cls(base, ints)
+
+    def then(self, layout) -> "Rescale":
+        """The Rescale by this D times that of the layout a sweep fitted
+        to values already rescaled by this one: it names the sweep's
+        basis and decodes its values from the original coordinates."""
+        return Rescale(self.base * layout.base)
 
     def __str__(self):
         return f"rescaled D={self.base}"

@@ -14,9 +14,15 @@ def wrong_sign(a1, a2):
     """The algebra at (a1, a2) with one term of Delta(x13) negated and the
     Delta/S tables rebuilt from it; a control the axioms must reject."""
     from hopfs3.hopf72 import build
+
+    return with_wrong_sign(build(a1, a2))
+
+
+def with_wrong_sign(H):
+    """H with one term of Delta(x13) negated and the Delta/S tables
+    rebuilt from it, in place."""
     from hopfs3.rewrite import X13
 
-    H = build(a1, a2)
     gen = H._gen_comult[X13]
     key = next(iter(gen))
     gen[key] = -gen[key]

@@ -255,6 +255,34 @@ class TestVerify:
         assert axioms["details"][1:4] == ["('coassoc', 7)", "('coassoc', 9)",
                                           "('coassoc', 12)"]
 
+    def test_axioms_witness_at_a_point(self, wrong_sign_point, monkeypatch,
+                                       capsys):
+        # the wrong-sign control injected below _algebra, so into the
+        # rescaled A_[36 a]: the failures and the witness, decoded, are
+        # the library's on the Fraction algebra at (1/3, -1/2)
+        import conftest
+        import hopfs3.hopf72 as hopf72
+        built, build = [], hopf72.build
+        monkeypatch.setattr(hopf72, "build", lambda *a: built.append(
+            conftest.with_wrong_sign(build(*a))) or built[-1])
+        assert main(["verify", "hopf", "--json", "--a1=1/3",
+                     "--a2=-1/2"]) == 1
+        axioms = {r["check"]: r
+                  for r in json.loads(capsys.readouterr().out)}["hopf.axioms"]
+        assert (built[0].a1, built[0].a2) == (12, -18)
+        rep = hopf72.verify_hopf_axioms(wrong_sign_point)
+        assert rep["witness"] == (
+            "Delta(e7 e54) - Delta(e7) Delta(e54) = (1)*[12,6] + "
+            "(2)*[12,60] + (-2)*[24,24] + (-2/3)*[30,0] + (-2/3)*[36,0] + "
+            "(-2)*[54,12]")
+        assert axioms["status"] == "fail"
+        assert axioms["counts"]["scalars"] == rep["scalars"] == "rescaled D=6"
+        assert axioms["details"] == [rep["witness"]] + [
+            str(f) for f in rep["failures"][:9]]
+        cli_rep = hopf72.verify_hopf_axioms(built[0])
+        assert cli_rep["failures"] == rep["failures"]
+        assert cli_rep["witness"] == rep["witness"]
+
     def test_point_pass_is_rational(self, capsys):
         assert main(["verify", "diamond", "--a1=1/3", "--a2=-1/2",
                      "--json"]) == 0

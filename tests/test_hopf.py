@@ -3,13 +3,18 @@ Hopf-ideal property, filtration lemmas, and the coradical."""
 
 import collections
 import hashlib
+import importlib.util
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import hopfs3.classify
+from hopfs3.cli import _algebra, make_parser
 from hopfs3.groups import conjugate, parse_perm
 from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build, c_identity,
                            coideal_elements, coradical_certificate,
@@ -18,7 +23,8 @@ from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build, c_identity,
 from hopfs3.linalg import add_into, vec_add, vec_scale, vec_tensor
 from hopfs3.hopf72 import Hopf72, Joined
 from hopfs3.rewrite import (S3, X12, X13, X23, Rule, RuleSystem, _full_tail,
-                            default_rules, structure_constants)
+                            check_associativity, default_rules,
+                            structure_constants)
 from hopfs3.scalars import PolyRing, Rescale, ScalarKindError
 
 R = PolyRing("a1", "a2")
@@ -36,6 +42,29 @@ GRADED_CONTROL_DIGEST = (
 
 WRONG_SIGN_DIGEST = (
     "3b64bdbec3aea27361e90d5915d05ee7a0f1dac945b6836c9b09addfbf4fdac6")
+
+
+def benchmark_points(seed: int) -> dict:
+    """The first point of each class in the seeded stream of the
+    benchmark's point sweep (perfbench/workloads.py point_inputs):
+    generic at each height, a partner, and each degenerate shape."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    stream = workloads.point_inputs(SimpleNamespace(classify=hopfs3.classify),
+                                    seed)
+    shapes = {(0, 0): "(0,0)", (1, 0): "(a,0)", (0, 1): "(0,a)"}
+    out: dict = {}
+    for p in stream:
+        kind = {"generic": f"generic-{p.height}", "partner": "partner",
+                "degenerate": shapes.get((bool(p.a1), bool(p.a2)), "(a,a)")}
+        out.setdefault(kind[p.kind], (p.a1, p.a2))
+        if len(out) == 8:
+            return out
+
+
+BENCHMARK_POINTS = benchmark_points(2026)
 
 
 def unjoined_product(alg, x: dict, y: dict) -> dict:
@@ -406,6 +435,41 @@ class TestAxioms:
             assert (key2, weight2) == (key, weight)
             assert type(v) is int
             assert layout.decode(v, weight) == c
+
+
+class TestRescaledAlgebra:
+    """At a rational point the CLI rescales the rules once and builds
+    A_[a] as A_[D^2 a], on ints; the library's algebra on Fraction tables
+    is the reference."""
+
+    @pytest.mark.parametrize("kind", sorted(BENCHMARK_POINTS))
+    def test_isomorphic_to_the_fraction_algebra(self, kind):
+        a1, a2 = BENCHMARK_POINTS[kind]
+        H0 = build(a1, a2)
+        H1 = _algebra(make_parser().parse_args(
+            ["verify", "hopf", f"--a1={a1}", f"--a2={a2}"]))
+        D = H1.table.rules.scale.base
+        assert (H1.a1, H1.a2) == (D * D * a1, D * D * a2)
+        # every entry of the table, Delta and S is the Fraction entry
+        # times D^weight, and an int
+        for old, new in ((H0.table.graded(), H1.table.graded()),
+                         (H0.graded(), H1.graded())):
+            old = {tuple(key): (c, n) for *key, c, n in old}
+            new = {tuple(key): (c, n) for *key, c, n in new}
+            assert new.keys() == old.keys()
+            for key, (c, n) in old.items():
+                assert new[key] == (c * D ** n, n), key
+                assert type(new[key][0]) is int, key
+        # the sweeps count and find the same, and name the same basis
+        assert check_associativity(H1.table) == check_associativity(H0.table)
+        assert verify_hopf_axioms(H1) == verify_hopf_axioms(H0)
+
+    def test_points_cover_the_stream(self):
+        assert sorted(BENCHMARK_POINTS) == [
+            "(0,0)", "(0,a)", "(a,0)", "(a,a)", "generic-large",
+            "generic-medium", "generic-small", "partner"]
+        assert max(max(abs(a.numerator), a.denominator)
+                   for a in BENCHMARK_POINTS["generic-large"]) > 999
 
 
 class TestHopfIdeal:

@@ -14,8 +14,8 @@ from hopfs3.rewrite import (GENERATORS, GrowthError, NonterminationError,
                             Rule, RuleSystem, S3, Tails, X12, X13, X23,
                             check_associativity, complete, default_rules,
                             find_redex, hilbert_series, irreducible_words,
-                            overlap_ambiguities, resolve_ambiguity,
-                            sigma, smash_mult, structure_constants,
+                            overlap_ambiguities, rescaled,
+                            resolve_ambiguity, sigma, smash_mult, structure_constants,
                             uniform_rule, word_key)
 from hopfs3.linalg import add_into, vec_add
 from hopfs3.scalars import PolyRing, Rescale
@@ -171,6 +171,46 @@ class TestRuleSystem:
         assert any(id(c) in shared for nf in rules._normal_forms.values()
                    for c in nf.values())
         assert table.stats == {"reductions": 144, "rewrite_steps": 220}
+
+    def test_memo_hits_take_no_unit_products(self, monkeypatch):
+        # a memoized normal form reached with the unit coefficient is
+        # added as it is: no Tails product against the unit of k^{S3}
+        rules = default_rules(Fraction(999, 1000), Fraction(-123, 77))
+        one, mul, units = rules.group, Tails.__mul__, []
+
+        def counted(f, h):
+            if type(h) is Tails and one in (f, h):
+                units.append((f, h))
+            return mul(f, h)
+
+        monkeypatch.setattr(Tails, "__mul__", counted)
+        table = structure_constants(rules)
+        assert table.stats == {"reductions": 144, "rewrite_steps": 220}
+        assert units == []
+
+    def test_rescaled_rules(self):
+        # at (1/3, -1/2) the weight-2 coefficients have denominator 6, so
+        # D = 6 and the rescaled system is default_rules(12, -18), on ints
+        rules = default_rules(Fraction(1, 3), Fraction(-1, 2))
+        big = rescaled(rules)
+        assert str(big.scale) == "rescaled D=6" and rules.scale is None
+        assert big.word_rules == default_rules(12, -18).word_rules
+        assert all(type(c) is int for r in big.rules for c in r.rhs.values())
+        # the perturbed control keeps its perturbation, scaled by D^2
+        first, *rest = rules.rules
+        key = next(iter(first.rhs))
+        bumped = RuleSystem([Rule(first.lhs, {**first.rhs,
+                                              key: first.rhs[key] + 1})]
+                            + rest)
+        assert rescaled(bumped).rules[0].rhs[key] == \
+            big.rules[0].rhs[key] + 36
+        # an integer point needs no rescale
+        assert rescaled(default_rules(2, -3)).scale.base == 1
+        # the table of the rescaled rules is all ints: a sweep's own fit
+        # is the identity, and packing it returns the table itself
+        table = structure_constants(big)
+        layout = Rescale.fit((c, n) for *_, c, n in table.graded())
+        assert layout.identity and table.packed(layout) is table
 
     def test_inclusion_ambiguity_rejected(self):
         with pytest.raises(ValueError):

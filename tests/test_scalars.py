@@ -246,6 +246,17 @@ class TestRescale:
         assert Rescale.fit(weighted + [(Fraction(1, 5), 4)]).base == 30
         assert Rescale.fit([(7, 2), (Fraction(1, 2), 0)]).base == 1
 
+    def test_identity_and_composition(self):
+        # D = 1 on ints leaves every value as it is; a whole Fraction
+        # still needs encoding to become an int
+        assert Rescale.fit([(12, 2), (-1, 0)]).identity
+        assert not Rescale.fit([(Fraction(12), 2), (-1, 0)]).identity
+        assert not Rescale(1).identity
+        # a sweep fitted after a rescale by 6 reads back by D = 6 in all
+        layout = Rescale(6).then(Rescale.fit([(12, 2)]))
+        assert str(layout) == "rescaled D=6"
+        assert layout.decode(-36, 2) == -1
+
     @given(rationals, st.integers(-3, 8), st.integers(1, 60))
     def test_decode_inverts_encode(self, c, weight, base):
         layout = Rescale(base)

@@ -6,8 +6,13 @@ README's CLI block, ``hopfs3 verify all --a1=1/3 --a2=-1/2`` and
 ``pytest tests/test_acceptance.py``.  It then prints, one a line as
 ``module.qualname``, every function and method defined in src/hopfs3
 (dunders, lambdas and comprehensions aside) that none of them called.
+Only that list goes to stdout; the pytest report and the exit codes go
+to stderr.  tools/unreached.txt holds the list as committed, so that
 
-    python3 tools/reachability.py
+    python3 tools/reachability.py | diff tools/unreached.txt -
+
+fails when a function becomes unreached (or reached) without the list
+being updated.
 """
 
 from __future__ import annotations
@@ -76,8 +81,9 @@ def main() -> int:
             with contextlib.redirect_stdout(io.StringIO()):
                 codes = [hopfs3(argv) for argv in runs]
             os.chdir(cwd)
-        status = pytest.main(["-q", "-p", "no:cacheprovider",
-                              str(ROOT / "tests" / "test_acceptance.py")])
+        with contextlib.redirect_stdout(sys.stderr):
+            status = pytest.main(["-q", "-p", "no:cacheprovider",
+                                  str(ROOT / "tests" / "test_acceptance.py")])
     finally:
         sys.setprofile(None)
         os.chdir(cwd)
