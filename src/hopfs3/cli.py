@@ -164,7 +164,7 @@ def _suite_hopf(args) -> list:
                         "pairs": rep["pairs_checked"],
                         "delta_terms": rep["delta_terms"],
                         "terms_compared": rep["terms_compared"],
-                        "scalars": rep["scalars"]},
+                        "scalars": rep["scalars"], "stats": rep["stats"]},
                        witness + rep["failures"], t0))
     for name, check, keys in (
             ("hopf.ideal", verify_hopf_ideal, ("elements", "stats")),

@@ -11,7 +11,8 @@ package, so scaling and tensoring zero-free vectors needs no pruning.
 Row reduction only ever divides by invertible scalars.  Over polynomial
 scalars that means nonzero constants: if elimination would require
 inverting a nonconstant polynomial, :class:`NeedsSpecialization` is
-raised instead of guessing.
+raised instead of guessing.  The rank of an int matrix is found
+fraction-free, by exact integer divisions only.
 """
 
 from __future__ import annotations
@@ -109,7 +110,37 @@ def rref(rows):
 
 
 def rank(rows) -> int:
+    """The rank, exact: fraction-free on an int matrix (_int_rank), by
+    rref in every other scalar domain."""
+    rows = [list(r) for r in rows]
+    if all(type(x) is int for r in rows for x in r):
+        return _int_rank(rows)
     return len(rref(rows)[0])
+
+
+def _int_rank(rows: list) -> int:
+    """The rank of an int matrix by Bareiss elimination, in place: after
+    each pivot every entry below it is a minor of the matrix, so the
+    division by the previous pivot is exact and no Fraction is made."""
+    r = 0
+    prev = 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]),
+                         None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        pivot = rows[r]
+        p = pivot[col]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][col]
+            rows[i] = [(p * a - f * b) // prev
+                       for a, b in zip(rows[i], pivot)]
+        prev = p
+        r += 1
+        if r == len(rows):
+            break
+    return r
 
 
 def nullspace(rows, ncols: int):

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .groups import Perm, identity, parse_perm, symmetric_group, transposition
 from .linalg import add_into, linear, vec_add, vec_scale
-from .scalars import Rescale, sweep_layout
+from .scalars import Rescale, encoder, sweep_layout
 
 FUEL_DEFAULT = 10 ** 6
 TRACE_TAIL = 50
@@ -518,14 +518,16 @@ class MultTable:
 
     def packed(self, layout) -> "MultTable":
         """A copy whose rows hold layout-encoded coefficients, each at
-        its weight (see scalars.sweep_layout); the table itself when the
-        layout is the identity on its values."""
+        its weight (see scalars.sweep_layout) and each distinct one
+        encoded once; the table itself when the layout is the identity
+        on its values."""
         if layout.identity:
             return self
+        encode = encoder(layout)
         out = copy.copy(self)
         out.rows = [[{} for _ in row] for row in self.rows]
         for i, k, l, c, weight in self.graded():
-            out.rows[i][k][l] = layout.encode(c, weight)
+            out.rows[i][k][l] = encode(c, weight)
         return out
 
     def mult_basis(self, i: int, k: int) -> dict:

@@ -373,11 +373,18 @@ class Rescale:
     def fit(cls, weighted) -> "Rescale":
         """D for the rational (value, weight) pairs given: weight by
         weight, lowest first, the lcm L_n of the denominators at weight
-        n > 0 joins D unless L_n already divides D^n."""
+        n > 0 joins D unless L_n already divides D^n.  None at the first
+        polynomial, which no Rescale clears; raises ScalarKindError on a
+        value that is neither rational nor a polynomial."""
         lcms: dict = {}
         ints = True
         for c, n in weighted:
             if type(c) is not int:
+                if type(c) is MultiPoly:
+                    return None
+                if not _is_rat(c):
+                    raise ScalarKindError(
+                        f"cannot rescale a {type(c).__name__}")
                 ints = False
                 if n > 0:
                     lcms[n] = math.lcm(lcms.get(n, 1), c.denominator)
@@ -413,11 +420,26 @@ class Rescale:
 
 def sweep_layout(weighted, factors: int, summands: int):
     """The layout an exhaustive sweep runs on, measured from its
-    (value, weight) pairs: a Kronecker packing (``Kronecker.fit``) when
-    polynomials are present, else the Rescale of a rational point."""
+    (value, weight) pairs: the Rescale of a rational point, fitted in
+    one pass, or, once that pass meets a polynomial, a Kronecker packing
+    (``Kronecker.fit``) of all the values."""
     weighted = list(weighted)
-    return (Kronecker.fit((c for c, _n in weighted), factors, summands)
-            or Rescale.fit(weighted))
+    return (Rescale.fit(weighted)
+            or Kronecker.fit((c for c, _n in weighted), factors, summands))
+
+
+def encoder(layout):
+    """layout.encode, each distinct (value, weight) encoded once: a
+    packing reads thousands of coefficients but few distinct values."""
+    codes: dict = {}
+    get = codes.get
+
+    def encode(c, weight: int):
+        v = get((c, weight))
+        if v is None:
+            v = codes[c, weight] = layout.encode(c, weight)
+        return v
+    return encode
 
 
 def _is_int(x) -> bool:

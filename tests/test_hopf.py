@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import itertools
 import random
+from itertools import chain
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -76,6 +77,27 @@ def unjoined_product(alg, x: dict, y: dict) -> dict:
         for key, c in vec_tensor(rows[p][r], rows[q][s]).items():
             add_into(out, key, c1 * c2 * c)
     return out
+
+
+def naive_comult_mult(alg) -> tuple:
+    """The comult_mult failures and witness of a plain loop over every
+    basis pair in alg's own scalars, with no packing and no join hoisted
+    to the row: Delta(e_i e_k) against tensor_mult(Delta e_i, Delta e_k)."""
+    failures, witness = [], None
+    for i in range(alg.dim):
+        left = alg.joined(alg.comult[i])
+        for k in range(alg.dim):
+            lhs = alg.delta(alg.table.mult_basis(i, k))
+            rhs = alg.tensor_mult(left, alg.comult[k])
+            if lhs == rhs:
+                continue
+            failures.append(("comult_mult", i, k))
+            if witness is None:
+                diff = vec_add(lhs, vec_scale(-1, rhs))
+                witness = f"Delta(e{i} e{k}) - Delta(e{i}) Delta(e{k}) = " \
+                    + " + ".join(f"({c})*[{p},{q}]"
+                                 for (p, q), c in sorted(diff.items()))
+    return failures, witness
 
 
 @pytest.fixture(scope="module")
@@ -243,18 +265,6 @@ class TestStructureMaps:
             rhs = vec_tensor(H.mult(a, c), H.mult(b, d))
             assert lhs == rhs
 
-    def test_axioms_call_tensor_mult_once_per_pair(self, Hnum, monkeypatch):
-        calls = []
-        tensor_mult = Hopf72.tensor_mult
-
-        def counted(self, x, y):
-            calls.append(1)
-            return tensor_mult(self, x, y)
-
-        monkeypatch.setattr(Hopf72, "tensor_mult", counted)
-        assert verify_hopf_axioms(Hnum)["ok"]
-        assert len(calls) == 72 * 72
-
     @pytest.mark.parametrize("n", [2, 3])
     def test_word_maps_match_tables(self, H, n):
         # Delta and S of an arbitrary (also reducible) word, taken along its
@@ -280,6 +290,28 @@ class TestAxioms:
         # d = 3, N = 3, D = 94, R = 2: K = 4*3 + 1, 2*94^2*2^2*3^4 < 2^23
         assert rep["scalars"] == "kronecker B=24 K=13"
         assert rep["witness"] is None
+        # 12 joined pairs per row, the other 60 settled by an empty row
+        assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
+
+    @pytest.mark.parametrize("point", ["symbolic", "(1/3,-1/2)"])
+    def test_packing_encodes_each_distinct_value_once(self, point,
+                                                      monkeypatch):
+        # 3353 coefficients, 28 distinct (value, weight) in the table and
+        # 11 in Delta and S
+        alg = build(*{"symbolic": (A1, A2), "(1/3,-1/2)": POINT}[point])
+        layout = axiom_layout(alg)
+        seen = []
+        encode = type(layout).encode
+        monkeypatch.setattr(type(layout), "encode", lambda self, c, n: (
+            seen.append((c, n)), encode(self, c, n))[1])
+        packed = alg.packed(layout)
+        assert len(seen) == 28 + 11
+        assert set(seen) == {(c, n) for *_, c, n in chain(
+            alg.table.graded(), alg.graded())}
+        for (*key, c, n), (*key2, v, n2) in zip(
+                chain(alg.table.graded(), alg.graded()),
+                chain(packed.table.graded(), packed.graded())):
+            assert (key2, n2, v) == (key, n, encode(layout, c, n))
 
     def test_packed_coefficients_decode(self, H):
         layout = axiom_layout(H)
@@ -304,11 +336,13 @@ class TestAxioms:
         assert rep["scalars"] == "rescaled D=6"
         assert (rep["delta_terms"], rep["terms_compared"]) == (2310, 29053)
         assert rep["witness"] is None
+        assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
 
     def test_degenerate_point(self):
         rep = verify_hopf_axioms(build(0, 0))
         assert rep["ok"], rep["failures"][:5]
         assert (rep["delta_terms"], rep["terms_compared"]) == (2148, 14196)
+        assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
 
     def test_wrong_sign_in_comult_fails(self):
         # negate one term of Delta(x13) and rebuild the tables from it
@@ -435,6 +469,51 @@ class TestAxioms:
             assert (key2, weight2) == (key, weight)
             assert type(v) is int
             assert layout.decode(v, weight) == c
+
+
+class TestAxiomsAgainstNaiveLoop:
+    """The sweep's comult_mult failures and witness against
+    naive_comult_mult, on the unpacked algebra in its own scalars."""
+
+    def assert_matches_naive(self, alg):
+        rep = verify_hopf_axioms(alg)
+        failures, witness = naive_comult_mult(alg)
+        assert [f for f in rep["failures"]
+                if f[0] == "comult_mult"] == failures
+        assert rep["witness"] == witness
+        assert rep["pairs_checked"] == 72 * 72
+        return rep
+
+    def test_unperturbed_symbolic(self, H):
+        assert self.assert_matches_naive(H)["ok"]
+
+    def test_unperturbed_at_point(self):
+        assert self.assert_matches_naive(build(*POINT))["ok"]
+
+    def test_wrong_sign(self, wrong_sign_point):
+        rep = self.assert_matches_naive(wrong_sign_point)
+        assert rep["witness"].startswith("Delta(e7 e54) - ")
+
+    def test_wrong_sign_symbolic(self, wrong_sign_symbolic):
+        self.assert_matches_naive(wrong_sign_symbolic)
+
+    def test_planted_term_in_a_structurally_zero_row(self):
+        # delta_e x12 de = 0 (the tail e of delta_e is not the tag (12)
+        # of x12 de); planting e_0 in it breaks Delta(e_i e_k) =
+        # Delta(e_i) Delta(e_k) at a pair that no join meets, which the
+        # row-level branch must report
+        alg = build(*POINT)
+        i = alg.index[((), G["e"])]
+        k = alg.index[((X12,), G["e"])]
+        assert k not in alg.table.compatible_followers(i)
+        assert not alg.table.rows[i][k]
+        alg.table.rows[i][k] = {0: 1}
+        rep = self.assert_matches_naive(alg)
+        assert ("comult_mult", i, k) in rep["failures"]
+        assert rep["witness"] == \
+            f"Delta(e{i} e{k}) - Delta(e{i}) Delta(e{k}) = " + " + ".join(
+                f"(1)*[{p},{q}]" for (p, q) in sorted(alg.comult[0]))
+        assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
 
 
 class TestRescaledAlgebra:
@@ -633,6 +712,20 @@ class TestControls:
     def test_antipode_rank_rejects_copied_column(self):
         # S(x12 d(23)) := S(x12 de), a column copied within length 1
         H = build(*POINT)
+        i = H.index[((X12,), G["e"])]
+        j = H.index[((X12,), G["(23)"])]
+        H.antipode[j] = dict(H.antipode[i])
+        rep = lemma31_suite(H)
+        assert rep["failures"] == [("antipode-rank",)]
+        assert rep["antipode_invertible"] is False
+
+    def test_antipode_rank_rejects_copied_column_on_ints(self):
+        # the same control on the CLI's rescaled algebra, whose blocks of
+        # S are ints and whose ranks are taken fraction-free
+        H = _algebra(make_parser().parse_args(
+            ["verify", "lemmas", "--a1=1/3", "--a2=-1/2"]))
+        assert all(type(c) is int for a in H.antipode for c in a.values())
+        assert lemma31_suite(H)["antipode_invertible"] is True
         i = H.index[((X12,), G["e"])]
         j = H.index[((X12,), G["(23)"])]
         H.antipode[j] = dict(H.antipode[i])

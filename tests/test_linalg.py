@@ -1,12 +1,13 @@
 """The sparse-vector kernel: {key: coeff} dicts that never store a zero,
 in every scalar domain of the package."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from hopfs3.linalg import (add_into, linear, span_equal, vec_add, vec_scale,
-                           vec_tensor)
+from hopfs3.linalg import (add_into, linear, rank, rref, span_equal, vec_add,
+                           vec_scale, vec_tensor)
 from hopfs3.scalars import OMEGA, PolyRing
 
 A1, A2 = PolyRing("a1", "a2").gens()
@@ -71,3 +72,37 @@ def test_span_equal(a, b, equal):
     # equal spans exactly when rank a = rank b = rank of both together
     assert span_equal(a, b) is equal
     assert span_equal(b, a) is equal
+
+
+def seeded_int_matrix(rng: random.Random) -> list:
+    """An m x n int matrix of rank at most r: a product of m x r and r x n
+    factors, some of it zeroed out, or sparse noise."""
+    m, n = rng.randint(1, 8), rng.randint(1, 8)
+    if rng.random() < 0.25:
+        return [[rng.choice((0, 0, 0, rng.randint(-9, 9))) for _ in range(n)]
+                for _ in range(m)]
+    r = rng.randint(0, min(m, n))
+    left = [[rng.randint(-5, 5) for _ in range(r)] for _ in range(m)]
+    right = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(r)]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+            if r else [0] * n for row in left]
+
+
+def test_int_rank_matches_rref():
+    # the fraction-free rank of an int matrix against rref's, which works
+    # in Fractions, on 600 seeded matrices; most are rank-deficient
+    rng = random.Random(31)
+    deficient = 0
+    for _ in range(600):
+        rows = seeded_int_matrix(rng)
+        expected = len(rref(rows)[0])
+        deficient += expected < min(len(rows), len(rows[0]))
+        assert rank(rows) == expected, rows
+        assert rank([[Fraction(c) for c in row] for row in rows]) == expected
+    assert deficient > 300
+
+
+def test_int_rank_leaves_its_input():
+    rows = [[2, 4], [1, 2]]
+    assert rank(rows) == 1
+    assert rows == [[2, 4], [1, 2]]

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from hopfs3.scalars import (Cyclotomic3, Kronecker, MultiPoly,
                             NeedsSpecialization, OMEGA, PolyRing, Rescale,
-                            ScalarKindError, _is_rat, field_invert,
+                            ScalarKindError, _is_rat, encoder, field_invert,
                             sweep_layout)
 
 R = PolyRing("a1", "a2")
@@ -269,3 +269,40 @@ class TestRescale:
         assert isinstance(sweep_layout([(A1, 2), (3, 0)], 2, 1), Kronecker)
         layout = sweep_layout([(Fraction(1, 2), 2), (3, 0)], 2, 1)
         assert isinstance(layout, Rescale) and layout.base == 2
+        # rationals first and a polynomial later: packed, so only ints
+        # may join it
+        weighted = [(2, 2), (-3, 0), (A1, 2)]
+        assert Rescale.fit(weighted) is None
+        assert str(sweep_layout(weighted, 2, 1)) == \
+            str(Kronecker.fit([2, -3, A1], 2, 1))
+        with pytest.raises(ScalarKindError, match="non-integer"):
+            sweep_layout([(Fraction(1, 2), 2), (A1, 2)], 2, 1)
+
+    @pytest.mark.parametrize("weighted", [
+        [(OMEGA, 0)],
+        [(1, 0), (Fraction(1, 2), 2), (OMEGA, 1)],
+        [(OMEGA, 1), (A1, 2)],
+        [(A1, 2), (OMEGA, 1)],
+    ])
+    def test_sweep_layout_refuses_other_scalars(self, weighted):
+        # a value neither rational nor a polynomial has no layout,
+        # whether it comes before the first polynomial or after it
+        with pytest.raises(ScalarKindError):
+            sweep_layout(weighted, 2, 1)
+
+    def test_encoder_encodes_each_distinct_value_once(self):
+        seen = []
+
+        class Counted(Rescale):
+            __slots__ = ()
+
+            def encode(self, x, weight):
+                seen.append((x, weight))
+                return super().encode(x, weight)
+
+        encode = encoder(Counted(6))
+        values = [(Fraction(1, 3), 2), (Fraction(1, 3), 2), (2, 1),
+                  (Fraction(1, 3), 0), (2, 1)]
+        assert [encode(c, n) for c, n in values] == \
+            [12, 12, 12, Fraction(1, 3), 12]
+        assert seen == [(Fraction(1, 3), 2), (2, 1), (Fraction(1, 3), 0)]
