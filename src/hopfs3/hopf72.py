@@ -242,12 +242,14 @@ def axiom_layout(H: Hopf72):
     Kronecker packing over Q[a1, a2], a Rescale at a rational point.
 
     With D, R and A the most terms of a Delta(e_i), a product e_i e_k and
-    an S(e_i): a product in tensor_mult has four factors, and its
-    accumulator at most D^2 R^2 summands (the join only skips products
-    that are structurally zero, and only final sums are tested for 0);
-    the antipode convolutions sum at most D A R products of four factors
-    (c, S, 1, row); coassociativity (D^2 summands) and Delta of a product
-    (R D) stay below both."""
+    an S(e_i): a product in Delta(e_i) Delta(e_k) has four factors, and
+    the difference of a basis pair sums at most D^2 R^2 of them (the
+    join only skips products that are structurally zero, and only final
+    sums are tested for 0) and R D two-factor terms of -Delta(e_i e_k),
+    within the bound of a difference of two accumulators of D^2 R^2
+    summands; the antipode convolutions sum at most D A R products of
+    four factors (c, S, 1, row); coassociativity (D^2 summands) stays
+    below both."""
     rows = H.table.rows
     most_d = max(map(len, H.comult))
     most_r = max(len(e) for row in rows for e in row)
