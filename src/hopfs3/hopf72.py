@@ -28,7 +28,7 @@ from .linalg import (add_into, linear, pruned, rank, vec_add, vec_scale,
 from .rewrite import (GENERATORS, MultTable, S3, X12, X13, X23,
                       _full_tail, default_rules, format_smash, sigma,
                       structure_constants)
-from .scalars import NeedsSpecialization, encoder, sweep_layout
+from .scalars import Kronecker, NeedsSpecialization, encoder
 from .ydmod import v3
 
 E3 = identity(3)
@@ -84,33 +84,19 @@ class Hopf72:
     def S(self, x: dict) -> dict:
         return linear(self.antipode.__getitem__, x)
 
-    def graded(self):
-        """Every coefficient of Delta and S as (map, i, key, c, weight): c
-        is the coefficient of key in comult[i] or antipode[i], and its
-        weight in the word-length grading is |w_i| - |w_p| - |w_q| for a
-        key (p, q) of Delta and |w_i| - |w_l| for a key l of S."""
-        n = self.table.grading
-        for i, d in enumerate(self.comult):
-            for pq, c in d.items():     # the key itself, not a copy
-                yield "comult", i, pq, c, n[i] - n[pq[0]] - n[pq[1]]
-        for i, a in enumerate(self.antipode):
-            for l, c in a.items():
-                yield "antipode", i, l, c, n[i] - n[l]
-
     def packed(self, layout) -> "Hopf72":
         """A copy whose product table, Delta and S hold layout-encoded
-        coefficients, each at its weight (see scalars.sweep_layout) and
-        each distinct one encoded once, or its own when the layout is the
-        identity on them; each Delta(e_i) is Joined on every row of the
-        table, compiled once."""
+        coefficients, each distinct one encoded once, or its own when
+        there is no layout (Kronecker.fit found nothing to pack); each
+        Delta(e_i) is Joined on every row of the table, compiled once."""
         out = copy.copy(self)
         out.table = self.table.packed(layout)
-        if not layout.identity:
+        if layout is not None:
             encode = encoder(layout)
-            out.comult = [{} for _ in self.comult]
-            out.antipode = [{} for _ in self.antipode]
-            for name, i, key, c, weight in self.graded():
-                getattr(out, name)[i][key] = encode(c, weight)
+            out.comult = [{pq: encode(c) for pq, c in d.items()}
+                          for d in self.comult]
+            out.antipode = [{l: encode(c) for l, c in a.items()}
+                            for a in self.antipode]
         every = range(self.dim)
         rows = out._compiled(every, self.dim), out._compiled(every, 1)
         out.comult = [out.joined(d, rows) for d in out.comult]
@@ -239,7 +225,7 @@ def build(a1, a2, table: MultTable = None) -> Hopf72:
 def axiom_layout(H: Hopf72):
     """The layout of verify_hopf_axioms, fitted to the product table,
     Delta, S and the constant 1 (unit, counit, basis vectors): a
-    Kronecker packing over Q[a1, a2], a Rescale at a rational point.
+    Kronecker packing over Q[a1, a2], None at a rational point.
 
     With D, R and A the most terms of a Delta(e_i), a product e_i e_k and
     an S(e_i): a product in Delta(e_i) Delta(e_k) has four factors, and
@@ -254,20 +240,21 @@ def axiom_layout(H: Hopf72):
     most_d = max(map(len, H.comult))
     most_r = max(len(e) for row in rows for e in row)
     most_a = max(map(len, H.antipode))
-    weighted = chain(((c, n) for *_, c, n in H.table.graded()),
-                     ((c, n) for *_, c, n in H.graded()), ((1, 0),))
+    values = chain((c for row in rows for e in row for c in e.values()),
+                   (c for d in H.comult for c in d.values()),
+                   (c for a in H.antipode for c in a.values()), (1,))
     summands = max(most_d * most_d * most_r * most_r,
                    most_d * most_a * most_r)
-    return sweep_layout(weighted, factors=4, summands=summands)
+    return Kronecker.fit(values, factors=4, summands=summands)
 
 
 def verify_hopf_axioms(H: Hopf72) -> dict:
     """Coassociativity, counit, antipode and multiplicativity of Delta,
     all by exact scalar comparison on every basis element and every
-    basis pair.  The sweep runs on ints, exactly (axiom_layout):
-    Kronecker-packed over Q[a1, a2], in a rescaled basis at a rational
-    point.  Coassociativity and the counit are checked by
-    coalg.FinCoalgebra.
+    basis pair.  The sweep is exact: Kronecker-packed over Q[a1, a2]
+    (axiom_layout), on the values as they are at a rational point (ints
+    on the CLI's rules, rescaled once by rewrite.rescaled).
+    Coassociativity and the counit are checked by coalg.FinCoalgebra.
 
     Each basis pair (i, k) gives one difference on int keys p * dim + q,
     seeded with -Delta(e_i e_k) from the Delta(e_l) compiled once, to
@@ -281,13 +268,12 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     those of Delta(e_i) Delta(e_k) wherever the pair passes; stats
     counts the pairs joined and those settled by the row.  The first
     comult_mult failure keeps its difference Delta(e_i e_k) -
-    Delta(e_i) Delta(e_k), decoded to the original basis: through the
-    rules' own scale, if they were rescaled (rewrite.rescaled)."""
+    Delta(e_i) Delta(e_k), decoded to the original basis: unpacked,
+    then through the rules' own scale, if they were rescaled.  The
+    report names the packing, else the rules' scale, else "rational"."""
     layout = axiom_layout(H)
     scale = H.table.rules.scale
     H = H.packed(layout)
-    if scale is not None:
-        layout = scale.then(layout)
     coalgebra = FinCoalgebra(range(H.dim), H.comult, H.counit)
     failures = []
     witness = None
@@ -338,19 +324,24 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     return {"basis_checked": dim, "pairs_checked": joined + by_row,
             "delta_terms": sum(map(len, H.comult)),
             "terms_compared": terms_compared,
-            "scalars": str(layout),
-            "witness": witness and _format_witness(layout, H.table.grading,
-                                                 *witness),
+            "scalars": str(layout or scale or "rational"),
+            "witness": witness and _format_witness(layout, scale,
+                                                 H.table.grading, *witness),
             "failures": failures, "ok": not failures,
             "stats": {"pairs_joined": joined, "pairs_by_row": by_row}}
 
 
-def _format_witness(layout, grading, i: int, k: int, diff: dict) -> str:
-    """The difference in the original coordinates: its coefficient at
-    [p, q] has weight |w_i| + |w_k| - |w_p| - |w_q|."""
+def _format_witness(layout, scale, grading, i: int, k: int,
+                    diff: dict) -> str:
+    """The difference in the original coordinates: unpacked by the
+    layout, then decoded by the rules' scale, its coefficient at [p, q]
+    at weight |w_i| + |w_k| - |w_p| - |w_q|."""
     n = grading
-    diff = {(p, q): layout.decode(c, n[i] + n[k] - n[p] - n[q])
-            for (p, q), c in diff.items()}
+    if layout is not None:
+        diff = {pq: layout.decode(c) for pq, c in diff.items()}
+    if scale is not None:
+        diff = {(p, q): scale.decode(c, n[i] + n[k] - n[p] - n[q])
+                for (p, q), c in diff.items()}
     terms = " + ".join(f"({c})*[{p},{q}]"
                        for (p, q), c in sorted(diff.items()))
     return f"Delta(e{i} e{k}) - Delta(e{i}) Delta(e{k}) = {terms}"

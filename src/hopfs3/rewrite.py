@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .groups import Perm, identity, parse_perm, symmetric_group, transposition
 from .linalg import add_into, linear, vec_add, vec_scale
-from .scalars import Rescale, encoder, sweep_layout
+from .scalars import Kronecker, Rescale, encoder
 
 FUEL_DEFAULT = 10 ** 6
 TRACE_TAIL = 50
@@ -506,28 +506,16 @@ class MultTable:
         self.stats = {"reductions": rules.reductions - reductions,
                       "rewrite_steps": rules.rewrite_steps - steps}
 
-    def graded(self):
-        """Every structure constant as (i, k, l, c, weight): c is the
-        coefficient of e_l in e_i e_k, and its weight in the word-length
-        grading is |w_i| + |w_k| - |w_l|."""
-        n = self.grading
-        for i, row in enumerate(self.rows):
-            for k, e in enumerate(row):
-                for l, c in e.items():
-                    yield i, k, l, c, n[i] + n[k] - n[l]
-
     def packed(self, layout) -> "MultTable":
-        """A copy whose rows hold layout-encoded coefficients, each at
-        its weight (see scalars.sweep_layout) and each distinct one
-        encoded once; the table itself when the layout is the identity
-        on its values."""
-        if layout.identity:
+        """A copy whose rows hold layout-encoded coefficients, each
+        distinct one encoded once; the table itself when there is no
+        layout (Kronecker.fit found nothing to pack)."""
+        if layout is None:
             return self
         encode = encoder(layout)
         out = copy.copy(self)
-        out.rows = [[{} for _ in row] for row in self.rows]
-        for i, k, l, c, weight in self.graded():
-            out.rows[i][k][l] = encode(c, weight)
+        out.rows = [[{l: encode(c) for l, c in e.items()} for e in row]
+                    for row in self.rows]
         return out
 
     def mult_basis(self, i: int, k: int) -> dict:
@@ -559,17 +547,18 @@ def check_associativity(table: MultTable) -> dict:
     make both sides structurally zero are skipped, which is sound because
     every rule preserves sigma.
 
-    The sweep runs on ints (scalars.sweep_layout): polynomial structure
-    constants are compared Kronecker-packed, each side summing at most
-    R^2 products of two constants, R the most terms of a product of
-    basis elements; at a rational point the basis is rescaled.  Both
-    sides are summed, over the rows' items, into one difference, which
-    vanishes exactly when the packed sides are equal: the bounds are
-    those of each side.  The report names the layout from the original
-    basis: after the rules' own scale, if they were rescaled."""
+    Polynomial structure constants are compared Kronecker-packed, each
+    side summing at most R^2 products of two constants, R the most terms
+    of a product of basis elements; other values are compared as they
+    are, exactly (ints at a point of the CLI, whose rules are rescaled
+    once: see rescaled).  Both sides are summed, over the rows'
+    items, into one difference, which vanishes exactly when the packed
+    sides are equal: the bounds are those of each side.  The report
+    names the packing, else the rules' scale, else "rational"."""
     most = max(len(e) for row in table.rows for e in row)
-    layout = sweep_layout(((c, n) for *_, c, n in table.graded()),
-                          factors=2, summands=most * most)
+    layout = Kronecker.fit((c for row in table.rows for e in row
+                            for c in e.values()),
+                           factors=2, summands=most * most)
     table = table.packed(layout)
     items = [[tuple(e.items()) for e in row] for row in table.rows]
     followers = [table.compatible_followers(i) for i in range(table.dim)]
@@ -589,9 +578,8 @@ def check_associativity(table: MultTable) -> dict:
                 checked += 1
                 if any(diff.values()):
                     failures.append((i, j, k))
-    scale = table.rules.scale
     return {"checked": checked, "failures": failures, "ok": not failures,
-            "scalars": str(layout if scale is None else scale.then(layout))}
+            "scalars": str(layout or table.rules.scale or "rational")}
 
 
 def hilbert_series(words) -> list:

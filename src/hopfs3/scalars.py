@@ -4,11 +4,12 @@ Three coefficient domains, all exact: arbitrary-precision rationals
 (stdlib ``Fraction``, with plain ints accepted everywhere), multivariate
 polynomials with rational coefficients in named commuting variables, and
 the quadratic extension generated by a primitive cube root of unity
-(``w`` with ``w**2 + w + 1 == 0``).  The exhaustive sweeps run on plain
-ints: :class:`Kronecker` packs integer polynomials into single ints, with
-a bound that keeps the packing injective on every value a sweep forms,
-and :class:`Rescale` clears the denominators of a rational point by a
-diagonal change of basis (:func:`sweep_layout` picks one).
+(``w`` with ``w**2 + w + 1 == 0``).  The CLI's exhaustive sweeps run on
+plain ints: :class:`Kronecker` packs integer polynomials into single ints,
+with a bound that keeps the packing injective on every value a sweep
+forms, and :class:`Rescale` clears the denominators of a rational point
+by a diagonal change of basis, applied once to a rule system
+(rewrite.rescaled).
 
 No floating point anywhere.  Values are immutable after construction and
 safe to share between workers.  Mixing incompatible domains raises
@@ -17,6 +18,7 @@ safe to share between workers.  Mixing incompatible domains raises
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -244,7 +246,6 @@ class Kronecker:
     """
 
     __slots__ = ("names", "bits", "slots")
-    identity = False                # packing changes every value
 
     def __init__(self, names: tuple, bits: int, slots: int):
         self.names = names
@@ -253,10 +254,14 @@ class Kronecker:
 
     @classmethod
     def fit(cls, values, factors: int, summands: int):
-        """The layout for a sweep over ``values``, or None when every value
-        is rational and nothing needs packing.  Raises ScalarKindError when
-        a polynomial is present and some value is not an integer or an
-        integer polynomial in its variables."""
+        """The layout for a sweep over ``values``, or None, after one scan
+        of their types, when no value is a polynomial: nothing needs
+        packing, and the sweep runs on the values as they are.  Raises
+        ScalarKindError when a polynomial is present and some value is
+        not an integer or an integer polynomial in its variables."""
+        values = list(values)
+        if MultiPoly not in map(type, values):
+            return None
         names = None
         degree = norm = 0
         fractional = None
@@ -281,8 +286,6 @@ class Kronecker:
             else:
                 raise ScalarKindError(
                     f"cannot bound a {type(v).__name__} for packing")
-        if names is None:
-            return None
         if fractional is not None:
             raise ScalarKindError(
                 f"cannot pack the non-integer {fractional}")
@@ -300,10 +303,9 @@ class Kronecker:
             slot = slot * self.slots + k
         return slot
 
-    def encode(self, x, weight: int = 0) -> int:
+    def encode(self, x) -> int:
         """The packed value of an integer or integer polynomial; raises
-        ScalarKindError outside the injective domain.  The weight is
-        ignored: packing is a ring map and needs no grading."""
+        ScalarKindError outside the injective domain."""
         if isinstance(x, MultiPoly):
             if x.names != self.names:
                 raise ScalarKindError(
@@ -322,7 +324,7 @@ class Kronecker:
             total += int(c) << (self.bits * self._slot(e))
         return total
 
-    def decode(self, packed: int, weight: int = 0) -> MultiPoly:
+    def decode(self, packed: int) -> MultiPoly:
         """The polynomial whose packed value is ``packed``."""
         full = 1 << self.bits
         mask = full - 1
@@ -356,49 +358,34 @@ class Rescale:
     (x_t -> D x_t carries A_[a] onto A_[D^2 a]), the fitted D makes it an
     int; otherwise it stays an exact Fraction.  The CLI rescales a rule
     system once (rewrite.rescaled), so at a rational point the table, the
-    structure maps and every check already run on the ints of A_[D^2 a];
-    a sweep's own fit there is the identity, and ``then`` gives the one
-    Rescale that reads its values back in A_[a].
+    structure maps and every check run on the ints of A_[D^2 a], and
+    reports decode what they print by the rules' scale.
     """
 
-    __slots__ = ("base", "identity")
+    __slots__ = ("base",)
 
-    def __init__(self, base: int, identity: bool = False):
+    def __init__(self, base: int):
         self.base = base
-        # set by fit when D = 1 and every value fitted is an int, so that
-        # encode gives back each value as it is
-        self.identity = identity
 
     @classmethod
     def fit(cls, weighted) -> "Rescale":
         """D for the rational (value, weight) pairs given: weight by
         weight, lowest first, the lcm L_n of the denominators at weight
-        n > 0 joins D unless L_n already divides D^n.  None at the first
-        polynomial, which no Rescale clears; raises ScalarKindError on a
-        value that is neither rational nor a polynomial."""
+        n > 0 joins D unless L_n already divides D^n.  Raises
+        ScalarKindError on a value that is not rational."""
         lcms: dict = {}
-        ints = True
         for c, n in weighted:
             if type(c) is not int:
-                if type(c) is MultiPoly:
-                    return None
                 if not _is_rat(c):
                     raise ScalarKindError(
                         f"cannot rescale a {type(c).__name__}")
-                ints = False
                 if n > 0:
                     lcms[n] = math.lcm(lcms.get(n, 1), c.denominator)
         base = 1
         for n in sorted(lcms):
             if base ** n % lcms[n]:
                 base = math.lcm(base, lcms[n])
-        return cls(base, ints)
-
-    def then(self, layout) -> "Rescale":
-        """The Rescale by this D times that of the layout a sweep fitted
-        to values already rescaled by this one: it names the sweep's
-        basis and decodes its values from the original coordinates."""
-        return Rescale(self.base * layout.base)
+        return cls(base)
 
     def __str__(self):
         return f"rescaled D={self.base}"
@@ -418,28 +405,10 @@ class Rescale:
         return Fraction(x) / Fraction(self.base) ** weight
 
 
-def sweep_layout(weighted, factors: int, summands: int):
-    """The layout an exhaustive sweep runs on, measured from its
-    (value, weight) pairs: the Rescale of a rational point, fitted in
-    one pass, or, once that pass meets a polynomial, a Kronecker packing
-    (``Kronecker.fit``) of all the values."""
-    weighted = list(weighted)
-    return (Rescale.fit(weighted)
-            or Kronecker.fit((c for c, _n in weighted), factors, summands))
-
-
 def encoder(layout):
-    """layout.encode, each distinct (value, weight) encoded once: a
-    packing reads thousands of coefficients but few distinct values."""
-    codes: dict = {}
-    get = codes.get
-
-    def encode(c, weight: int):
-        v = get((c, weight))
-        if v is None:
-            v = codes[c, weight] = layout.encode(c, weight)
-        return v
-    return encode
+    """layout.encode, each distinct value encoded once: a packing reads
+    thousands of coefficients but few distinct values."""
+    return functools.cache(layout.encode)
 
 
 def _is_int(x) -> bool:

@@ -18,6 +18,15 @@ def wrong_sign(a1, a2):
     return with_wrong_sign(build(a1, a2))
 
 
+def cli_algebra(a1, a2):
+    """The CLI's algebra at the rational point (a1, a2): the rules
+    rescaled once (rewrite.rescaled), A_[a] built as A_[D^2 a] on ints."""
+    from hopfs3.cli import _algebra, make_parser
+
+    return _algebra(make_parser().parse_args(
+        ["verify", "hopf", f"--a1={a1}", f"--a2={a2}"]))
+
+
 def with_wrong_sign(H):
     """H with one term of Delta(x13) negated and the Delta/S tables
     rebuilt from it, in place."""
@@ -45,6 +54,14 @@ def wrong_sign_point():
     from fractions import Fraction
 
     return wrong_sign(Fraction(1, 3), Fraction(-1, 2))
+
+
+@pytest.fixture
+def wrong_sign_rescaled():
+    """The wrong-sign control on the CLI's algebra at (1/3, -1/2)."""
+    from fractions import Fraction
+
+    return with_wrong_sign(cli_algebra(Fraction(1, 3), Fraction(-1, 2)))
 
 
 @pytest.fixture

@@ -259,7 +259,7 @@ class TestVerify:
                                        capsys):
         # the wrong-sign control injected below _algebra, so into the
         # rescaled A_[36 a]: the failures and the witness, decoded, are
-        # the library's on the Fraction algebra at (1/3, -1/2)
+        # those of the plain Fraction sweep at (1/3, -1/2)
         import conftest
         import hopfs3.hopf72 as hopf72
         built, build = [], hopf72.build
@@ -276,7 +276,8 @@ class TestVerify:
             "(2)*[12,60] + (-2)*[24,24] + (-2/3)*[30,0] + (-2/3)*[36,0] + "
             "(-2)*[54,12]")
         assert axioms["status"] == "fail"
-        assert axioms["counts"]["scalars"] == rep["scalars"] == "rescaled D=6"
+        assert (axioms["counts"]["scalars"], rep["scalars"]) == \
+            ("rescaled D=6", "rational")
         assert axioms["details"] == [rep["witness"]] + [
             str(f) for f in rep["failures"][:9]]
         cli_rep = hopf72.verify_hopf_axioms(built[0])
@@ -410,6 +411,22 @@ class TestDump:
         assert main(["dump", *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, digest", [
+        ([],
+         "06e75901dedba197a309bfc1f9bb70194c457cf1dee2af57fd43b125129d3e0c"),
+        (["--a1=1/3", "--a2=-1/2"],
+         "30561d68fc5a5c46f6f7a537e33f1f0376c3ac35a51e7a46d4611b1326fc50da"),
+    ], ids=["symbolic", "point"])
+    def test_verify_all_digest(self, argv, digest, capsys):
+        # every report of verify all, timings dropped, pinned: a change
+        # that moves a count, a verdict, a detail or a scalars name fails
+        assert main(["verify", "all", "--json", *argv]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        for r in reports:
+            del r["ms"]
+        text = json.dumps(reports, indent=2)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestReadme:

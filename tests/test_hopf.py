@@ -6,7 +6,6 @@ import hashlib
 import importlib.util
 import itertools
 import random
-from itertools import chain
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hopfs3.classify
-from hopfs3.cli import _algebra, make_parser
+from conftest import cli_algebra
 from hopfs3.groups import conjugate, parse_perm
 from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build, c_identity,
                            coideal_elements, coradical_certificate,
@@ -26,7 +25,7 @@ from hopfs3.hopf72 import Hopf72, Joined
 from hopfs3.rewrite import (S3, X12, X13, X23, Rule, RuleSystem, _full_tail,
                             check_associativity, default_rules,
                             structure_constants)
-from hopfs3.scalars import PolyRing, Rescale, ScalarKindError
+from hopfs3.scalars import Kronecker, PolyRing, ScalarKindError
 
 R = PolyRing("a1", "a2")
 A1, A2 = R.gens()
@@ -79,10 +78,30 @@ def unjoined_product(alg, x: dict, y: dict) -> dict:
     return out
 
 
+def graded(alg):
+    """Every coefficient of the table, Delta and S as (key, c, weight),
+    its weight in the word-length grading: |w_i| + |w_k| - |w_l| for e_l
+    in e_i e_k, |w_i| - |w_p| - |w_q| for [p, q] in Delta(e_i) and
+    |w_i| - |w_l| for e_l in S(e_i)."""
+    n = alg.table.grading
+    for i, row in enumerate(alg.table.rows):
+        for k, e in enumerate(row):
+            for l, c in e.items():
+                yield ("mult", i, k, l), c, n[i] + n[k] - n[l]
+    for i, d in enumerate(alg.comult):
+        for (p, q), c in d.items():
+            yield ("comult", i, p, q), c, n[i] - n[p] - n[q]
+    for i, a in enumerate(alg.antipode):
+        for l, c in a.items():
+            yield ("antipode", i, l), c, n[i] - n[l]
+
+
 def naive_comult_mult(alg) -> tuple:
     """The comult_mult failures and witness of a plain loop over every
     basis pair in alg's own scalars, with no packing and no join hoisted
-    to the row: Delta(e_i e_k) against tensor_mult(Delta e_i, Delta e_k)."""
+    to the row: Delta(e_i e_k) against tensor_mult(Delta e_i, Delta e_k).
+    The witness is decoded by the rules' scale, if they were rescaled."""
+    scale, n = alg.table.rules.scale, alg.table.grading
     failures, witness = [], None
     for i in range(alg.dim):
         left = alg.joined(alg.comult[i])
@@ -94,6 +113,9 @@ def naive_comult_mult(alg) -> tuple:
             failures.append(("comult_mult", i, k))
             if witness is None:
                 diff = vec_add(lhs, vec_scale(-1, rhs))
+                if scale is not None:
+                    diff = {(p, q): scale.decode(c, n[i] + n[k] - n[p] - n[q])
+                            for (p, q), c in diff.items()}
                 witness = f"Delta(e{i} e{k}) - Delta(e{i}) Delta(e{k}) = " \
                     + " + ".join(f"({c})*[{p},{q}]"
                                  for (p, q), c in sorted(diff.items()))
@@ -294,24 +316,29 @@ class TestAxioms:
         assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
 
     @pytest.mark.parametrize("point", ["symbolic", "(1/3,-1/2)"])
-    def test_packing_encodes_each_distinct_value_once(self, point,
+    def test_packing_encodes_each_distinct_value_once(self, point, request,
                                                       monkeypatch):
-        # 3353 coefficients, 28 distinct (value, weight) in the table and
-        # 11 in Delta and S
-        alg = build(*{"symbolic": (A1, A2), "(1/3,-1/2)": POINT}[point])
+        # 3353 coefficients: over Q[a1, a2] they hold 28 distinct values
+        # in the table and 11 in Delta and S, each encoded once by its
+        # map's packing; on the CLI's ints at a point nothing is packed,
+        # so nothing is encoded and the table is the algebra's own
+        alg = {"symbolic": lambda: request.getfixturevalue("H"),
+               "(1/3,-1/2)": lambda: cli_algebra(*POINT)}[point]()
         layout = axiom_layout(alg)
         seen = []
-        encode = type(layout).encode
-        monkeypatch.setattr(type(layout), "encode", lambda self, c, n: (
-            seen.append((c, n)), encode(self, c, n))[1])
+        encode = Kronecker.encode
+        monkeypatch.setattr(Kronecker, "encode", lambda self, c: (
+            seen.append(c), encode(self, c))[1])
         packed = alg.packed(layout)
-        assert len(seen) == 28 + 11
-        assert set(seen) == {(c, n) for *_, c, n in chain(
-            alg.table.graded(), alg.graded())}
-        for (*key, c, n), (*key2, v, n2) in zip(
-                chain(alg.table.graded(), alg.graded()),
-                chain(packed.table.graded(), packed.graded())):
-            assert (key2, n2, v) == (key, n, encode(layout, c, n))
+        values = [c for _key, c, _n in graded(alg)]
+        assert len(values) == 3353
+        assert len(seen) == {"symbolic": 28 + 11, "(1/3,-1/2)": 0}[point]
+        assert set(seen) == {"symbolic": set(values),
+                             "(1/3,-1/2)": set()}[point]
+        assert (packed.table is alg.table) == (layout is None)
+        for (key, c, n), (key2, v, n2) in zip(graded(alg), graded(packed)):
+            assert (key2, n2) == (key, n)
+            assert v == (c if layout is None else encode(layout, c))
 
     def test_packed_coefficients_decode(self, H):
         layout = axiom_layout(H)
@@ -322,16 +349,20 @@ class TestAxioms:
         for c in values:
             assert layout.decode(layout.encode(c)) == c
 
-    def test_numeric_point(self, Hnum):
-        rep = verify_hopf_axioms(Hnum)
+    def test_numeric_point(self):
+        # the CLI's algebra at (2, -3): rules rescaled by D = 1, on ints,
+        # which the sweep runs on as they are
+        H1 = cli_algebra(2, -3)
+        rep = verify_hopf_axioms(H1)
         assert rep["ok"], rep["failures"][:5]
         assert rep["scalars"] == "rescaled D=1"
-        assert isinstance(axiom_layout(Hnum), Rescale)
+        assert axiom_layout(H1) is None
 
     def test_rescaled_point(self):
-        # at (1/3, -1/2) the sweep runs in the basis D^|w| e_(w,g), D = 6;
-        # it must pass with the counts of the symbolic sweep
-        rep = verify_hopf_axioms(build(Fraction(1, 3), Fraction(-1, 2)))
+        # at (1/3, -1/2) the CLI's rules are rescaled by D = 6 and the
+        # sweep runs in the basis D^|w| e_(w,g); it must pass with the
+        # counts of the symbolic sweep
+        rep = verify_hopf_axioms(cli_algebra(*POINT))
         assert rep["ok"], rep["failures"][:5]
         assert rep["scalars"] == "rescaled D=6"
         assert (rep["delta_terms"], rep["terms_compared"]) == (2310, 29053)
@@ -402,56 +433,62 @@ class TestAxioms:
         assert rep["witness"] is not None
 
 
-    def test_wrong_sign_at_point(self, wrong_sign_point):
-        # the same control at (1/3, -1/2), in the rescaled basis: the
-        # failures and the witness, in the original coordinates, are those
-        # of the unrescaled Fraction sweep
-        rep = verify_hopf_axioms(wrong_sign_point)
-        failures = rep["failures"]
-        assert rep["scalars"] == "rescaled D=6"
-        assert len(failures) == 219
-        assert collections.Counter(f[0] for f in failures) == {
-            "comult_mult": 153, "coassoc": 56, "counit": 7, "antipode": 3}
-        assert failures[:3] == [("coassoc", 7), ("coassoc", 9),
-                                ("coassoc", 12)]
-        assert hashlib.sha256(repr(failures).encode()).hexdigest() == \
-            WRONG_SIGN_DIGEST
-        assert rep["witness"] == (
-            "Delta(e7 e54) - Delta(e7) Delta(e54) = (1)*[12,6] + "
-            "(2)*[12,60] + (-2)*[24,24] + (-2/3)*[30,0] + (-2/3)*[36,0] + "
-            "(-2)*[54,12]")
+    def test_wrong_sign_at_point(self, wrong_sign_point,
+                                 wrong_sign_rescaled):
+        # the same control at (1/3, -1/2), on the plain Fraction sweep and
+        # on the CLI's algebra rescaled by D = 6: the same failures, and
+        # the same witness once decoded to the original coordinates
+        for alg, scalars in ((wrong_sign_point, "rational"),
+                             (wrong_sign_rescaled, "rescaled D=6")):
+            rep = verify_hopf_axioms(alg)
+            failures = rep["failures"]
+            assert rep["scalars"] == scalars
+            assert len(failures) == 219
+            assert collections.Counter(f[0] for f in failures) == {
+                "comult_mult": 153, "coassoc": 56, "counit": 7,
+                "antipode": 3}
+            assert failures[:3] == [("coassoc", 7), ("coassoc", 9),
+                                    ("coassoc", 12)]
+            assert hashlib.sha256(repr(failures).encode()).hexdigest() == \
+                WRONG_SIGN_DIGEST
+            assert rep["witness"] == (
+                "Delta(e7 e54) - Delta(e7) Delta(e54) = (1)*[12,6] + "
+                "(2)*[12,60] + (-2)*[24,24] + (-2/3)*[30,0] + "
+                "(-2/3)*[36,0] + (-2)*[54,12]")
 
     def test_non_homogeneous_perturbation_at_point(self):
         # 1/7 [x13 de, x13 d(13)] added to Delta(x13 de) has weight -1, so
-        # it stays a Fraction after rescaling; the sweep still finds the
-        # failures and witness of the unrescaled Fraction sweep
-        H1 = build(Fraction(1, 3), Fraction(-1, 2))
-        i = H1.index[((X13,), G["e"])]
-        q = H1.index[((X13,), G["(13)"])]
-        assert (i, q) not in H1.comult[i]
-        H1.comult[i] = {**H1.comult[i], (i, q): Fraction(1, 7)}
-        layout = axiom_layout(H1)
-        assert str(layout) == "rescaled D=6"
-        assert H1.packed(layout).comult[i][(i, q)] == Fraction(1, 42)
-        rep = verify_hopf_axioms(H1)
-        failures = rep["failures"]
-        assert len(failures) == 74
-        assert collections.Counter(f[0] for f in failures) == {
-            "coassoc": 52, "comult_mult": 22}
-        assert failures[:3] == [("coassoc", 7), ("coassoc", 9),
-                                ("coassoc", 12)]
-        assert hashlib.sha256(repr(failures).encode()).hexdigest() == (
-            "f2ee4f53109796cb0e19deb50c71e07d823044ef536e916d26c45908715d0be8")
-        assert rep["witness"] == \
-            "Delta(e10 e24) - Delta(e10) Delta(e24) = (1/14)*[12,17]"
+        # it is the Fraction 1/42 in the CLI's algebra rescaled by D = 6;
+        # that sweep and the plain Fraction one find the same failures
+        # and witness
+        H0, H1 = build(*POINT), cli_algebra(*POINT)
+        i = H0.index[((X13,), G["e"])]
+        q = H0.index[((X13,), G["(13)"])]
+        assert (i, q) not in H0.comult[i]
+        assert H1.table.rules.scale.encode(Fraction(1, 7), -1) == \
+            Fraction(1, 42)
+        for alg, added in ((H0, Fraction(1, 7)), (H1, Fraction(1, 42))):
+            alg.comult[i] = {**alg.comult[i], (i, q): added}
+            rep = verify_hopf_axioms(alg)
+            failures = rep["failures"]
+            assert len(failures) == 74
+            assert collections.Counter(f[0] for f in failures) == {
+                "coassoc": 52, "comult_mult": 22}
+            assert failures[:3] == [("coassoc", 7), ("coassoc", 9),
+                                    ("coassoc", 12)]
+            assert hashlib.sha256(repr(failures).encode()).hexdigest() == (
+                "f2ee4f53109796cb0e19deb50c71e07d823044ef536e916d26c45908715d0be8")
+            assert rep["witness"] == \
+                "Delta(e10 e24) - Delta(e10) Delta(e24) = (1/14)*[12,17]"
 
     @pytest.mark.parametrize("height", [9, 999, 10 ** 6])
     @settings(max_examples=8, deadline=None)
     @given(data=st.data())
     def test_rescaled_coefficients_round_trip(self, height, data):
         # at a generic point of each height the benchmark's point sweep
-        # draws from, every rescaled coefficient of the table, Delta and S
-        # is an int, and decoding gives back all 3353 original values
+        # draws from, every coefficient of the table, Delta and S of the
+        # CLI's rescaled algebra is an int, and decoding it by the rules'
+        # scale gives back all 3353 values of the Fraction algebra
         def rational():
             return st.builds(Fraction,
                              st.integers(-height, height).filter(bool),
@@ -459,16 +496,14 @@ class TestAxioms:
         a1, a2 = data.draw(rational()), data.draw(rational())
         # the coefficients factor over a1, a2, a1 - a2 and a1 - 2 a2
         assume(a1 != a2 and a1 != 2 * a2)
-        H1 = build(a1, a2)
-        layout = axiom_layout(H1)
-        packed = H1.packed(layout)
-        original = list(H1.table.graded()) + list(H1.graded())
-        rescaled = list(packed.table.graded()) + list(packed.graded())
+        H0, H1 = build(a1, a2), cli_algebra(a1, a2)
+        scale = H1.table.rules.scale
+        original, rescaled = list(graded(H0)), list(graded(H1))
         assert len(original) == len(rescaled) == 3353
-        for (*key, c, weight), (*key2, v, weight2) in zip(original, rescaled):
+        for (key, c, weight), (key2, v, weight2) in zip(original, rescaled):
             assert (key2, weight2) == (key, weight)
             assert type(v) is int
-            assert layout.decode(v, weight) == c
+            assert scale.decode(v, weight) == c
 
 
 class TestAxiomsAgainstNaiveLoop:
@@ -488,10 +523,10 @@ class TestAxiomsAgainstNaiveLoop:
         assert self.assert_matches_naive(H)["ok"]
 
     def test_unperturbed_at_point(self):
-        assert self.assert_matches_naive(build(*POINT))["ok"]
+        assert self.assert_matches_naive(cli_algebra(*POINT))["ok"]
 
-    def test_wrong_sign(self, wrong_sign_point):
-        rep = self.assert_matches_naive(wrong_sign_point)
+    def test_wrong_sign(self, wrong_sign_rescaled):
+        rep = self.assert_matches_naive(wrong_sign_rescaled)
         assert rep["witness"].startswith("Delta(e7 e54) - ")
 
     def test_wrong_sign_symbolic(self, wrong_sign_symbolic):
@@ -501,13 +536,14 @@ class TestAxiomsAgainstNaiveLoop:
         # delta_e x12 de = 0 (the tail e of delta_e is not the tag (12)
         # of x12 de); planting e_0 in it breaks Delta(e_i e_k) =
         # Delta(e_i) Delta(e_k) at a pair that no join meets, which the
-        # row-level branch must report
-        alg = build(*POINT)
+        # row-level branch must report; planted in the CLI's algebra at
+        # (1/3, -1/2) as 6 = D^1 (weight |x12| + 0 - 0 - 0 = 1)
+        alg = cli_algebra(*POINT)
         i = alg.index[((), G["e"])]
         k = alg.index[((X12,), G["e"])]
         assert k not in alg.table.compatible_followers(i)
         assert not alg.table.rows[i][k]
-        alg.table.rows[i][k] = {0: 1}
+        alg.table.rows[i][k] = {0: 6}
         rep = self.assert_matches_naive(alg)
         assert ("comult_mult", i, k) in rep["failures"]
         assert rep["witness"] == \
@@ -524,24 +560,28 @@ class TestRescaledAlgebra:
     @pytest.mark.parametrize("kind", sorted(BENCHMARK_POINTS))
     def test_isomorphic_to_the_fraction_algebra(self, kind):
         a1, a2 = BENCHMARK_POINTS[kind]
-        H0 = build(a1, a2)
-        H1 = _algebra(make_parser().parse_args(
-            ["verify", "hopf", f"--a1={a1}", f"--a2={a2}"]))
+        H0, H1 = build(a1, a2), cli_algebra(a1, a2)
         D = H1.table.rules.scale.base
         assert (H1.a1, H1.a2) == (D * D * a1, D * D * a2)
         # every entry of the table, Delta and S is the Fraction entry
         # times D^weight, and an int
-        for old, new in ((H0.table.graded(), H1.table.graded()),
-                         (H0.graded(), H1.graded())):
-            old = {tuple(key): (c, n) for *key, c, n in old}
-            new = {tuple(key): (c, n) for *key, c, n in new}
-            assert new.keys() == old.keys()
-            for key, (c, n) in old.items():
-                assert new[key] == (c * D ** n, n), key
-                assert type(new[key][0]) is int, key
-        # the sweeps count and find the same, and name the same basis
-        assert check_associativity(H1.table) == check_associativity(H0.table)
-        assert verify_hopf_axioms(H1) == verify_hopf_axioms(H0)
+        old = {key: (c, n) for key, c, n in graded(H0)}
+        new = {key: (c, n) for key, c, n in graded(H1)}
+        assert new.keys() == old.keys()
+        for key, (c, n) in old.items():
+            assert new[key] == (c * D ** n, n), key
+            assert type(new[key][0]) is int, key
+
+    def test_sweeps_match_the_fraction_sweeps(self):
+        # the sweeps count and find the same on both, and differ only in
+        # the scalars they name
+        H0, H1 = build(*POINT), cli_algebra(*POINT)
+        for rep0, rep1 in ((check_associativity(H0.table),
+                            check_associativity(H1.table)),
+                           (verify_hopf_axioms(H0), verify_hopf_axioms(H1))):
+            assert (rep0.pop("scalars"), rep1.pop("scalars")) == \
+                ("rational", "rescaled D=6")
+            assert rep0 == rep1
 
     def test_points_cover_the_stream(self):
         assert sorted(BENCHMARK_POINTS) == [
@@ -722,8 +762,7 @@ class TestControls:
     def test_antipode_rank_rejects_copied_column_on_ints(self):
         # the same control on the CLI's rescaled algebra, whose blocks of
         # S are ints and whose ranks are taken fraction-free
-        H = _algebra(make_parser().parse_args(
-            ["verify", "lemmas", "--a1=1/3", "--a2=-1/2"]))
+        H = cli_algebra(*POINT)
         assert all(type(c) is int for a in H.antipode for c in a.values())
         assert lemma31_suite(H)["antipode_invertible"] is True
         i = H.index[((X12,), G["e"])]

@@ -18,7 +18,7 @@ from hopfs3.rewrite import (GENERATORS, GrowthError, NonterminationError,
                             resolve_ambiguity, sigma, smash_mult, structure_constants,
                             uniform_rule, word_key)
 from hopfs3.linalg import add_into, vec_add
-from hopfs3.scalars import PolyRing, Rescale
+from hopfs3.scalars import Cyclotomic3, Kronecker, OMEGA, PolyRing, Rescale
 
 R = PolyRing("a1", "a2")
 A1, A2 = R.gens()
@@ -206,11 +206,14 @@ class TestRuleSystem:
             big.rules[0].rhs[key] + 36
         # an integer point needs no rescale
         assert rescaled(default_rules(2, -3)).scale.base == 1
-        # the table of the rescaled rules is all ints: a sweep's own fit
-        # is the identity, and packing it returns the table itself
+        # the table of the rescaled rules is all ints: a sweep packs
+        # nothing and runs on the table itself, named by the rules' scale
         table = structure_constants(big)
-        layout = Rescale.fit((c, n) for *_, c, n in table.graded())
-        assert layout.identity and table.packed(layout) is table
+        values = [c for row in table.rows for e in row for c in e.values()]
+        assert all(type(c) is int for c in values)
+        assert Kronecker.fit(values, 2, 1) is None
+        assert table.packed(None) is table
+        assert check_associativity(table)["scalars"] == "rescaled D=6"
 
     def test_inclusion_ambiguity_rejected(self):
         with pytest.raises(ValueError):
@@ -463,12 +466,25 @@ class TestS4Ambiguities:
         assert _resolved(RuleSystem(rules)) == (96, 108)
 
 
-def _point_table():
-    """The table at (1/3, -1/2), with rows that can be perturbed."""
-    table = copy.copy(structure_constants(default_rules(Fraction(1, 3),
-                                                        Fraction(-1, 2))))
+def _point_tables() -> list:
+    """The tables at (1/3, -1/2), with rows that can be perturbed: the
+    library's on Fractions, then the CLI's, whose rules are rescaled by
+    D = 6 (rewrite.rescaled), on ints."""
+    rules = default_rules(Fraction(1, 3), Fraction(-1, 2))
+    return [_perturbable(structure_constants(r))
+            for r in (rules, rescaled(rules))]
+
+
+def _perturbable(table):
+    table = copy.copy(table)
     table.rows = [[dict(e) for e in row] for row in table.rows]
     return table
+
+
+def _entries(table):
+    """((i, k), e_i e_k) for every product of basis elements."""
+    return (((i, k), e) for i, row in enumerate(table.rows)
+            for k, e in enumerate(row))
 
 
 def _x13_x13_d12(table) -> tuple:
@@ -523,42 +539,59 @@ class TestMultTable:
         assert rep["scalars"] != "kronecker B=8 K=7"
 
     def test_associativity_non_integral_perturbation_at_point(self):
-        # +1/7 on x13 x13 d(12) = (a1 - a2) d(12) at (1/3, -1/2): the
-        # weight-2 denominators grow to 42, so D = 42, and the sweep finds
-        # the failures of the unrescaled Fraction sweep (35, this digest)
-        table = _point_table()
-        i, k, l = _x13_x13_d12(table)
-        assert table.rows[i][k] == {l: Fraction(5, 6)}
-        table.rows[i][k][l] += Fraction(1, 7)
-        rep = check_associativity(table)
-        assert rep["scalars"] == "rescaled D=42"
-        assert rep["checked"] == 72 * 12 * 12
-        assert len(rep["failures"]) == 35
-        assert rep["failures"][:3] == [(8, 15, 14), (14, 15, 14), (15, 7, 26)]
-        assert hashlib.sha256(repr(rep["failures"]).encode()).hexdigest() == (
-            "97197b7fc7b9cea90687c5259be909476643af7fee3196829ee9b7fd1b1d9d56")
+        # +1/7 on x13 x13 d(12) = (a1 - a2) d(12) at (1/3, -1/2), a
+        # weight-2 entry, so 36/7 in the CLI's table rescaled by D = 6:
+        # both sweeps find the same 35 failures (this digest)
+        for table, scalars in zip(_point_tables(),
+                                  ["rational", "rescaled D=6"]):
+            i, k, l = _x13_x13_d12(table)
+            scale = table.rules.scale or Rescale(1)
+            assert table.rows[i][k] == {l: scale.encode(Fraction(5, 6), 2)}
+            table.rows[i][k][l] += scale.encode(Fraction(1, 7), 2)
+            rep = check_associativity(table)
+            assert rep["scalars"] == scalars
+            assert rep["checked"] == 72 * 12 * 12
+            assert len(rep["failures"]) == 35
+            assert rep["failures"][:3] == [(8, 15, 14), (14, 15, 14),
+                                           (15, 7, 26)]
+            assert hashlib.sha256(
+                repr(rep["failures"]).encode()).hexdigest() == (
+                "97197b7fc7b9cea90687c5259be909476643af7fee3196829ee9b7fd1b1d9d56")
 
     def test_associativity_non_homogeneous_perturbation_at_point(self):
-        # 1/7 x13 de added to de de = de: weight -1, so it stays the
-        # Fraction 1/42 after rescaling, and the sweep still finds the
-        # failures of the unrescaled Fraction sweep (7, this digest)
-        table = _point_table()
-        e = table.index[((), G["e"])]
-        x = table.index[((X13,), G["e"])]
-        assert table.rows[e][e] == {e: 1}
-        table.rows[e][e][x] = Fraction(1, 7)
-        assert table.packed(Rescale(6)).rows[e][e] == {e: 1,
-                                                       x: Fraction(1, 42)}
+        # 1/7 x13 de added to de de = de: weight -1, so the Fraction 1/42
+        # in the CLI's table rescaled by D = 6; both sweeps find the same
+        # 7 failures (this digest)
+        for table, added in zip(_point_tables(),
+                                [Fraction(1, 7), Fraction(1, 42)]):
+            e = table.index[((), G["e"])]
+            x = table.index[((X13,), G["e"])]
+            assert table.rows[e][e] == {e: 1}
+            assert (table.rules.scale or Rescale(1)).encode(
+                Fraction(1, 7), -1) == added
+            table.rows[e][e][x] = added
+            rep = check_associativity(table)
+            assert len(rep["failures"]) == 7
+            assert rep["failures"][:3] == [(0, 0, 0), (0, 0, 8), (0, 0, 19)]
+            assert hashlib.sha256(
+                repr(rep["failures"]).encode()).hexdigest() == (
+                "b03a195fd130afa96562884a7841eda5609d8d28768d1946863f111c795bf300")
+
+    def test_associativity_over_q_omega(self):
+        # no polynomial, so nothing is packed: the sweep runs on the
+        # Cyclotomic3 constants as they are, exactly, and sees a term of
+        # w added to x13 x13 d(12)
+        table = _perturbable(structure_constants(
+            default_rules(OMEGA, Cyclotomic3(1, 2))))
         rep = check_associativity(table)
-        assert rep["scalars"] == "rescaled D=6"
-        assert len(rep["failures"]) == 7
-        assert rep["failures"][:3] == [(0, 0, 0), (0, 0, 8), (0, 0, 19)]
-        assert hashlib.sha256(repr(rep["failures"]).encode()).hexdigest() == (
-            "b03a195fd130afa96562884a7841eda5609d8d28768d1946863f111c795bf300")
+        assert rep["ok"] and rep["scalars"] == "rational"
+        i, k, l = _x13_x13_d12(table)
+        table.rows[i][k][l] += OMEGA
+        assert not check_associativity(table)["ok"]
 
     def test_associativity_at_a_point_is_rational(self):
         rep = check_associativity(structure_constants(default_rules(2, -3)))
-        assert rep["ok"] and rep["scalars"] == "rescaled D=1"
+        assert rep["ok"] and rep["scalars"] == "rational"
 
     def test_specialization_commutes(self):
         # evaluating the symbolic table at a point equals building the
@@ -570,18 +603,21 @@ class TestMultTable:
                   Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
             num = structure_constants(default_rules(*pt))
             assert num.labels == sym.labels
-            for i, k, l, c, _weight in sym.graded():
-                ev = c.evaluate(pt) if not isinstance(c, (int, Fraction)) \
-                    else Fraction(c)
-                assert num.rows[i][k].get(l, 0) == ev, (i, k, l)
+            for (i, k), e in _entries(sym):
+                for l, c in e.items():
+                    ev = c.evaluate(pt) if not isinstance(c, (int, Fraction)) \
+                        else Fraction(c)
+                    assert num.rows[i][k].get(l, 0) == ev, (i, k, l)
             # and no term of the point table is missing from the symbolic
-            for i, k, l, _c, _weight in num.graded():
-                assert l in sym.rows[i][k], (i, k, l)
+            for (i, k), e in _entries(num):
+                assert e.keys() <= sym.rows[i][k].keys(), (i, k)
 
     def test_graded_at_zero(self):
+        # every entry of e_i e_k has weight |w_i| + |w_k| - |w_l| = 0
         table = structure_constants(default_rules(0, 0))
-        for *_ikl, _c, weight in table.graded():
-            assert weight == 0
+        n = table.grading
+        for (i, k), e in _entries(table):
+            assert all(n[i] + n[k] == n[l] for l in e), (i, k)
 
 
 class TestCompletion:

@@ -8,8 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from hopfs3.scalars import (Cyclotomic3, Kronecker, MultiPoly,
                             NeedsSpecialization, OMEGA, PolyRing, Rescale,
-                            ScalarKindError, _is_rat, encoder, field_invert,
-                            sweep_layout)
+                            ScalarKindError, _is_rat, encoder, field_invert)
 
 R = PolyRing("a1", "a2")
 A1, A2 = R.gens()
@@ -247,15 +246,15 @@ class TestRescale:
         assert Rescale.fit([(7, 2), (Fraction(1, 2), 0)]).base == 1
 
     def test_identity_and_composition(self):
-        # D = 1 on ints leaves every value as it is; a whole Fraction
-        # still needs encoding to become an int
-        assert Rescale.fit([(12, 2), (-1, 0)]).identity
-        assert not Rescale.fit([(Fraction(12), 2), (-1, 0)]).identity
-        assert not Rescale(1).identity
-        # a sweep fitted after a rescale by 6 reads back by D = 6 in all
-        layout = Rescale(6).then(Rescale.fit([(12, 2)]))
-        assert str(layout) == "rescaled D=6"
-        assert layout.decode(-36, 2) == -1
+        # D = 1 leaves every int as it is and makes a whole Fraction an
+        # int; a rescale by 6 after one by 7 is the rescale by 42
+        one = Rescale(1)
+        assert [one.encode(c, n) for c, n in [(12, 2), (-1, 0)]] == [12, -1]
+        assert type(one.encode(Fraction(12), 2)) is int
+        for c, n in [(Fraction(1, 3), 2), (Fraction(-5, 7), -1), (3, 4)]:
+            assert Rescale(6).encode(Rescale(7).encode(c, n), n) == \
+                Rescale(42).encode(c, n)
+        assert Rescale(42).decode(-42 * 42, 2) == -1
 
     @given(rationals, st.integers(-3, 8), st.integers(1, 60))
     def test_decode_inverts_encode(self, c, weight, base):
@@ -265,44 +264,48 @@ class TestRescale:
         assert type(v) is int or v.denominator != 1
 
     def test_sweep_layout(self):
-        # polynomials are packed, a rational point is rescaled
-        assert isinstance(sweep_layout([(A1, 2), (3, 0)], 2, 1), Kronecker)
-        layout = sweep_layout([(Fraction(1, 2), 2), (3, 0)], 2, 1)
-        assert isinstance(layout, Rescale) and layout.base == 2
-        # rationals first and a polynomial later: packed, so only ints
-        # may join it
-        weighted = [(2, 2), (-3, 0), (A1, 2)]
-        assert Rescale.fit(weighted) is None
-        assert str(sweep_layout(weighted, 2, 1)) == \
-            str(Kronecker.fit([2, -3, A1], 2, 1))
+        # a sweep packs when some value is a polynomial, and then only
+        # ints may join it; otherwise it runs on the values as they are
+        assert isinstance(Kronecker.fit([A1, 3], 2, 1), Kronecker)
+        assert str(Kronecker.fit([2, -3, A1], 2, 1)) == \
+            str(Kronecker.fit([A1, 2, -3], 2, 1))
+        assert Kronecker.fit([Fraction(1, 2), 3], 2, 1) is None
         with pytest.raises(ScalarKindError, match="non-integer"):
-            sweep_layout([(Fraction(1, 2), 2), (A1, 2)], 2, 1)
+            Kronecker.fit([Fraction(1, 2), A1], 2, 1)
 
     @pytest.mark.parametrize("weighted", [
-        [(OMEGA, 0)],
-        [(1, 0), (Fraction(1, 2), 2), (OMEGA, 1)],
+        [(OMEGA, 0), (A1, 2)],
+        [(1, 0), (Fraction(1, 2), 2), (A1, 2), (OMEGA, 1)],
         [(OMEGA, 1), (A1, 2)],
         [(A1, 2), (OMEGA, 1)],
     ])
     def test_sweep_layout_refuses_other_scalars(self, weighted):
-        # a value neither rational nor a polynomial has no layout,
-        # whether it comes before the first polynomial or after it
+        # a value neither rational nor a polynomial, beside a polynomial,
+        # whether before it or after it: no packing takes it, nor does a
+        # rescale, which takes rationals only
         with pytest.raises(ScalarKindError):
-            sweep_layout(weighted, 2, 1)
+            Kronecker.fit([c for c, _n in weighted], 2, 1)
+        with pytest.raises(ScalarKindError):
+            Rescale.fit(weighted)
+
+    @pytest.mark.parametrize("values", [[OMEGA], [1, Fraction(1, 2), OMEGA]])
+    def test_nothing_to_pack_without_a_polynomial(self, values):
+        # the sweep then runs exactly on these values, over Q(w) here
+        assert Kronecker.fit(values, 2, 1) is None
 
     def test_encoder_encodes_each_distinct_value_once(self):
         seen = []
 
-        class Counted(Rescale):
+        class Counted(Kronecker):
             __slots__ = ()
 
-            def encode(self, x, weight):
-                seen.append((x, weight))
-                return super().encode(x, weight)
+            def encode(self, x):
+                seen.append(x)
+                return super().encode(x)
 
-        encode = encoder(Counted(6))
-        values = [(Fraction(1, 3), 2), (Fraction(1, 3), 2), (2, 1),
-                  (Fraction(1, 3), 0), (2, 1)]
-        assert [encode(c, n) for c, n in values] == \
-            [12, 12, 12, Fraction(1, 3), 12]
-        assert seen == [(Fraction(1, 3), 2), (2, 1), (Fraction(1, 3), 0)]
+        layout = Counted.fit([A1, A2], 2, 1)
+        encode = encoder(layout)
+        values = [A1, A1, 2, A1 - A2, 2]
+        assert [encode(c) for c in values] == \
+            [Kronecker.encode(layout, c) for c in values]
+        assert seen == [A1, 2, A1 - A2]
