@@ -59,9 +59,7 @@ def _budget(text: str) -> float:
 
 def _params(args):
     if args.a1 is None and args.a2 is None:
-        R = PolyRing("a1", "a2")
-        a1, a2 = R.gens()
-        return a1, a2, "symbolic"
+        return (*PolyRing("a1", "a2").gens(), "symbolic")
     a1 = Fraction(args.a1 if args.a1 is not None else 0)
     a2 = Fraction(args.a2 if args.a2 is not None else 0)
     return a1, a2, f"({a1},{a2})"

@@ -23,15 +23,12 @@ from operator import countOf
 from .coalg import (DualGroupCoalgebra, FinCoalgebra, dual_basis_e,
                     matrix_coefficients, simple_subcoalgebras_of_dual_group)
 from .groups import Perm, builtin_irreps, identity, symmetric_group
-from .linalg import (add_into, linear, pruned, rank, vec_add, vec_scale,
-                     vec_tensor)
-from .rewrite import (GENERATORS, MultTable, S3, X12, X13, X23,
-                      _full_tail, default_rules, format_smash, sigma,
-                      structure_constants)
+from .linalg import add_into, linear, rank, vec_add, vec_scale, vec_tensor
+from .rewrite import (GENERATORS, MultTable, X12, X13, X23, _full_tail,
+                      default_rules, format_smash, sigma, structure_constants,
+                      sweep_scalars)
 from .scalars import Kronecker, NeedsSpecialization, encoder
 from .ydmod import v3
-
-E3 = identity(3)
 
 
 class Hopf72:
@@ -42,19 +39,18 @@ class Hopf72:
         self.labels = table.labels
         self.index = table.index
         self.dim = table.dim
-        # e_p e_r is structurally zero unless the tail g of p is the
-        # tail-compat tag sigma(w)^-1 g of r; both as positions in S3
-        code = {g: n for n, g in enumerate(S3)}
-        self._tail = [code[g] for (_w, g) in self.labels]
-        self._tag = [code[sigma(w).inv() * g] for (w, g) in self.labels]
-        self.counit = [1 if (not w and g == E3) else 0
+        # the rules' group S_n, its identity, and V = v3(n) on the x_t
+        self.n = table.rules.n
+        self.group = list(table.rules.group)
+        self.e = identity(self.n)
+        self.V = V = v3(self.n)
+        self.counit = [1 if (not w and g == self.e) else 0
                        for (w, g) in self.labels]
-        # lambda(x_t) = sum c delta_h (x) x_u, the coaction of V over k^{S3}
-        coaction = v3().coaction
-        self._gen_comult = {t: self._comult_generator(t, coaction[t])
-                            for t in GENERATORS}
-        self._gen_antipode = {t: self._antipode_generator(coaction[t])
-                              for t in GENERATORS}
+        # lambda(x_t) = sum c delta_h (x) x_u, the coaction of V over k^{S_n}
+        self._gen_comult = {t: self._comult_generator(t, V.coaction[t])
+                            for t in V.labels}
+        self._gen_antipode = {t: self._antipode_generator(V.coaction[t])
+                              for t in V.labels}
         memo: dict = {}
         self.comult = [self.word_comult(w, g, memo) for (w, g) in self.labels]
         self.antipode = [self.word_antipode(w, g) for (w, g) in self.labels]
@@ -63,13 +59,13 @@ class Hopf72:
     # -- element helpers -------------------------------------------------
 
     def unit(self) -> dict:
-        return {self.index[((), g)]: 1 for g in S3}
+        return {self.index[((), g)]: 1 for g in self.group}
 
     def delta_elt(self, g: Perm) -> dict:
         return {self.index[((), g)]: 1}
 
     def x_elt(self, t: Perm) -> dict:
-        return {self.index[((t,), g)]: 1 for g in S3}
+        return {self.index[((t,), g)]: 1 for g in self.group}
 
     def from_smash(self, x: dict) -> dict:
         return {self.index[wg]: c
@@ -105,10 +101,11 @@ class Hopf72:
     # -- tensor square arithmetic ----------------------------------------
 
     def _grouped(self, x: dict, code: list) -> dict:
-        """The terms (p, q, c) of x in A (x) A grouped by code[p], code[q]."""
+        """The terms (p, q, c) of x by code[p], code[q]: tails or tags."""
         out: dict = {}
+        order = len(self.group)
         for (p, q), c in x.items():
-            out.setdefault(code[p] * len(S3) + code[q], []).append((p, q, c))
+            out.setdefault(code[p] * order + code[q], []).append((p, q, c))
         return out
 
     def _compiled(self, legs, scale: int) -> dict:
@@ -122,9 +119,10 @@ class Hopf72:
         left, right = rows or (self._compiled({p for p, _ in x}, self.dim),
                                self._compiled({q for _, q in x}, 1))
         out = Joined(x)
+        tails = self.table.tails
         out.by_tails = {key: [(left[p], right[q], c) for p, q, c in terms]
-                        for key, terms in self._grouped(x, self._tail).items()}
-        out.by_tags = self._grouped(x, self._tag)
+                        for key, terms in self._grouped(x, tails).items()}
+        out.by_tags = self._grouped(x, self.table.tags)
         return out
 
     def join_into(self, acc: dict, x: dict, y: dict) -> dict:
@@ -136,7 +134,8 @@ class Hopf72:
         from which e_p e_r (x) e_q e_s is summed on int keys l * dim + m;
         acc is left unpruned, so sums that cancel keep their key."""
         xb = (x if isinstance(x, Joined) else self.joined(x)).by_tails
-        yb = y.by_tags if isinstance(y, Joined) else self._grouped(y, self._tag)
+        yb = (y.by_tags if isinstance(y, Joined)
+              else self._grouped(y, self.table.tags))
         get = acc.get
         for key in xb.keys() & yb.keys():
             ys = yb[key]
@@ -153,9 +152,10 @@ class Hopf72:
         return acc
 
     def tensor_mult(self, x: dict, y: dict) -> dict:
-        """Componentwise product on A (x) A: the join of join_into, pruned
-        once at the end (linalg.pruned)."""
-        return pruned(self.join_into({}, x, y), self.dim)
+        """Componentwise product on A (x) A: the join of join_into, its
+        zero sums pruned once at the end, keyed (p, q) again."""
+        return {divmod(pq, self.dim): c
+                for pq, c in self.join_into({}, x, y).items() if c}
 
     # -- generator structure maps ----------------------------------------
 
@@ -183,7 +183,7 @@ class Hopf72:
         joined, under t."""
         if not w:
             return {(self.index[((), t)], self.index[((), t.inv() * g)]): 1
-                    for t in S3}
+                    for t in self.group}
         memo = {} if memo is None else memo
         if (w, g) not in memo:
             if w[0] not in memo:
@@ -270,7 +270,7 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     comult_mult failure keeps its difference Delta(e_i e_k) -
     Delta(e_i) Delta(e_k), decoded to the original basis: unpacked,
     then through the rules' own scale, if they were rescaled.  The
-    report names the packing, else the rules' scale, else "rational"."""
+    report names its scalars by sweep_scalars, as check_associativity."""
     layout = axiom_layout(H)
     scale = H.table.rules.scale
     H = H.packed(layout)
@@ -324,7 +324,7 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     return {"basis_checked": dim, "pairs_checked": joined + by_row,
             "delta_terms": sum(map(len, H.comult)),
             "terms_compared": terms_compared,
-            "scalars": str(layout or scale or "rational"),
+            "scalars": sweep_scalars(layout, H.table),
             "witness": witness and _format_witness(layout, scale,
                                                  H.table.grading, *witness),
             "failures": failures, "ok": not failures,
@@ -386,7 +386,7 @@ def verify_hopf_ideal(H: Hopf72) -> dict:
     memo: dict = {}
     elements = H.table.rules.relations() + coideal_elements(H.a1, H.a2)
     for name, r in elements:
-        if r.get(((), E3), 0):
+        if r.get(((), H.e), 0):
             failures.append((name, "counit"))
         if H.from_smash(r):
             failures.append((name, "not in kernel"))
@@ -441,7 +441,7 @@ def adjoint_grading_failures(H: Hopf72, tags: dict, right: bool = False):
     """Every (i, h, image) over the basis indices i in tags where the
     adjoint action of delta_h (on the right when right is set) is not
     [h == tags[i]] times the identity on e_i."""
-    ads = {h: adjoint_action(H, H.delta_elt(h), right) for h in S3}
+    ads = {h: adjoint_action(H, H.delta_elt(h), right) for h in H.group}
     return [(i, h, img) for i, tag in tags.items() for h, ad in ads.items()
             if (img := ad({i: 1})) != ({i: 1} if h == tag else {})]
 
@@ -451,7 +451,7 @@ def adjoint_isotypics(H: Hopf72, n: int) -> tuple:
     eigencomponents, e_i in the piece of sigma(w_i)^-1.  Returns the
     pieces and, as text, every (i, h) where applying ad delta_h to the
     member e_i breaks the grading."""
-    tags = {i: sigma(w).inv() for i, (w, _g) in enumerate(H.labels)
+    tags = {i: sigma(w, H.n).inv() for i, (w, _g) in enumerate(H.labels)
             if H.table.grading[i] <= n}
     pieces: dict = {}
     for i, tag in tags.items():
@@ -466,7 +466,7 @@ def lemma31_suite(H: Hopf72) -> dict:
     """The structural property suite of the degree filtration."""
     failures = []
     n = H.table.grading
-    tags = {i: sigma(w).inv() for i, (w, g) in enumerate(H.labels)}
+    tags = {i: sigma(w, H.n).inv() for i, (w, g) in enumerate(H.labels)}
 
     # (a) F_n^g . F_m^h lands in F_{n+m}^{gh}, term by term
     for i in range(H.dim):
@@ -478,8 +478,8 @@ def lemma31_suite(H: Hopf72) -> dict:
                     failures.append(("isotypic-product", i, k))
 
     # (b) delta_h x_t = x_t delta_{t^-1 h} for every pair
-    for h in S3:
-        for t in (X12, X13, X23):
+    for h in H.group:
+        for t in H.V.labels:
             lhs = H.mult(H.delta_elt(h), H.x_elt(t))
             rhs = H.mult(H.x_elt(t), H.delta_elt(t.inv() * h))
             if lhs != rhs:
@@ -488,7 +488,8 @@ def lemma31_suite(H: Hopf72) -> dict:
     # antipode: S is an algebra anti-homomorphism, so it carries the
     # left-adjoint piece F_n^g onto the right-adjoint piece for g^-1;
     # both gradings are verified honestly via the table
-    rtags = {i: g.inv() * sigma(w) * g for i, (w, g) in enumerate(H.labels)}
+    rtags = {i: g.inv() * sigma(w, H.n) * g
+             for i, (w, g) in enumerate(H.labels)}
     failures += [("right-adjoint", i, str(h)) for i, h, _img
                  in adjoint_grading_failures(H, rtags, right=True)]
     raises_length = False
@@ -508,15 +509,16 @@ def lemma31_suite(H: Hopf72) -> dict:
             for b in blocks.values())
     except NeedsSpecialization:
         inv_ok = None
+        failures.append(("antipode-rank", "undecided"))
     if inv_ok is False:
         failures.append(("antipode-rank",))
 
-    # (d) supp F_1 and (e) F_1^e = k^{S3}
+    # (d) supp F_1 and (e) F_1^e = k^{S_n}
     supp = sorted({tags[i] for i in range(H.dim) if n[i] <= 1})
-    if supp != sorted({E3, *GENERATORS}):
+    if supp != sorted({H.e, *H.V.labels}):
         failures.append(("supp-F1", [str(s) for s in supp]))
-    f1e = [i for i in range(H.dim) if n[i] <= 1 and tags[i] == E3]
-    if sorted(f1e) != sorted(H.index[((), g)] for g in S3):
+    f1e = [i for i in range(H.dim) if n[i] <= 1 and tags[i] == H.e]
+    if sorted(f1e) != sorted(H.index[((), g)] for g in H.group):
         failures.append(("F1e",))
 
     return {"failures": failures, "ok": not failures,
@@ -540,7 +542,7 @@ def coradical_certificate(H: Hopf72) -> dict:
                                        f"allowed span at {pq}"))
 
     # F_0 carries exactly the dual-group comultiplication
-    kG = DualGroupCoalgebra(S3)
+    kG = DualGroupCoalgebra(H.group)
     idx = H.index
     for g in kG.elems:
         expect = {(idx[((), t)], idx[((), u)]): c
@@ -595,21 +597,17 @@ def dump_tables(H: Hopf72) -> str:
     def value(c, weight):
         return c if scale is None else scale.decode(c, weight)
 
-    lines = []
-    for i, (w, g) in enumerate(H.labels):
-        name = format_smash({(w, g): 1})
-        lines.append(f"basis {i}: {name}")
-    # e_i e_k, keyed and ordered by (w_i, w_k, g_k) as text
     table = H.table
+    names = [format_smash({label: 1}) for label in table.labels]
+    lines = [f"basis {i}: {name}" for i, name in enumerate(names)]
+    # e_i e_k, each factor by its basis name, ordered by (w_i, w_k, g_k)
     products = sorted(((str(w1), *map(str, table.labels[k])), i, k)
                       for i, (w1, _g1) in enumerate(table.labels)
                       for k in table.compatible_followers(i))
     for _key, i, k in products:
-        (w1, _g1), (w2, h) = table.labels[i], table.labels[k]
         row = {table.labels[l]: value(c, n[i] + n[k] - n[l])
                for l, c in table.rows[i][k].items()}
-        lines.append(f"mult {format_smash({(w1, h): 1})} * "
-                     f"{format_smash({(w2, h): 1})} = {format_smash(row)}")
+        lines.append(f"mult {names[i]} * {names[k]} = {format_smash(row)}")
     for i in range(H.dim):
         items = sorted(H.comult[i].items())
         lines.append("comult %d: %s" % (i, " + ".join(

@@ -3,8 +3,8 @@
 Sparse vectors are ``{key: coeff}`` dicts that never store a zero
 coefficient, so two vectors are equal exactly when their dicts are equal
 and a vector is zero exactly when its dict is empty.  Every certificate
-ends in such a comparison; the kernel below is the one place that keeps
-the rule (``pruned`` ends a sum accumulated without ``add_into``).
+ends in such a comparison; the kernel below keeps the rule, and so does
+``Hopf72.tensor_mult``, which prunes the int-keyed sums of its join.
 Products of nonzero scalars are nonzero in every scalar domain of the
 package, so scaling and tensoring zero-free vectors needs no pruning.
 
@@ -31,12 +31,6 @@ def add_into(acc: dict, key, c) -> None:
         del acc[key]
 
 
-def pruned(acc: dict, dim: int) -> dict:
-    """The non-zero entries of an A (x) A accumulator summed on int keys
-    l * dim + m without add_into, keyed (l, m): its one pruning."""
-    return {divmod(k, dim): c for k, c in acc.items() if c}
-
-
 def vec_add(u: dict, v: dict) -> dict:
     out = dict(u)
     for k, c in v.items():
@@ -45,9 +39,7 @@ def vec_add(u: dict, v: dict) -> dict:
 
 
 def vec_scale(c, v: dict) -> dict:
-    if not c:
-        return {}
-    return {k: c * x for k, x in v.items()}
+    return {k: c * x for k, x in v.items()} if c else {}
 
 
 def vec_tensor(u: dict, v: dict) -> dict:
@@ -68,9 +60,8 @@ def linear(f, x: dict) -> dict:
 
 
 def _invertible(x) -> bool:
-    if isinstance(x, MultiPoly):
-        return bool(x) and x.is_constant()
-    return bool(x)
+    """Nonzero, and constant if it is a polynomial."""
+    return bool(x) and (not isinstance(x, MultiPoly) or x.is_constant())
 
 
 def rref(rows):

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .groups import Perm, identity, parse_perm, symmetric_group, transposition
 from .linalg import add_into, linear, vec_add, vec_scale
-from .scalars import Kronecker, Rescale, encoder
+from .scalars import Cyclotomic3, Kronecker, Rescale, encoder
 
 FUEL_DEFAULT = 10 ** 6
 TRACE_TAIL = 50
@@ -180,8 +180,9 @@ class RuleSystem:
         # no lhs lies inside another, so at most one matches at a position
         self._by_len = _by_length(lhss)
         self._rule_of = {lhs: i for i, lhs in enumerate(lhss)}
-        # the group S_n of the letters, as the unit of k^{S_n}
-        self.group = _unit(lhss[0][0].n)
+        # n, read from the letters, and the group S_n as the unit of k^{S_n}
+        self.n = lhss[0][0].n
+        self.group = _unit(self.n)
         # each rule once as lhs -> {word: coeff}, read by every rewrite
         self.word_rules = {r.lhs: _compile(r.rhs, self.group)
                            for r in self.rules}
@@ -194,7 +195,7 @@ class RuleSystem:
                     raise ValueError(f"reducible same-length rhs word in {r!r}")
                 # the rules then hold in the smash product over k^{S_n},
                 # and the table's zero-filter is sound
-                if sigma(w, s.n) != s:
+                if sigma(w, self.n) != s:
                     raise ValueError(f"rhs word changes sigma in {r!r}")
 
     def relations(self) -> list:
@@ -398,7 +399,7 @@ def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP) -> list:
     """All words in the letters x_t, t every transposition of S_n, that
     avoid every lhs, by breadth-first extension.  Raises GrowthError if
     irreducible words still appear at maxlen."""
-    n = rules.rules[0].lhs[0].n
+    n = rules.n
     letters = sorted((transposition(n, i, j) for j in range(2, n + 1)
                       for i in range(1, j)), key=str)
     by_len = rules._by_len.items()
@@ -471,7 +472,9 @@ class MultTable:
     system's scalars.  Basis labels are (word, g) pairs ordered deglex
     then by group element.  Each product w1 w2 of basis words is reduced
     once, under every tail, and fills the six rows (w1, g1) * (w2,
-    sigma(w2) g1) from its slices."""
+    sigma(w2) g1) from its slices.  e_p e_r is structurally zero unless
+    the tail g_p of p is the tag sigma(w_r)^-1 g_r of r: tails and tags
+    hold both, as positions in the rules' group."""
 
     def __init__(self, rules: RuleSystem):
         self.rules = rules
@@ -480,8 +483,11 @@ class MultTable:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels)
         self.grading = [len(w) for (w, _g) in self.labels]
-        n = rules.rules[0].lhs[0].n
-        self._word_sigma = {w: sigma(w, n) for w in self.words}
+        self._word_sigma = {w: sigma(w, rules.n) for w in self.words}
+        code = {g: pos for pos, g in enumerate(rules.group)}
+        self.tails = [code[g] for (_w, g) in self.labels]
+        self.tags = [code[self._word_sigma[w].inv() * g]
+                     for (w, g) in self.labels]
         # rows[i][k] = e_i e_k as {index: coeff}; w1 dg1 * w2 dg2 is zero
         # unless g2 = sigma(w2) g1, and then it is the g2-slice of the
         # normal form of w1 w2, whose words must lie in the basis with
@@ -533,9 +539,8 @@ class MultTable:
 
     def compatible_followers(self, i: int) -> list:
         """Indices k with a structurally nonzero product i * k."""
-        (_w1, g1) = self.labels[i]
-        return [self.index[(w2, self._word_sigma[w2] * g1)]
-                for w2 in self.words]
+        tail = self.tails[i]
+        return [k for k, tag in enumerate(self.tags) if tag == tail]
 
 
 def structure_constants(rules: RuleSystem) -> MultTable:
@@ -554,7 +559,7 @@ def check_associativity(table: MultTable) -> dict:
     once: see rescaled).  Both sides are summed, over the rows'
     items, into one difference, which vanishes exactly when the packed
     sides are equal: the bounds are those of each side.  The report
-    names the packing, else the rules' scale, else "rational"."""
+    names its scalars by sweep_scalars."""
     most = max(len(e) for row in table.rows for e in row)
     layout = Kronecker.fit((c for row in table.rows for e in row
                             for c in e.values()),
@@ -579,7 +584,15 @@ def check_associativity(table: MultTable) -> dict:
                 if any(diff.values()):
                     failures.append((i, j, k))
     return {"checked": checked, "failures": failures, "ok": not failures,
-            "scalars": str(layout or table.rules.scale or "rational")}
+            "scalars": sweep_scalars(layout, table)}
+
+
+def sweep_scalars(layout, table: MultTable) -> str:
+    """The scalars a sweep of the table ran on: its packing, else the
+    rules' scale, else Q(w) or Q, as the table's values lie."""
+    return str(layout or table.rules.scale or (
+        "cyclotomic3" if any(type(c) is Cyclotomic3 for row in table.rows
+                             for e in row for c in e.values()) else "rational"))
 
 
 def hilbert_series(words) -> list:

@@ -8,10 +8,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+from fractions import Fraction
+
 import pytest
 
 import hopfs3
 from hopfs3.cli import main
+from hopfs3.hopf72 import build
+from hopfs3.rewrite import format_smash
+from hopfs3.scalars import PolyRing
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -401,9 +406,9 @@ class TestDump:
 
     @pytest.mark.parametrize("argv, digest", [
         ([],
-         "1cfac82017f3cc89c8a16ec7baf146d992aa0330b85fbb8cfc184820e2a2bb36"),
+         "7f8f5c87af6e7f5cdfaa62da0f1813b997b6557b983203d640db20c78c08a1ef"),
         (["--a1=1/3", "--a2=-1/2"],
-         "12342cef4ccdf41c75835ade7df7890da8c69ad99a16aa3496292156b8978f0d"),
+         "2435f67c31923235c8666feb55c3e9930c09e2c07d7e23928cd3138f914ad893"),
     ], ids=["symbolic", "point"])
     def test_dump_digest(self, argv, digest, capsys):
         # every structure constant of the tables, pinned: a change to the
@@ -411,6 +416,32 @@ class TestDump:
         assert main(["dump", *argv]) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, point", [
+        ([], None),
+        (["--a1=1/3", "--a2=-1/2"], (Fraction(1, 3), Fraction(-1, 2))),
+    ], ids=["symbolic", "point"])
+    def test_mult_lines_name_their_own_pair(self, argv, point, capsys):
+        # both factors of every mult line, looked up through the dump's
+        # basis lines, name the pair e_i e_k whose row the line prints,
+        # and every nonzero row is printed
+        assert main(["dump", *argv]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        index = dict(reversed(ln[len("basis "):].split(": ", 1))
+                     for ln in lines if ln.startswith("basis "))
+        table = build(*(point or PolyRing("a1", "a2").gens())).table
+        printed = set()
+        for ln in lines:
+            if ln.startswith("mult "):
+                pair, rhs = ln[len("mult "):].split(" = ")
+                i, k = (int(index[name]) for name in pair.split(" * "))
+                assert rhs == format_smash(
+                    {table.labels[l]: c
+                     for l, c in table.rows[i][k].items()}), ln
+                printed.add((i, k))
+        assert len(index) == table.dim
+        assert {(i, k) for i, row in enumerate(table.rows)
+                for k, e in enumerate(row) if e} <= printed
 
     @pytest.mark.parametrize("argv, digest", [
         ([],

@@ -2,6 +2,7 @@
 Hopf-ideal property, filtration lemmas, and the coradical."""
 
 import collections
+import copy
 import hashlib
 import importlib.util
 import itertools
@@ -771,6 +772,72 @@ class TestControls:
         rep = lemma31_suite(H)
         assert rep["failures"] == [("antipode-rank",)]
         assert rep["antipode_invertible"] is False
+
+    def test_antipode_rank_undecided_is_a_failure(self, H):
+        # the length-1 block of S over Q[a1, a2] scaled by a1 + 1: no
+        # pivot of that block is a constant, so its rank is undecided
+        n = H.table.grading
+        H1 = copy.copy(H)
+        H1.antipode = [{l: c * (A1 + 1) for l, c in a.items()} if n[i] == 1
+                       else a for i, a in enumerate(H.antipode)]
+        rep = lemma31_suite(H1)
+        assert rep["failures"] == [("antipode-rank", "undecided")]
+        assert rep["antipode_invertible"] is None
+
+    def test_ideal_rejects_a_delta_e_tail(self):
+        # x13 x13 -> ... + d(e): that rule's relation has counit -1
+        rules = default_rules(*POINT).rules
+        assert rules[0].lhs == (X13, X13)
+        rules[0] = Rule((X13, X13), {**rules[0].rhs, ((), G["e"]): 1})
+        H = Hopf72(*POINT, structure_constants(RuleSystem(rules)))
+        failures = verify_hopf_ideal(H)["failures"]
+        assert [f for f in failures if f[1] == "counit"] == [
+            ("x13x13", "counit")]
+
+    def test_structure_rejects_a_long_term_in_a_delta_row(self):
+        # d(23) d(23) = d(23) + x12 d(23): the planted term has length 1
+        # and ad-delta eigenvalue (12), not e
+        H = build(*POINT)
+        d = H.index[((), G["(23)"])]
+        H.table.rows[d][d] = {d: 1, H.index[((X12,), G["(23)"])]: 1}
+        assert lemma31_suite(H)["failures"] == [
+            ("filtration-product", d, d), ("isotypic-product", d, d),
+            ("right-adjoint", d, "e")]
+
+    def test_structure_rejects_a_changed_commutation_row(self):
+        # d(12) x13 d(132) doubled: d(12) x13 != x13 d(13 . 12)
+        H = build(*POINT)
+        i = H.index[((), G["(12)"])]
+        k = H.index[((X13,), X13 * G["(12)"])]
+        H.table.rows[i][k] = {l: 2 * c for l, c in H.table.rows[i][k].items()}
+        assert lemma31_suite(H)["failures"] == [
+            ("commutation", "(12)", "(13)"), ("right-adjoint", k, "(23)")]
+
+    def test_coradical_rejects_a_flipped_term_of_delta_on_f0(self):
+        # one term of Delta(d(13)) negated: F_0 is not k^{S3} as a coalgebra
+        H = build(*POINT)
+        g = H.index[((), G["(13)"])]
+        pq = next(iter(H.comult[g]))
+        H.comult[g] = {**H.comult[g], pq: -H.comult[g][pq]}
+        assert coradical_certificate(H)["failures"] == [("F0-comult", "(13)")]
+
+    def test_graded_rejects_an_ungraded_reference(self, monkeypatch):
+        # the reference rules of gr_check with x12x13x12 -> x13x12x13 + x23,
+        # whose table is not graded
+        import hopfs3.hopf72
+
+        def ungraded(a1, a2):
+            rules = default_rules(a1, a2).rules
+            assert rules[5].lhs == (X12, X13, X12)
+            rules[5] = Rule(rules[5].lhs,
+                            {**rules[5].rhs, **_full_tail(((X23,), 1))})
+            return RuleSystem(rules)
+
+        H = build(*POINT)
+        monkeypatch.setattr(hopfs3.hopf72, "default_rules", ungraded)
+        failures = gr_check(H)["failures"]
+        assert ("graded0", (X12, X13), (X12,), "(23)") in failures
+        assert {f[0] for f in failures} == {"graded0"}
 
     def test_antipode_rank_open_when_length_rises(self):
         # S(delta_e) := delta_e + x12 de raises word length, so S is not

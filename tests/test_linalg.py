@@ -8,7 +8,7 @@ import pytest
 
 from hopfs3.linalg import (add_into, linear, rank, rref, span_equal, vec_add,
                            vec_scale, vec_tensor)
-from hopfs3.scalars import OMEGA, PolyRing
+from hopfs3.scalars import OMEGA, NeedsSpecialization, PolyRing
 
 A1, A2 = PolyRing("a1", "a2").gens()
 
@@ -100,6 +100,14 @@ def test_int_rank_matches_rref():
         assert rank(rows) == expected, rows
         assert rank([[Fraction(c) for c in row] for row in rows]) == expected
     assert deficient > 300
+
+
+def test_rank_needs_specialization_on_a_nonconstant_pivot():
+    # a1 can be neither inverted nor taken for zero, so the rank of
+    # [[a1, 0], [0, 1]] is 2 or 1 as a1 is; a constant polynomial pivots
+    with pytest.raises(NeedsSpecialization):
+        rank([[A1, 0], [0, 1]])
+    assert rank([[A1 * 0 + 2, A1], [0, 1]]) == 2
 
 
 def test_int_rank_leaves_its_input():

@@ -16,7 +16,7 @@ from hopfs3.rewrite import (GENERATORS, GrowthError, NonterminationError,
                             find_redex, hilbert_series, irreducible_words,
                             overlap_ambiguities, rescaled,
                             resolve_ambiguity, sigma, smash_mult, structure_constants,
-                            uniform_rule, word_key)
+                            sweep_scalars, uniform_rule, word_key)
 from hopfs3.linalg import add_into, vec_add
 from hopfs3.scalars import Cyclotomic3, Kronecker, OMEGA, PolyRing, Rescale
 
@@ -584,7 +584,7 @@ class TestMultTable:
         table = _perturbable(structure_constants(
             default_rules(OMEGA, Cyclotomic3(1, 2))))
         rep = check_associativity(table)
-        assert rep["ok"] and rep["scalars"] == "rational"
+        assert rep["ok"] and rep["scalars"] == "cyclotomic3"
         i, k, l = _x13_x13_d12(table)
         table.rows[i][k][l] += OMEGA
         assert not check_associativity(table)["ok"]
@@ -592,6 +592,33 @@ class TestMultTable:
     def test_associativity_at_a_point_is_rational(self):
         rep = check_associativity(structure_constants(default_rules(2, -3)))
         assert rep["ok"] and rep["scalars"] == "rational"
+
+    def test_sweep_scalars(self):
+        # the packing, else the rules' scale, else Q(w) or Q as the
+        # table's values lie
+        table = structure_constants(default_rules(2, -3))
+        assert sweep_scalars(None, table) == "rational"
+        layout = Kronecker(("a1", "a2"), 8, 3)
+        assert sweep_scalars(layout, table) == "kronecker B=8 K=3"
+        point = structure_constants(rescaled(default_rules(
+            Fraction(1, 3), Fraction(-1, 2))))
+        assert sweep_scalars(None, point) == "rescaled D=6"
+        assert sweep_scalars(layout, point) == "kronecker B=8 K=3"
+        q_omega = _perturbable(table)
+        q_omega.rows[0][0] = {0: OMEGA}
+        assert sweep_scalars(None, q_omega) == "cyclotomic3"
+
+    def test_tails_and_tags(self):
+        # e_i e_k is structurally zero unless g_i = sigma(w_k)^-1 g_k
+        table = structure_constants(sym_rules())
+        group = list(table.rules.group)
+        for i, (w, g) in enumerate(table.labels):
+            assert group[table.tails[i]] == g
+            assert group[table.tags[i]] == sigma(w).inv() * g
+            assert table.compatible_followers(i) == [
+                table.index[(w2, sigma(w2) * g)] for w2 in table.words]
+            assert all(not e for k, e in enumerate(table.rows[i])
+                       if k not in table.compatible_followers(i))
 
     def test_specialization_commutes(self):
         # evaluating the symbolic table at a point equals building the
