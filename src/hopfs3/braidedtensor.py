@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .groups import transposition
+from .groups import transpositions
 from .linalg import nullspace, vec_add
 from .ydmod import braid_at, v3
 
@@ -30,9 +30,7 @@ def quadratic_relations(n: int) -> list:
     support; every element is primitive."""
     if n not in (3, 4, 5):
         raise ValueError(f"unsupported n={n}")
-    transpositions = sorted(
-        {transposition(n, i, j) for i in range(1, n + 1)
-         for j in range(i + 1, n + 1)}, key=str)
+    letters = transpositions(n)
     out = []
     seen = set()
 
@@ -45,13 +43,13 @@ def quadratic_relations(n: int) -> list:
     def overlap(t, s):
         return any(t(i) != i and s(i) != i for i in range(1, n + 1))
 
-    for t in transpositions:
+    for t in letters:
         push({(t, t): 1})
-    for t, s in combinations(transpositions, 2):
+    for t, s in combinations(letters, 2):
         if not overlap(t, s):
             push({(t, s): 1, (s, t): 1})
-    for t in transpositions:
-        for s in transpositions:
+    for t in letters:
+        for s in letters:
             if t != s and overlap(t, s):
                 u = t * s * t
                 push({(t, s): 1, (s, u): 1, (u, t): 1})

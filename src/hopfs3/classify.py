@@ -2,7 +2,7 @@
 
 Gamma = k^x times S3 acts on the parameter plane on the right; two
 parameter pairs give isomorphic algebras exactly when they lie in the
-same orbit.  S3 acts through its standard irrep (groups.builtin_irreps)
+same orbit.  S3 acts through its standard irrep (groups.S3_STANDARD)
 and the scalars by scaling, so the action is well defined by
 construction; the test suite checks it on generators and as a right
 action.
@@ -17,16 +17,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .groups import (Perm, builtin_irreps, conjugate, parse_perm,
+from .groups import (S3_STANDARD, Perm, conjugate, parse_perm,
                      symmetric_group)
 from .linalg import add_into
 from .rewrite import FUEL_DEFAULT, default_rules, smash_mult
 from .scalars import PolyRing
-
-# rho(theta) of the standard irrep, pinned by rho(12) = ((0, 1), (1, 0))
-# and rho(123) = ((0, 1), (-1, -1))
-STANDARD = next(r for r in builtin_irreps(symmetric_group(3))
-                if r.name == "standard")
 
 
 def act(a, gamma):
@@ -38,7 +33,7 @@ def act(a, gamma):
         raise ZeroDivisionError("mu must be nonzero")
     if isinstance(theta, str):
         theta = parse_perm(theta, 3)
-    m = STANDARD(theta)
+    m = S3_STANDARD(theta)
     return tuple(mu * (a[0] * m[0][j] + a[1] * m[1][j]) for j in range(2))
 
 

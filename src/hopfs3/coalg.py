@@ -7,22 +7,20 @@ Vectors are sparse dicts ``label -> coeff``.
 
 FinCoalgebra is the one checker of coassociativity and the counit, one
 basis element at a time; hopf72.verify_hopf_axioms runs the
-72-dimensional algebra through it.  Also here: dual group coalgebras
-k^G, matrix coalgebras, the skew-primitive solver used to pin down the
-deformation parameters, and the matrix-coefficient subcoalgebras of k^G.
-The coradical certificate of the 72-dimensional algebra
-(hopf72.coradical_certificate) compares its F_0 with DualGroupCoalgebra
-and splits it with simple_subcoalgebras_of_dual_group.  The sparse-vector
-helpers ``vec_add``, ``vec_scale`` and ``vec_tensor`` come from
-:mod:`hopfs3.linalg` and are importable from here.
+72-dimensional algebra through it.  Also here: matrix coalgebras, the
+skew-primitive solver used to pin down the deformation parameters, and
+the matrix coefficients f_ij of an irrep and their dual basis e_ij, as
+vectors over the group; hopf72.coradical_certificate puts the f_ij on the
+algebra's F_0 and splits it through the algebra's own Delta.  The
+sparse-vector helpers ``vec_add``, ``vec_scale`` and ``vec_tensor`` come
+from :mod:`hopfs3.linalg` and are importable from here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import (add_into, linear, nullspace, rank, vec_add, vec_scale,
-                     vec_tensor)
+from .linalg import add_into, linear, nullspace, vec_add, vec_scale, vec_tensor
 
 
 class CoalgError(ValueError):
@@ -75,29 +73,18 @@ class FinCoalgebra:
 class MatrixCoalgebra(FinCoalgebra):
     """Basis e_ij with Delta(e_ij) = sum_k e_ik (x) e_kj, eps(e_ij) = [i==j]."""
 
-    def __init__(self, n: int, prefix: str = "e"):
+    def __init__(self, n: int):
         self.rank_n = n
-        self.prefix = prefix
-        labels = [(prefix, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-        comult = {(prefix, i, j): {((prefix, i, k), (prefix, k, j)): 1
-                                   for k in range(1, n + 1)}
+        labels = [("e", i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        comult = {("e", i, j): {(("e", i, k), ("e", k, j)): 1
+                                for k in range(1, n + 1)}
                   for i in range(1, n + 1) for j in range(1, n + 1)}
-        counit = {(prefix, i, j): 1 if i == j else 0
+        counit = {("e", i, j): 1 if i == j else 0
                   for i in range(1, n + 1) for j in range(1, n + 1)}
         super().__init__(labels, comult, counit)
 
     def e(self, i: int, j: int):
-        return (self.prefix, i, j)
-
-
-class DualGroupCoalgebra(FinCoalgebra):
-    """k^G on the Dirac basis."""
-
-    def __init__(self, elems):
-        self.elems = sorted(elems)
-        comult = {h: {(t, t.inv() * h): 1 for t in self.elems} for h in self.elems}
-        counit = {h: 1 if h.is_identity() else 0 for h in self.elems}
-        super().__init__(self.elems, comult, counit)
+        return ("e", i, j)
 
 
 # -- the skew-primitive solver ----------------------------------------------
@@ -166,7 +153,7 @@ def skew_primitive_closed_form(g_label, E: MatrixCoalgebra, a) -> tuple:
     return tuple(xs)
 
 
-# -- matrix-coefficient subcoalgebras of k^G --------------------------------
+# -- matrix coefficients of an irrep ----------------------------------------
 
 def matrix_coefficients(irrep) -> dict:
     """f_ij(g) = (i, j) entry of rho(g), as vectors over the Dirac basis."""
@@ -176,36 +163,7 @@ def matrix_coefficients(irrep) -> dict:
             for i in range(1, d + 1) for j in range(1, d + 1)}
 
 
-def simple_subcoalgebras_of_dual_group(elems, irreps) -> list:
-    """The decomposition of k^G into matrix coalgebras spanned by the
-    matrix coefficients of the irreps.  Verifies Delta(f_ij) =
-    sum_k f_ik (x) f_kj, independence, and the dimension count."""
-    elems = sorted(elems)
-    if sum(r.dim ** 2 for r in irreps) != len(elems):
-        raise CoalgError("irrep list incomplete: dimension count mismatch")
-    kG = DualGroupCoalgebra(elems)
-    out = []
-    all_vectors = []
-    for r in irreps:
-        fs = matrix_coefficients(r)
-        d = r.dim
-        for i in range(1, d + 1):
-            for j in range(1, d + 1):
-                want: dict = {}
-                for k in range(1, d + 1):
-                    want = vec_add(want, vec_tensor(fs[(i, k)], fs[(k, j)]))
-                if kG.delta(fs[(i, j)]) != want:
-                    raise CoalgError(
-                        f"matrix coefficients of {r.name} are not coalgebraic")
-        out.append((r.name, d, fs))
-        all_vectors.extend(fs.values())
-    dense = [[v.get(g, 0) for g in elems] for v in all_vectors]
-    if rank(dense) != len(elems):
-        raise CoalgError("matrix coefficients do not span k^G")
-    return out
-
-
-def dual_basis_e(fs: dict, elems) -> dict:
+def dual_basis_e(fs: dict) -> dict:
     """e_ij = S(f_ji) on k^G (S(delta_g) = delta_{g^-1}; involutive here)."""
     out = {}
     d = max(i for i, _ in fs)

@@ -13,6 +13,7 @@ cyclotomic scalars.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations as _itpermutations
 
 from .scalars import OMEGA, Cyclotomic3
@@ -104,6 +105,13 @@ def transposition(n: int, i: int, j: int) -> Perm:
     images = list(range(1, n + 1))
     images[i - 1], images[j - 1] = j, i
     return Perm(images)
+
+
+@cache
+def transpositions(n: int) -> tuple:
+    """The transpositions of S_n, sorted by name: (12), (13), ..."""
+    return tuple(sorted((transposition(n, i, j) for j in range(2, n + 1)
+                         for i in range(1, j)), key=str))
 
 
 def parse_perm(text: str, n: int) -> Perm:
@@ -240,3 +248,9 @@ def builtin_irreps(elems) -> list:
         return [trivial, sign, std]
 
     raise GroupError(f"unsupported group of order {order}")
+
+
+# rho(theta) of the standard irrep of S3, pinned by rho(12) = ((0, 1), (1, 0))
+# and rho(123) = ((0, 1), (-1, -1))
+S3_STANDARD = next(r for r in builtin_irreps(symmetric_group(3))
+                   if r.name == "standard")

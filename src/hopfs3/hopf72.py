@@ -20,9 +20,8 @@ from functools import reduce
 from itertools import chain
 from operator import countOf
 
-from .coalg import (DualGroupCoalgebra, FinCoalgebra, dual_basis_e,
-                    matrix_coefficients, simple_subcoalgebras_of_dual_group)
-from .groups import Perm, builtin_irreps, identity, symmetric_group
+from .coalg import FinCoalgebra, dual_basis_e, matrix_coefficients
+from .groups import S3_STANDARD, Perm, builtin_irreps, identity
 from .linalg import add_into, linear, rank, vec_add, vec_scale, vec_tensor
 from .rewrite import (GENERATORS, MultTable, X12, X13, X23, _full_tail,
                       default_rules, format_smash, sigma, structure_constants,
@@ -347,24 +346,20 @@ def _format_witness(layout, scale, grading, i: int, k: int,
     return f"Delta(e{i} e{k}) - Delta(e{i}) Delta(e{k}) = {terms}"
 
 
-def _dual_e() -> dict:
-    """The dual basis e_ij of the standard-representation coefficients."""
-    elems = symmetric_group(3)
-    std = [r for r in builtin_irreps(elems) if r.name == "standard"][0]
-    return dual_basis_e(matrix_coefficients(std), elems)
+# the dual basis e_ij of the standard-representation coefficients
+DUAL_E = dual_basis_e(matrix_coefficients(S3_STANDARD))
 
 
 def coideal_elements(a1, a2) -> list:
     """The relations in the paper's form that no rule states verbatim:
     the two c-relations and the sum of squares."""
-    e = _dual_e()
     a = (a1, a2)
     out = []
     for i, t in enumerate((X13, X23)):
         # c_i - a_i + sum_j a_j e_ij, with c_i = x_t^2 - x12^2
         elt = _full_tail(((t, t), 1), ((X12, X12), -1), ((), -a[i]))
         for j in range(2):
-            for g, c in e[(i + 1, j + 1)].items():
+            for g, c in DUAL_E[i + 1, j + 1].items():
                 add_into(elt, ((), g), a[j] * c)
         out.append((f"c{i + 1}-rel", elt))
     out.append(("sum_squares",
@@ -403,7 +398,6 @@ def c_identity(H: Hopf72) -> dict:
     x13^2 - x12^2 = a1 - a1 e11 - a2 e12 and
     x23^2 - x12^2 = a2 - a1 e21 - a2 e22 in A, plus the comultiplication
     shape Delta(cb_i) = cb_i (x) 1 + sum_j e_ij (x) cb_j."""
-    e = _dual_e()
     failures = []
     values = coideal_elements(H.a1, H.a2)[:2]
     for i, (_name, rel) in enumerate(values):
@@ -414,7 +408,8 @@ def c_identity(H: Hopf72) -> dict:
     for i in range(len(cbar)):
         rhs = vec_tensor(cbar[i], H.unit())
         for j in range(2):
-            e_ij = {H.index[((), g)]: c for g, c in e[(i + 1, j + 1)].items()}
+            e_ij = {H.index[((), g)]: c
+                    for g, c in DUAL_E[i + 1, j + 1].items()}
             rhs = vec_add(rhs, vec_tensor(e_ij, cbar[j]))
         if H.delta(cbar[i]) != rhs:
             failures.append((f"c{i + 1}", "comult shape"))
@@ -527,9 +522,9 @@ def lemma31_suite(H: Hopf72) -> dict:
 
 def coradical_certificate(H: Hopf72) -> dict:
     """Filtration certificate: F_n = span{w delta_g : |w| <= n}, nested
-    and exhausting A, is a coalgebra filtration, and F_0 is a
-    subcoalgebra isomorphic to k^{S3} splitting into simple pieces of
-    ranks (1,1,2).  Together these pin the coradical."""
+    and exhausting A, is a coalgebra filtration, and F_0, through H's own
+    Delta, is a subcoalgebra isomorphic to k^{S3} splitting into simple
+    pieces of ranks (1,1,2).  Together these pin the coradical."""
     failures = []
     # Delta(F_n) <= sum_i F_i (x) F_{n-i}: |w_p| + |w_q| <= |w_i| for every
     # term [p, q] of Delta(e_i); the first offending term is the witness
@@ -541,20 +536,25 @@ def coradical_certificate(H: Hopf72) -> dict:
         failures.append(("filtration", f"Delta(F_{n[i]}) leaves the "
                                        f"allowed span at {pq}"))
 
-    # F_0 carries exactly the dual-group comultiplication
-    kG = DualGroupCoalgebra(H.group)
-    idx = H.index
-    for g in kG.elems:
-        expect = {(idx[((), t)], idx[((), u)]): c
-                  for (t, u), c in kG.comult[g].items()}
-        if H.comult[idx[((), g)]] != expect:
-            failures.append(("F0-comult", str(g)))
-
-    pieces = simple_subcoalgebras_of_dual_group(kG.elems,
-                                                builtin_irreps(kG.elems))
-    dims = sorted(d * d for (_name, d, _fs) in pieces)
-    if dims != [1, 1, 4]:
-        failures.append(("F0-decomposition", dims))
+    # F_0 splits as k^G: the matrix coefficients f_ij = sum_g
+    # rho(g)_ij delta_g of the irreps rho of G comultiply as
+    # Delta(f_ij) = sum_k f_ik (x) f_kj under H's Delta and are a basis
+    # of F_0, which fixes Delta on F_0 as that of k^G
+    coefficients = []
+    for rho in builtin_irreps(H.group):
+        f = {ij: {H.index[((), g)]: c for g, c in fij.items()}
+             for ij, fij in matrix_coefficients(rho).items()}
+        for (i, j), fij in f.items():
+            want: dict = {}
+            for k in range(1, rho.dim + 1):
+                want = vec_add(want, vec_tensor(f[i, k], f[k, j]))
+            if H.delta(fij) != want:
+                failures.append(("F0-decomposition", rho.name, (i, j)))
+        coefficients.extend(f.values())
+    f0 = [H.index[((), g)] for g in H.group]
+    if len(coefficients) != len(f0) or rank(
+            [[f.get(i, 0) for i in f0] for f in coefficients]) != len(f0):
+        failures.append(("F0-decomposition", "span"))
 
     return {"failures": failures, "ok": not failures,
             "conclusion": "coradical = k^{S3} (inside F_0 by the filtration "

@@ -27,7 +27,7 @@ import functools
 from collections import deque
 from fractions import Fraction
 
-from .groups import Perm, identity, parse_perm, symmetric_group, transposition
+from .groups import Perm, identity, parse_perm, symmetric_group, transpositions
 from .linalg import add_into, linear, vec_add, vec_scale
 from .scalars import Cyclotomic3, Kronecker, Rescale, encoder
 
@@ -35,9 +35,7 @@ FUEL_DEFAULT = 10 ** 6
 TRACE_TAIL = 50
 WORD_CAP = 8
 
-X12 = transposition(3, 1, 2)
-X13 = transposition(3, 1, 3)
-X23 = transposition(3, 2, 3)
+X12, X13, X23 = transpositions(3)
 GENERATORS = (X12, X13, X23)
 
 S3 = symmetric_group(3)
@@ -400,8 +398,7 @@ def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP) -> list:
     avoid every lhs, by breadth-first extension.  Raises GrowthError if
     irreducible words still appear at maxlen."""
     n = rules.n
-    letters = sorted((transposition(n, i, j) for j in range(2, n + 1)
-                      for i in range(1, j)), key=str)
+    letters = transpositions(n)
     by_len = rules._by_len.items()
     out = [()]
     layer = [()]

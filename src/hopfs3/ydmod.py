@@ -15,7 +15,7 @@ from itertools import product
 
 from .groups import (Perm, centralizer, conjugacy_class, conjugate,
                      coset_representatives, builtin_irreps, identity,
-                     symmetric_group, transposition)
+                     symmetric_group, transpositions)
 from .linalg import linear
 
 
@@ -129,9 +129,7 @@ def v3(n: int = 3) -> YDModule:
     """The module with basis x_ij over the transpositions of S_n: dual
     degree (ij) and lambda(x_t) = sum_g sgn(g) delta_g (x) x_{g^-1 t g}."""
     elems = symmetric_group(n)
-    labels = sorted(
-        {transposition(n, i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)},
-        key=str)
+    labels = list(transpositions(n))
     dual_degree = {t: t for t in labels}
     coaction = {t: {(g, conjugate(t, g.inv())): g.sign() for g in elems}
                 for t in labels}

@@ -1,19 +1,32 @@
 """Finite-dimensional coalgebra toolkit: constructions, the
-skew-primitive solver."""
+skew-primitive solver, and the matrix coefficients of S3 on the F_0 of
+the CLI's algebra at (1/3, -1/2)."""
 
 from fractions import Fraction
 
 import pytest
 
-from hopfs3.coalg import (CoalgError, DualGroupCoalgebra, FinCoalgebra,
-                          MatrixCoalgebra, dual_basis_e, matrix_coefficients,
-                          simple_subcoalgebras_of_dual_group,
+import hopfs3.hopf72
+from conftest import cli_algebra
+from hopfs3.coalg import (CoalgError, FinCoalgebra, MatrixCoalgebra,
+                          dual_basis_e, matrix_coefficients,
                           skew_primitive_closed_form, skew_primitive_space,
                           vec_add, vec_scale, vec_tensor)
 from hopfs3.groups import builtin_irreps, parse_perm, symmetric_group
-from hopfs3.linalg import span_equal
+from hopfs3.hopf72 import coradical_certificate
+from hopfs3.linalg import rank, span_equal
 
 S3 = sorted(symmetric_group(3))
+
+
+@pytest.fixture(scope="module")
+def H():
+    return cli_algebra(Fraction(1, 3), Fraction(-1, 2))
+
+
+def on_f0(H, v: dict) -> dict:
+    """A vector over S3 as the same combination of the delta_g of H."""
+    return {H.index[((), g)]: c for g, c in v.items()}
 
 
 def axiom_failures(C: FinCoalgebra) -> list:
@@ -29,18 +42,20 @@ class TestConstructions:
             assert len(E.labels) == n * n
             assert axiom_failures(E) == []
 
-    def test_dual_group_coalgebra(self):
-        C = DualGroupCoalgebra(S3)
-        assert len(C.labels) == 6
+    def test_dual_group_coalgebra(self, H):
+        # F_0 of the algebra, the span of the delta_g, is a coalgebra
+        f0 = [H.index[((), g)] for g in S3]
+        C = FinCoalgebra(f0, {i: H.comult[i] for i in f0}, H.counit)
         assert axiom_failures(C) == []
         # delta_g splits over all factorizations g = t (t^-1 g)
         g = parse_perm("(123)", 3)
-        d = C.delta({g: 1})
+        d = H.delta(H.delta_elt(g))
         assert len(d) == 6
-        for (t, u), c in d.items():
-            assert c == 1 and t * u == g
+        for (p, q), c in d.items():
+            (v, t), (w, u) = H.labels[p], H.labels[q]
+            assert c == 1 and v == w == () and t * u == g
         # the counit is the coefficient at the identity
-        assert C.counit == {h: int(h == parse_perm("e", 3)) for h in S3}
+        assert [H.counit[i] for i in f0] == [int(h.is_identity()) for h in S3]
 
     def test_direct_sum(self):
         # the ambient of the skew-primitive solver: kg + M_2(k)*
@@ -129,11 +144,16 @@ class TestSkewPrimitiveSolver:
 
 
 class TestMatrixCoefficients:
-    def test_simple_subcoalgebras_of_dual_s3(self):
-        irreps = builtin_irreps(S3)
-        pieces = simple_subcoalgebras_of_dual_group(S3, irreps)
-        dims = sorted(d * d for _, d, _ in pieces)
-        assert dims == [1, 1, 4]
+    def test_simple_subcoalgebras_of_dual_s3(self, H):
+        # the certificate splits F_0 by the irreps; the coefficients of
+        # each span a simple subcoalgebra of dimension dim^2: 1 + 1 + 4
+        assert coradical_certificate(H)["failures"] == []
+        f0 = [H.index[((), g)] for g in S3]
+        dims = []
+        for r in builtin_irreps(S3):
+            fs = [on_f0(H, f) for f in matrix_coefficients(r).values()]
+            dims.append(rank([[f.get(i, 0) for i in f0] for f in fs]))
+        assert sorted(dims) == [1, 1, 4]
 
     def test_standard_f11(self):
         std = next(r for r in builtin_irreps(S3) if r.dim == 2)
@@ -143,20 +163,22 @@ class TestMatrixCoefficients:
                   parse_perm("(23)", 3): -1, parse_perm("(132)", 3): -1}
         assert f11 == expect
 
-    def test_dual_basis_multiplicative_identities(self):
+    def test_dual_basis_multiplicative_identities(self, H):
         # e_ij e_kl = [j == k] e_il would need the algebra structure; here
         # check the coalgebra identity Delta(e_ij) = sum_k e_ik (x) e_kj
+        # through the algebra's Delta on F_0
         std = next(r for r in builtin_irreps(S3) if r.dim == 2)
-        fs = matrix_coefficients(std)
-        es = dual_basis_e(fs, S3)
-        kG = DualGroupCoalgebra(S3)
+        es = {ij: on_f0(H, e)
+              for ij, e in dual_basis_e(matrix_coefficients(std)).items()}
         for i in (1, 2):
             for j in (1, 2):
                 want = vec_add(vec_tensor(es[(i, 1)], es[(1, j)]),
                                vec_tensor(es[(i, 2)], es[(2, j)]))
-                assert kG.delta(es[(i, j)]) == want
+                assert H.delta(es[(i, j)]) == want
 
-    def test_incomplete_irrep_list_rejected(self):
-        irreps = [r for r in builtin_irreps(S3) if r.dim == 1]
-        with pytest.raises(CoalgError):
-            simple_subcoalgebras_of_dual_group(S3, irreps)
+    def test_incomplete_irrep_list_rejected(self, H, monkeypatch):
+        # without the standard irrep the coefficients span 2 of 6 dims
+        monkeypatch.setattr(hopfs3.hopf72, "builtin_irreps", lambda G: [
+            r for r in builtin_irreps(G) if r.dim == 1])
+        assert coradical_certificate(H)["failures"] == [
+            ("F0-decomposition", "span")]

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hopfs3 import groups
-from hopfs3.groups import (GroupError, Irrep, Perm, builtin_irreps,
-                           centralizer, conjugacy_class, conjugate,
-                           coset_representatives, identity, mat_mult,
-                           parse_perm, symmetric_group, transposition)
+from hopfs3.groups import (S3_STANDARD, GroupError, Irrep, Perm,
+                           builtin_irreps, centralizer, conjugacy_class,
+                           conjugate, coset_representatives, identity,
+                           mat_mult, parse_perm, symmetric_group,
+                           transposition, transpositions)
 from hopfs3.scalars import Cyclotomic3
 
 S3 = symmetric_group(3)
@@ -108,6 +109,15 @@ class TestSubgroupTools:
         assert len(centralizer(transposition(3, 1, 2), S3)) == 2
         assert len(centralizer(parse_perm("(123)", 3), S3)) == 3
 
+    def test_transpositions_by_name(self):
+        assert [str(t) for t in transpositions(3)] == ["(12)", "(13)", "(23)"]
+        assert [str(t) for t in transpositions(4)] == [
+            "(12)", "(13)", "(14)", "(23)", "(24)", "(34)"]
+        # every transposition once, and the one tuple per n
+        assert set(transpositions(4)) == {
+            g for g in S4 if sorted(len(c) for c in g.cycles()) == [2]}
+        assert transpositions(4) is transpositions(4)
+
     def test_coset_representatives(self):
         cent = centralizer(transposition(3, 1, 2), S3)
         reps = coset_representatives(S3, cent)
@@ -140,6 +150,12 @@ class TestIrreps:
         assert tr(std(identity(3))) == 2
         assert tr(std(transposition(3, 1, 2))) == 0
         assert tr(std(parse_perm("(123)", 3))) == -1
+
+    def test_s3_standard(self):
+        # the standard irrep of builtin_irreps, pinned on the generators
+        assert S3_STANDARD.name == "standard" and S3_STANDARD.dim == 2
+        assert S3_STANDARD(transposition(3, 1, 2)) == ((0, 1), (1, 0))
+        assert S3_STANDARD(parse_perm("(123)", 3)) == ((0, 1), (-1, -1))
 
     def test_sign_irrep(self):
         sgn = next(r for r in builtin_irreps(S3) if r.dim == 1

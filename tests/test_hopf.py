@@ -819,7 +819,36 @@ class TestControls:
         g = H.index[((), G["(13)"])]
         pq = next(iter(H.comult[g]))
         H.comult[g] = {**H.comult[g], pq: -H.comult[g][pq]}
-        assert coradical_certificate(H)["failures"] == [("F0-comult", "(13)")]
+        assert coradical_certificate(H)["failures"] == [
+            ("F0-decomposition", "trivial", (1, 1)),
+            ("F0-decomposition", "sign", (1, 1)),
+            ("F0-decomposition", "standard", (1, 1)),
+            ("F0-decomposition", "standard", (2, 1)),
+            ("F0-decomposition", "standard", (2, 2))]
+
+    def test_coradical_rejects_a_flipped_term_of_delta_e(self, H):
+        # over Q[a1, a2], the term [de, de] of Delta(de) negated: exactly
+        # the f_ij with a term at de, the diagonal ones, comultiply wrongly
+        e = H.index[((), G["e"])]
+        H1 = copy.copy(H)
+        H1.comult = list(H.comult)
+        H1.comult[e] = {**H.comult[e], (e, e): -1}
+        assert coradical_certificate(H1)["failures"] == [
+            ("F0-decomposition", "trivial", (1, 1)),
+            ("F0-decomposition", "sign", (1, 1)),
+            ("F0-decomposition", "standard", (1, 1)),
+            ("F0-decomposition", "standard", (2, 2))]
+
+    def test_coradical_rejects_a_dropped_irrep(self, monkeypatch):
+        # without the sign irrep the coefficients span 5 of 6 dims
+        import hopfs3.hopf72
+        from hopfs3.groups import builtin_irreps
+
+        H = cli_algebra(*POINT)
+        monkeypatch.setattr(hopfs3.hopf72, "builtin_irreps", lambda G: [
+            r for r in builtin_irreps(G) if r.name != "sign"])
+        assert coradical_certificate(H)["failures"] == [
+            ("F0-decomposition", "span")]
 
     def test_graded_rejects_an_ungraded_reference(self, monkeypatch):
         # the reference rules of gr_check with x12x13x12 -> x13x12x13 + x23,

@@ -7,7 +7,8 @@ README's CLI block, ``hopfs3 verify all --a1=1/3 --a2=-1/2`` and
 ``module.qualname``, every function and method defined in src/hopfs3
 (dunders, lambdas and comprehensions aside) that none of them called.
 Only that list goes to stdout; the pytest report and the exit codes go
-to stderr.  tools/unreached.txt holds the list as committed, so that
+to stderr.  It exits 1 when a CLI command or the pytest run fails.
+tools/unreached.txt holds the list as committed, so that
 
     python3 tools/reachability.py | diff tools/unreached.txt -
 
@@ -91,7 +92,8 @@ def main() -> int:
     defined = defined_functions()
     for key in sorted(set(defined) - entered, key=defined.get):
         print(defined[key])
-    return 0
+    # a list taken from a run that failed part way says nothing
+    return 1 if any(codes) or status else 0
 
 
 if __name__ == "__main__":
