@@ -20,8 +20,9 @@ from functools import reduce
 from itertools import chain
 from operator import countOf
 
-from .coalg import FinCoalgebra, dual_basis_e, matrix_coefficients
-from .groups import S3_STANDARD, Perm, builtin_irreps, identity
+from .coalg import (matrix_coefficients, skew_primitive_closed_form,
+                    skew_primitive_defect)
+from .groups import Perm, builtin_irreps, identity
 from .linalg import add_into, linear, rank, vec_add, vec_scale, vec_tensor
 from .rewrite import (GENERATORS, MultTable, X12, X13, X23, _full_tail,
                       default_rules, format_smash, sigma, structure_constants,
@@ -253,9 +254,12 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     basis pair.  The sweep is exact: Kronecker-packed over Q[a1, a2]
     (axiom_layout), on the values as they are at a rational point (ints
     on the CLI's rules, rescaled once by rewrite.rescaled).
-    Coassociativity and the counit are checked by coalg.FinCoalgebra.
 
-    Each basis pair (i, k) gives one difference on int keys p * dim + q,
+    Coassociativity and the counit are read off the rows flat[l] of
+    Delta(e_l) on int keys p * dim + q (_coassociative, _counital), one
+    basis element at a time.
+
+    Each basis pair (i, k) gives one difference on the same int keys,
     seeded with -Delta(e_i e_k) from the Delta(e_l) compiled once, to
     which Hopf72.join_into adds Delta(e_i) Delta(e_k); the pair passes
     when every sum is 0.  The join is hoisted to the row: from an index
@@ -273,15 +277,17 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     layout = axiom_layout(H)
     scale = H.table.rules.scale
     H = H.packed(layout)
-    coalgebra = FinCoalgebra(range(H.dim), H.comult, H.counit)
+    dim = H.dim
+    flat = [tuple([(p * dim + q, c) for (p, q), c in d.items()])
+            for d in H.comult]
     failures = []
     witness = None
 
-    for i in range(H.dim):
+    for i in range(dim):
         d = H.comult[i]
-        if not coalgebra.coassociative_at(i):
+        if not _coassociative(flat, i, dim):
             failures.append(("coassoc", i))
-        if not coalgebra.counit_at(i):
+        if not _counital(flat, H.counit, i, dim):
             failures.append(("counit", i))
 
         conv_l = linear(lambda pq: H.mult(H.antipode[pq[0]], {pq[1]: 1}), d)
@@ -290,9 +296,6 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
         if conv_l != expected or conv_r != expected:
             failures.append(("antipode", i))
 
-    dim = H.dim
-    flat = [tuple([(p * dim + q, c) for (p, q), c in d.items()])
-            for d in H.comult]
     by_tag: dict = {}
     for k, d in enumerate(H.comult):
         for key in d.by_tags:
@@ -330,6 +333,38 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
             "stats": {"pairs_joined": joined, "pairs_by_row": by_row}}
 
 
+def _coassociative(flat: list, i: int, dim: int) -> bool:
+    """(Delta (x) id) Delta == (id (x) Delta) Delta on e_i, from the rows
+    flat[l] of Delta(e_l) on int keys p * dim + q: both sides are summed
+    on the keys (p * dim + q) * dim + r of [p, q, r] into one difference,
+    which must vanish."""
+    diff: dict = {}
+    get = diff.get
+    for pq, c in flat[i]:
+        p, q = divmod(pq, dim)
+        for left, c2 in flat[p]:
+            key = left * dim + q
+            diff[key] = get(key, 0) + c * c2
+        base = p * dim * dim
+        for right, c2 in flat[q]:
+            diff[base + right] = get(base + right, 0) - c * c2
+    return not any(diff.values())
+
+
+def _counital(flat: list, counit: list, i: int, dim: int) -> bool:
+    """(eps (x) id) Delta == id == (id (x) eps) Delta on e_i, from the
+    rows of Delta on int keys p * dim + q."""
+    left: dict = {}
+    right: dict = {}
+    for pq, c in flat[i]:
+        p, q = divmod(pq, dim)
+        if counit[p]:
+            add_into(left, q, counit[p] * c)
+        if counit[q]:
+            add_into(right, p, counit[q] * c)
+    return left == right == {i: 1}
+
+
 def _format_witness(layout, scale, grading, i: int, k: int,
                     diff: dict) -> str:
     """The difference in the original coordinates: unpacked by the
@@ -346,21 +381,16 @@ def _format_witness(layout, scale, grading, i: int, k: int,
     return f"Delta(e{i} e{k}) - Delta(e{i}) Delta(e{k}) = {terms}"
 
 
-# the dual basis e_ij of the standard-representation coefficients
-DUAL_E = dual_basis_e(matrix_coefficients(S3_STANDARD))
-
-
 def coideal_elements(a1, a2) -> list:
     """The relations in the paper's form that no rule states verbatim:
     the two c-relations and the sum of squares."""
-    a = (a1, a2)
     out = []
-    for i, t in enumerate((X13, X23)):
-        # c_i - a_i + sum_j a_j e_ij, with c_i = x_t^2 - x12^2
-        elt = _full_tail(((t, t), 1), ((X12, X12), -1), ((), -a[i]))
-        for j in range(2):
-            for g, c in DUAL_E[i + 1, j + 1].items():
-                add_into(elt, ((), g), a[j] * c)
+    for i, (t, y) in enumerate(zip((X13, X23),
+                                   skew_primitive_closed_form((a1, a2)))):
+        # c_i - y_i, with c_i = x_t^2 - x12^2 and y_i the closed form
+        elt = _full_tail(((t, t), 1), ((X12, X12), -1))
+        for g, c in y.items():
+            add_into(elt, ((), g), -c)
         out.append((f"c{i + 1}-rel", elt))
     out.append(("sum_squares",
                 _full_tail(*(((t, t), 1) for t in GENERATORS))))
@@ -405,13 +435,8 @@ def c_identity(H: Hopf72) -> dict:
             failures.append((f"c{i + 1}", "value"))
     cbar = [H.from_smash(_full_tail(((t, t), 1), ((X12, X12), -1)))
             for t in (X13, X23)]
-    for i in range(len(cbar)):
-        rhs = vec_tensor(cbar[i], H.unit())
-        for j in range(2):
-            e_ij = {H.index[((), g)]: c
-                    for g, c in DUAL_E[i + 1, j + 1].items()}
-            rhs = vec_add(rhs, vec_tensor(e_ij, cbar[j]))
-        if H.delta(cbar[i]) != rhs:
+    for i, defect in enumerate(skew_primitive_defect(H, cbar)):
+        if defect:
             failures.append((f"c{i + 1}", "comult shape"))
     return {"values": len(values), "comult_shapes": len(cbar),
             "failures": failures, "ok": not failures}

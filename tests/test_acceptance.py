@@ -152,32 +152,40 @@ def test_criterion_07_structure_lemmas(H):
             ["(12)", "(13)", "(23)", "e"]
 
 
-def test_criterion_08_skew_primitive_solver():
-    from hopfs3.coalg import (MatrixCoalgebra, skew_primitive_closed_form,
-                              skew_primitive_space, vec_add, vec_scale,
-                              vec_tensor)
+def test_criterion_08_skew_primitive_solver(H, monkeypatch):
+    import copy
+
+    import hopfs3.coalg
+    from hopfs3.coalg import (skew_primitive_closed_form,
+                              skew_primitive_defect, skew_primitive_space)
+    from hopfs3.groups import parse_perm
     from hopfs3.linalg import span_equal
-    with _Timed(8, "skew-primitive space in k1 + M2(k)*: dim 2, closed form",
-                1.0):
-        E = MatrixCoalgebra(2)
-        ambient, basis = skew_primitive_space("g", E)
+    with _Timed(8, "skew-primitive pairs in F_0 of A: dim 2, closed form, "
+                "controls rejected", 1.0):
+        basis = skew_primitive_space(H)
         assert len(basis) == 2
-        # brute-force oracle: verify each solution against the raw
-        # comultiplication and compare spans with the closed form
-        for xs in basis:
-            for i in range(2):
-                d = ambient.delta(xs[i])
-                d = vec_add(d, vec_scale(-1, vec_tensor(xs[i], {"g": 1})))
-                for j in range(2):
-                    d = vec_add(d, vec_scale(
-                        -1, vec_tensor({E.e(i + 1, j + 1): 1}, xs[j])))
-                assert d == {}
-        labels = ambient.labels
-        flat = lambda xs: [xs[i].get(l, 0) for i in range(2) for l in labels]
-        closed = [skew_primitive_closed_form("g", E, a)
-                  for a in ((1, 0), (0, 1))]
+        # each solution, placed on F_0, has zero defect under H's Delta;
+        # the spans agree with the closed form at a = (1, 0) and (0, 1)
+        group = sorted(H.group)
+        for ys in basis:
+            assert not any(skew_primitive_defect(
+                H, [{H.index[((), g)]: c for g, c in y.items()} for y in ys]))
+        flat = lambda ys: [ys[i].get(g, 0) for i in range(2) for g in group]
+        closed = [skew_primitive_closed_form(a) for a in ((1, 0), (0, 1))]
         assert span_equal([flat(x) for x in basis],
                           [flat(x) for x in closed])
+        # controls: one term of Delta(d(13)) negated leaves dimension 1,
+        # e_ji in place of e_ij leaves none
+        H1 = copy.copy(H)
+        H1.comult = list(H.comult)
+        g = H.index[((), parse_perm("(13)", 3))]
+        pq = next(iter(H.comult[g]))
+        H1.comult[g] = {**H.comult[g], pq: -H.comult[g][pq]}
+        assert len(skew_primitive_space(H1)) == 1
+        e = hopfs3.coalg.DUAL_E
+        monkeypatch.setattr(hopfs3.coalg, "DUAL_E",
+                            {(i, j): e[j, i] for i, j in e})
+        assert skew_primitive_space(H) == []
 
 
 def test_criterion_09_yetter_drinfeld():

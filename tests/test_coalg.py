@@ -1,27 +1,32 @@
-"""Finite-dimensional coalgebra toolkit: constructions, the
-skew-primitive solver, and the matrix coefficients of S3 on the F_0 of
-the CLI's algebra at (1/3, -1/2)."""
+"""The matrix coefficients of S3, the skew-primitive solver and the
+coalgebra-axiom controls of verify_hopf_axioms, on the F_0 of the CLI's
+algebra at (1/3, -1/2)."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import hopfs3.coalg
 import hopfs3.hopf72
 from conftest import cli_algebra
-from hopfs3.coalg import (CoalgError, FinCoalgebra, MatrixCoalgebra,
-                          dual_basis_e, matrix_coefficients,
-                          skew_primitive_closed_form, skew_primitive_space,
-                          vec_add, vec_scale, vec_tensor)
+from hopfs3.coalg import (dual_basis_e, matrix_coefficients,
+                          skew_primitive_closed_form, skew_primitive_defect,
+                          skew_primitive_space)
 from hopfs3.groups import builtin_irreps, parse_perm, symmetric_group
-from hopfs3.hopf72 import coradical_certificate
-from hopfs3.linalg import rank, span_equal
+from hopfs3.hopf72 import build, coradical_certificate, verify_hopf_axioms
+from hopfs3.linalg import linear, rank, span_equal, vec_add, vec_tensor
+from hopfs3.rewrite import X12, X13, X23
+from hopfs3.scalars import PolyRing
 
 S3 = sorted(symmetric_group(3))
+POINT = (Fraction(1, 3), Fraction(-1, 2))
+G12 = parse_perm("(12)", 3)
 
 
 @pytest.fixture(scope="module")
 def H():
-    return cli_algebra(Fraction(1, 3), Fraction(-1, 2))
+    return cli_algebra(*POINT)
 
 
 def on_f0(H, v: dict) -> dict:
@@ -29,24 +34,25 @@ def on_f0(H, v: dict) -> dict:
     return {H.index[((), g)]: c for g, c in v.items()}
 
 
-def axiom_failures(C: FinCoalgebra) -> list:
-    """(check, label) for every basis element failing an axiom."""
-    return ([("coassoc", l) for l in C.labels if not C.coassociative_at(l)]
-            + [("counit", l) for l in C.labels if not C.counit_at(l)])
+def top_elements(H) -> list:
+    """The six x13x12x23x12 delta_g, the basis elements of top length."""
+    return [H.index[((X13, X12, X23, X12), g)] for g in H.group]
 
 
 class TestConstructions:
-    def test_matrix_coalgebra_axioms(self):
-        for n in (1, 2, 3):
-            E = MatrixCoalgebra(n)
-            assert len(E.labels) == n * n
-            assert axiom_failures(E) == []
-
     def test_dual_group_coalgebra(self, H):
-        # F_0 of the algebra, the span of the delta_g, is a coalgebra
+        # F_0 of the algebra, the span of the delta_g, is a coalgebra:
+        # Delta is coassociative and counital on every delta_g
         f0 = [H.index[((), g)] for g in S3]
-        C = FinCoalgebra(f0, {i: H.comult[i] for i in f0}, H.counit)
-        assert axiom_failures(C) == []
+        for i in f0:
+            d = H.comult[i]
+            left = linear(lambda pq: {(p1, p2, pq[1]): c for (p1, p2), c
+                                      in H.comult[pq[0]].items()}, d)
+            right = linear(lambda pq: {(pq[0], q1, q2): c for (q1, q2), c
+                                       in H.comult[pq[1]].items()}, d)
+            assert left == right
+            assert linear(lambda pq: {pq[1]: H.counit[pq[0]]}, d) == {i: 1}
+            assert linear(lambda pq: {pq[0]: H.counit[pq[1]]}, d) == {i: 1}
         # delta_g splits over all factorizations g = t (t^-1 g)
         g = parse_perm("(123)", 3)
         d = H.delta(H.delta_elt(g))
@@ -57,90 +63,82 @@ class TestConstructions:
         # the counit is the coefficient at the identity
         assert [H.counit[i] for i in f0] == [int(h.is_identity()) for h in S3]
 
-    def test_direct_sum(self):
-        # the ambient of the skew-primitive solver: kg + M_2(k)*
-        C, _ = skew_primitive_space("g", MatrixCoalgebra(2))
-        assert C.labels[0] == "g" and len(C.labels) == 5
-        assert axiom_failures(C) == []
-        with pytest.raises(CoalgError):
-            skew_primitive_space(("e", 1, 1), MatrixCoalgebra(2))
-
 
 class TestAxiomControls:
-    """The per-label checks reject a broken Delta or eps at that label."""
+    """verify_hopf_axioms rejects a broken Delta or eps of H exactly where
+    the broken basis element is a leg."""
 
     def test_dropped_comult_term(self):
-        # Delta(e12) = e12 (x) e22 with e11 (x) e12 dropped; coassociativity
-        # also breaks at e11 and e22, whose Delta has a leg e12
-        E = MatrixCoalgebra(2)
-        e = E.e
-        E.comult[e(1, 2)] = {(e(1, 2), e(2, 2)): 1}
-        assert not E.coassociative_at(e(1, 2))
-        assert axiom_failures(E) == [
-            ("coassoc", e(1, 1)), ("coassoc", e(1, 2)), ("coassoc", e(2, 2)),
-            ("counit", e(1, 2))]
+        # the term [x13x12 d(12), x12x23 d(12)] of Delta(x13x12x23x12 de)
+        # dropped: coassociativity breaks there and at the other five top
+        # elements, whose Delta has the top element x13x12x23x12 de as a leg
+        H = cli_algebra(*POINT)
+        top = top_elements(H)
+        pq = (H.index[((X13, X12), G12)], H.index[((X12, X23), G12)])
+        assert pq in H.comult[top[0]]
+        H.comult[top[0]] = {k: c for k, c in H.comult[top[0]].items()
+                            if k != pq}
+        failures = verify_hopf_axioms(H)["failures"]
+        assert [f for f in failures if f[0] != "comult_mult"] == [
+            ("coassoc", top[0]), ("antipode", top[0])] + [
+            ("coassoc", i) for i in top[1:]]
+        assert Counter(f[0] for f in failures)["comult_mult"] == 32
 
     def test_wrong_counit(self):
-        # eps(e22) = 2 breaks the counit law wherever e22 is a leg of Delta
-        E = MatrixCoalgebra(2)
-        e = E.e
-        E.counit[e(2, 2)] = 2
-        assert not E.counit_at(e(2, 2))
-        assert axiom_failures(E) == [("counit", e(1, 2)), ("counit", e(2, 1)),
-                                     ("counit", e(2, 2))]
+        # eps(x13x12x23x12 de) = 1 breaks the counit law wherever that
+        # element is a leg of Delta: at the six top elements
+        H = cli_algebra(*POINT)
+        top = top_elements(H)
+        H.counit[top[0]] = 1
+        assert verify_hopf_axioms(H)["failures"] == [
+            ("counit", top[0]), ("antipode", top[0])] + [
+            ("counit", i) for i in top[1:]]
 
 
-def _skew_defect(ambient, g_label, E, xs):
-    """Delta(x_i) - x_i (x) g - sum_j e_ij (x) x_j for each i."""
-    n = E.rank_n
-    out = []
-    for i in range(n):
-        d = ambient.delta(xs[i])
-        d = vec_add(d, vec_scale(-1, vec_tensor(xs[i], {g_label: 1})))
-        for j in range(n):
-            d = vec_add(d, vec_scale(-1, vec_tensor({E.e(i + 1, j + 1): 1},
-                                                    xs[j])))
-        out.append(d)
-    return out
+def solves(H, ys) -> bool:
+    """Is the pair (y_1, y_2) over S3, placed on F_0, skew-primitive?"""
+    return not any(skew_primitive_defect(H, [on_f0(H, y) for y in ys]))
+
+
+def flat(ys) -> list:
+    return [ys[i].get(g, 0) for i in range(2) for g in S3]
 
 
 class TestSkewPrimitiveSolver:
-    def test_rank2_solution_space(self):
-        E = MatrixCoalgebra(2)
-        ambient, basis = skew_primitive_space("g", E)
-        assert len(ambient.labels) == 5
+    def test_rank2_solution_space(self, H):
+        basis = skew_primitive_space(H)
         assert len(basis) == 2
-        # every basis tuple really solves the defining equation
-        for xs in basis:
-            for d in _skew_defect(ambient, "g", E, xs):
-                assert d == {}
+        # every basis pair really solves the defining equation
+        assert all(solves(H, ys) for ys in basis)
 
-    def test_matches_closed_form(self):
-        E = MatrixCoalgebra(2)
-        ambient, basis = skew_primitive_space("g", E)
-        labels = ambient.labels
-        flat = lambda xs: [xs[i].get(l, 0) for i in range(2) for l in labels]
-        closed = [skew_primitive_closed_form("g", E, a)
-                  for a in ((1, 0), (0, 1))]
-        assert span_equal([flat(xs) for xs in basis],
-                          [flat(xs) for xs in closed])
+    def test_matches_closed_form(self, H):
+        # the span of the closed forms at a = (1, 0) and (0, 1), on the
+        # CLI's algebra and on the parameter-free one alike
+        closed = [skew_primitive_closed_form(a) for a in ((1, 0), (0, 1))]
+        for alg in (H, build(0, 0)):
+            assert span_equal([flat(ys) for ys in skew_primitive_space(alg)],
+                              [flat(ys) for ys in closed])
 
-    def test_closed_form_solves(self):
-        E = MatrixCoalgebra(3)
-        ambient, _ = skew_primitive_space("g", E)
-        xs = skew_primitive_closed_form("g", E, (Fraction(2), -1, Fraction(1, 3)))
-        for d in _skew_defect(ambient, "g", E, xs):
-            assert d == {}
+    def test_closed_form_solves(self, H):
+        # for every a at once: y_i = a_i 1 - sum_j a_j e_ij over Q[a1, a2]
+        a = PolyRing("a1", "a2").gens()
+        assert solves(H, skew_primitive_closed_form(a))
+        assert solves(H, skew_primitive_closed_form((Fraction(2), -1)))
 
-    def test_rank1(self):
-        E = MatrixCoalgebra(1)
-        _, basis = skew_primitive_space("g", E)
-        assert len(basis) == 1
-        # the (g, h)-skew-primitive line g - h
-        (xs,) = basis
-        x = xs[0]
-        vals = sorted(x.values())
-        assert vals == [-1, 1] or vals == [Fraction(-1), Fraction(1)]
+    def test_transposed_e_rejected(self, H, monkeypatch):
+        # e_ji in place of e_ij: no pair is skew-primitive
+        e = hopfs3.coalg.DUAL_E
+        monkeypatch.setattr(hopfs3.coalg, "DUAL_E",
+                            {(i, j): e[j, i] for i, j in e})
+        assert skew_primitive_space(H) == []
+
+    def test_flipped_term_of_delta_rejected(self):
+        # one term of Delta(d(13)) negated: the space drops to dimension 1
+        H = cli_algebra(*POINT)
+        g = H.index[((), parse_perm("(13)", 3))]
+        pq = next(iter(H.comult[g]))
+        H.comult[g] = {**H.comult[g], pq: -H.comult[g][pq]}
+        assert len(skew_primitive_space(H)) == 1
 
 
 class TestMatrixCoefficients:
