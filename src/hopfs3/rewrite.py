@@ -11,6 +11,9 @@ redex u lhs v, moves only Tails coefficients, from h to sigma(v) h; it
 serves normal forms, ambiguity resolution and completion (scalar-only,
 tail-uniform systems).  So one rewrite of w serves every tail, and the
 normal form of w delta_g is the g-slice of the normal form of w.
+Redexes are matched by one Aho-Corasick automaton over the left-hand
+sides, one lookup per letter; with no lhs inside another, the first
+redex to end in a word is its leftmost.
 
 No monomial order is assumed to terminate reduction.  Instead the system
 is certified three ways: fuel-bounded termination, resolution of every
@@ -175,8 +178,8 @@ class RuleSystem:
                 if i != j and _contains(b, a):
                     raise ValueError(
                         f"inclusion ambiguity: lhs {a} inside lhs {b}")
-        # no lhs lies inside another, so at most one matches at a position
-        self._by_len = _by_length(lhss)
+        # no lhs lies inside another, so the first redex to end is leftmost
+        self._redexes = Redexes(lhss)
         self._rule_of = {lhs: i for i, lhs in enumerate(lhss)}
         # n, read from the letters, and the group S_n as the unit of k^{S_n}
         self.n = lhss[0][0].n
@@ -209,7 +212,7 @@ class RuleSystem:
 
     def _find_redex(self, word):
         """(position, rule index) of the leftmost redex, or None."""
-        redex = find_redex(word, self._by_len)
+        redex = find_redex(word, self._redexes)
         return redex and (redex[0], self._rule_of[redex[1]])
 
     def normal_form(self, word: tuple) -> dict:
@@ -223,7 +226,7 @@ class RuleSystem:
         if nf is None:
             try:
                 nf, steps = _normal_form({word: self.group}, self.word_rules,
-                                         self._by_len, self._normal_forms,
+                                         self._redexes, self._normal_forms,
                                          self.fuel, self.group)
             except NonterminationError as exc:
                 exc.trace = [(w, min(tails)) for w, tails in exc.trace]
@@ -271,34 +274,49 @@ def _compile(rhs: dict, one: Tails) -> dict:
     return out
 
 
-def _by_length(lhss) -> dict:
-    """{length: set of left-hand sides}, the index find_redex searches."""
-    out: dict = {}
-    for lhs in lhss:
-        out.setdefault(len(lhs), set()).add(lhs)
-    return out
+class Redexes:
+    """The Aho-Corasick automaton of left-hand sides, none inside
+    another.  State i is states[i], the longest suffix read that is a
+    prefix of some lhs; rows[i][t] is (next state, the lhs ending at t
+    or None), filled in by step(i, t) on first use."""
+
+    def __init__(self, lhss):
+        self.reset(lhss)
+
+    def reset(self, lhss):
+        self.lhss = set(lhss)
+        self.states = sorted({lhs[:k] for lhs in self.lhss
+                              for k in range(len(lhs) + 1)} | {()}, key=len)
+        self._ids = {u: i for i, u in enumerate(self.states)}
+        self.rows = [{} for _ in self.states]
+
+    def step(self, i: int, t) -> tuple:
+        u = self.states[i] + (t,)
+        while u not in self._ids:
+            u = u[1:]
+        lhs = next((u[k:] for k in range(len(u)) if u[k:] in self.lhss), None)
+        return self.rows[i].setdefault(t, (self._ids[u], lhs))
 
 
-def find_redex(word, by_len: dict):
-    """(position, lhs) of the leftmost occurrence in word of a left-hand
-    side in by_len, or None; at one position the lengths are tried in
-    the order by_len holds them."""
-    n = len(word)
-    for p in range(n):
-        for L, lhss in by_len.items():
-            if p + L <= n and word[p:p + L] in lhss:
-                return p, word[p:p + L]
+def find_redex(word, redexes: Redexes):
+    """(position, lhs) of the leftmost redex of the word, or None: one
+    walk of the automaton, up to the first lhs to end."""
+    rows, i = redexes.rows, 0
+    for end, t in enumerate(word, 1):
+        i, lhs = rows[i].get(t) or redexes.step(i, t)
+        if lhs:
+            return end - len(lhs), lhs
     return None
 
 
-def rewrite(word, word_rules: dict, by_len: dict, redex=None):
+def rewrite(word, word_rules: dict, redexes: Redexes, redex=None):
     """One rewrite of the word at the redex (position, lhs), by default
-    its leftmost one in by_len, as {word: coeff}; None without a redex.
+    its leftmost one, as {word: coeff}; None without a redex.
     u lhs v becomes the terms u w v of word_rules[lhs]: a scalar stays
     (it holds under every tail), and a Tails moves from h to sigma(v) h,
     as u w delta_h v = u w v delta_{sigma(v) h}."""
     if redex is None:
-        redex = find_redex(word, by_len)
+        redex = find_redex(word, redexes)
         if redex is None:
             return None
     p, lhs = redex
@@ -312,7 +330,7 @@ def rewrite(word, word_rules: dict, by_len: dict, redex=None):
     return out
 
 
-def _normal_form(x: dict, word_rules: dict, by_len: dict, memo: dict,
+def _normal_form(x: dict, word_rules: dict, redexes: Redexes, memo: dict,
                  fuel: int, one=1) -> tuple:
     """Normal form of the vector {word: coeff} x under word_rules, and the
     rewrite steps it took; irreducible words are memoized as {word: one}.
@@ -333,7 +351,7 @@ def _normal_form(x: dict, word_rules: dict, by_len: dict, memo: dict,
                     c = coeff if c is one else coeff * c
                 add_into(acc, k, c)
             continue
-        out = rewrite(key, word_rules, by_len)
+        out = rewrite(key, word_rules, redexes)
         if out is None:
             add_into(acc, key, coeff)
             memo[key] = {key: one}
@@ -399,18 +417,18 @@ def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP) -> list:
     irreducible words still appear at maxlen."""
     n = rules.n
     letters = transpositions(n)
-    by_len = rules._by_len.items()
+    rows, step = rules._redexes.rows, rules._redexes.step
     out = [()]
-    layer = [()]
+    layer = [((), 0)]       # (word, its automaton state)
     for _ in range(maxlen):
         nxt = []
-        for w in layer:
+        for w, i in layer:
             for t in letters:
                 # w is irreducible, so a redex of w + (t,) ends at t
-                cand = w + (t,)
-                if not any(cand[-L:] in lhss for L, lhss in by_len):
-                    nxt.append(cand)
-        out.extend(nxt)
+                j, lhs = rows[i].get(t) or step(i, t)
+                if lhs is None:
+                    nxt.append((w + (t,), j))
+        out.extend(w for w, _ in nxt)
         layer = nxt
         if not layer:
             break
@@ -447,7 +465,7 @@ def resolve_ambiguity(amb, rules: RuleSystem):
     one = rules.group
     lhs_i, lhs_j = rules.rules[i].lhs, rules.rules[j].lhs
     left, right = ({w: one * c for w, c in rewrite(
-        word, rules.word_rules, rules._by_len, redex).items()}
+        word, rules.word_rules, rules._redexes, redex).items()}
         for redex in ((0, lhs_i), (len(word) - len(lhs_j), lhs_j)))
     trace = []
     for g in one:
@@ -622,11 +640,11 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
     word_rules = dict(rules.word_rules)     # lhs -> {word: coeff}
     homog = all(len(w) == len(lhs)
                 for lhs, rhs in word_rules.items() for w in rhs)
-    by_len = _by_length(word_rules)
+    redexes = Redexes(word_rules)
     memo: dict = {}     # irreducible words under the current rules
 
     def reduce(x: dict) -> dict:
-        return _normal_form(x, word_rules, by_len, memo, fuel)[0]
+        return _normal_form(x, word_rules, redexes, memo, fuel)[0]
 
     pairs = []          # heap of (overlap length, tiebreak, L1, L2, k)
     counter = 0
@@ -655,14 +673,14 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
             raise GrowthError("new rule exceeds maxdeg")
         inv = Fraction(1) / Fraction(elt[lead])
         word_rules[lead] = {w: -c * inv for w, c in elt.items() if w != lead}
-        by_len.setdefault(len(lead), set()).add(lead)
+        # rules with a now-reducible lhs all leave before any is reduced
+        # back in, so that no lhs lies inside another while reducing
+        olds = {old: word_rules.pop(old) for old in list(word_rules)
+                if old != lead and _contains(old, lead)}
+        redexes.reset(word_rules)
         memo.clear()
-        # rules with a now-reducible lhs get reduced back in
-        for old in list(word_rules):
-            if old != lead and _contains(old, lead):
-                old_rhs = word_rules.pop(old)
-                by_len[len(old)].discard(old)
-                insert(vec_add({old: 1}, vec_scale(-1, old_rhs)))
+        for old, old_rhs in olds.items():
+            insert(vec_add({old: 1}, vec_scale(-1, old_rhs)))
         for other in list(word_rules):
             push_overlaps(lead, other)
             if other != lead:

@@ -9,9 +9,11 @@ from fractions import Fraction
 import pytest
 
 from hopfs3.braidedtensor import degree2_primitive_basis
-from hopfs3.groups import parse_perm
+from hopfs3 import rewrite
+from hopfs3.groups import parse_perm, transpositions
 from hopfs3.rewrite import (GENERATORS, GrowthError, NonterminationError,
-                            Rule, RuleSystem, S3, Tails, X12, X13, X23,
+                            Redexes, Rule, RuleSystem, S3, Tails, X12, X13,
+                            X23,
                             check_associativity, complete, default_rules,
                             find_redex, hilbert_series, irreducible_words,
                             overlap_ambiguities, rescaled,
@@ -252,11 +254,23 @@ class TestRuleSystem:
 
 def naive_redex(word, rules: RuleSystem):
     """Leftmost (position, rule index) by trying every lhs everywhere."""
+    lhss = [r.lhs for r in rules.rules]
+    redex = naive_lhs_redex(word, lhss)
+    return redex and (redex[0], lhss.index(redex[1]))
+
+
+def naive_lhs_redex(word, lhss):
+    """Leftmost (position, lhs) of the left-hand sides in word, or None."""
     for p in range(len(word)):
-        for i, r in enumerate(rules.rules):
-            if word[p:p + len(r.lhs)] == r.lhs:
-                return p, i
+        for lhs in lhss:
+            if word[p:p + len(lhs)] == lhs:
+                return p, lhs
     return None
+
+
+def _inclusion_free(lhss) -> bool:
+    return not any(a != b and naive_lhs_redex(b, [a]) for a in lhss
+                   for b in lhss)
 
 
 def naive_normal_form(word, g, rules: RuleSystem) -> dict:
@@ -323,6 +337,43 @@ class TestEngine:
             found += rules._find_redex(w) is not None
         assert 0 < found < 2000
 
+    def test_automaton_through_completion_changes(self, s4_done):
+        # one automaton, reset through a seeded run of the changes that
+        # complete makes to its store, on the S4 left-hand sides: a lead
+        # that holds no lhs comes in and every lhs holding it leaves, or
+        # an lhs leaves; stale transitions would show against the naive
+        # scan
+        start = {r.lhs for r in s4_rules().rules}
+        pool = sorted(start | {r.lhs for r in s4_done.rules}, key=word_key)
+        letters = transpositions(4)
+        store, redexes = set(start), Redexes(start)
+        rng = random.Random(20261020)
+        found = checked = 0
+        for _ in range(60):
+            if rng.random() < 0.25:
+                store.discard(rng.choice(sorted(store, key=word_key)))
+            else:
+                lead = rng.choice(pool)
+                if naive_lhs_redex(lead, store):
+                    continue
+                store = {l for l in store if not naive_lhs_redex(l, [lead])}
+                store.add(lead)
+            assert _inclusion_free(store)
+            redexes.reset(store)
+            for _ in range(100):
+                w = tuple(rng.choice(letters)
+                          for _ in range(rng.randint(0, 12)))
+                redex = find_redex(w, redexes)
+                assert redex == naive_lhs_redex(w, store), w
+                found += redex is not None
+                checked += 1
+        assert 0 < found < checked
+
+    def test_completed_s4_system_pinned(self, s4_done):
+        text = "\n".join(sorted(map(repr, s4_done.rules)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "592d159f41b640f26029075d2640e18f826385f9619bcc71ae05b29c85929e59")
+
     def test_s4_irreducible_words_avoid_every_lhs(self, s4_done):
         assert len(s4_done.rules) == 25
         for w in irreducible_words(s4_done, maxlen=13):
@@ -330,8 +381,8 @@ class TestEngine:
 
     @pytest.mark.parametrize("system", ["S3", "zero", "S4"])
     def test_irreducible_words_match_redex_filter(self, system, request):
-        # the suffix test equals filtering each extension by find_redex
-        # from position 0
+        # the automaton's one step per extension equals filtering each
+        # extension by the naive scan from position 0
         rules = {"S3": sym_rules, "zero": lambda: default_rules(0, 0),
                  "S4": lambda: request.getfixturevalue("s4_done")}[system]()
         maxlen = 13 if system == "S4" else 8
@@ -339,7 +390,7 @@ class TestEngine:
         words, layer = [()], [()]
         while layer:
             layer = [w + (t,) for w in layer for t in letters
-                     if find_redex(w + (t,), rules._by_len) is None]
+                     if naive_redex(w + (t,), rules) is None]
             words.extend(layer)
         got = irreducible_words(rules, maxlen=maxlen)
         assert got == sorted(words, key=word_key)
@@ -670,6 +721,32 @@ class TestCompletion:
         # their relations are reduced and re-inserted, so they still hold
         lhss = {r.lhs for r in done.rules}
         assert (X12, X13, X12) not in lhss and (X13, X12, X13) not in lhss
+        for _name, rel in rules.relations():
+            assert done.reduce(rel) == {}
+
+    def test_lhss_holding_a_new_lead_leave_together(self, monkeypatch):
+        # x23^2 = 1 and x23 x12^2 = 0 give the new rule x12^2 = 0, which
+        # lies inside two old left-hand sides; both leave the store before
+        # either is reduced back in, so no reduction sees one lhs inside
+        # another, and both relations still hold in the completed system
+        lhs1, lhs2 = (X23, X12, X12), (X13, X12, X12)
+        rules = RuleSystem([
+            uniform_rule((X23, X23), {(): 1}), uniform_rule(lhs1, {}),
+            uniform_rule(lhs2, {(X12, X13, X23): 1}),
+            uniform_rule((X23, X13), {(X12, X23): -1, (X13, X12): -1})])
+        stores, normal_form = [], rewrite._normal_form
+
+        def spy(x, word_rules, redexes, *args):
+            stores.append(frozenset(redexes.lhss))
+            return normal_form(x, word_rules, redexes, *args)
+
+        monkeypatch.setattr(rewrite, "_normal_form", spy)
+        done = complete(rules, maxdeg=8)
+        assert any(lhs1 in s and lhs2 in s for s in stores)
+        assert all(_inclusion_free(s) for s in stores)
+        lhss = {r.lhs for r in done.rules}
+        assert (X12, X12) in lhss and not {lhs1, lhs2} & lhss
+        assert (len(lhss), len(irreducible_words(done))) == (7, 6)
         for _name, rel in rules.relations():
             assert done.reduce(rel) == {}
 
