@@ -13,8 +13,7 @@ from hopfs3 import rewrite
 from hopfs3.groups import parse_perm, transpositions
 from hopfs3.rewrite import (GENERATORS, GrowthError, NonterminationError,
                             Redexes, Rule, RuleSystem, S3, Tails, X12, X13,
-                            X23,
-                            check_associativity, complete, default_rules,
+                            X23, check_associativity, complete, default_rules,
                             find_redex, hilbert_series, irreducible_words,
                             overlap_ambiguities, rescaled,
                             resolve_ambiguity, sigma, smash_mult, structure_constants,
