@@ -8,9 +8,10 @@ RuleSystem compiles each rule once into {lhs: {word: coeff}}: coeff is
 a scalar when the term has one value under every tail, otherwise a
 Tails, a function on S_n (the ring k^{S_n}).  One rewrite step, at a
 redex u lhs v, moves only Tails coefficients, from h to sigma(v) h; it
-serves normal forms, ambiguity resolution and completion (scalar-only,
-tail-uniform systems).  So one rewrite of w serves every tail, and the
-normal form of w delta_g is the g-slice of the normal form of w.
+serves normal forms, ambiguity resolution and completion.  So one
+rewrite of w serves every tail, and the normal form of w delta_g is the
+g-slice of the normal form of w; a system with no Tails reduces on
+scalars, each its own g-slice.
 Redexes are matched by one Aho-Corasick automaton over the left-hand
 sides, one lookup per letter; with no lhs inside another, the first
 redex to end in a word is its leftmost.
@@ -109,8 +110,10 @@ def _unit(n: int) -> Tails:
 
 
 def _slice(x: dict, g: Perm) -> dict:
-    """The g-slice {(w, g): f(g)} of a word vector {w: f}."""
-    return {(w, g): f[g] for w, f in x.items() if g in f}
+    """The g-slice {(w, g): f(g)} of a word vector {w: f}, f a Tails or a
+    scalar, the same value under every tail."""
+    return {(w, g): f[g] if type(f) is Tails else f
+            for w, f in x.items() if type(f) is not Tails or g in f}
 
 
 # -- SmashElt helpers (plain dicts {(word, g): coeff}) ----------------------
@@ -152,11 +155,22 @@ def smash_mult(x: dict, y: dict, rules=None) -> dict:
 # -- rules ------------------------------------------------------------------
 
 class Rule:
-    __slots__ = ("lhs", "rhs")
+    """lhs -> rhs, held as words {w: coeff}: coeff is a scalar when the
+    term has one value under every tail of S_n, otherwise its Tails.  An
+    rhs {(w, h): c} is compiled to words; uniform_rule gives the words.
+    rhs reads them back, expanded over S_n."""
+    __slots__ = ("lhs", "words")
 
-    def __init__(self, lhs, rhs: dict):
+    def __init__(self, lhs, rhs: dict = None, words: dict = None):
         self.lhs = tuple(lhs)
-        self.rhs = {k: c for k, c in rhs.items() if c}
+        self.words = (_compile(rhs, _unit(self.lhs[0].n)) if words is None
+                      else {w: c for w, c in words.items() if c})
+
+    @property
+    def rhs(self) -> dict:
+        one = _unit(self.lhs[0].n)
+        return {(w, h): x for w, c in self.words.items() for h, x in
+                (c if type(c) is Tails else dict.fromkeys(one, c)).items()}
 
     def __repr__(self):
         return f"Rule({_word_name(self.lhs)} -> {format_smash(self.rhs)})"
@@ -168,25 +182,31 @@ class RuleSystem:
         self.fuel = fuel
         # the Rescale the coefficients were given in (see rescaled)
         self.scale = None
-        self._normal_forms: dict = {}      # word -> {word: Tails}
+        self._normal_forms: dict = {}      # word -> {word: coeff}
+        self._words: dict = {}             # maxlen -> irreducible words
         # word normal forms asked for, and the fuel their rewrites spent
         self.reductions = 0
         self.rewrite_steps = 0
         lhss = [r.lhs for r in self.rules]
-        for i, a in enumerate(lhss):
-            for j, b in enumerate(lhss):
-                if i != j and _contains(b, a):
-                    raise ValueError(
-                        f"inclusion ambiguity: lhs {a} inside lhs {b}")
+        self._rule_of = {lhs: i for i, lhs in enumerate(lhss)}
+        # a subword of an lhs that is another rule's lhs, or a copy of it
+        inside = next(((b[p:q], b) for i, b in enumerate(lhss)
+                       for p in range(len(b)) for q in range(p + 1, len(b) + 1)
+                       if self._rule_of.get(b[p:q], i) != i), None)
+        if inside:
+            raise ValueError("inclusion ambiguity: lhs %s inside lhs %s"
+                             % inside)
         # no lhs lies inside another, so the first redex to end is leftmost
         self._redexes = Redexes(lhss)
-        self._rule_of = {lhs: i for i, lhs in enumerate(lhss)}
         # n, read from the letters, and the group S_n as the unit of k^{S_n}
         self.n = lhss[0][0].n
         self.group = _unit(self.n)
         # each rule once as lhs -> {word: coeff}, read by every rewrite
-        self.word_rules = {r.lhs: _compile(r.rhs, self.group)
-                           for r in self.rules}
+        self.word_rules = {r.lhs: dict(r.words) for r in self.rules}
+        # the unit of the coefficients: scalars when no rule holds a Tails
+        self.one = self.group if any(
+            type(c) is Tails for rhs in self.word_rules.values()
+            for c in rhs.values()) else 1
         for r in self.rules:
             s = sigma(r.lhs)
             for w in self.word_rules[r.lhs]:
@@ -202,13 +222,8 @@ class RuleSystem:
     def relations(self) -> list:
         """The defining relation of each rule, named by its lhs word:
         lhs delta_g summed over every g in S_n, minus the rhs."""
-        out = []
-        for lhs, rhs in self.word_rules.items():
-            elt = _full_tail((lhs, 1), group=self.group)
-            for w, c in rhs.items():        # no rhs word is the lhs
-                elt.update(((w, g), -x) for g, x in (self.group * c).items())
-            out.append((_word_name(lhs), elt))
-        return out
+        return [(_word_name(r.lhs), _full_tail((r.lhs, 1), group=self.group)
+                 | {k: -c for k, c in r.rhs.items()}) for r in self.rules]
 
     def _find_redex(self, word):
         """(position, rule index) of the leftmost redex, or None."""
@@ -216,20 +231,22 @@ class RuleSystem:
         return redex and (redex[0], self._rule_of[redex[1]])
 
     def normal_form(self, word: tuple) -> dict:
-        """Normal form of the word under every tail, as {word: Tails};
-        its g-slice is the normal form of word delta_g.  Memoized per
-        system, by word.  One unit of fuel is one rewrite of a word,
-        under every tail; a nontermination trace names each rewritten
-        word with the least tail of its coefficient."""
+        """Normal form of the word under every tail, as {word: coeff}
+        (coeff in the ring of self.one); its g-slice is the normal form
+        of word delta_g.  Memoized per system, by word.  One unit of
+        fuel is one rewrite of a word, under every tail; a nontermination
+        trace names each rewritten word with the least tail of its
+        coefficient, a scalar's being the group's."""
         self.reductions += 1
         nf = self._normal_forms.get(word)
         if nf is None:
             try:
-                nf, steps = _normal_form({word: self.group}, self.word_rules,
+                nf, steps = _normal_form({word: self.one}, self.word_rules,
                                          self._redexes, self._normal_forms,
-                                         self.fuel, self.group)
+                                         self.fuel, self.one)
             except NonterminationError as exc:
-                exc.trace = [(w, min(tails)) for w, tails in exc.trace]
+                exc.trace = [(w, min(c if type(c) is Tails else self.group))
+                             for w, c in exc.trace]
                 raise
             self._normal_forms[word] = nf
             self.rewrite_steps += steps
@@ -262,12 +279,13 @@ def rescaled(rules: RuleSystem) -> RuleSystem:
 
 
 def _compile(rhs: dict, one: Tails) -> dict:
-    """A rule's rhs {(w, h): c} as {w: coeff}: coeff is a scalar when the
-    term has one value under every tail of the group `one`, otherwise
-    its Tails."""
+    """A rule's rhs {(w, h): c} as {w: coeff}, zero terms dropped: coeff
+    is a scalar when the term has one value under every tail of the
+    group `one`, otherwise its Tails."""
     out: dict = {}
     for (w, h), c in rhs.items():
-        out.setdefault(w, Tails())[h] = c
+        if c:
+            out.setdefault(w, Tails())[h] = c
     for w, f in out.items():
         c = next(iter(f.values()))
         out[w] = c if f == dict.fromkeys(one, c) else f
@@ -370,11 +388,6 @@ def _normal_form(x: dict, word_rules: dict, redexes: Redexes, memo: dict,
     return acc, budget - fuel
 
 
-def _contains(haystack, needle) -> bool:
-    n = len(needle)
-    return any(haystack[i:i + n] == needle for i in range(len(haystack) - n + 1))
-
-
 def _full_tail(*terms, group=S3) -> dict:
     """sum of c * w delta_g over every g in the group, for the (w, c)
     pairs given, zero coefficients skipped; no caller gives a word twice."""
@@ -414,7 +427,10 @@ def default_rules(a1, a2, fuel: int = FUEL_DEFAULT) -> RuleSystem:
 def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP) -> list:
     """All words in the letters x_t, t every transposition of S_n, that
     avoid every lhs, by breadth-first extension.  Raises GrowthError if
-    irreducible words still appear at maxlen."""
+    irreducible words still appear at maxlen.  Memoized per system and
+    maxlen; every call gets a list of its own."""
+    if maxlen in rules._words:
+        return list(rules._words[maxlen])
     n = rules.n
     letters = transpositions(n)
     rows, step = rules._redexes.rows, rules._redexes.step
@@ -436,7 +452,8 @@ def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP) -> list:
         raise GrowthError(
             f"irreducible words still appearing at length {maxlen}; "
             "possibly infinite")
-    return sorted(out, key=word_key)
+    rules._words[maxlen] = sorted(out, key=word_key)
+    return list(rules._words[maxlen])
 
 
 def overlap_ambiguities(rules: RuleSystem) -> list:
@@ -462,13 +479,11 @@ def resolve_ambiguity(amb, rules: RuleSystem):
     (resolved, trace), with one entry (g, left - right) per tail g where
     they part, decoded by the rules' scale to the unrescaled basis."""
     i, j, word = amb
-    one = rules.group
     lhs_i, lhs_j = rules.rules[i].lhs, rules.rules[j].lhs
-    left, right = ({w: one * c for w, c in rewrite(
-        word, rules.word_rules, rules._redexes, redex).items()}
-        for redex in ((0, lhs_i), (len(word) - len(lhs_j), lhs_j)))
+    left, right = (rewrite(word, rules.word_rules, rules._redexes, redex)
+                   for redex in ((0, lhs_i), (len(word) - len(lhs_j), lhs_j)))
     trace = []
-    for g in one:
+    for g in rules.group:
         lg = rules.reduce(_slice(left, g))
         rg = rules.reduce(_slice(right, g))
         if lg != rg:
@@ -520,9 +535,11 @@ class MultTable:
                 for g1 in rules.group:
                     g2 = s2 * g1
                     row = self.rows[self.index[(w1, g1)]][self.index[(w2, g2)]]
-                    for w, tails in nf.items():
-                        if g2 in tails:
-                            row[self.index[(w, g2)]] = tails[g2]
+                    for w, c in nf.items():
+                        if type(c) is not Tails:
+                            row[self.index[(w, g2)]] = c
+                        elif g2 in c:
+                            row[self.index[(w, g2)]] = c[g2]
         # what the build spent: word normal forms asked for, rewrites
         self.stats = {"reductions": rules.reductions - reductions,
                       "rewrite_steps": rules.rewrite_steps - steps}
@@ -622,8 +639,13 @@ def hilbert_series(words) -> list:
 
 def uniform_rule(lhs, word_rhs: dict) -> Rule:
     """A rule whose rhs has the same word combination under every tail."""
-    lhs = tuple(lhs)
-    return Rule(lhs, _full_tail(*word_rhs.items(), group=_unit(lhs[0].n)))
+    return Rule(lhs, words=word_rhs)
+
+
+def _integral(x: dict) -> dict:
+    """The vector with each integral Fraction read as an int."""
+    return {w: c.numerator if type(c) is Fraction and c.denominator == 1
+            else c for w, c in x.items()}
 
 
 def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
@@ -634,10 +656,10 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
     Returns a RuleSystem."""
     import heapq
 
-    if any(type(c) is Tails
-           for rhs in rules.word_rules.values() for c in rhs.values()):
+    if type(rules.one) is Tails:
         raise ValueError("completion needs tail-uniform rules")
-    word_rules = dict(rules.word_rules)     # lhs -> {word: coeff}
+    # lhs -> {word: coeff}, integral coefficients as ints
+    word_rules = {lhs: _integral(rhs) for lhs, rhs in rules.word_rules.items()}
     homog = all(len(w) == len(lhs)
                 for lhs, rhs in word_rules.items() for w in rhs)
     redexes = Redexes(word_rules)
@@ -671,12 +693,16 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
         lead = max(elt, key=word_key)
         if len(lead) > maxdeg:
             raise GrowthError("new rule exceeds maxdeg")
-        inv = Fraction(1) / Fraction(elt[lead])
-        word_rules[lead] = {w: -c * inv for w, c in elt.items() if w != lead}
+        # a lead of 1 or -1 is its own inverse; any other divides exactly
+        inv = elt.pop(lead)
+        if inv not in (1, -1):
+            inv = 1 / Fraction(inv)
+        word_rules[lead] = _integral({w: -c * inv for w, c in elt.items()})
         # rules with a now-reducible lhs all leave before any is reduced
         # back in, so that no lhs lies inside another while reducing
         olds = {old: word_rules.pop(old) for old in list(word_rules)
-                if old != lead and _contains(old, lead)}
+                if old != lead and any(old[i:i + len(lead)] == lead
+                                       for i in range(len(old)))}
         redexes.reset(word_rules)
         memo.clear()
         for old, old_rhs in olds.items():
@@ -700,7 +726,7 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
 
     # interreduce: later rules may have made earlier right-hand sides
     # reducible
-    done = RuleSystem([uniform_rule(lhs, reduce(rhs))
+    done = RuleSystem([uniform_rule(lhs, _integral(reduce(rhs)))
                        for lhs, rhs in word_rules.items()], fuel=fuel)
     # skipped overlaps above resolve only if nothing irreducible remains
     # at length maxdeg; irreducible_words raises GrowthError otherwise

@@ -120,6 +120,19 @@ class TestVerify:
         assert len(rep["details"]) == 2
         assert rep["details"][1].startswith("(1)*x")
 
+    def test_fuel_exhaustion_on_scalars(self, capsys):
+        # at a = 0 the rules reduce on scalars; the trace still names each
+        # rewritten word with the least tail, as on Tails
+        assert main(["verify", "diamond", "--a1=0", "--a2=0", "--fuel=2",
+                     "--json"]) == 1
+        (rep,) = json.loads(capsys.readouterr().out)
+        del rep["ms"]
+        assert rep == {"check": "diamond.termination", "status": "fail",
+                       "counts": {"fuel": 2},
+                       "details": ["fuel of 2 rewrite steps exhausted",
+                                   "(1)*x12x13x12x13.de",
+                                   "(1)*x13x12x13x13.de"]}
+
     def test_fuel_enough_passes(self, capsys):
         assert main(["verify", "diamond", "--a1=1/3", "--a2=-1/2",
                      "--fuel", "100"]) == 0
@@ -448,7 +461,10 @@ class TestDump:
          "06e75901dedba197a309bfc1f9bb70194c457cf1dee2af57fd43b125129d3e0c"),
         (["--a1=1/3", "--a2=-1/2"],
          "30561d68fc5a5c46f6f7a537e33f1f0376c3ac35a51e7a46d4611b1326fc50da"),
-    ], ids=["symbolic", "point"])
+        # a = 0: the rules are tail-uniform and reduce on scalars
+        (["--a1=0", "--a2=0"],
+         "ac0c1fa464523e63bd7acdf0d4148bbf7e25326caa6426ea98cf14f18d4488dc"),
+    ], ids=["symbolic", "point", "zero"])
     def test_verify_all_digest(self, argv, digest, capsys):
         # every report of verify all, timings dropped, pinned: a change
         # that moves a count, a verdict, a detail or a scalars name fails

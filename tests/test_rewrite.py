@@ -4,6 +4,7 @@ ambiguity resolution, the multiplication table, and completion."""
 import copy
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,20 @@ def coxeter_rules() -> RuleSystem:
     return RuleSystem([uniform_rule((t, t), {(): 1}) for t in GENERATORS] +
                       [uniform_rule((X12, X13, X12), {(X23,): 1}),
                        uniform_rule((X13, X12, X13), {(X23,): 1})])
+
+
+def broken_coxeter_rules(break_tail: str) -> list:
+    """coxeter_rules with x12 x13 x12 -> x23 changed to 2 x23, or
+    dropped, under the one tail (13)."""
+    rules = coxeter_rules().rules
+    rhs = dict(rules[3].rhs)
+    key = ((X23,), G["(13)"])
+    if break_tail == "changed":
+        rhs[key] = 2
+    else:
+        del rhs[key]
+    rules[3] = Rule(rules[3].lhs, rhs)
+    return rules
 
 
 @pytest.fixture(scope="module")
@@ -220,6 +235,19 @@ class TestRuleSystem:
         with pytest.raises(ValueError):
             RuleSystem([Rule((X12, X12), {}), Rule((X12, X12, X13), {})])
 
+    @pytest.mark.parametrize("outer", [(X13, X12, X12, X23), (X13, X12, X12),
+                                       (X12, X12)],
+                             ids=["middle", "end", "twice"])
+    def test_inclusion_ambiguity_rejected_anywhere(self, outer):
+        # x12^2 inside another lhs, in either rule order; a second rule
+        # with the same lhs is an inclusion too
+        inner = (X12, X12)
+        text = re.escape(f"inclusion ambiguity: lhs {inner} inside lhs {outer}")
+        for rules in ([Rule(inner, {}), Rule(outer, {})],
+                      [Rule(outer, {}), Rule(inner, {})]):
+            with pytest.raises(ValueError, match=text):
+                RuleSystem(rules)
+
     def test_irreducible_word_reduces_to_itself(self):
         rules = sym_rules()
         for g in S3:
@@ -232,6 +260,17 @@ class TestRuleSystem:
         # one term per rewrite step, the one that ran out last
         assert len(exc.value.trace) == 2
         assert exc.value.trace[0] == ((X23, X12, X23, X12, X23), G["e"])
+
+    @pytest.mark.parametrize("g", ["e", "(12)"])
+    def test_fuel_exhaustion_on_scalars(self, g):
+        # at (0, 0) no rule holds a Tails, so words reduce on scalars; the
+        # trace still names each rewritten word with its least tail, e
+        rules = default_rules(0, 0, fuel=2)
+        assert rules.one == 1
+        with pytest.raises(NonterminationError) as exc:
+            rules.reduce_term((X12, X13, X12, X13), G[g])
+        assert exc.value.trace == [((X12, X13, X12, X13), G["e"]),
+                                   ((X13, X12, X13, X13), G["e"])]
 
     def test_trace_is_bounded(self):
         rules = default_rules(1, 2, fuel=60)
@@ -395,6 +434,20 @@ class TestEngine:
         assert got == sorted(words, key=word_key)
         assert len(got) == (576 if system == "S4" else 12)
 
+    def test_irreducible_words_are_memoized_per_maxlen(self, s4_done):
+        # one enumeration per system and maxlen, each call a list of its own
+        rules = RuleSystem(s4_done.rules)
+        words = irreducible_words(rules, maxlen=13)
+        words.reverse()
+        words.pop()
+        again = irreducible_words(rules, maxlen=13)
+        assert again is not words and len(again) == 576
+        assert again == sorted(again, key=word_key) == \
+            irreducible_words(s4_done, maxlen=13)
+        # words of length 12 remain, so maxlen 8 still fails
+        with pytest.raises(GrowthError):
+            irreducible_words(rules, maxlen=8)
+
     def test_completion_fuel_exhaustion(self):
         with pytest.raises(NonterminationError) as exc:
             complete(s4_rules(), maxdeg=13, fuel=5)
@@ -514,6 +567,62 @@ class TestS4Ambiguities:
         assert r.lhs == (parse_perm("(23)", 4), parse_perm("(12)", 4))
         rules[3] = Rule(r.lhs, {k: -c for k, c in r.rhs.items()})
         assert _resolved(RuleSystem(rules)) == (96, 108)
+
+
+class TestScalarPath:
+    """A tail-uniform system reduces on scalars; the same rules reduced
+    on Tails are the reference."""
+
+    def test_s4_words_agree_with_tails(self, s4_done):
+        rules = RuleSystem(s4_done.rules, fuel=s4_done.fuel)
+        group = rules.group
+        assert rules.one == 1
+        memo, steps = {}, 0
+        rng = random.Random(20261021)
+        letters = transpositions(4)
+        for _ in range(1000):
+            w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
+            # memoized by word, as RuleSystem.normal_form does
+            ref, spent = rewrite._normal_form({w: group}, rules.word_rules,
+                                              rules._redexes, memo,
+                                              rules.fuel, one=group)
+            memo[w] = ref
+            steps += spent
+            assert not any(type(c) is Tails
+                           for c in rules.normal_form(w).values())
+            for g in group:
+                assert rules.reduce_term(w, g) == rewrite._slice(ref, g)
+        assert rules.rewrite_steps == steps > 0
+
+    def test_table_at_zero_agrees_with_tails(self):
+        scalars, tails = default_rules(0, 0), default_rules(0, 0)
+        tails.one = tails.group
+        got, ref = structure_constants(scalars), structure_constants(tails)
+        assert got.rows == ref.rows and got.stats == ref.stats
+        assert scalars.one == 1 and not any(
+            type(c) is Tails for nf in scalars._normal_forms.values()
+            for c in nf.values())
+
+    @pytest.mark.parametrize("break_tail", ["changed", "missing"])
+    def test_one_broken_tail_stays_on_tails(self, break_tail):
+        rules = RuleSystem(broken_coxeter_rules(break_tail))
+        assert rules.one is rules.group
+        word = (X12, X13, X12)
+        nf = rules.normal_form(word)
+        assert list(nf) == [(X23,)] and type(nf[X23,]) is Tails
+        assert rules.reduce_term(word, G["e"]) == {((X23,), G["e"]): 1}
+        assert rules.reduce_term(word, G["(13)"]) == (
+            {((X23,), G["(13)"]): 2} if break_tail == "changed" else {})
+
+    def test_uniform_rules_expand_on_demand(self, s4_done):
+        # rhs expands a uniform rule's words over S4, which compile back
+        # to them; completion leaves the S4 coefficients as ints
+        group = s4_done.group
+        for r in s4_done.rules:
+            assert r.rhs == rewrite._full_tail(*r.words.items(), group=group)
+            assert rewrite._compile(r.rhs, group) == r.words == \
+                s4_done.word_rules[r.lhs]
+            assert all(type(c) is int for c in r.words.values())
 
 
 def _point_tables() -> list:
@@ -751,17 +860,29 @@ class TestCompletion:
 
     @pytest.mark.parametrize("break_tail", ["changed", "missing"])
     def test_rejects_one_broken_tail(self, break_tail):
-        rules = coxeter_rules().rules
-        rhs = dict(rules[3].rhs)
-        key = ((X23,), G["(13)"])
-        if break_tail == "changed":
-            rhs[key] = 2
-        else:
-            del rhs[key]
-        rules[3] = Rule(rules[3].lhs, rhs)
         with pytest.raises(ValueError,
                            match="completion needs tail-uniform rules"):
-            complete(RuleSystem(rules), maxdeg=8)
+            complete(RuleSystem(broken_coxeter_rules(break_tail)), maxdeg=8)
+
+    def test_lead_of_two_divides_exactly(self):
+        # x23 x12 = x12 x13 + 2 x13 x23, x23 x13 = 0, the squares 0: the
+        # overlap x23 x12 x12 gives x12 x13 x12 + 2 x13 x12 x13 = 0, lead
+        # coefficient 2, so x13 x12 x13 -> -1/2 x12 x13 x12, exactly, and
+        # every integral coefficient stays an int
+        base = [uniform_rule((t, t), {}) for t in GENERATORS] + [
+            uniform_rule((X23, X12), {(X12, X13): 1, (X13, X23): 2}),
+            uniform_rule((X23, X13), {})]
+        done = complete(RuleSystem(base), maxdeg=8)
+        half = done.word_rules[X13, X12, X13][X12, X13, X12]
+        assert type(half) is Fraction and half == Fraction(-1, 2)
+        assert all(type(c) is int or c.denominator > 1
+                   for rhs in done.word_rules.values() for c in rhs.values())
+        # the relation given at lead 1 yields the same basis
+        lead1 = complete(RuleSystem(base + [uniform_rule(
+            (X13, X12, X13), {(X12, X13, X12): Fraction(-1, 2)})]), maxdeg=8)
+        words = irreducible_words(done)
+        assert words == irreducible_words(lead1)
+        assert hilbert_series(words) == [1, 3, 4, 3, 1]
 
     def test_rejects_tail_dependent_rules(self):
         with pytest.raises(ValueError):
