@@ -21,7 +21,7 @@ from .groups import (S3_STANDARD, Perm, conjugate, parse_perm,
                      symmetric_group)
 from .linalg import add_into
 from .rewrite import FUEL_DEFAULT, default_rules, smash_mult
-from .scalars import PolyRing
+from .scalars import MultiPoly
 
 
 def act(a, gamma):
@@ -111,7 +111,7 @@ def verify_iso(theta, fuel: int = FUEL_DEFAULT) -> dict:
     the Theta_{mu,theta}-images of the defining relations of the algebra
     at b (one per rule of default_rules) reduce to zero under the rules of
     the algebra at a, symbolically over Q[a1, a2, mu]."""
-    a1, a2, mu = PolyRing("a1", "a2", "mu").gens()
+    a1, a2, mu = MultiPoly.gens("a1", "a2", "mu")
     if isinstance(theta, str):
         theta = parse_perm(theta, 3)
     b = act((a1, a2), (mu * mu, theta))

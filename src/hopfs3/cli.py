@@ -13,7 +13,7 @@ from .rewrite import (FUEL_DEFAULT, NonterminationError, check_associativity,
                       default_rules, format_smash, hilbert_series,
                       irreducible_words, overlap_ambiguities, rescaled,
                       resolve_ambiguity, structure_constants)
-from .scalars import PolyRing
+from .scalars import MultiPoly
 
 
 def _report(check: str, ok: bool, counts: dict, details, t0: float) -> dict:
@@ -59,7 +59,7 @@ def _budget(text: str) -> float:
 
 def _params(args):
     if args.a1 is None and args.a2 is None:
-        return (*PolyRing("a1", "a2").gens(), "symbolic")
+        return (*MultiPoly.gens("a1", "a2"), "symbolic")
     a1 = Fraction(args.a1 if args.a1 is not None else 0)
     a2 = Fraction(args.a2 if args.a2 is not None else 0)
     return a1, a2, f"({a1},{a2})"
@@ -146,14 +146,16 @@ def _suite_diamond(args) -> list:
 
 
 def _suite_hopf(args) -> list:
-    from .hopf72 import (c_identity, coradical_certificate, gr_check,
-                         verify_hopf_axioms, verify_hopf_ideal)
+    from .hopf72 import (build_check, c_identity, coradical_certificate,
+                         gr_check, verify_hopf_axioms, verify_hopf_ideal)
     label = _params(args)[2]
     out = []
     t0 = time.perf_counter()
     H = _algebra(args)
-    out.append(_report("hopf.build", True, {"dim": H.dim, "params": label,
-                                            "stats": H.stats}, [], t0))
+    rep = build_check(H)
+    out.append(_report("hopf.build", rep["ok"], {"dim": H.dim, "params": label,
+                                                 "stats": H.stats},
+                       rep["failures"], t0))
     t0 = time.perf_counter()
     rep = verify_hopf_axioms(H)
     witness = [rep["witness"]] if rep["witness"] else []

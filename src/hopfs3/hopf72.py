@@ -175,16 +175,14 @@ class Hopf72:
             add_into(out, self.index[((u,), u * h.inv())], -c)
         return out
 
-    def word_comult(self, w, g: Perm, memo: dict = None) -> dict:
+    def word_comult(self, w, g: Perm, memo: dict) -> dict:
         """Delta(w delta_g) = Delta(x_t1) Delta(x_t2 ... x_tn delta_g) in
         A (x) A, for any word w = x_t1 ... x_tn, reduced or not.  memo, for
-        one build or verify_hopf_ideal run (by default this call), keeps
-        Delta(v delta_g) of each suffix v under (v, g), and Delta(x_t),
-        joined, under t."""
+        one build or verify_hopf_ideal run, keeps Delta(v delta_g) of each
+        suffix v under (v, g), and Delta(x_t), joined, under t."""
         if not w:
             return {(self.index[((), t)], self.index[((), t.inv() * g)]): 1
                     for t in self.group}
-        memo = {} if memo is None else memo
         if (w, g) not in memo:
             if w[0] not in memo:
                 memo[w[0]] = self.joined(self._gen_comult[w[0]])
@@ -218,6 +216,26 @@ def build(a1, a2, table: MultTable = None) -> Hopf72:
     if table is None:
         table = structure_constants(default_rules(a1, a2))
     return Hopf72(a1, a2, table)
+
+
+def build_check(H: Hopf72) -> dict:
+    """The built maps on the unit and through the counit: Delta(1) =
+    1 (x) 1, eps(1) = 1, S(1) = 1, and eps(e_i e_k) = eps(e_i) eps(e_k)
+    on every basis pair (i, k), a bialgebra axiom that the Hopf-axiom
+    sweep does not test."""
+    one = H.unit()
+
+    def counit(x):
+        return sum(c * H.counit[l] for l, c in x.items() if H.counit[l])
+
+    failures = [(what,) for what, ok in (
+        ("comult_unit", H.delta(one) == vec_tensor(one, one)),
+        ("counit_unit", counit(one) == 1),
+        ("antipode_unit", H.S(one) == one)) if not ok]
+    failures += [("counit_mult", i, k) for i, row in enumerate(H.table.rows)
+                 for k, e in enumerate(row)
+                 if counit(e) != H.counit[i] * H.counit[k]]
+    return {"failures": failures, "ok": not failures}
 
 
 # -- axiom verification -----------------------------------------------------

@@ -4,8 +4,8 @@ Elements are finite sums of w * delta_g, w a word in letters x_t (t a
 transposition of S_n; x12, x13, x23 for the 72-dimensional algebra) and
 g in S_n; a RuleSystem reads n, and its group, from its rules' letters.
 delta_g x_t = x_t delta_{t g} is built in, so rules act on x-words only.
-RuleSystem compiles each rule once into {lhs: {word: coeff}}: coeff is
-a scalar when the term has one value under every tail, otherwise a
+A Rule, and RuleSystem after it, holds its rhs as {word: coeff}: coeff
+is a scalar when the term has one value under every tail, otherwise a
 Tails, a function on S_n (the ring k^{S_n}).  One rewrite step, at a
 redex u lhs v, moves only Tails coefficients, from h to sigma(v) h; it
 serves normal forms, ambiguity resolution and completion.  So one
@@ -156,15 +156,13 @@ def smash_mult(x: dict, y: dict, rules=None) -> dict:
 
 class Rule:
     """lhs -> rhs, held as words {w: coeff}: coeff is a scalar when the
-    term has one value under every tail of S_n, otherwise its Tails.  An
-    rhs {(w, h): c} is compiled to words; uniform_rule gives the words.
-    rhs reads them back, expanded over S_n."""
+    term has one value under every tail of S_n, otherwise a zero-free
+    Tails.  rhs reads them back, expanded over S_n."""
     __slots__ = ("lhs", "words")
 
-    def __init__(self, lhs, rhs: dict = None, words: dict = None):
+    def __init__(self, lhs, words: dict):
         self.lhs = tuple(lhs)
-        self.words = (_compile(rhs, _unit(self.lhs[0].n)) if words is None
-                      else {w: c for w, c in words.items() if c})
+        self.words = {w: c for w, c in words.items() if c}
 
     @property
     def rhs(self) -> dict:
@@ -269,26 +267,17 @@ def rescaled(rules: RuleSystem) -> RuleSystem:
     def weight(rule, w):
         return len(rule.lhs) - len(w)
 
-    scale = Rescale.fit((c, weight(r, w)) for r in rules.rules
-                        for (w, _h), c in r.rhs.items())
-    out = RuleSystem([Rule(r.lhs, {(w, h): scale.encode(c, weight(r, w))
-                                   for (w, h), c in r.rhs.items()})
+    def encode(c, n):
+        return (Tails({h: scale.encode(x, n) for h, x in c.items()})
+                if type(c) is Tails else scale.encode(c, n))
+
+    scale = Rescale.fit(
+        (x, weight(r, w)) for r in rules.rules for w, c in r.words.items()
+        for x in (c.values() if type(c) is Tails else (c,)))
+    out = RuleSystem([Rule(r.lhs, {w: encode(c, weight(r, w))
+                                   for w, c in r.words.items()})
                       for r in rules.rules], fuel=rules.fuel)
     out.scale = scale
-    return out
-
-
-def _compile(rhs: dict, one: Tails) -> dict:
-    """A rule's rhs {(w, h): c} as {w: coeff}, zero terms dropped: coeff
-    is a scalar when the term has one value under every tail of the
-    group `one`, otherwise its Tails."""
-    out: dict = {}
-    for (w, h), c in rhs.items():
-        if c:
-            out.setdefault(w, Tails())[h] = c
-    for w, f in out.items():
-        c = next(iter(f.values()))
-        out[w] = c if f == dict.fromkeys(one, c) else f
     return out
 
 
@@ -399,25 +388,24 @@ def default_rules(a1, a2, fuel: int = FUEL_DEFAULT) -> RuleSystem:
     parameters (a1, a2); scalars may be numbers or polynomial generators."""
     g = {s: parse_perm(s, 3) for s in ("e", "(12)", "(13)", "(23)", "(123)", "(132)")}
 
-    def tails(word, spec: dict) -> dict:
-        return {(tuple(word), g[name]): c for name, c in spec.items() if c}
+    def tails(spec: dict) -> Tails:
+        return Tails({g[name]: c for name, c in spec.items() if c})
 
     omega = {"(12)": a2 - a1, "e": a1 - a2, "(13)": a1, "(132)": -a1,
              "(23)": -a2, "(123)": a2}
 
     rules = [
-        Rule((X13, X13), tails((), {"(12)": a1 - a2, "(123)": a1 - a2,
-                                    "(23)": a1, "(132)": a1})),
-        Rule((X23, X23), tails((), {"(13)": a2, "(123)": a2,
-                                    "(12)": a2 - a1, "(132)": a2 - a1})),
-        Rule((X12, X12), tails((), {"(23)": -a1, "(123)": -a1,
-                                    "(13)": -a2, "(132)": -a2})),
-        Rule((X13, X23), _full_tail(((X23, X12), -1), ((X12, X13), -1))),
-        Rule((X23, X13), _full_tail(((X12, X23), -1), ((X13, X12), -1))),
-        Rule((X12, X13, X12), _full_tail(((X13, X12, X13), 1), ((X23,), a1))),
-        Rule((X23, X12, X23), _full_tail(((X12, X23, X12), 1), ((X13,), -a2))),
-        Rule((X23, X12, X13), vec_add(_full_tail(((X13, X12, X23), 1)),
-                                      tails((X12,), omega))),
+        Rule((X13, X13), {(): tails({"(12)": a1 - a2, "(123)": a1 - a2,
+                                     "(23)": a1, "(132)": a1})}),
+        Rule((X23, X23), {(): tails({"(13)": a2, "(123)": a2,
+                                     "(12)": a2 - a1, "(132)": a2 - a1})}),
+        Rule((X12, X12), {(): tails({"(23)": -a1, "(123)": -a1,
+                                     "(13)": -a2, "(132)": -a2})}),
+        Rule((X13, X23), {(X23, X12): -1, (X12, X13): -1}),
+        Rule((X23, X13), {(X12, X23): -1, (X13, X12): -1}),
+        Rule((X12, X13, X12), {(X13, X12, X13): 1, (X23,): a1}),
+        Rule((X23, X12, X23), {(X12, X23, X12): 1, (X13,): -a2}),
+        Rule((X23, X12, X13), {(X13, X12, X23): 1, (X12,): tails(omega)}),
     ]
     return RuleSystem(rules, fuel=fuel)
 
@@ -639,7 +627,7 @@ def hilbert_series(words) -> list:
 
 def uniform_rule(lhs, word_rhs: dict) -> Rule:
     """A rule whose rhs has the same word combination under every tail."""
-    return Rule(lhs, words=word_rhs)
+    return Rule(lhs, word_rhs)
 
 
 def _integral(x: dict) -> dict:
@@ -648,7 +636,7 @@ def _integral(x: dict) -> dict:
             else c for w, c in x.items()}
 
 
-def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
+def complete(rules: RuleSystem, maxdeg: int, fuel: int = FUEL_DEFAULT):
     """Buchberger-style completion for tail-uniform numeric systems:
     insert deglex-oriented normal-form differences of unresolved overlaps,
     smallest overlap first, until the pair queue drains.  Rules whose lhs
@@ -726,7 +714,7 @@ def complete(rules: RuleSystem, maxdeg: int = 8, fuel: int = FUEL_DEFAULT):
 
     # interreduce: later rules may have made earlier right-hand sides
     # reducible
-    done = RuleSystem([uniform_rule(lhs, _integral(reduce(rhs)))
+    done = RuleSystem([Rule(lhs, _integral(reduce(rhs)))
                        for lhs, rhs in word_rules.items()], fuel=fuel)
     # skipped overlaps above resolve only if nothing irreducible remains
     # at length maxdeg; irreducible_words raises GrowthError otherwise

@@ -65,10 +65,11 @@ class MultiPoly:
         return cls(names, {(0,) * len(names): c})
 
     @classmethod
-    def gen(cls, names, i: int) -> "MultiPoly":
-        e = [0] * len(names)
-        e[i] = 1
-        return cls(names, {tuple(e): 1})
+    def gens(cls, *names: str) -> tuple:
+        """The generators of the polynomial ring in the names given."""
+        n = len(names)
+        return tuple(cls(names, {(0,) * i + (1,) + (0,) * (n - 1 - i): 1})
+                     for i in range(n))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -204,19 +205,6 @@ class MultiPoly:
         return out
 
     __repr__ = __str__
-
-
-class PolyRing:
-    """A polynomial ring with a fixed ordered variable list."""
-
-    def __init__(self, *names: str):
-        self.names = tuple(names)
-
-    def gens(self) -> tuple:
-        return tuple(MultiPoly.gen(self.names, i) for i in range(len(self.names)))
-
-    def __repr__(self):
-        return f"PolyRing{self.names}"
 
 
 class Kronecker:

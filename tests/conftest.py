@@ -35,7 +35,8 @@ def with_wrong_sign(H):
     gen = H._gen_comult[X13]
     key = next(iter(gen))
     gen[key] = -gen[key]
-    H.comult = [H.word_comult(w, g) for (w, g) in H.labels]
+    memo: dict = {}
+    H.comult = [H.word_comult(w, g, memo) for (w, g) in H.labels]
     H.antipode = [H.word_antipode(w, g) for (w, g) in H.labels]
     return H
 
@@ -43,9 +44,9 @@ def with_wrong_sign(H):
 @pytest.fixture
 def wrong_sign_symbolic():
     """The wrong-sign control over Q[a1, a2]."""
-    from hopfs3.scalars import PolyRing
+    from hopfs3.scalars import MultiPoly
 
-    return wrong_sign(*PolyRing("a1", "a2").gens())
+    return wrong_sign(*MultiPoly.gens("a1", "a2"))
 
 
 @pytest.fixture

@@ -11,10 +11,9 @@ from fractions import Fraction
 import pytest
 
 import conftest
-from hopfs3.scalars import PolyRing
+from hopfs3.scalars import MultiPoly
 
-R = PolyRing("a1", "a2")
-A1, A2 = R.gens()
+A1, A2 = MultiPoly.gens("a1", "a2")
 
 
 def _emit(num: int, ok: bool, label: str, elapsed: float):

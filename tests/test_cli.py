@@ -16,7 +16,7 @@ import hopfs3
 from hopfs3.cli import main
 from hopfs3.hopf72 import build
 from hopfs3.rewrite import format_smash
-from hopfs3.scalars import PolyRing
+from hopfs3.scalars import MultiPoly
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -259,6 +259,21 @@ class TestVerify:
         assert isotypics["details"][0].startswith(
             "ad delta_e not diagonal on basis 1")
 
+    def test_build_failure_is_reported(self, extra_row_term, monkeypatch,
+                                       capsys):
+        # hopf.build fails on the added row term, with the counts of a
+        # pass and the failing pair in its details
+        import hopfs3.cli as cli
+        monkeypatch.setattr(cli, "_algebra", lambda _args: extra_row_term)
+        assert main(["verify", "hopf", "--json", "--a1=1/3",
+                     "--a2=-1/2"]) == 1
+        report = {r["check"]: r
+                  for r in json.loads(capsys.readouterr().out)}["hopf.build"]
+        assert report["status"] == "fail"
+        assert report["counts"] == {"dim": 72, "params": "(1/3,-1/2)",
+                                    "stats": {"tensor_mults": 66}}
+        assert report["details"] == ["('counit_mult', 1, 1)"]
+
     def test_axioms_witness_in_details(self, wrong_sign_symbolic,
                                        monkeypatch, capsys):
         import hopfs3.cli as cli
@@ -324,13 +339,14 @@ class TestVerify:
         # each unresolved ambiguity names the first tail where its two
         # reductions part, and their nonzero difference
         import hopfs3.cli as cli
-        from hopfs3.rewrite import Rule, RuleSystem, default_rules
+        from hopfs3.rewrite import Rule, RuleSystem, Tails, default_rules
 
         def perturbed(a1, a2, fuel):
             first, *rest = default_rules(a1, a2, fuel=fuel).rules
-            key = next(iter(first.rhs))
-            rhs = {**first.rhs, key: first.rhs[key] + 1}
-            return RuleSystem([Rule(first.lhs, rhs)] + rest, fuel=fuel)
+            square = Tails(first.words[()])
+            square[next(iter(square))] += 1
+            return RuleSystem([Rule(first.lhs, {(): square})] + rest,
+                              fuel=fuel)
 
         monkeypatch.setattr(cli, "default_rules", perturbed)
         assert main(["verify", "diamond", "--a1=1/3", "--a2=-1/2",
@@ -442,7 +458,7 @@ class TestDump:
         lines = capsys.readouterr().out.splitlines()
         index = dict(reversed(ln[len("basis "):].split(": ", 1))
                      for ln in lines if ln.startswith("basis "))
-        table = build(*(point or PolyRing("a1", "a2").gens())).table
+        table = build(*(point or MultiPoly.gens("a1", "a2"))).table
         printed = set()
         for ln in lines:
             if ln.startswith("mult "):

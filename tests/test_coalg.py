@@ -17,7 +17,7 @@ from hopfs3.groups import builtin_irreps, parse_perm, symmetric_group
 from hopfs3.hopf72 import build, coradical_certificate, verify_hopf_axioms
 from hopfs3.linalg import linear, rank, span_equal, vec_add, vec_tensor
 from hopfs3.rewrite import X12, X13, X23
-from hopfs3.scalars import PolyRing
+from hopfs3.scalars import MultiPoly
 
 S3 = sorted(symmetric_group(3))
 POINT = (Fraction(1, 3), Fraction(-1, 2))
@@ -121,7 +121,7 @@ class TestSkewPrimitiveSolver:
 
     def test_closed_form_solves(self, H):
         # for every a at once: y_i = a_i 1 - sum_j a_j e_ij over Q[a1, a2]
-        a = PolyRing("a1", "a2").gens()
+        a = MultiPoly.gens("a1", "a2")
         assert solves(H, skew_primitive_closed_form(a))
         assert solves(H, skew_primitive_closed_form((Fraction(2), -1)))
 

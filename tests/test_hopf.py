@@ -17,19 +17,19 @@ from hypothesis import assume, given, settings, strategies as st
 import hopfs3.classify
 from conftest import cli_algebra
 from hopfs3.groups import conjugate, parse_perm
-from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build, c_identity,
-                           coideal_elements, coradical_certificate,
+from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build,
+                           build_check, c_identity, coideal_elements,
+                           coradical_certificate,
                            dump_tables, gr_check, lemma31_suite,
                            verify_hopf_axioms, verify_hopf_ideal)
 from hopfs3.linalg import add_into, vec_add, vec_scale, vec_tensor
 from hopfs3.hopf72 import Hopf72, Joined
-from hopfs3.rewrite import (S3, X12, X13, X23, Rule, RuleSystem, _full_tail,
-                            check_associativity, default_rules,
+from hopfs3.rewrite import (S3, X12, X13, X23, Rule, RuleSystem, Tails,
+                            _full_tail, check_associativity, default_rules,
                             structure_constants)
-from hopfs3.scalars import Kronecker, PolyRing, ScalarKindError
+from hopfs3.scalars import Kronecker, MultiPoly, ScalarKindError
 
-R = PolyRing("a1", "a2")
-A1, A2 = R.gens()
+A1, A2 = MultiPoly.gens("a1", "a2")
 
 G = {s: parse_perm(s, 3) for s in ("e", "(12)", "(13)", "(23)", "(123)",
                                    "(132)")}
@@ -262,9 +262,9 @@ class TestStructureMaps:
         assert alg.stats == {"tensor_mults": 11 * 6}
 
     def test_wrong_sign_changes_every_word_with_x13(self, wrong_sign_point):
-        # the control of conftest rebuilds Delta through word_comult, a
-        # memo per call; here the same once more, with one memo for the
-        # whole rebuild, made after the sign change.  Both must differ
+        # the control of conftest rebuilds Delta through word_comult, one
+        # memo for the whole rebuild, made after the sign change; here the
+        # same once more, on a build of its own.  Both must differ
         # from the unperturbed Delta on every basis word holding x13 (at
         # some tail: the negated term is x13 de (x) de) and on no other
         H = build(*POINT)
@@ -295,12 +295,41 @@ class TestStructureMaps:
         for w in itertools.product((X12, X13, X23), repeat=n):
             for g in S3:
                 x = H.from_smash({(w, g): 1})
-                assert H.word_comult(w, g) == H.delta(x), (w, g)
+                assert H.word_comult(w, g, {}) == H.delta(x), (w, g)
                 assert H.word_antipode(w, g) == H.S(x), (w, g)
 
     def test_from_smash(self, H):
         x = {((X13, X13), G["(23)"]): 1, ((), G["(23)"]): -A1}
         assert H.from_smash(x) == {}
+
+
+class TestBuildCheck:
+    @pytest.mark.parametrize("point", ["symbolic", "(1/3,-1/2)", "cli",
+                                       "(0,0)"])
+    def test_built_maps_pass(self, point, request):
+        alg = {"symbolic": lambda: request.getfixturevalue("H"),
+               "(1/3,-1/2)": lambda: build(*POINT),
+               "cli": lambda: cli_algebra(*POINT),
+               "(0,0)": lambda: build(0, 0)}[point]()
+        assert build_check(alg) == {"failures": [], "ok": True}
+
+    def test_rejects_a_negated_term_of_delta_e(self, H):
+        # one term of Delta(delta_e) negated: Delta(1) is no longer 1 (x) 1,
+        # and nothing else of the check moves
+        e = H.index[((), G["e"])]
+        H1 = copy.copy(H)
+        H1.comult = list(H.comult)
+        key = next(iter(H.comult[e]))
+        H1.comult[e] = {**H.comult[e], key: -H.comult[e][key]}
+        assert build_check(H1) == {"failures": [("comult_unit",)],
+                                   "ok": False}
+
+    def test_rejects_an_added_row_term(self, extra_row_term):
+        # delta_(23) delta_(23) = delta_(23) + delta_e has counit 1, but
+        # eps(delta_(23))^2 = 0: exactly that pair fails
+        d = extra_row_term.index[((), G["(23)"])]
+        assert build_check(extra_row_term)["failures"] == [
+            ("counit_mult", d, d)]
 
 
 class TestAxioms:
@@ -382,7 +411,8 @@ class TestAxioms:
         gen = H0._gen_comult[X13]
         key = next(iter(gen))
         gen[key] = -gen[key]
-        H0.comult = [H0.word_comult(w, g) for (w, g) in H0.labels]
+        memo: dict = {}
+        H0.comult = [H0.word_comult(w, g, memo) for (w, g) in H0.labels]
         H0.antipode = [H0.word_antipode(w, g) for (w, g) in H0.labels]
         rep = verify_hopf_axioms(H0)
         assert not rep["ok"]
@@ -639,8 +669,7 @@ class TestHopfIdeal:
         # relation still vanishes in its own table, but Delta and S of the
         # mixed and cubic ones leave I (x) A + A (x) I and I
         rules = default_rules(*POINT).rules
-        rules[3] = Rule((X13, X23), _full_tail(((X23, X12), -2),
-                                               ((X12, X13), -1)))
+        rules[3] = Rule((X13, X23), {**rules[3].words, (X23, X12): -2})
         H1 = Hopf72(*POINT, structure_constants(RuleSystem(rules)))
         assert verify_hopf_ideal(H1)["failures"] == [
             (name, what)
@@ -728,8 +757,7 @@ class TestControls:
         # x13 x23 -> -2 x23 x12 - x12 x13 changes top parts of products
         rules = default_rules(*POINT).rules
         assert rules[3].lhs == (X13, X23)
-        rules[3] = Rule((X13, X23), _full_tail(((X23, X12), -2),
-                                               ((X12, X13), -1)))
+        rules[3] = Rule((X13, X23), {**rules[3].words, (X23, X12): -2})
         H = Hopf72(*POINT, structure_constants(RuleSystem(rules)))
         failures = gr_check(H)["failures"]
         assert len(failures) == 48
@@ -788,7 +816,8 @@ class TestControls:
         # x13 x13 -> ... + d(e): that rule's relation has counit -1
         rules = default_rules(*POINT).rules
         assert rules[0].lhs == (X13, X13)
-        rules[0] = Rule((X13, X13), {**rules[0].rhs, ((), G["e"]): 1})
+        rules[0] = Rule((X13, X13),
+                        {(): rules[0].words[()] + Tails({G["e"]: 1})})
         H = Hopf72(*POINT, structure_constants(RuleSystem(rules)))
         failures = verify_hopf_ideal(H)["failures"]
         assert [f for f in failures if f[1] == "counit"] == [
@@ -858,8 +887,7 @@ class TestControls:
         def ungraded(a1, a2):
             rules = default_rules(a1, a2).rules
             assert rules[5].lhs == (X12, X13, X12)
-            rules[5] = Rule(rules[5].lhs,
-                            {**rules[5].rhs, **_full_tail(((X23,), 1))})
+            rules[5] = Rule(rules[5].lhs, {**rules[5].words, (X23,): 1})
             return RuleSystem(rules)
 
         H = build(*POINT)

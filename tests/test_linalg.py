@@ -8,9 +8,9 @@ import pytest
 
 from hopfs3.linalg import (add_into, linear, rank, rref, span_equal, vec_add,
                            vec_scale, vec_tensor)
-from hopfs3.scalars import OMEGA, NeedsSpecialization, PolyRing
+from hopfs3.scalars import MultiPoly, OMEGA, NeedsSpecialization
 
-A1, A2 = PolyRing("a1", "a2").gens()
+A1, A2 = MultiPoly.gens("a1", "a2")
 
 # (name, c, d) with c + d != 0 and c + (-c) == 0
 DOMAINS = [

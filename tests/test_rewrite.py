@@ -20,10 +20,9 @@ from hopfs3.rewrite import (GENERATORS, GrowthError, NonterminationError,
                             resolve_ambiguity, sigma, smash_mult, structure_constants,
                             sweep_scalars, uniform_rule, word_key)
 from hopfs3.linalg import add_into, vec_add
-from hopfs3.scalars import Cyclotomic3, Kronecker, OMEGA, PolyRing, Rescale
+from hopfs3.scalars import Cyclotomic3, Kronecker, MultiPoly, OMEGA, Rescale
 
-R = PolyRing("a1", "a2")
-A1, A2 = R.gens()
+A1, A2 = MultiPoly.gens("a1", "a2")
 
 G = {s: parse_perm(s, 3) for s in ("e", "(12)", "(13)", "(23)", "(123)",
                                    "(132)")}
@@ -56,13 +55,12 @@ def broken_coxeter_rules(break_tail: str) -> list:
     """coxeter_rules with x12 x13 x12 -> x23 changed to 2 x23, or
     dropped, under the one tail (13)."""
     rules = coxeter_rules().rules
-    rhs = dict(rules[3].rhs)
-    key = ((X23,), G["(13)"])
+    x23 = Tails.fromkeys(S3, rules[3].words[X23,])
     if break_tail == "changed":
-        rhs[key] = 2
+        x23[G["(13)"]] = 2
     else:
-        del rhs[key]
-    rules[3] = Rule(rules[3].lhs, rhs)
+        del x23[G["(13)"]]
+    rules[3] = Rule(rules[3].lhs, {(X23,): x23})
     return rules
 
 
@@ -132,7 +130,8 @@ class TestRuleSystem:
         # sigma(x13 x23); the system would still give 12 irreducible
         # words and 23 ambiguities, but not a presentation over k^{S3}
         rules = sym_rules().rules
-        rules[3] = Rule(rules[3].lhs, {**rules[3].rhs, ((), G["e"]): 1})
+        rules[3] = Rule(rules[3].lhs,
+                        {**rules[3].words, (): Tails({G["e"]: 1})})
         with pytest.raises(ValueError, match="changes sigma"):
             RuleSystem(rules)
 
@@ -214,14 +213,21 @@ class TestRuleSystem:
         assert all(type(c) is int for r in big.rules for c in r.rhs.values())
         # the perturbed control keeps its perturbation, scaled by D^2
         first, *rest = rules.rules
-        key = next(iter(first.rhs))
-        bumped = RuleSystem([Rule(first.lhs, {**first.rhs,
-                                              key: first.rhs[key] + 1})]
-                            + rest)
+        square = Tails(first.words[()])
+        h = next(iter(square))
+        square[h] += 1
+        bumped = RuleSystem([Rule(first.lhs, {(): square})] + rest)
+        key = ((), h)
         assert rescaled(bumped).rules[0].rhs[key] == \
             big.rules[0].rhs[key] + 36
-        # an integer point needs no rescale
-        assert rescaled(default_rules(2, -3)).scale.base == 1
+        # D is the least that clears the weight-2 denominators; an integer
+        # point needs no rescale
+        for a, base in (((Fraction(1, 6), Fraction(5, 4)), 12),
+                        ((0, Fraction(7, 10)), 10), ((2, -3), 1)):
+            got = rescaled(default_rules(*a))
+            assert got.scale.base == base
+            assert got.word_rules == default_rules(
+                *(base ** 2 * x for x in a)).word_rules
         # the table of the rescaled rules is all ints: a sweep packs
         # nothing and runs on the table itself, named by the rules' scale
         table = structure_constants(big)
@@ -510,10 +516,9 @@ class TestAmbiguities:
         broken = []
         for r in rules.rules:
             if r.lhs == (X23, X12, X13):
-                rhs = dict(r.rhs)
-                k = ((X12,), G["(13)"])
-                rhs[k] = -rhs[k]
-                broken.append(Rule(r.lhs, rhs))
+                omega = Tails(r.words[X12,])
+                omega[G["(13)"]] = -omega[G["(13)"]]
+                broken.append(Rule(r.lhs, {**r.words, (X12,): omega}))
             else:
                 broken.append(r)
         bad = RuleSystem(broken)
@@ -529,9 +534,15 @@ class TestAmbiguities:
         missed = []
         for i, r in enumerate(rules):
             for k in r.rhs:
-                rhs = dict(r.rhs)
-                rhs[k] += 1
-                bad = RuleSystem(rules[:i] + [Rule(r.lhs, rhs)] + rules[i + 1:])
+                # the coefficient of the word, with 1 added at the tail
+                w, h = k
+                c = r.words[w]
+                tails = Tails(c) if type(c) is Tails else Tails.fromkeys(S3, c)
+                tails[h] += 1
+                if not tails[h]:
+                    del tails[h]
+                rule = Rule(r.lhs, {**r.words, w: tails})
+                bad = RuleSystem(rules[:i] + [rule] + rules[i + 1:])
                 ambs = overlap_ambiguities(bad)
                 assert len(ambs) == 23
                 if all(resolve_ambiguity(a, bad)[0] for a in ambs):
@@ -565,7 +576,7 @@ class TestS4Ambiguities:
         rules = list(s4_done.rules)
         r = rules[3]
         assert r.lhs == (parse_perm("(23)", 4), parse_perm("(12)", 4))
-        rules[3] = Rule(r.lhs, {k: -c for k, c in r.rhs.items()})
+        rules[3] = Rule(r.lhs, {w: -c for w, c in r.words.items()})
         assert _resolved(RuleSystem(rules)) == (96, 108)
 
 
@@ -615,13 +626,13 @@ class TestScalarPath:
             {((X23,), G["(13)"]): 2} if break_tail == "changed" else {})
 
     def test_uniform_rules_expand_on_demand(self, s4_done):
-        # rhs expands a uniform rule's words over S4, which compile back
-        # to them; completion leaves the S4 coefficients as ints
+        # rhs expands a uniform rule's words over S4, and the system rewrites
+        # by the words themselves; completion leaves the S4 coefficients
+        # as ints
         group = s4_done.group
         for r in s4_done.rules:
             assert r.rhs == rewrite._full_tail(*r.words.items(), group=group)
-            assert rewrite._compile(r.rhs, group) == r.words == \
-                s4_done.word_rules[r.lhs]
+            assert r.words == s4_done.word_rules[r.lhs]
             assert all(type(c) is int for c in r.words.values())
 
 
