@@ -170,7 +170,8 @@ def _suite_hopf(args) -> list:
             ("hopf.ideal", verify_hopf_ideal, ("elements", "stats")),
             ("hopf.c_identity", c_identity, ("values", "comult_shapes")),
             ("hopf.coradical", coradical_certificate, ("conclusion",)),
-            ("hopf.graded", gr_check, ("products",))):
+            ("hopf.graded", lambda H: gr_check(H, structure_constants(
+                default_rules(0, 0, fuel=args.fuel))), ("products",))):
         t0 = time.perf_counter()
         rep = check(H)
         out.append(_report(name, rep["ok"], {k: rep[k] for k in keys},

@@ -11,8 +11,8 @@ package, so scaling and tensoring zero-free vectors needs no pruning.
 Row reduction only ever divides by invertible scalars.  Over polynomial
 scalars that means nonzero constants: if elimination would require
 inverting a nonconstant polynomial, :class:`NeedsSpecialization` is
-raised instead of guessing.  The rank of an int matrix is found
-fraction-free, by exact integer divisions only.
+raised instead of guessing.  A rank sums those of the support's
+components, each found fraction-free, by exact divisions, on ints.
 """
 
 from __future__ import annotations
@@ -101,12 +101,25 @@ def rref(rows):
 
 
 def rank(rows) -> int:
-    """The rank, exact: fraction-free on an int matrix (_int_rank), by
-    rref in every other scalar domain."""
-    rows = [list(r) for r in rows]
-    if all(type(x) is int for r in rows for x in r):
-        return _int_rank(rows)
-    return len(rref(rows)[0])
+    """The rank, exact: the sum over the blocks of _components, each
+    fraction-free on ints (_int_rank), by rref in every other domain."""
+    blocks = _components([list(r) for r in rows])
+    return sum(_int_rank(b) if all(type(x) is int for r in b for x in r)
+               else len(rref(b)[0]) for b in blocks)
+
+
+def _components(rows: list) -> list:
+    """The connected components of the support, rows joined through a
+    shared nonzero column, each as the block of its rows and columns."""
+    owner: dict = {}            # column -> its component, [rows, columns]
+    for i, row in enumerate(rows):
+        part = [[i], {j for j, x in enumerate(row) if x}]
+        met = {id(owner[j]): owner[j] for j in part[1] if j in owner}
+        for other in met.values():
+            part[0], part[1] = part[0] + other[0], part[1] | other[1]
+        owner.update(dict.fromkeys(part[1], part))
+    return [[[rows[i][j] for j in sorted(cols)] for i in sorted(members)]
+            for members, cols in {id(p): p for p in owner.values()}.values()]
 
 
 def _int_rank(rows: list) -> int:

@@ -109,6 +109,12 @@ def _unit(n: int) -> Tails:
     return Tails.fromkeys(symmetric_group(n), 1)
 
 
+def _scalar(c, order: int):
+    """The one value of a Tails that holds it under all order tails, else c."""
+    values = list(c.values()) if type(c) is Tails else []
+    return values[0] if values and values.count(values[0]) == order else c
+
+
 def _slice(x: dict, g: Perm) -> dict:
     """The g-slice {(w, g): f(g)} of a word vector {w: f}, f a Tails or a
     scalar, the same value under every tail."""
@@ -157,12 +163,14 @@ def smash_mult(x: dict, y: dict, rules=None) -> dict:
 class Rule:
     """lhs -> rhs, held as words {w: coeff}: coeff is a scalar when the
     term has one value under every tail of S_n, otherwise a zero-free
-    Tails.  rhs reads them back, expanded over S_n."""
+    Tails.  A Tails given with one value under every tail is stored as
+    that scalar.  rhs reads them back, expanded over S_n."""
     __slots__ = ("lhs", "words")
 
     def __init__(self, lhs, words: dict):
         self.lhs = tuple(lhs)
-        self.words = {w: c for w, c in words.items() if c}
+        order = len(_unit(self.lhs[0].n))
+        self.words = {w: _scalar(c, order) for w, c in words.items() if c}
 
     @property
     def rhs(self) -> dict:
@@ -509,9 +517,13 @@ class MultTable:
         # rows[i][k] = e_i e_k as {index: coeff}; w1 dg1 * w2 dg2 is zero
         # unless g2 = sigma(w2) g1, and then it is the g2-slice of the
         # normal form of w1 w2, whose words must lie in the basis with
-        # sigma(w1 w2)
+        # sigma(w1 w2); (w, g) is at at[w] + code[g], and after[s] holds
+        # (code[s g], s g) for each g, in the group's order
         reductions, steps = rules.reductions, rules.rewrite_steps
         self.rows = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
+        at = {w: pos * len(code) for pos, w in enumerate(self.words)}
+        after = {s: [(code[s * g], s * g) for g in code]
+                 for s in set(self._word_sigma.values())}
         for w1 in self.words:
             for w2 in self.words:
                 s2 = self._word_sigma[w2]
@@ -520,14 +532,14 @@ class MultTable:
                 for w in nf:
                     if self._word_sigma.get(w) != s12:
                         raise ValueError(f"normal form leaves the basis: {w}")
-                for g1 in rules.group:
-                    g2 = s2 * g1
-                    row = self.rows[self.index[(w1, g1)]][self.index[(w2, g2)]]
-                    for w, c in nf.items():
+                terms = [(at[w], c) for w, c in nf.items()]
+                for p1, (p2, g2) in enumerate(after[s2]):
+                    row = self.rows[at[w1] + p1][at[w2] + p2]
+                    for base, c in terms:
                         if type(c) is not Tails:
-                            row[self.index[(w, g2)]] = c
+                            row[base + p2] = c
                         elif g2 in c:
-                            row[self.index[(w, g2)]] = c[g2]
+                            row[base + p2] = c[g2]
         # what the build spent: word normal forms asked for, rewrites
         self.stats = {"reductions": rules.reductions - reductions,
                       "rewrite_steps": rules.rewrite_steps - steps}

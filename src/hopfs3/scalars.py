@@ -404,13 +404,14 @@ def _is_int(x) -> bool:
 
 
 class Cyclotomic3:
-    """p + q*w with w a primitive cube root of unity: w**2 = -1 - w."""
+    """p + q*w with w a primitive cube root of unity: w**2 = -1 - w; a
+    part given as a Fraction is kept, not rebuilt."""
 
     __slots__ = ("p", "q")
 
     def __init__(self, p, q=0):
-        self.p = Fraction(p)
-        self.q = Fraction(q)
+        self.p = p if type(p) is Fraction else Fraction(p)
+        self.q = q if type(q) is Fraction else Fraction(q)
 
     def _coerce(self, other) -> "Cyclotomic3":
         if isinstance(other, Cyclotomic3):

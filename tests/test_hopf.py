@@ -3,6 +3,7 @@ Hopf-ideal property, filtration lemmas, and the coradical."""
 
 import collections
 import copy
+import functools
 import hashlib
 import importlib.util
 import itertools
@@ -23,10 +24,10 @@ from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build,
                            dump_tables, gr_check, lemma31_suite,
                            verify_hopf_axioms, verify_hopf_ideal)
 from hopfs3.linalg import add_into, vec_add, vec_scale, vec_tensor
-from hopfs3.hopf72 import Hopf72, Joined
+from hopfs3.hopf72 import Hopf72, Joined, adjoint_grading_failures
 from hopfs3.rewrite import (S3, X12, X13, X23, Rule, RuleSystem, Tails,
                             _full_tail, check_associativity, default_rules,
-                            structure_constants)
+                            sigma, structure_constants)
 from hopfs3.scalars import Kronecker, MultiPoly, ScalarKindError
 
 A1, A2 = MultiPoly.gens("a1", "a2")
@@ -583,6 +584,66 @@ class TestAxiomsAgainstNaiveLoop:
         assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
 
 
+def naive_adjoint_failures(H, tags: dict, right: bool = False) -> list:
+    """The adjoint gradings by the plain formula: the image of e_i under
+    ad delta_h is sum H.mult(H.mult(a, e_i), b) over the legs (a, b) of
+    Delta(delta_h), (e_p, S(e_q)), or (S(e_p), e_q) on the right."""
+    out = []
+    for i, tag in tags.items():
+        for h in H.group:
+            legs = [(H.S({p: c}), {q: 1}) if right else ({p: c}, H.S({q: 1}))
+                    for (p, q), c in H.delta(H.delta_elt(h)).items()]
+            img = functools.reduce(vec_add, (H.mult(H.mult(a, {i: 1}), b)
+                                             for a, b in legs), {})
+            if img != ({i: 1} if h == tag else {}):
+                out.append((i, h, img))
+    return out
+
+
+def negated_commutation_row():
+    """The algebra at (1/3, -1/2) with d(12) x13 d(123) negated: one
+    delta_h x_t product, a control both adjoint gradings must reject."""
+    H = build(*POINT)
+    i = H.index[((), G["(12)"])]
+    k = H.index[((X13,), X13 * G["(12)"])]
+    H.table.rows[i][k] = {l: -c for l, c in H.table.rows[i][k].items()}
+    return H
+
+
+class TestAdjointGradingsAgainstNaive:
+    """adjoint_grading_failures, which sums each image from the table's
+    rows, against naive_adjoint_failures: left on F_1, right on all 72."""
+
+    def assert_matches_naive(self, alg) -> tuple:
+        n = alg.table.grading
+        left = {i: sigma(w).inv() for i, (w, _g) in enumerate(alg.labels)
+                if n[i] <= 1}
+        right = {i: g.inv() * sigma(w) * g
+                 for i, (w, g) in enumerate(alg.labels)}
+        got = (adjoint_grading_failures(alg, left),
+               adjoint_grading_failures(alg, right, right=True))
+        assert got == (naive_adjoint_failures(alg, left),
+                       naive_adjoint_failures(alg, right, right=True))
+        return got
+
+    def test_symbolic(self, H):
+        assert self.assert_matches_naive(H) == ([], [])
+
+    def test_at_point(self):
+        assert self.assert_matches_naive(build(*POINT)) == ([], [])
+
+    def test_added_row_term(self, extra_row_term):
+        left, right = self.assert_matches_naive(extra_row_term)
+        assert [f[:2] for f in left] == [(1, G["e"]), (1, G["(23)"])]
+        assert [f[:2] for f in right] == [(1, G["e"]), (1, G["(23)"])]
+
+    def test_negated_commutation_row(self):
+        # e_15 = x13 d(123), whose image under its own delta_h is -e_15
+        left, right = self.assert_matches_naive(negated_commutation_row())
+        assert left == [(15, G["(13)"], {15: -1})]
+        assert right == [(15, G["(23)"], {15: -1})]
+
+
 class TestRescaledAlgebra:
     """At a rational point the CLI rescales the rules once and builds
     A_[a] as A_[D^2 a], on ints; the library's algebra on Fraction tables
@@ -879,20 +940,15 @@ class TestControls:
         assert coradical_certificate(H)["failures"] == [
             ("F0-decomposition", "span")]
 
-    def test_graded_rejects_an_ungraded_reference(self, monkeypatch):
+    def test_graded_rejects_an_ungraded_reference(self):
         # the reference rules of gr_check with x12x13x12 -> x13x12x13 + x23,
         # whose table is not graded
-        import hopfs3.hopf72
-
-        def ungraded(a1, a2):
-            rules = default_rules(a1, a2).rules
-            assert rules[5].lhs == (X12, X13, X12)
-            rules[5] = Rule(rules[5].lhs, {**rules[5].words, (X23,): 1})
-            return RuleSystem(rules)
-
+        rules = default_rules(0, 0).rules
+        assert rules[5].lhs == (X12, X13, X12)
+        rules[5] = Rule(rules[5].lhs, {**rules[5].words, (X23,): 1})
+        ungraded = structure_constants(RuleSystem(rules))
         H = build(*POINT)
-        monkeypatch.setattr(hopfs3.hopf72, "default_rules", ungraded)
-        failures = gr_check(H)["failures"]
+        failures = gr_check(H, ungraded)["failures"]
         assert ("graded0", (X12, X13), (X12,), "(23)") in failures
         assert {f[0] for f in failures} == {"graded0"}
 

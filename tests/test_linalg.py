@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from hopfs3.linalg import (add_into, linear, rank, rref, span_equal, vec_add,
-                           vec_scale, vec_tensor)
+from hopfs3.linalg import (_components, add_into, linear, rank, rref,
+                           span_equal, vec_add, vec_scale, vec_tensor)
 from hopfs3.scalars import MultiPoly, OMEGA, NeedsSpecialization
 
 A1, A2 = MultiPoly.gens("a1", "a2")
@@ -114,3 +114,58 @@ def test_int_rank_leaves_its_input():
     rows = [[2, 4], [1, 2]]
     assert rank(rows) == 1
     assert rows == [[2, 4], [1, 2]]
+
+
+def block_diagonal(rng: random.Random, blocks: int) -> list:
+    """Seeded int blocks on the diagonal, with zero rows added and the
+    rows and columns shuffled."""
+    parts = [seeded_int_matrix(rng) for _ in range(blocks)]
+    width = sum(len(b[0]) for b in parts)
+    rows, col = [], 0
+    for b in parts:
+        rows += [[0] * col + r + [0] * (width - col - len(r)) for r in b]
+        col += len(b[0])
+    rows += [[0] * width for _ in range(rng.randint(0, 2))]
+    rng.shuffle(rows)
+    cols = list(range(width))
+    rng.shuffle(cols)
+    return [[r[j] for j in cols] for r in rows]
+
+
+def test_component_rank_matches_rref():
+    # the rank summed over the support's components against rref's of
+    # the whole matrix, on 200 seeded block-diagonal matrices, as ints and
+    # as Fractions with seeded denominators
+    rng = random.Random(2027)
+    split = 0
+    for _ in range(200):
+        rows = block_diagonal(rng, rng.randint(1, 3))
+        split += len(_components(rows)) > 1
+        assert rank(rows) == len(rref(rows)[0]), rows
+        fractions = [[Fraction(c, rng.randint(1, 7)) for c in r]
+                     for r in rows]
+        assert rank(fractions) == len(rref(fractions)[0]), fractions
+    assert split > 100
+
+
+def test_components_of_the_support():
+    # rows meet through a shared nonzero column, also through a later row;
+    # zero rows and zero columns lie in no block
+    rows = [[1, 0, 0, 2], [0, 0, 0, 0], [0, 3, 0, 0], [0, 0, 0, 4],
+            [5, 0, 0, 0]]
+    assert sorted(_components(rows)) == [[[1, 2], [0, 4], [5, 0]], [[3]]]
+    chained = [[1, 0, 0], [0, 2, 0], [0, 0, 3], [4, 5, 6]]
+    assert _components(chained) == [chained]
+    assert _components([[0, 0], [0, 0]]) == [] and rank([[0, 0]]) == 0
+    single = [[1, 2], [3, 4]]
+    assert _components(single) == [single] and rank(single) == 2
+
+
+def test_rank_needs_specialization_in_its_own_component():
+    # a nonconstant entry alone in its component cannot pivot, whatever
+    # the other components hold; beside a constant pivot it need not
+    with pytest.raises(NeedsSpecialization):
+        rank([[1, 1, 0], [1, 2, 0], [0, 0, A1]])
+    with pytest.raises(NeedsSpecialization):
+        rank([[2, 0], [0, A1 + 1]])
+    assert rank([[1, A1, 0], [0, 1, 0], [0, 0, 3]]) == 3

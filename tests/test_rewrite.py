@@ -614,6 +614,24 @@ class TestScalarPath:
             type(c) is Tails for nf in scalars._normal_forms.values()
             for c in nf.values())
 
+    def test_constant_tails_is_read_as_a_scalar(self):
+        # a Tails with one value under every tail is that scalar, so the
+        # system reduces on scalars and its normal forms are those of the
+        # scalar rule; a Tails with two values stays a Tails
+        given = RuleSystem([Rule((X12, X12), {(): Tails.fromkeys(S3, 1)})])
+        scalar = RuleSystem([Rule((X12, X12), {(): 1})])
+        assert given.one == 1 and given.word_rules == scalar.word_rules
+        words = layer = [()]
+        for _ in range(5):
+            layer = [w + (t,) for w in layer for t in GENERATORS]
+            words = words + layer
+        for w in words:
+            assert given.normal_form(w) == scalar.normal_form(w)
+        assert given.normal_form((X12, X12, X12)) == {(X12,): 1}
+        two = Tails({**Tails.fromkeys(S3, 1), G["e"]: 2})
+        rules = RuleSystem([Rule((X12, X12), {(): two})])
+        assert rules.one is rules.group
+
     @pytest.mark.parametrize("break_tail", ["changed", "missing"])
     def test_one_broken_tail_stays_on_tails(self, break_tail):
         rules = RuleSystem(broken_coxeter_rules(break_tail))
