@@ -40,17 +40,24 @@ def act(a, gamma):
 def _proportional(u, v) -> bool:
     """v = lambda u for some nonzero lambda (field algebraically closed,
     so any nonzero ratio is admissible)."""
-    return ([x == 0 for x in u] == [x == 0 for x in v]
-            and u[0] * v[1] == u[1] * v[0])
+    zeros_u = tuple(x == 0 for x in u)
+    zeros_v = tuple(x == 0 for x in v)
+    if zeros_u != zeros_v:
+        return False
+    return u[0] * v[1] == u[1] * v[0]
 
 
 def orbit_eq(a, b) -> bool:
     a = (Fraction(a[0]), Fraction(a[1]))
     b = (Fraction(b[0]), Fraction(b[1]))
-    if a == (0, 0) or b == (0, 0):
-        return a == b
-    return any(_proportional(act(a, (Fraction(1), theta)), b)
-               for theta in symmetric_group(3))
+    a_zero = a == (0, 0)
+    b_zero = b == (0, 0)
+    if a_zero or b_zero:
+        return a_zero and b_zero
+    for theta in symmetric_group(3):
+        if _proportional(act(a, (Fraction(1), theta)), b):
+            return True
+    return False
 
 
 def canonical_rep(a):
@@ -59,9 +66,12 @@ def canonical_rep(a):
     a = (Fraction(a[0]), Fraction(a[1]))
     if a == (0, 0):
         return (Fraction(0), Fraction(0))
-    images = [act(a, (Fraction(1), theta)) for theta in symmetric_group(3)]
-    return min((u[0] / (u[0] or u[1]), u[1] / (u[0] or u[1]))
-               for u in images)
+    candidates = []
+    for theta in symmetric_group(3):
+        u = act(a, (Fraction(1), theta))
+        lead = u[0] if u[0] else u[1]
+        candidates.append((u[0] / lead, u[1] / lead))
+    return min(candidates)
 
 
 def parse_pair(text: str):

@@ -27,9 +27,12 @@ def matrix_coefficients(irrep) -> dict:
 
 def dual_basis_e(fs: dict) -> dict:
     """e_ij = S(f_ji) on k^G (S(delta_g) = delta_{g^-1}; involutive here)."""
+    out = {}
     d = max(i for i, _ in fs)
-    return {(i, j): {g.inv(): c for g, c in fs[(j, i)].items()}
-            for i in range(1, d + 1) for j in range(1, d + 1)}
+    for i in range(1, d + 1):
+        for j in range(1, d + 1):
+            out[(i, j)] = {g.inv(): c for g, c in fs[(j, i)].items()}
+    return out
 
 
 # the dual basis e_ij of the standard-representation coefficients

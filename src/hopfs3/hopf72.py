@@ -50,11 +50,7 @@ class Hopf72:
                             for t in V.labels}
         self._gen_antipode = {t: self._antipode_generator(V.coaction[t])
                               for t in V.labels}
-        # the generators' Delta, joined on their legs' rows compiled once
-        gens = self._gen_comult
-        rows = [self._compiled({pq[s] for d in gens.values() for pq in d}, k)
-                for s, k in ((0, self.dim), (1, 1))]
-        memo = {t: self.joined(d, rows) for t, d in gens.items()}
+        memo: dict = {}
         self.comult = [self.word_comult(w, g, memo) for (w, g) in self.labels]
         self.antipode = [self.word_antipode(w, g) for (w, g) in self.labels]
         self.stats = {"tensor_mults": _products(memo)}
@@ -182,13 +178,19 @@ class Hopf72:
         """Delta(w delta_g) = Delta(x_t1) Delta(x_t2 ... x_tn delta_g) in
         A (x) A, for any word w = x_t1 ... x_tn, reduced or not.  memo, for
         one build or verify_hopf_ideal run, keeps Delta(v delta_g) of each
-        suffix v under (v, g), and Delta(x_t), joined, under t."""
+        suffix v under (v, g), and Delta(x_t) of every generator under t,
+        all joined at once, on their legs' rows compiled once."""
         if not w:
             return {(self.index[((), t)], self.index[((), t.inv() * g)]): 1
                     for t in self.group}
         if (w, g) not in memo:
             if w[0] not in memo:
-                memo[w[0]] = self.joined(self._gen_comult[w[0]])
+                gens = self._gen_comult
+                rows = [self._compiled({pq[s] for d in gens.values()
+                                        for pq in d}, k)
+                        for s, k in ((0, self.dim), (1, 1))]
+                memo.update((t, self.joined(d, rows))
+                            for t, d in gens.items())
             memo[w, g] = self.tensor_mult(memo[w[0]],
                                           self.word_comult(w[1:], g, memo))
         return memo[w, g]
@@ -616,15 +618,13 @@ def coradical_certificate(H: Hopf72) -> dict:
                           "bound, all of F_0 by cosemisimplicity)"}
 
 
-def gr_check(H: Hopf72, reference: MultTable = None) -> dict:
+def gr_check(H: Hopf72, reference: MultTable) -> dict:
     """The associated graded algebra of the length filtration equals the
     parameter-free algebra: the top-length part of every product e_i e_k
-    (length |w_i| + |w_k|) is e_i e_k in the reference table, by default
-    that of default_rules(0, 0), which must be graded."""
+    (length |w_i| + |w_k|) is e_i e_k in reference, the table of
+    default_rules(0, 0), which must be graded."""
     table = H.table
-    table0 = (structure_constants(default_rules(0, 0)) if reference is None
-              else reference)
-    if table0.labels != table.labels:
+    if reference.labels != table.labels:
         return {"products": 0, "failures": [("labels",)], "ok": False}
     n = table.grading
     failures = []
@@ -633,7 +633,7 @@ def gr_check(H: Hopf72, reference: MultTable = None) -> dict:
     for i, k in pairs:
         (w1, _g1), (w2, h) = table.labels[i], table.labels[k]
         top = n[i] + n[k]
-        row0 = table0.rows[i][k]
+        row0 = reference.rows[i][k]
         if any(n[l] != top for l in row0):
             failures.append(("graded0", w1, w2, str(h)))
         if ({l: c for l, c in table.rows[i][k].items() if n[l] == top}

@@ -106,7 +106,10 @@ def induce(g: Perm, irrep, elems) -> YDModule:
     if sorted(irrep.elems) != C:
         raise YDError("irrep is not over the centralizer of g")
     reps = coset_representatives(elems, C)
-    rep_of = {hj * s: hj for hj in reps for s in C}
+    rep_of = {}
+    for hj in reps:
+        for s in C:
+            rep_of[hj * s] = hj
     labels = [(hj, i) for hj in reps for i in range(irrep.dim)]
     dual_degree = {(hj, i): conjugate(g, hj).inv()
                    for hj in reps for i in range(irrep.dim)}
@@ -140,9 +143,14 @@ def simples_list(elems) -> list:
     elems = sorted(elems)
     if len(elems) != 6 or elems != symmetric_group(3):
         raise YDError("simples_list supports S3 only")
-    reps = {min(conjugacy_class(g, elems), key=str) for g in elems}
-    class_reps = sorted(reps, key=lambda g: (len(conjugacy_class(g, elems)),
-                                             str(g)))
+    seen = set()
+    class_reps = []
+    for g in sorted(elems, key=str):
+        cls = frozenset(conjugacy_class(g, elems))
+        if cls not in seen:
+            seen.add(cls)
+            class_reps.append(min(cls, key=str))
+    class_reps.sort(key=lambda g: (len(conjugacy_class(g, elems)), str(g)))
     out = []
     for g in class_reps:
         C = centralizer(g, elems)

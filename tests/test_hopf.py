@@ -798,7 +798,7 @@ class TestFiltration:
         assert "k^{S3}" in rep["conclusion"]
 
     def test_graded(self, H):
-        rep = gr_check(H)
+        rep = gr_check(H, structure_constants(default_rules(0, 0)))
         assert rep["ok"], rep["failures"][:5]
 
 
@@ -820,7 +820,8 @@ class TestControls:
         assert rules[3].lhs == (X13, X23)
         rules[3] = Rule((X13, X23), {**rules[3].words, (X23, X12): -2})
         H = Hopf72(*POINT, structure_constants(RuleSystem(rules)))
-        failures = gr_check(H)["failures"]
+        table0 = structure_constants(default_rules(0, 0))
+        failures = gr_check(H, table0)["failures"]
         assert len(failures) == 48
         assert {f[0] for f in failures} == {"top-part"}
         assert hashlib.sha256(repr(sorted(failures)).encode()).hexdigest() \
