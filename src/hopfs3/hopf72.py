@@ -50,10 +50,27 @@ class Hopf72:
                             for t in V.labels}
         self._gen_antipode = {t: self._antipode_generator(V.coaction[t])
                               for t in V.labels}
-        memo: dict = {}
-        self.comult = [self.word_comult(w, g, memo) for (w, g) in self.labels]
+        # Delta is built on its first read (comult), through one memo
+        self._comult, self._memo = None, {}
         self.antipode = [self.word_antipode(w, g) for (w, g) in self.labels]
-        self.stats = {"tensor_mults": _products(memo)}
+
+    @property
+    def comult(self) -> list:
+        """Delta(e_i) for each basis index i: as last set, else built."""
+        if self._comult is None:
+            self._comult = [self.word_comult(w, g, self._memo)
+                            for (w, g) in self.labels]
+        return self._comult
+
+    @comult.setter
+    def comult(self, value: list):
+        self._comult = value
+
+    @property
+    def stats(self) -> dict:
+        """The products on A (x) A that building Delta took."""
+        self.comult
+        return {"tensor_mults": _products(self._memo)}
 
     # -- element helpers -------------------------------------------------
 
@@ -74,7 +91,12 @@ class Hopf72:
         return self.table.mult(x, y)
 
     def delta(self, x: dict) -> dict:
-        return linear(self.comult.__getitem__, x)
+        """Delta(x); until comult is read or set, by word_comult on the
+        terms of x alone, with no product on A (x) A for x in F_0."""
+        if self._comult is None:
+            return linear(lambda l: self.word_comult(*self.labels[l],
+                                                     self._memo), x)
+        return linear(self._comult.__getitem__, x)
 
     def S(self, x: dict) -> dict:
         return linear(self.antipode.__getitem__, x)
@@ -86,6 +108,7 @@ class Hopf72:
         Delta(e_i) is Joined on every row of the table, compiled once."""
         out = copy.copy(self)
         out.table = self.table.packed(layout)
+        out.comult = self.comult
         if layout is not None:
             encode = encoder(layout)
             out.comult = [{pq: encode(c) for pq, c in d.items()}

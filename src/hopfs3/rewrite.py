@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .groups import Perm, identity, parse_perm, symmetric_group, transpositions
 from .linalg import add_into, linear, vec_add, vec_scale
-from .scalars import Cyclotomic3, Kronecker, Rescale, encoder
+from .scalars import Cyclotomic3, Kronecker, MultiPoly, Rescale, encoder
 
 FUEL_DEFAULT = 10 ** 6
 TRACE_TAIL = 50
@@ -584,37 +584,48 @@ def check_associativity(table: MultTable) -> dict:
     make both sides structurally zero are skipped, which is sound because
     every rule preserves sigma.
 
+    Each structurally nonzero pair (i, j) sums one difference on int
+    keys k * dim + m, for all followers k of j at once: (e_i e_j) e_k
+    from the flattened rows l of e_i e_j, e_i (e_j e_k) from the nonzero
+    e_j e_k only.  Failing k are read back in follower order.
+
     Polynomial structure constants are compared Kronecker-packed, each
-    side summing at most R^2 products of two constants, R the most terms
-    of a product of basis elements; other values are compared as they
-    are, exactly (ints at a point of the CLI, whose rules are rescaled
-    once: see rescaled).  Both sides are summed, over the rows'
-    items, into one difference, which vanishes exactly when the packed
-    sides are equal: the bounds are those of each side.  The report
-    names its scalars by sweep_scalars."""
-    most = max(len(e) for row in table.rows for e in row)
-    layout = Kronecker.fit((c for row in table.rows for e in row
-                            for c in e.values()),
-                           factors=2, summands=most * most)
+    key summing at most R^2 products of two constants a side, R the most
+    terms of a product of basis elements; other values are compared as
+    they are, exactly (ints at a point of the CLI, whose rules are
+    rescaled once: see rescaled), and then no packing is fitted.  The
+    difference vanishes exactly when the packed sides are equal: the
+    bounds are those of each side.  The report names its scalars by
+    sweep_scalars."""
+    rows = table.rows
+    values = [c for row in rows for e in row for c in e.values()]
+    layout = (Kronecker.fit(values, factors=2, summands=max(
+        len(e) for row in rows for e in row) ** 2)
+        if MultiPoly in map(type, values) else None)
     table = table.packed(layout)
-    items = [[tuple(e.items()) for e in row] for row in table.rows]
-    followers = [table.compatible_followers(i) for i in range(table.dim)]
+    dim, rows = table.dim, table.rows
+    nonzero = [[(k * dim, tuple(e.items())) for k, e in enumerate(row) if e]
+               for row in rows]
+    flat = [[(base + m, c) for base, e in row for m, c in e]
+            for row in nonzero]
+    followers = [table.compatible_followers(i) for i in range(dim)]
     failures = []
     checked = 0
-    for i, row_i in enumerate(items):
+    for i, row_i in enumerate(rows):
         for j in followers[i]:
-            for k in followers[j]:
-                diff: dict = {}
-                get = diff.get
-                for l, c in row_i[j]:
-                    for m, c2 in items[l][k]:
-                        diff[m] = get(m, 0) + c * c2
-                for l, c in items[j][k]:
-                    for m, c2 in row_i[l]:
-                        diff[m] = get(m, 0) - c * c2
-                checked += 1
-                if any(diff.values()):
-                    failures.append((i, j, k))
+            diff: dict = {}
+            get = diff.get
+            for l, c in row_i[j].items():
+                for key, c2 in flat[l]:
+                    diff[key] = get(key, 0) + c * c2
+            for base, e in nonzero[j]:
+                for l, c in e:
+                    for m, c2 in row_i[l].items():
+                        diff[base + m] = get(base + m, 0) - c * c2
+            checked += len(followers[j])
+            if any(diff.values()):
+                bad = {key // dim for key, c in diff.items() if c}
+                failures += [(i, j, k) for k in followers[j] if k in bad]
     return {"checked": checked, "failures": failures, "ok": not failures,
             "scalars": sweep_scalars(layout, table)}
 

@@ -262,6 +262,30 @@ class TestStructureMaps:
         # one product per Delta(x_t v delta_g), v a suffix of a basis word
         assert alg.stats == {"tensor_mults": 11 * 6}
 
+    def test_lemmas_build_no_delta(self, monkeypatch):
+        # the lemma suite and the adjoint gradings read Delta(delta_h)
+        # alone, which takes no product on A (x) A, so Delta is not built
+        H = build(*POINT)
+        calls = []
+        real = Hopf72.tensor_mult
+        monkeypatch.setattr(Hopf72, "tensor_mult",
+                            lambda *args: calls.append(1) or real(*args))
+        assert lemma31_suite(H)["ok"]
+        assert not adjoint_isotypics(H, 1)[1]
+        assert calls == [] and H._comult is None
+        assert H.stats == {"tensor_mults": 66} and len(calls) == 66
+
+    def test_generator_change_before_first_read_reaches_comult(self):
+        # Delta is built on its first read, so a change to Delta(x13) made
+        # after build and before that read is in every Delta holding x13
+        H, H1 = build(*POINT), build(*POINT)
+        gen = H1._gen_comult[X13]
+        key = next(iter(gen))
+        gen[key] = -gen[key]
+        changed = {w for (w, _g), d, e in zip(H.labels, H1.comult, H.comult)
+                   if d != e}
+        assert changed == {w for w in H.table.words if X13 in w}
+
     def test_wrong_sign_changes_every_word_with_x13(self, wrong_sign_point):
         # the control of conftest rebuilds Delta through word_comult, one
         # memo for the whole rebuild, made after the sign change; here the
@@ -896,7 +920,7 @@ class TestControls:
             ("right-adjoint", d, "e")]
 
     def test_structure_rejects_a_changed_commutation_row(self):
-        # d(12) x13 d(132) doubled: d(12) x13 != x13 d(13 . 12)
+        # d(12) x13 d(123) (basis 15) doubled: d(12) x13 != x13 d(13 . 12)
         H = build(*POINT)
         i = H.index[((), G["(12)"])]
         k = H.index[((X13,), X13 * G["(12)"])]

@@ -682,6 +682,72 @@ def _x13_x13_d12(table) -> tuple:
             table.index[((), G["(12)"])])
 
 
+def per_triple_associativity(table) -> tuple:
+    """(checked, failures) of the sweep check_associativity ran before it
+    fused the triples of a pair (i, j): one difference per triple
+    (i, j, k), on the same packing of polynomial constants."""
+    most = max(len(e) for row in table.rows for e in row)
+    layout = Kronecker.fit((c for row in table.rows for e in row
+                            for c in e.values()),
+                           factors=2, summands=most * most)
+    table = table.packed(layout)
+    items = [[tuple(e.items()) for e in row] for row in table.rows]
+    followers = [table.compatible_followers(i) for i in range(table.dim)]
+    failures = []
+    checked = 0
+    for i, row_i in enumerate(items):
+        for j in followers[i]:
+            for k in followers[j]:
+                diff: dict = {}
+                for l, c in row_i[j]:
+                    for m, c2 in items[l][k]:
+                        diff[m] = diff.get(m, 0) + c * c2
+                for l, c in items[j][k]:
+                    for m, c2 in row_i[l]:
+                        diff[m] = diff.get(m, 0) - c * c2
+                checked += 1
+                if any(diff.values()):
+                    failures.append((i, j, k))
+    return checked, failures
+
+
+def _perturbed_tables():
+    """(name, table) for each table the associativity tests perturb, and
+    one whose added terms break the structural-zero rule."""
+    sym = _perturbable(structure_constants(sym_rules()))
+    i, k, l = _x13_x13_d12(sym)
+    sym.rows[i][k][l] = A1 - A2 + A1 - 2 ** 8
+    yield "symbolic, at the packing's point", sym
+    for n, table in enumerate(_point_tables()):
+        i, k, l = _x13_x13_d12(table)
+        table.rows[i][k][l] += (table.rules.scale or Rescale(1)).encode(
+            Fraction(1, 7), 2)
+        yield f"x13 x13 d(12) + 1/7, table {n}", table
+    for n, table in enumerate(_point_tables()):
+        e = table.index[((), G["e"])]
+        table.rows[e][e][table.index[((X13,), G["e"])]] = Fraction(1, 7)
+        yield f"de de + x13 de / 7, table {n}", table
+    q_omega = _perturbable(structure_constants(
+        default_rules(OMEGA, Cyclotomic3(1, 2))))
+    i, k, l = _x13_x13_d12(q_omega)
+    q_omega.rows[i][k][l] += OMEGA
+    yield "Q(w), x13 x13 d(12) + w", q_omega
+    # terms at structurally zero products: de de gains d(12), whose tail
+    # is not that of de, d(12) de = d(12) and de x12 de = de; the fused
+    # difference of (i, j) then holds keys of k that are no followers
+    # of j, which must not be read
+    table = _point_tables()[1]
+    e, d12 = table.index[((), G["e"])], table.index[((), G["(12)"])]
+    x12 = table.index[((X12,), G["e"])]
+    assert d12 not in table.compatible_followers(e)
+    assert e not in table.compatible_followers(d12)
+    assert x12 not in table.compatible_followers(e)
+    table.rows[e][e][d12] = 1
+    table.rows[d12][e] = {d12: 1}
+    table.rows[e][x12] = {e: 1}
+    yield "structural zeros broken", table
+
+
 class TestMultTable:
     def test_dimension(self):
         table = structure_constants(sym_rules())
@@ -764,6 +830,17 @@ class TestMultTable:
             assert hashlib.sha256(
                 repr(rep["failures"]).encode()).hexdigest() == (
                 "b03a195fd130afa96562884a7841eda5609d8d28768d1946863f111c795bf300")
+
+    @pytest.mark.parametrize("name", [name for name, _ in
+                                      _perturbed_tables()])
+    def test_fused_sweep_equals_per_triple_loop(self, name):
+        # one difference per pair (i, j), over all followers k of j, finds
+        # the same failing triples, in the same order, as one per triple
+        table = dict(_perturbed_tables())[name]
+        checked, failures = per_triple_associativity(table)
+        rep = check_associativity(table)
+        assert checked == rep["checked"] == 72 * 12 * 12
+        assert failures and rep["failures"] == failures
 
     def test_associativity_over_q_omega(self):
         # no polynomial, so nothing is packed: the sweep runs on the
