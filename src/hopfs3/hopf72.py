@@ -15,6 +15,7 @@ elements of A (x) A are {(index, index): coeff} dicts.
 from __future__ import annotations
 
 import copy
+import functools
 from collections import namedtuple
 from itertools import chain
 from operator import countOf
@@ -50,21 +51,14 @@ class Hopf72:
                             for t in V.labels}
         self._gen_antipode = {t: self._antipode_generator(V.coaction[t])
                               for t in V.labels}
-        # Delta is built on its first read (comult), through one memo
-        self._comult, self._memo = None, {}
+        self._memo: dict = {}
         self.antipode = [self.word_antipode(w, g) for (w, g) in self.labels]
 
-    @property
+    @functools.cached_property
     def comult(self) -> list:
-        """Delta(e_i) for each basis index i: as last set, else built."""
-        if self._comult is None:
-            self._comult = [self.word_comult(w, g, self._memo)
-                            for (w, g) in self.labels]
-        return self._comult
-
-    @comult.setter
-    def comult(self, value: list):
-        self._comult = value
+        """Delta(e_i) for each basis index i, built on the first read
+        through one word_comult memo; a list assigned to it replaces it."""
+        return [self.word_comult(w, g, self._memo) for (w, g) in self.labels]
 
     @property
     def stats(self) -> dict:
@@ -93,10 +87,11 @@ class Hopf72:
     def delta(self, x: dict) -> dict:
         """Delta(x); until comult is read or set, by word_comult on the
         terms of x alone, with no product on A (x) A for x in F_0."""
-        if self._comult is None:
+        comult = vars(self).get("comult")
+        if comult is None:
             return linear(lambda l: self.word_comult(*self.labels[l],
                                                      self._memo), x)
-        return linear(self._comult.__getitem__, x)
+        return linear(comult.__getitem__, x)
 
     def S(self, x: dict) -> dict:
         return linear(self.antipode.__getitem__, x)

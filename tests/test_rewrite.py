@@ -748,6 +748,9 @@ def _perturbed_tables():
     yield "structural zeros broken", table
 
 
+PERTURBED_TABLES = dict(_perturbed_tables())
+
+
 class TestMultTable:
     def test_dimension(self):
         table = structure_constants(sym_rules())
@@ -831,12 +834,11 @@ class TestMultTable:
                 repr(rep["failures"]).encode()).hexdigest() == (
                 "b03a195fd130afa96562884a7841eda5609d8d28768d1946863f111c795bf300")
 
-    @pytest.mark.parametrize("name", [name for name, _ in
-                                      _perturbed_tables()])
+    @pytest.mark.parametrize("name", list(PERTURBED_TABLES))
     def test_fused_sweep_equals_per_triple_loop(self, name):
         # one difference per pair (i, j), over all followers k of j, finds
         # the same failing triples, in the same order, as one per triple
-        table = dict(_perturbed_tables())[name]
+        table = PERTURBED_TABLES[name]
         checked, failures = per_triple_associativity(table)
         rep = check_associativity(table)
         assert checked == rep["checked"] == 72 * 12 * 12
