@@ -90,8 +90,6 @@ def format_pair(a) -> str:
 def theta_morphism(mu, theta: Perm):
     """Generator images as a map on SmashElt: w delta_g goes to
     mu^len(w) (theta w theta^-1) delta_{theta g theta^-1}."""
-    if isinstance(theta, str):
-        theta = parse_perm(theta, 3)
 
     def apply(x: dict) -> dict:
         out: dict = {}

@@ -205,16 +205,13 @@ def _close_group(gen_mats: dict, elems) -> dict:
 
 
 def builtin_irreps(elems) -> list:
-    """Irreps for S3, Z2 (any order-2 subgroup), Z3 (cyclic of order 3)
-    and the trivial group, as permutation subgroups of some S_n."""
+    """Irreps for S3, Z2 (any order-2 subgroup) and Z3 (cyclic of order
+    3), as permutation subgroups of some S_n."""
     elems = sorted(elems)
     order = len(elems)
     e = next((g for g in elems if g.is_identity()), None)
     if e is None:
         raise GroupError("no identity element")
-
-    if order == 1:
-        return [Irrep("trivial", elems, {e: ((1,),)})]
 
     if order == 2:
         g = next(h for h in elems if h != e)

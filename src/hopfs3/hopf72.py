@@ -56,8 +56,10 @@ class Hopf72:
 
     @functools.cached_property
     def comult(self) -> list:
-        """Delta(e_i) for each basis index i, built on the first read
-        through one word_comult memo; a list assigned to it replaces it."""
+        """Delta(e_i) for each basis index i, built through one
+        word_comult memo on the first read of comult, delta, stats or
+        packed, and read by each of them; a list assigned to it replaces
+        it."""
         return [self.word_comult(w, g, self._memo) for (w, g) in self.labels]
 
     @property
@@ -85,13 +87,7 @@ class Hopf72:
         return self.table.mult(x, y)
 
     def delta(self, x: dict) -> dict:
-        """Delta(x); until comult is read or set, by word_comult on the
-        terms of x alone, with no product on A (x) A for x in F_0."""
-        comult = vars(self).get("comult")
-        if comult is None:
-            return linear(lambda l: self.word_comult(*self.labels[l],
-                                                     self._memo), x)
-        return linear(comult.__getitem__, x)
+        return linear(self.comult.__getitem__, x)
 
     def S(self, x: dict) -> dict:
         return linear(self.antipode.__getitem__, x)
@@ -316,7 +312,6 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     then through the rules' own scale, if they were rescaled.  The
     report names its scalars by sweep_scalars, as check_associativity."""
     layout = axiom_layout(H)
-    scale = H.table.rules.scale
     H = H.packed(layout)
     dim = H.dim
     flat = [tuple([(p * dim + q, c) for (p, q), c in d.items()])
@@ -368,8 +363,7 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
             "delta_terms": sum(map(len, H.comult)),
             "terms_compared": terms_compared,
             "scalars": sweep_scalars(layout, H.table),
-            "witness": witness and _format_witness(layout, scale,
-                                                 H.table.grading, *witness),
+            "witness": witness and _format_witness(layout, H.table, *witness),
             "failures": failures, "ok": not failures,
             "stats": {"pairs_joined": joined, "pairs_by_row": by_row}}
 
@@ -406,17 +400,16 @@ def _counital(flat: list, counit: list, i: int, dim: int) -> bool:
     return left == right == {i: 1}
 
 
-def _format_witness(layout, scale, grading, i: int, k: int,
+def _format_witness(layout, table: MultTable, i: int, k: int,
                     diff: dict) -> str:
     """The difference in the original coordinates: unpacked by the
-    layout, then decoded by the rules' scale, its coefficient at [p, q]
+    layout, then decoded by the table's rules, its coefficient at [p, q]
     at weight |w_i| + |w_k| - |w_p| - |w_q|."""
-    n = grading
+    n = table.grading
     if layout is not None:
         diff = {pq: layout.decode(c) for pq, c in diff.items()}
-    if scale is not None:
-        diff = {(p, q): scale.decode(c, n[i] + n[k] - n[p] - n[q])
-                for (p, q), c in diff.items()}
+    diff = {(p, q): table.rules.decode(c, n[i] + n[k] - n[p] - n[q])
+            for (p, q), c in diff.items()}
     terms = " + ".join(f"({c})*[{p},{q}]"
                        for (p, q), c in sorted(diff.items()))
     return f"Delta(e{i} e{k}) - Delta(e{i}) Delta(e{k}) = {terms}"
@@ -493,11 +486,13 @@ def adjoint_grading_failures(H: Hopf72, tags: dict, right: bool = False):
     """Every (i, h, image) over the basis indices i in tags where the
     adjoint action of delta_h, x -> sum y1 x S(y2) (x -> sum S(y1) x y2
     when right is set), is not [h == tags[i]] times the identity on e_i.
-    Each image sums c e_p e_i e_m, over the terms of its legs a (x) b,
-    from the table's rows into one dict, pruned of its zeros."""
+    Delta(delta_h) is the F_0 entry of word_comult, which takes no
+    product on A (x) A and leaves Delta unbuilt.  Each image sums
+    c e_p e_i e_m, over the terms of its legs a (x) b, from the table's
+    rows into one dict, pruned of its zeros."""
     rows, failures = H.table.rows, []
     legs = {h: [(p, ca * cb, m)
-                for (x, y), c in H.delta(H.delta_elt(h)).items()
+                for (x, y), c in H.word_comult((), h, {}).items()
                 for a, b in [(H.S({x: c}), {y: 1}) if right
                              else ({x: c}, H.S({y: 1}))]
                 for p, ca in a.items() for m, cb in b.items()]
@@ -665,13 +660,8 @@ def dump_tables(H: Hopf72) -> str:
     """Deterministic text dump of the three structure tables, in the
     basis of the unrescaled rules: a coefficient of the rules' scale
     is decoded at its weight."""
-    n = H.table.grading
-    scale = H.table.rules.scale
-
-    def value(c, weight):
-        return c if scale is None else scale.decode(c, weight)
-
     table = H.table
+    n, value = table.grading, table.rules.decode
     names = [format_smash({label: 1}) for label in table.labels]
     lines = [f"basis {i}: {name}" for i, name in enumerate(names)]
     # e_i e_k, each factor by its basis name, ordered by (w_i, w_k, g_k)

@@ -265,6 +265,11 @@ class RuleSystem:
     def reduce(self, x: dict) -> dict:
         return linear(lambda wg: self.reduce_term(*wg), x)
 
+    def decode(self, c, weight: int):
+        """c, a coefficient at weight (the word length its term lost to
+        rewriting), in the unrescaled basis: c when not rescaled."""
+        return c if self.scale is None else self.scale.decode(c, weight)
+
 
 def rescaled(rules: RuleSystem) -> RuleSystem:
     """The rule system, with rational coefficients, in the basis
@@ -484,10 +489,9 @@ def resolve_ambiguity(amb, rules: RuleSystem):
         rg = rules.reduce(_slice(right, g))
         if lg != rg:
             diff = vec_add(lg, vec_scale(-1, rg))
-            if rules.scale is not None:
-                diff = {(w, h): rules.scale.decode(c, len(word) - len(w))
-                        for (w, h), c in diff.items()}
-            trace.append((g, format_smash(diff)))
+            trace.append((g, format_smash({
+                (w, h): rules.decode(c, len(word) - len(w))
+                for (w, h), c in diff.items()})))
     return not trace, trace
 
 

@@ -105,6 +105,16 @@ class TestVerify:
         assert assoc["details"] == ["budget exceeded at table build"]
         assert reports["diamond.ambiguities"]["status"] == "pass"
 
+    def test_budget_exceeded_details_in_text(self, capsys):
+        # without --json, each detail of a failed check is printed on an
+        # indented line under the check's own line
+        argv = ["verify", "diamond", "--a1=1/3", "--a2=-1/2", "--budget-sec=0"]
+        assert main(argv) == 1
+        lines = capsys.readouterr().out.splitlines()
+        at = next(i for i, line in enumerate(lines)
+                  if line.startswith("[FAIL] diamond.associativity "))
+        assert lines[at + 1] == "        budget exceeded at table build"
+
     @pytest.mark.parametrize("scope", ["diamond", "hopf", "lemmas",
                                        "classify"])
     def test_fuel_exhaustion_fails(self, scope, capsys):

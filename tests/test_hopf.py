@@ -276,8 +276,9 @@ class TestStructureMaps:
         assert H.stats == {"tensor_mults": 66} and len(calls) == 66
 
     def test_generator_change_before_first_read_reaches_comult(self):
-        # Delta is built on its first read, so a change to Delta(x13) made
-        # after build and before that read is in every Delta holding x13
+        # Delta is built on the first read of comult, delta, stats or
+        # packed, so a change to Delta(x13) made after build and before
+        # any of them is in every Delta holding x13
         H, H1 = build(*POINT), build(*POINT)
         gen = H1._gen_comult[X13]
         key = next(iter(gen))
@@ -285,6 +286,23 @@ class TestStructureMaps:
         changed = {w for (w, _g), d, e in zip(H.labels, H1.comult, H.comult)
                    if d != e}
         assert changed == {w for w in H.table.words if X13 in w}
+
+    @pytest.mark.parametrize("reader", ["comult", "delta(de)", "delta(x13)",
+                                        "stats", "packed"])
+    def test_delta_is_fixed_at_its_first_read(self, reader):
+        # whichever reader comes first builds Delta, so a change to
+        # Delta(x13) made after it reaches no Delta(e_i)
+        H, H1 = build(*POINT), build(*POINT)
+        read = {"comult": lambda: H1.comult,
+                "delta(de)": lambda: H1.delta(H1.delta_elt(H1.e)),
+                "delta(x13)": lambda: H1.delta(H1.x_elt(X13)),
+                "stats": lambda: H1.stats,
+                "packed": lambda: H1.packed(None)}
+        read[reader]()
+        gen = H1._gen_comult[X13]
+        key = next(iter(gen))
+        gen[key] = -gen[key]
+        assert H1.comult == H.comult
 
     def test_wrong_sign_changes_every_word_with_x13(self, wrong_sign_point):
         # the control of conftest rebuilds Delta through word_comult, one
@@ -976,6 +994,24 @@ class TestControls:
         failures = gr_check(H, ungraded)["failures"]
         assert ("graded0", (X12, X13), (X12,), "(23)") in failures
         assert {f[0] for f in failures} == {"graded0"}
+
+    def test_graded_rejects_a_reference_with_reordered_labels(self):
+        reference = structure_constants(default_rules(0, 0))
+        reference.labels = reference.labels[::-1]
+        assert gr_check(build(*POINT), reference)["failures"] == [("labels",)]
+
+    def test_structure_rejects_a_length_two_word_in_f1(self):
+        # x12 x13 de graded as length 1 puts its piece (132) into supp F_1
+        H = build(*POINT)
+        H.table.grading[H.index[((X12, X13), G["e"])]] = 1
+        assert ("supp-F1", ["e", "(23)", "(12)", "(132)", "(13)"]) in \
+            lemma31_suite(H)["failures"]
+
+    def test_structure_rejects_delta_e_outside_f1(self):
+        # de graded as length 2 leaves F_1^e short of k^{S3}
+        H = build(*POINT)
+        H.table.grading[H.index[((), G["e"])]] = 2
+        assert lemma31_suite(H)["failures"] == [("F1e",)]
 
     def test_antipode_rank_open_when_length_rises(self):
         # S(delta_e) := delta_e + x12 de raises word length, so S is not

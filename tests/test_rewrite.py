@@ -135,6 +135,16 @@ class TestRuleSystem:
         with pytest.raises(ValueError, match="changes sigma"):
             RuleSystem(rules)
 
+    def test_rhs_word_longer_than_lhs_rejected(self):
+        with pytest.raises(ValueError, match="rhs word longer than lhs"):
+            RuleSystem([Rule((X13, X13), {(X12, X12, X12): 1})])
+
+    def test_reducible_same_length_rhs_word_rejected(self):
+        # x23 x12 -> x13 x13, with x13 x13 itself the lhs of a rule
+        with pytest.raises(ValueError, match="reducible same-length rhs word"):
+            RuleSystem([Rule((X13, X13), {(): 1}),
+                        Rule((X23, X12), {(X13, X13): 1})])
+
     def test_sigma_changed_after_acceptance_fails_table_build(self):
         # the same extra tail, put into the compiled rule 4 after
         # RuleSystem accepted it: the table build refuses the normal
@@ -939,6 +949,19 @@ class TestCompletion:
         assert (X12, X13, X12) not in lhss and (X13, X12, X13) not in lhss
         for _name, rel in rules.relations():
             assert done.reduce(rel) == {}
+
+    def test_inhomogeneous_overlap_beyond_maxdeg_raises(self):
+        # x_t^2 = 1 overlaps itself in x_t^3, of length 3 > maxdeg; the
+        # rules are not homogeneous, so the overlap cannot be skipped
+        rules = RuleSystem([uniform_rule((t, t), {(): 1}) for t in GENERATORS])
+        with pytest.raises(GrowthError, match="overlap exceeds maxdeg"):
+            complete(rules, maxdeg=2)
+
+    def test_homogeneous_overlaps_beyond_maxdeg_are_checked_at_the_end(self):
+        # the S4 system is homogeneous, so overlaps longer than 4 are
+        # skipped; the final check then finds irreducible words of length 4
+        with pytest.raises(GrowthError, match="still appearing at length 4"):
+            complete(s4_rules(), maxdeg=4)
 
     def test_lhss_holding_a_new_lead_leave_together(self, monkeypatch):
         # x23^2 = 1 and x23 x12^2 = 0 give the new rule x12^2 = 0, which
