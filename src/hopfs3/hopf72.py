@@ -66,7 +66,18 @@ class Hopf72:
     def stats(self) -> dict:
         """The products on A (x) A that building Delta took."""
         self.comult
-        return {"tensor_mults": _products(self._memo)}
+        return {"tensor_mults": len(self._memo)}
+
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        """Every row of the table compiled for the join: left legs scaled
+        by dim, right legs by 1; once per algebra, on first use."""
+        return self._compiled(self.dim), self._compiled(1)
+
+    @functools.cached_property
+    def _gen_joined(self) -> dict:
+        """Delta(x_t) of each generator, joined; fixed at first use."""
+        return {t: self.joined(d) for t, d in self._gen_comult.items()}
 
     # -- element helpers -------------------------------------------------
 
@@ -96,19 +107,18 @@ class Hopf72:
         """A copy whose product table, Delta and S hold layout-encoded
         coefficients, each distinct one encoded once, or its own when
         there is no layout (Kronecker.fit found nothing to pack); each
-        Delta(e_i) is Joined on every row of the table, compiled once."""
+        Delta(e_i) is Joined on the rows of the copy's own table."""
         out = copy.copy(self)
         out.table = self.table.packed(layout)
         out.comult = self.comult
         if layout is not None:
+            vars(out).pop("_rows", None)
             encode = encoder(layout)
             out.comult = [{pq: encode(c) for pq, c in d.items()}
                           for d in self.comult]
             out.antipode = [{l: encode(c) for l, c in a.items()}
                             for a in self.antipode]
-        every = range(self.dim)
-        rows = out._compiled(every, self.dim), out._compiled(every, 1)
-        out.comult = [out.joined(d, rows) for d in out.comult]
+        out.comult = [out.joined(d) for d in out.comult]
         return out
 
     # -- tensor square arithmetic ----------------------------------------
@@ -121,16 +131,14 @@ class Hopf72:
             out.setdefault(code[p] * order + code[q], []).append((p, q, c))
         return out
 
-    def _compiled(self, legs, scale: int) -> dict:
-        """{p: [e_p e_r as a tuple of (l * scale, c), for every r]}."""
-        return {p: [tuple([(l * scale, c) for l, c in e.items()]) if e
-                    else () for e in self.table.rows[p]] for p in legs}
+    def _compiled(self, scale: int) -> list:
+        """[e_p e_r as a tuple of (l * scale, c), for every r] for every p."""
+        return [[tuple([(l * scale, c) for l, c in e.items()]) if e else ()
+                 for e in row] for row in self.table.rows]
 
-    def joined(self, x: dict, rows=None) -> "Joined":
-        """x as a factor of tensor_mult; rows, its legs' compiled rows (left
-        scaled by dim, right by 1), default to those of its own legs only."""
-        left, right = rows or (self._compiled({p for p, _ in x}, self.dim),
-                               self._compiled({q for _, q in x}, 1))
+    def joined(self, x: dict) -> "Joined":
+        """x as a factor of tensor_mult, its legs on the compiled rows."""
+        left, right = self._rows
         out = Joined(x)
         tails = self.table.tails
         out.by_tails = {key: [(left[p], right[q], c) for p, q, c in terms]
@@ -192,20 +200,12 @@ class Hopf72:
         """Delta(w delta_g) = Delta(x_t1) Delta(x_t2 ... x_tn delta_g) in
         A (x) A, for any word w = x_t1 ... x_tn, reduced or not.  memo, for
         one build or verify_hopf_ideal run, keeps Delta(v delta_g) of each
-        suffix v under (v, g), and Delta(x_t) of every generator under t,
-        all joined at once, on their legs' rows compiled once."""
+        suffix v under (v, g); Delta(x_t) is the algebra's own, joined."""
         if not w:
             return {(self.index[((), t)], self.index[((), t.inv() * g)]): 1
                     for t in self.group}
         if (w, g) not in memo:
-            if w[0] not in memo:
-                gens = self._gen_comult
-                rows = [self._compiled({pq[s] for d in gens.values()
-                                        for pq in d}, k)
-                        for s, k in ((0, self.dim), (1, 1))]
-                memo.update((t, self.joined(d, rows))
-                            for t, d in gens.items())
-            memo[w, g] = self.tensor_mult(memo[w[0]],
+            memo[w, g] = self.tensor_mult(self._gen_joined[w[0]],
                                           self.word_comult(w[1:], g, memo))
         return memo[w, g]
 
@@ -222,11 +222,6 @@ class Joined(dict):
     """An A (x) A element grouped for tensor_mult by Hopf72.joined, by its
     legs' tails (with their rows) and tags.  Not to be changed after."""
     __slots__ = ("by_tails", "by_tags")
-
-
-def _products(memo: dict) -> int:
-    """The products on A (x) A a word_comult memo took: its (w, g) keys."""
-    return sum(type(key) is tuple for key in memo)
 
 
 def build(a1, a2, table: MultTable = None) -> Hopf72:
@@ -454,7 +449,7 @@ def verify_hopf_ideal(H: Hopf72) -> dict:
         if linear(lambda wg: H.word_antipode(*wg), r):
             failures.append((name, "antipode not in I"))
     return {"elements": len(elements), "failures": failures,
-            "ok": not failures, "stats": {"word_comults": _products(memo)}}
+            "ok": not failures, "stats": {"word_comults": len(memo)}}
 
 
 def c_identity(H: Hopf72) -> dict:

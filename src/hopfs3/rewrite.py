@@ -734,9 +734,9 @@ def complete(rules: RuleSystem, maxdeg: int, fuel: int = FUEL_DEFAULT):
         _n, _c, L1, L2, k = heapq.heappop(pairs)
         if L1 not in word_rules or L2 not in word_rules:
             continue
-        left = reduce({wi + L2[k:]: c for wi, c in word_rules[L1].items()})
-        right = reduce({L1[:len(L1) - k] + wi: c
-                        for wi, c in word_rules[L2].items()})
+        word = L1 + L2[k:]
+        left, right = (reduce(rewrite(word, word_rules, redexes, redex))
+                       for redex in ((0, L1), (len(L1) - k, L2)))
         insert(vec_add(left, vec_scale(-1, right)))
 
     # interreduce: later rules may have made earlier right-hand sides

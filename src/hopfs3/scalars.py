@@ -464,16 +464,17 @@ class Cyclotomic3:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.p, self.q))
+        # a rational hashes as itself, as it compares equal to it
+        return hash((self.p, self.q)) if self.q else hash(self.p)
 
     def __str__(self):
         if self.q == 0:
             return str(self.p)
-        if self.p == 0:
-            return f"{self.q}*w" if self.q != 1 else "w"
         sign = "+" if self.q > 0 else "-"
         qa = abs(self.q)
         wterm = "w" if qa == 1 else f"{qa}*w"
+        if self.p == 0:
+            return wterm if sign == "+" else f"-{wterm}"
         return f"{self.p} {sign} {wterm}"
 
     __repr__ = __str__

@@ -14,7 +14,7 @@ import pytest
 
 import hopfs3
 from hopfs3.cli import main
-from hopfs3.hopf72 import build
+from hopfs3.hopf72 import Hopf72, build
 from hopfs3.rewrite import format_smash
 from hopfs3.scalars import MultiPoly
 
@@ -253,6 +253,23 @@ class TestVerify:
                   for r in json.loads(capsys.readouterr().out)}
         assert counts["hopf.build"]["stats"] == {"tensor_mults": 66}
         assert counts["hopf.ideal"]["stats"] == {"word_comults": 108}
+
+    @pytest.mark.parametrize("params, compiles", [
+        ([], 2), (["--a1=1/3", "--a2=-1/2"], 1)])
+    def test_hopf_compiles_each_table_once(self, params, compiles, capsys,
+                                           monkeypatch):
+        # the rows of the join are compiled once per algebra: the built
+        # one, and at a symbolic point the Kronecker-packed copy of the
+        # Hopf-axiom sweep; a rational point packs nothing, so its copy
+        # shares the table and its rows.  The right-leg rows, compiled
+        # with scale 1, are counted
+        scales = []
+        real = Hopf72._compiled
+        monkeypatch.setattr(Hopf72, "_compiled", lambda self, *args:
+                            scales.append(args[-1]) or real(self, *args))
+        assert main(["verify", "hopf", "--json", *params]) == 0
+        capsys.readouterr()
+        assert scales.count(1) == compiles
 
     def test_isotypics_failure_is_reported(self, extra_row_term,
                                            monkeypatch, capsys):

@@ -54,6 +54,13 @@ class TestPerm:
         with pytest.raises(GroupError):
             Perm((1, 1, 3))
 
+    @pytest.mark.parametrize("text, message", [
+        ("12", "bad cycle notation"), ("(1 2", "bad cycle notation"),
+        ("(14)", "bad cycle '14' for n=3")])
+    def test_bad_cycle_notation(self, text, message):
+        with pytest.raises(GroupError, match=message):
+            parse_perm(text, 3)
+
     @pytest.mark.parametrize("elems", [S3, S4], ids=["S3", "S4"])
     def test_stored_products_match_images(self, elems):
         # twice, so the second pass reads every product from the store
@@ -162,6 +169,10 @@ class TestIrreps:
                    and r(transposition(3, 1, 2))[0][0] == -1)
         for g in S3:
             assert sgn(g)[0][0] == g.sign()
+
+    def test_trivial_group_is_unsupported(self):
+        with pytest.raises(GroupError, match="unsupported group of order 1"):
+            builtin_irreps([identity(3)])
 
     def test_z3_character_values(self):
         z3 = sorted([identity(3), parse_perm("(123)", 3), parse_perm("(132)", 3)])

@@ -259,8 +259,11 @@ class TestStructureMaps:
             for t in reversed(w):
                 expected = unjoined_product(alg, alg._gen_comult[t], expected)
             assert alg.comult[i] == expected, (w, g)
-        # one product per Delta(x_t v delta_g), v a suffix of a basis word
+        # one product per Delta(x_t v delta_g), v a suffix of a basis word,
+        # and the memo holds only these, under (v, g)
         assert alg.stats == {"tensor_mults": 11 * 6}
+        assert set(alg._memo) == {(w[k:], g) for (w, g) in alg.labels
+                                  for k in range(len(w))}
 
     def test_lemmas_build_no_delta(self, monkeypatch):
         # the lemma suite and the adjoint gradings read Delta(delta_h)
@@ -291,7 +294,8 @@ class TestStructureMaps:
                                         "stats", "packed"])
     def test_delta_is_fixed_at_its_first_read(self, reader):
         # whichever reader comes first builds Delta, so a change to
-        # Delta(x13) made after it reaches no Delta(e_i)
+        # Delta(x13) made after it reaches no Delta(e_i), nor the Delta of
+        # words that verify_hopf_ideal reads
         H, H1 = build(*POINT), build(*POINT)
         read = {"comult": lambda: H1.comult,
                 "delta(de)": lambda: H1.delta(H1.delta_elt(H1.e)),
@@ -303,6 +307,7 @@ class TestStructureMaps:
         key = next(iter(gen))
         gen[key] = -gen[key]
         assert H1.comult == H.comult
+        assert verify_hopf_ideal(H1)["ok"]
 
     def test_wrong_sign_changes_every_word_with_x13(self, wrong_sign_point):
         # the control of conftest rebuilds Delta through word_comult, one

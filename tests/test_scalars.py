@@ -139,6 +139,24 @@ class TestCyclotomic3:
         with pytest.raises(ScalarKindError):
             OMEGA + A1
 
+    def test_negative_power_inverts(self):
+        assert OMEGA ** -1 == OMEGA * OMEGA
+
+    @pytest.mark.parametrize("value", [2, Fraction(1, 2), 0])
+    def test_rational_hashes_as_itself(self, value):
+        # equal values hash equal: Cyclotomic3(c) == c, so it finds c's key
+        z = Cyclotomic3(value)
+        assert z == value and hash(z) == hash(value)
+        assert {value: "x"}.get(z) == "x" and len({z, value}) == 1
+
+    @pytest.mark.parametrize("pq, text", [
+        ((0, 1), "w"), ((0, 2), "2*w"), ((1, -1), "1 - w"),
+        ((Fraction(1, 2), 3), "1/2 + 3*w"), ((0, -1), "-w"), ((3, 0), "3"),
+        ((-2, Fraction(-1, 3)), "-2 - 1/3*w")])
+    def test_text(self, pq, text):
+        # a unit coefficient of w is dropped, as MultiPoly prints -a1
+        assert str(Cyclotomic3(*pq)) == text
+
 
 class TestHelpers:
     def test_field_invert_rationals(self):
@@ -192,6 +210,10 @@ class TestKronecker:
             layout.encode(A1 ** 3)          # a1-degree past K
         with pytest.raises(ScalarKindError):
             layout.encode(2 ** layout.bits * A2)
+        with pytest.raises(ScalarKindError, match=r"cannot pack \('b',\)"):
+            layout.encode(MultiPoly.gens("b")[0])
+        with pytest.raises(ScalarKindError, match="cannot pack a Cyclotomic3"):
+            layout.encode(OMEGA)
 
     def test_rational_values_need_no_layout(self):
         assert Kronecker.fit([1, -2, Fraction(1, 3)], 4, 100) is None
