@@ -23,7 +23,7 @@ from operator import countOf
 from .coalg import (matrix_coefficients, skew_primitive_closed_form,
                     skew_primitive_defect)
 from .groups import Perm, builtin_irreps, identity
-from .linalg import add_into, linear, rank, vec_add, vec_scale, vec_tensor
+from .linalg import add_into, linear, rank, vec_add, vec_tensor
 from .rewrite import (GENERATORS, MultTable, X12, X13, X23, _full_tail,
                       default_rules, format_smash, sigma, structure_constants,
                       sweep_scalars)
@@ -104,20 +104,26 @@ class Hopf72:
         return linear(self.antipode.__getitem__, x)
 
     def packed(self, layout) -> "Hopf72":
-        """A copy whose product table, Delta and S hold layout-encoded
-        coefficients, each distinct one encoded once, or its own when
-        there is no layout (Kronecker.fit found nothing to pack); each
-        Delta(e_i) is Joined on the rows of the copy's own table."""
+        """A copy whose product table, Delta and S, on the basis and the
+        generators, hold layout-encoded coefficients, each distinct one
+        encoded once, or its own when there is no layout (Kronecker.fit
+        found nothing to pack); each Delta(e_i) is Joined on the rows of
+        the copy's own table, and its word maps run on its own memo."""
         out = copy.copy(self)
         out.table = self.table.packed(layout)
         out.comult = self.comult
         if layout is not None:
             vars(out).pop("_rows", None)
+            vars(out).pop("_gen_joined", None)
+            out._memo = {}
             encode = encoder(layout)
-            out.comult = [{pq: encode(c) for pq, c in d.items()}
-                          for d in self.comult]
-            out.antipode = [{l: encode(c) for l, c in a.items()}
-                            for a in self.antipode]
+            out.comult, out.antipode = (
+                [{key: encode(c) for key, c in x.items()} for x in maps]
+                for maps in (self.comult, self.antipode))
+            out._gen_comult, out._gen_antipode = (
+                {t: {key: encode(c) for key, c in x.items()}
+                 for t, x in maps.items()}
+                for maps in (self._gen_comult, self._gen_antipode))
         out.comult = [out.joined(d) for d in out.comult]
         return out
 
@@ -248,7 +254,7 @@ def build_check(H: Hopf72) -> dict:
         ("antipode_unit", H.S(one) == one)) if not ok]
     failures += [("counit_mult", i, k) for i, row in enumerate(H.table.rows)
                  for k, e in enumerate(row)
-                 if counit(e) != H.counit[i] * H.counit[k]]
+                 if (counit(e) if e else 0) != H.counit[i] * H.counit[k]]
     return {"failures": failures, "ok": not failures}
 
 
@@ -256,8 +262,9 @@ def build_check(H: Hopf72) -> dict:
 
 def axiom_layout(H: Hopf72):
     """The layout of verify_hopf_axioms, fitted to the product table,
-    Delta, S and the constant 1 (unit, counit, basis vectors): a
-    Kronecker packing over Q[a1, a2], None at a rational point.
+    Delta, S and the constant 1 (unit, counit), each at its weight as
+    dump_tables decodes it: a Kronecker packing over Q[a1, a2], graded
+    when every value is (Kronecker.fit), None at a rational point.
 
     With D, R and A the most terms of a Delta(e_i), a product e_i e_k and
     an S(e_i): a product in Delta(e_i) Delta(e_k) has four factors, and
@@ -266,18 +273,22 @@ def axiom_layout(H: Hopf72):
     sums are tested for 0) and R D two-factor terms of -Delta(e_i e_k),
     within the bound of a difference of two accumulators of D^2 R^2
     summands; the antipode convolutions sum at most D A R products of
-    four factors (c, S, 1, row); coassociativity (D^2 summands) stays
+    three factors (c, S, row); coassociativity (D^2 summands) stays
     below both."""
-    rows = H.table.rows
+    rows, n = H.table.rows, H.table.grading
     most_d = max(map(len, H.comult))
     most_r = max(len(e) for row in rows for e in row)
     most_a = max(map(len, H.antipode))
-    values = chain((c for row in rows for e in row for c in e.values()),
-                   (c for d in H.comult for c in d.values()),
-                   (c for a in H.antipode for c in a.values()), (1,))
+    values, weights = zip(*chain(
+        ((c, n[i] + n[k] - n[l]) for i, row in enumerate(rows)
+         for k, e in enumerate(row) for l, c in e.items()),
+        ((c, n[i] - n[p] - n[q]) for i, d in enumerate(H.comult)
+         for (p, q), c in d.items()),
+        ((c, n[i] - n[l]) for i, a in enumerate(H.antipode)
+         for l, c in a.items()), ((1, 0),)))
     summands = max(most_d * most_d * most_r * most_r,
                    most_d * most_a * most_r)
-    return Kronecker.fit(values, factors=4, summands=summands)
+    return Kronecker.fit(values, 4, summands, weights)
 
 
 def verify_hopf_axioms(H: Hopf72) -> dict:
@@ -288,8 +299,8 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     on the CLI's rules, rescaled once by rewrite.rescaled).
 
     Coassociativity and the counit are read off the rows flat[l] of
-    Delta(e_l) on int keys p * dim + q (_coassociative, _counital), one
-    basis element at a time.
+    Delta(e_l) on int keys p * dim + q (_coassociative, _counital), the
+    antipode off the table's rows (_antipodal), one e_i at a time.
 
     Each basis pair (i, k) gives one difference on the same int keys,
     seeded with -Delta(e_i e_k) from the Delta(e_l) compiled once, to
@@ -315,16 +326,11 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     witness = None
 
     for i in range(dim):
-        d = H.comult[i]
         if not _coassociative(flat, i, dim):
             failures.append(("coassoc", i))
         if not _counital(flat, H.counit, i, dim):
             failures.append(("counit", i))
-
-        conv_l = linear(lambda pq: H.mult(H.antipode[pq[0]], {pq[1]: 1}), d)
-        conv_r = linear(lambda pq: H.mult({pq[0]: 1}, H.antipode[pq[1]]), d)
-        expected = vec_scale(H.counit[i], H.unit())
-        if conv_l != expected or conv_r != expected:
+        if not _antipodal(H, i):
             failures.append(("antipode", i))
 
     by_tag: dict = {}
@@ -395,16 +401,33 @@ def _counital(flat: list, counit: list, i: int, dim: int) -> bool:
     return left == right == {i: 1}
 
 
+def _antipodal(H: Hopf72, i: int) -> bool:
+    """sum c S(e_p) e_q == eps(e_i) 1 == sum c e_p S(e_q) over the terms
+    c [p, q] of Delta(e_i), each side summed from the table's rows into
+    one difference, seeded with -eps(e_i) 1, which must vanish."""
+    rows, antipode = H.table.rows, H.antipode
+    left = dict.fromkeys(H.unit(), -H.counit[i])
+    right = dict(left)
+    for (p, q), c in H.comult[i].items():
+        for l, cs in antipode[p].items():
+            for m, cm in rows[l][q].items():
+                left[m] = left.get(m, 0) + c * cs * cm
+        for l, cs in antipode[q].items():
+            for m, cm in rows[p][l].items():
+                right[m] = right.get(m, 0) + c * cs * cm
+    return not (any(left.values()) or any(right.values()))
+
+
 def _format_witness(layout, table: MultTable, i: int, k: int,
                     diff: dict) -> str:
     """The difference in the original coordinates: unpacked by the
     layout, then decoded by the table's rules, its coefficient at [p, q]
     at weight |w_i| + |w_k| - |w_p| - |w_q|."""
     n = table.grading
+    weight = {(p, q): n[i] + n[k] - n[p] - n[q] for p, q in diff}
     if layout is not None:
-        diff = {pq: layout.decode(c) for pq, c in diff.items()}
-    diff = {(p, q): table.rules.decode(c, n[i] + n[k] - n[p] - n[q])
-            for (p, q), c in diff.items()}
+        diff = {pq: layout.decode(c, weight[pq]) for pq, c in diff.items()}
+    diff = {pq: table.rules.decode(c, weight[pq]) for pq, c in diff.items()}
     terms = " + ".join(f"({c})*[{p},{q}]"
                        for (p, q), c in sorted(diff.items()))
     return f"Delta(e{i} e{k}) - Delta(e{i}) Delta(e{k}) = {terms}"

@@ -595,16 +595,19 @@ def check_associativity(table: MultTable) -> dict:
 
     Polynomial structure constants are compared Kronecker-packed, each
     key summing at most R^2 products of two constants a side, R the most
-    terms of a product of basis elements; other values are compared as
+    terms of a product of basis elements, e_l in e_i e_k at weight
+    |w_i| + |w_k| - |w_l| (Kronecker.fit); other values are compared as
     they are, exactly (ints at a point of the CLI, whose rules are
     rescaled once: see rescaled), and then no packing is fitted.  The
     difference vanishes exactly when the packed sides are equal: the
     bounds are those of each side.  The report names its scalars by
     sweep_scalars."""
-    rows = table.rows
+    rows, n = table.rows, table.grading
     values = [c for row in rows for e in row for c in e.values()]
     layout = (Kronecker.fit(values, factors=2, summands=max(
-        len(e) for row in rows for e in row) ** 2)
+        len(e) for row in rows for e in row) ** 2, weights=(
+            n[i] + n[k] - n[l] for i, row in enumerate(rows)
+            for k, e in enumerate(row) for l in e))
         if MultiPoly in map(type, values) else None)
     table = table.packed(layout)
     dim, rows = table.dim, table.rows

@@ -220,6 +220,11 @@ class Kronecker:
     < 2^(B-1) in absolute value (a balanced base-2^B expansion is unique),
     and ``decode`` inverts it there.
 
+    A graded layout sets the last variable to 1, (a1, a2) = (2^B, 1), for
+    values homogeneous of degree weight/2, as in A_[a1, a2] (Rescale),
+    which their sums and products stay: of known weight, such a value is
+    fixed by its value there, so ``decode`` takes the weight.
+
     ``fit`` measures the values a sweep starts from and sizes K and B so
     that everything the sweep forms stays in that domain.  Each value it
     compares is an accumulator of at most S products of at most f
@@ -233,27 +238,31 @@ class Kronecker:
     equality.  Only ring operations (+, *, ==) may run on packed values.
     """
 
-    __slots__ = ("names", "bits", "slots")
+    __slots__ = ("names", "bits", "slots", "graded")
 
-    def __init__(self, names: tuple, bits: int, slots: int):
+    def __init__(self, names: tuple, bits: int, slots: int, graded=False):
         self.names = names
         self.bits = bits
         self.slots = slots
+        self.graded = graded
 
     @classmethod
-    def fit(cls, values, factors: int, summands: int):
+    def fit(cls, values, factors: int, summands: int, weights=None):
         """The layout for a sweep over ``values``, or None, after one scan
         of their types, when no value is a polynomial: nothing needs
-        packing, and the sweep runs on the values as they are.  Raises
-        ScalarKindError when a polynomial is present and some value is
-        not an integer or an integer polynomial in its variables."""
+        packing, and the sweep runs on the values as they are; graded when
+        every value is homogeneous of degree n/2 in two or more variables,
+        n its entry in ``weights``.  Raises ScalarKindError when a
+        polynomial is present and some value is not an integer or an
+        integer polynomial in its variables."""
         values = list(values)
         if MultiPoly not in map(type, values):
             return None
         names = None
         degree = norm = 0
         fractional = None
-        for v in values:
+        graded = weights is not None
+        for v, n in zip(values, weights or [0] * len(values)):
             if isinstance(v, MultiPoly):
                 if names is None:
                     names = v.names
@@ -266,10 +275,12 @@ class Kronecker:
                             f"cannot pack the non-integer coefficient {c} "
                             f"of {v}")
                     degree = max(degree, *e[:-1], 0)
+                    graded = graded and 2 * sum(e) == n
                 norm = max(norm, sum(abs(c) for c in v.terms.values()))
             elif _is_rat(v):
                 if not _is_int(v):
                     fractional = v
+                graded = graded and not (n and v)
                 norm = max(norm, abs(v))
             else:
                 raise ScalarKindError(
@@ -278,10 +289,12 @@ class Kronecker:
             raise ScalarKindError(
                 f"cannot pack the non-integer {fractional}")
         bound = 2 * summands * norm ** factors
-        return cls(names, bound.bit_length() + 1, factors * degree + 1)
+        return cls(names, bound.bit_length() + 1, factors * degree + 1,
+                   graded and len(names) > 1)
 
     def __str__(self):
-        return f"kronecker B={self.bits} K={self.slots}"
+        return (f"kronecker B={self.bits} graded" if self.graded
+                else f"kronecker B={self.bits} K={self.slots}")
 
     __repr__ = __str__
 
@@ -305,18 +318,22 @@ class Kronecker:
             raise ScalarKindError(f"cannot pack a {type(x).__name__}")
         half = 1 << (self.bits - 1)
         total = 0
+        if self.graded and len({sum(e) for e, _c in terms}) > 1:
+            raise ScalarKindError(f"{x} is not homogeneous, as {self} needs")
         for e, c in terms:
             if not _is_int(c) or not -half < c < half or \
                     any(k >= self.slots for k in e[:-1]):
                 raise ScalarKindError(f"{x} lies outside {self}")
-            total += int(c) << (self.bits * self._slot(e))
+            total += int(c) << (self.bits * self._slot(
+                e[:-1] if self.graded else e))
         return total
 
-    def decode(self, packed: int) -> MultiPoly:
-        """The polynomial whose packed value is ``packed``."""
+    def decode(self, packed: int, weight: int = None) -> MultiPoly:
+        """The polynomial whose packed value is ``packed``; for a graded
+        layout, the one homogeneous of degree weight/2."""
         full = 1 << self.bits
         mask = full - 1
-        inner = len(self.names) - 1
+        inner = len(self.names) - 1 - self.graded
         terms = {}
         slot = 0
         while packed:
@@ -328,7 +345,10 @@ class Kronecker:
                 for _ in range(inner):
                     rest, k = divmod(rest, self.slots)
                     e.append(k)
-                terms[tuple(e) + (rest,)] = c
+                e.append(rest)
+                if self.graded:
+                    e.append(weight // 2 - sum(e))
+                terms[tuple(e)] = c
             packed = (packed - c) >> self.bits
             slot += 1
         return MultiPoly(self.names, terms)

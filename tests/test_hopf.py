@@ -372,6 +372,16 @@ class TestBuildCheck:
         assert build_check(H1) == {"failures": [("comult_unit",)],
                                    "ok": False}
 
+    def test_rejects_an_emptied_row(self):
+        # delta_e delta_e = delta_e emptied: an empty product has counit
+        # 0, but eps(delta_e)^2 = 1, so exactly that pair fails
+        H1 = build(*POINT)
+        e = H1.index[((), G["e"])]
+        H1.table = copy.copy(H1.table)
+        H1.table.rows = [list(row) for row in H1.table.rows]
+        H1.table.rows[e][e] = {}
+        assert build_check(H1)["failures"] == [("counit_mult", e, e)]
+
     def test_rejects_an_added_row_term(self, extra_row_term):
         # delta_(23) delta_(23) = delta_(23) + delta_e has counit 1, but
         # eps(delta_(23))^2 = 0: exactly that pair fails
@@ -387,8 +397,9 @@ class TestAxioms:
         assert rep["basis_checked"] == 72
         assert rep["pairs_checked"] == 72 * 72
         assert (rep["delta_terms"], rep["terms_compared"]) == (2310, 29053)
-        # d = 3, N = 3, D = 94, R = 2: K = 4*3 + 1, 2*94^2*2^2*3^4 < 2^23
-        assert rep["scalars"] == "kronecker B=24 K=13"
+        # N = 3, D = 94, R = 2: 2*94^2*2^2*3^4 < 2^23; every value is
+        # homogeneous at its weight, so (a1, a2) is packed at (2^24, 1)
+        assert rep["scalars"] == "kronecker B=24 graded"
         assert rep["witness"] is None
         # 12 joined pairs per row, the other 60 settled by an empty row
         assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
@@ -419,13 +430,39 @@ class TestAxioms:
             assert v == (c if layout is None else encode(layout, c))
 
     def test_packed_coefficients_decode(self, H):
+        # the graded packing forgets a2, so decode needs each weight
         layout = axiom_layout(H)
-        values = [c for row in H.table.rows for e in row for c in e.values()]
-        values += [c for d in H.comult for c in d.values()]
-        values += [c for a in H.antipode for c in a.values()]
+        assert layout.graded
+        values = list(graded(H))
         assert len(values) == 3353
-        for c in values:
-            assert layout.decode(layout.encode(c)) == c
+        for _key, c, weight in values:
+            assert layout.decode(layout.encode(c), weight) == c
+
+    def test_packed_word_maps_match_packed_tables(self, H):
+        # a packed copy's Delta and S of words run on its own encoded
+        # generators, rows and memo, as its tables do
+        packed = H.packed(axiom_layout(H))
+        for i, (w, g) in enumerate(H.labels):
+            assert packed.word_comult(w, g, {}) == packed.comult[i], i
+            assert packed.word_antipode(w, g) == packed.antipode[i], i
+
+    def test_inhomogeneous_delta_term_needs_the_bivariate_packing(self):
+        # -a1 a2 in place of a -a1 of Delta(e_48) agrees with it at
+        # a2 = 1, where the graded packing evaluates; the value is not
+        # homogeneous at its weight, so the sweep packs bivariately and
+        # fails
+        H1 = build(A1, A2)
+        pq = (2, 20)
+        assert H1.comult[48][pq] == -A1
+        H1.comult[48][pq] = -A1 * A2
+        assert (-A1 * A2).evaluate((5, 1)) == (-A1).evaluate((5, 1))
+        layout = axiom_layout(H1)
+        assert not layout.graded
+        rep = verify_hopf_axioms(H1)
+        assert rep["scalars"] == str(layout)
+        assert rep["scalars"].startswith("kronecker B=") and " K=" in \
+            rep["scalars"]
+        assert not rep["ok"]
 
     def test_numeric_point(self):
         # the CLI's algebra at (2, -3): rules rescaled by D = 1, on ints,
@@ -475,7 +512,7 @@ class TestAxioms:
         H1 = wrong_sign_symbolic
         rep = verify_hopf_axioms(H1)
         failures = rep["failures"]
-        assert rep["scalars"].startswith("kronecker")
+        assert rep["scalars"] == "kronecker B=24 graded"
         assert len(failures) == 219
         assert collections.Counter(f[0] for f in failures) == {
             "comult_mult": 153, "coassoc": 56, "counit": 7, "antipode": 3}

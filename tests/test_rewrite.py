@@ -789,8 +789,24 @@ class TestMultTable:
         rep = check_associativity(table)
         assert rep["ok"]
         assert rep["checked"] == 72 * 12 * 12
-        # d = 3, N = 3, R = 2: K = 2*3 + 1, 2*2^2*3^2 = 72 < 2^7
+        # N = 3, R = 2: 2*2^2*3^2 = 72 < 2^7; every constant is
+        # homogeneous at its weight, so (a1, a2) is packed at (2^8, 1)
+        assert rep["scalars"] == "kronecker B=8 graded"
+
+    def test_inhomogeneous_entry_needs_the_bivariate_packing(self):
+        # a1 - a2^2 in place of x13 x13 d(12) = a1 - a2 agrees with it at
+        # a2 = 1, where the graded packing evaluates; it is not
+        # homogeneous at weight 2, so the sweep packs bivariately and
+        # finds the broken triples
+        table = _perturbable(structure_constants(sym_rules()))
+        i, k, l = _x13_x13_d12(table)
+        assert table.rows[i][k] == {l: A1 - A2}
+        table.rows[i][k][l] = A1 - A2 ** 2
+        assert (A1 - A2 ** 2).evaluate((7, 1)) == (A1 - A2).evaluate((7, 1))
+        rep = check_associativity(table)
         assert rep["scalars"] == "kronecker B=8 K=7"
+        assert not rep["ok"]
+        assert rep["checked"] == 72 * 12 * 12
 
     def test_associativity_perturbed_at_evaluation_point_fails(self):
         # a1 - 2^B vanishes at a1 = 2^B, the point the unperturbed table

@@ -251,6 +251,32 @@ class TestKronecker:
         assert layout.decode(first) == A1 ** (f * d)
         assert layout.decode(second) == A1 ** (f * d - d - 1) * A2
 
+    def test_graded_layout(self):
+        # values homogeneous of degree weight/2 pack at (a1, a2) =
+        # (2^B, 1), B as in the bivariate packing: N = 3, 2*3^2 < 2^5;
+        # decode takes the weight, also of a product
+        p, q = A1 - A2, A1 * A2 - 2 * A2 ** 2
+        values, weights = [p, q, 3], [2, 4, 0]
+        layout = Kronecker.fit(values, 2, 1, weights)
+        assert str(layout) == "kronecker B=6 graded"
+        for v, n in zip(values, weights):
+            assert layout.encode(v) == (A1 ** 0 * v).evaluate((2 ** 6, 1))
+            assert layout.decode(layout.encode(v), n) == v
+        assert layout.decode(layout.encode(p) * layout.encode(q), 6) == p * q
+        with pytest.raises(ScalarKindError, match="not homogeneous"):
+            layout.encode(A1 - A2 ** 2)
+
+    @pytest.mark.parametrize("values, weights", [
+        ([A1 - A2, 3], [4, 0]),              # a1 - a2 at weight 4
+        ([A1 - A2, 3], [2, 2]),              # a constant at weight 2
+        ([A1 - A2 ** 2, 3], [2, 0]),         # not homogeneous
+        ([MultiPoly.gens("b")[0], 3], [2, 0]),   # one variable
+    ])
+    def test_ungraded_values_pack_bivariately(self, values, weights):
+        layout = Kronecker.fit(values, 2, 1, weights)
+        assert not layout.graded
+        assert str(layout) == str(Kronecker.fit(values, 2, 1))
+
 
 class TestRescale:
     def test_fit_lowest_weight_first(self):
