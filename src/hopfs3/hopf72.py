@@ -103,19 +103,31 @@ class Hopf72:
     def S(self, x: dict) -> dict:
         return linear(self.antipode.__getitem__, x)
 
+    def weighted(self):
+        """As MultTable.weighted for the table: ((i, p, q), c,
+        |w_i| - |w_p| - |w_q|) for [p, q] in Delta(e_i), then ((i, l), c,
+        |w_i| - |w_l|) for e_l in S(e_i)."""
+        n = self.table.grading
+        return chain((((i, p, q), c, n[i] - n[p] - n[q])
+                      for i, d in enumerate(self.comult)
+                      for (p, q), c in d.items()),
+                     (((i, l), c, n[i] - n[l])
+                      for i, a in enumerate(self.antipode)
+                      for l, c in a.items()))
+
     def packed(self, layout) -> "Hopf72":
         """A copy whose product table, Delta and S, on the basis and the
         generators, hold layout-encoded coefficients, each distinct one
         encoded once, or its own when there is no layout (Kronecker.fit
         found nothing to pack); each Delta(e_i) is Joined on the rows of
-        the copy's own table, and its word maps run on its own memo."""
+        the copy's own table, as are the generators' Delta its word maps
+        read."""
         out = copy.copy(self)
         out.table = self.table.packed(layout)
         out.comult = self.comult
         if layout is not None:
             vars(out).pop("_rows", None)
             vars(out).pop("_gen_joined", None)
-            out._memo = {}
             encode = encoder(layout)
             out.comult, out.antipode = (
                 [{key: encode(c) for key, c in x.items()} for x in maps]
@@ -262,9 +274,9 @@ def build_check(H: Hopf72) -> dict:
 
 def axiom_layout(H: Hopf72):
     """The layout of verify_hopf_axioms, fitted to the product table,
-    Delta, S and the constant 1 (unit, counit), each at its weight as
-    dump_tables decodes it: a Kronecker packing over Q[a1, a2], graded
-    when every value is (Kronecker.fit), None at a rational point.
+    Delta, S and the constant 1 (unit, counit), each at its weight
+    (Hopf72.weighted): a Kronecker packing over Q[a1, a2], graded when
+    every value is (Kronecker.fit), None at a rational point.
 
     With D, R and A the most terms of a Delta(e_i), a product e_i e_k and
     an S(e_i): a product in Delta(e_i) Delta(e_k) has four factors, and
@@ -275,20 +287,15 @@ def axiom_layout(H: Hopf72):
     summands; the antipode convolutions sum at most D A R products of
     three factors (c, S, row); coassociativity (D^2 summands) stays
     below both."""
-    rows, n = H.table.rows, H.table.grading
+    rows = H.table.rows
     most_d = max(map(len, H.comult))
     most_r = max(len(e) for row in rows for e in row)
     most_a = max(map(len, H.antipode))
-    values, weights = zip(*chain(
-        ((c, n[i] + n[k] - n[l]) for i, row in enumerate(rows)
-         for k, e in enumerate(row) for l, c in e.items()),
-        ((c, n[i] - n[p] - n[q]) for i, d in enumerate(H.comult)
-         for (p, q), c in d.items()),
-        ((c, n[i] - n[l]) for i, a in enumerate(H.antipode)
-         for l, c in a.items()), ((1, 0),)))
+    weighted = [(c, n) for _key, c, n in chain(H.table.weighted(),
+                                                H.weighted())]
     summands = max(most_d * most_d * most_r * most_r,
                    most_d * most_a * most_r)
-    return Kronecker.fit(values, 4, summands, weights)
+    return Kronecker.fit(weighted + [(1, 0)], 4, summands)
 
 
 def verify_hopf_axioms(H: Hopf72) -> dict:
@@ -679,7 +686,10 @@ def dump_tables(H: Hopf72) -> str:
     basis of the unrescaled rules: a coefficient of the rules' scale
     is decoded at its weight."""
     table = H.table
-    n, value = table.grading, table.rules.decode
+    value = table.rules.decode
+    # (i, k, l) of the table; (i, p, q) of Delta and (i, l) of S
+    mult = {key: value(c, n) for key, c, n in table.weighted()}
+    maps = {key: value(c, n) for key, c, n in H.weighted()}
     names = [format_smash({label: 1}) for label in table.labels]
     lines = [f"basis {i}: {name}" for i, name in enumerate(names)]
     # e_i e_k, each factor by its basis name, ordered by (w_i, w_k, g_k)
@@ -687,15 +697,12 @@ def dump_tables(H: Hopf72) -> str:
                       for i, (w1, _g1) in enumerate(table.labels)
                       for k in table.compatible_followers(i))
     for _key, i, k in products:
-        row = {table.labels[l]: value(c, n[i] + n[k] - n[l])
-               for l, c in table.rows[i][k].items()}
+        row = {table.labels[l]: mult[i, k, l] for l in table.rows[i][k]}
         lines.append(f"mult {names[i]} * {names[k]} = {format_smash(row)}")
     for i in range(H.dim):
-        items = sorted(H.comult[i].items())
         lines.append("comult %d: %s" % (i, " + ".join(
-            f"({value(c, n[i] - n[p] - n[q])})*[{p},{q}]"
-            for (p, q), c in items) or "0"))
-        sitems = sorted(H.antipode[i].items())
+            f"({maps[i, p, q]})*[{p},{q}]"
+            for p, q in sorted(H.comult[i])) or "0"))
         lines.append("antipode %d: %s" % (i, " + ".join(
-            f"({value(c, n[i] - n[l])})*[{l}]" for l, c in sitems) or "0"))
+            f"({maps[i, l]})*[{l}]" for l in sorted(H.antipode[i])) or "0"))
     return "\n".join(lines)

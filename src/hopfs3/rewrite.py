@@ -560,6 +560,16 @@ class MultTable:
                     for row in self.rows]
         return out
 
+    def weighted(self):
+        """Each structure constant as ((i, k, l), c, weight): c the
+        coefficient of e_l in e_i e_k, at weight |w_i| + |w_k| - |w_l|,
+        the grade it lowers, as a packing is fitted to it (Kronecker.fit)
+        and the rules' scale decodes it."""
+        n = self.grading
+        return (((i, k, l), c, n[i] + n[k] - n[l])
+                for i, row in enumerate(self.rows)
+                for k, e in enumerate(row) for l, c in e.items())
+
     def mult_basis(self, i: int, k: int) -> dict:
         """Product of basis elements i and k as {index: coeff}."""
         return self.rows[i][k]
@@ -595,19 +605,18 @@ def check_associativity(table: MultTable) -> dict:
 
     Polynomial structure constants are compared Kronecker-packed, each
     key summing at most R^2 products of two constants a side, R the most
-    terms of a product of basis elements, e_l in e_i e_k at weight
-    |w_i| + |w_k| - |w_l| (Kronecker.fit); other values are compared as
-    they are, exactly (ints at a point of the CLI, whose rules are
-    rescaled once: see rescaled), and then no packing is fitted.  The
+    terms of a product of basis elements, each constant at its weight
+    (MultTable.weighted); other values are compared as they are, exactly
+    (ints at a point of the CLI, whose rules are rescaled once: see
+    rescaled), and then no packing is fitted.  The
     difference vanishes exactly when the packed sides are equal: the
     bounds are those of each side.  The report names its scalars by
     sweep_scalars."""
-    rows, n = table.rows, table.grading
+    rows = table.rows
     values = [c for row in rows for e in row for c in e.values()]
-    layout = (Kronecker.fit(values, factors=2, summands=max(
-        len(e) for row in rows for e in row) ** 2, weights=(
-            n[i] + n[k] - n[l] for i, row in enumerate(rows)
-            for k, e in enumerate(row) for l in e))
+    layout = (Kronecker.fit(
+        ((c, n) for _key, c, n in table.weighted()), factors=2,
+        summands=max(len(e) for row in rows for e in row) ** 2)
         if MultiPoly in map(type, values) else None)
     table = table.packed(layout)
     dim, rows = table.dim, table.rows

@@ -247,22 +247,22 @@ class Kronecker:
         self.graded = graded
 
     @classmethod
-    def fit(cls, values, factors: int, summands: int, weights=None):
-        """The layout for a sweep over ``values``, or None, after one scan
-        of their types, when no value is a polynomial: nothing needs
-        packing, and the sweep runs on the values as they are; graded when
-        every value is homogeneous of degree n/2 in two or more variables,
-        n its entry in ``weights``.  Raises ScalarKindError when a
-        polynomial is present and some value is not an integer or an
-        integer polynomial in its variables."""
-        values = list(values)
-        if MultiPoly not in map(type, values):
+    def fit(cls, weighted, factors: int, summands: int):
+        """The layout for a sweep over the (value, weight) pairs given, or
+        None, after one scan of their types, when no value is a
+        polynomial: nothing needs packing, and the sweep runs on the
+        values as they are; graded when every value is homogeneous of
+        degree weight/2 in two or more variables.  Raises ScalarKindError
+        when a polynomial is present and some value is not an integer or
+        an integer polynomial in its variables."""
+        weighted = list(weighted)
+        if MultiPoly not in (type(v) for v, _n in weighted):
             return None
         names = None
         degree = norm = 0
         fractional = None
-        graded = weights is not None
-        for v, n in zip(values, weights or [0] * len(values)):
+        graded = True
+        for v, n in weighted:
             if isinstance(v, MultiPoly):
                 if names is None:
                     names = v.names

@@ -429,6 +429,16 @@ class TestAxioms:
             assert (key2, n2) == (key, n)
             assert v == (c if layout is None else encode(layout, c))
 
+    @pytest.mark.parametrize("point", ["symbolic", "(1/3,-1/2)"])
+    def test_weighted_maps_spell_the_grading(self, point, request):
+        # the (key, c, weight) that packing and dump_tables read from the
+        # table, Delta and S are those graded() spells out
+        alg = {"symbolic": lambda: request.getfixturevalue("H"),
+               "(1/3,-1/2)": lambda: cli_algebra(*POINT)}[point]()
+        ours = list(itertools.chain(alg.table.weighted(), alg.weighted()))
+        assert ours == [(key[1:], c, n) for key, c, n in graded(alg)]
+        assert len(ours) == 3353
+
     def test_packed_coefficients_decode(self, H):
         # the graded packing forgets a2, so decode needs each weight
         layout = axiom_layout(H)

@@ -243,7 +243,7 @@ class TestRuleSystem:
         table = structure_constants(big)
         values = [c for row in table.rows for e in row for c in e.values()]
         assert all(type(c) is int for c in values)
-        assert Kronecker.fit(values, 2, 1) is None
+        assert Kronecker.fit(((c, 0) for c in values), 2, 1) is None
         assert table.packed(None) is table
         assert check_associativity(table)["scalars"] == "rescaled D=6"
 
@@ -697,8 +697,7 @@ def per_triple_associativity(table) -> tuple:
     fused the triples of a pair (i, j): one difference per triple
     (i, j, k), on the same packing of polynomial constants."""
     most = max(len(e) for row in table.rows for e in row)
-    layout = Kronecker.fit((c for row in table.rows for e in row
-                            for c in e.values()),
+    layout = Kronecker.fit(((c, n) for _key, c, n in table.weighted()),
                            factors=2, summands=most * most)
     table = table.packed(layout)
     items = [[tuple(e.items()) for e in row] for row in table.rows]

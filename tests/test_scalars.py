@@ -188,6 +188,12 @@ def int_poly(coeffs):
     return p
 
 
+def unweighted(values) -> list:
+    """Each value at weight 0: a polynomial of positive degree among them
+    keeps the packing bivariate."""
+    return [(v, 0) for v in values]
+
+
 int_poly_st = st.lists(st.integers(-9, 9), min_size=10,
                        max_size=10).map(int_poly)
 TIGHT = 3 * A1 ** 3
@@ -196,16 +202,16 @@ TIGHT = 3 * A1 ** 3
 class TestKronecker:
     def test_fraction_coefficient_raises(self):
         with pytest.raises(ScalarKindError, match="non-integer"):
-            Kronecker.fit([A1 - A2, A1 * Fraction(1, 2)], 2, 1)
+            Kronecker.fit(unweighted([A1 - A2, A1 * Fraction(1, 2)]), 2, 1)
         with pytest.raises(ScalarKindError, match="non-integer"):
-            Kronecker.fit([Fraction(1, 3), A1], 2, 1)
+            Kronecker.fit(unweighted([Fraction(1, 3), A1]), 2, 1)
 
     def test_unbounded_values_raise(self):
         other = MultiPoly.gens("b1", "b2")[0]
         for values in ([A1, OMEGA], [A1, other], [A1, "a1"]):
             with pytest.raises(ScalarKindError):
-                Kronecker.fit(values, 2, 1)
-        layout = Kronecker.fit([A1], 2, 1)
+                Kronecker.fit(unweighted(values), 2, 1)
+        layout = Kronecker.fit([(A1, 0)], 2, 1)
         with pytest.raises(ScalarKindError):
             layout.encode(A1 ** 3)          # a1-degree past K
         with pytest.raises(ScalarKindError):
@@ -216,11 +222,12 @@ class TestKronecker:
             layout.encode(OMEGA)
 
     def test_rational_values_need_no_layout(self):
-        assert Kronecker.fit([1, -2, Fraction(1, 3)], 4, 100) is None
+        assert Kronecker.fit(unweighted([1, -2, Fraction(1, 3)]), 4,
+                             100) is None
 
     def test_size(self):
         # d = 3, N = 9 + 1, f = 2, S = 5: K = 7, 2*5*10^2 = 1000 < 2^10
-        layout = Kronecker.fit([9 * A1 ** 3 - A2, 2], 2, 5)
+        layout = Kronecker.fit(unweighted([9 * A1 ** 3 - A2, 2]), 2, 5)
         assert (layout.bits, layout.slots) == (11, 7)
         assert str(layout) == "kronecker B=11 K=7"
 
@@ -228,13 +235,14 @@ class TestKronecker:
     @example(TIGHT, TIGHT, -TIGHT, TIGHT)
     def test_ring_map(self, p, q, r, s):
         # at most f = 2 factors and one summand per accumulator; the
-        # example is a difference at the bound 2*S*N^f = 18 a1^6
-        layout = Kronecker.fit([p, q, r, s], 2, 1)
+        # example is a difference at the bound 2*S*N^f = 18 a1^6; four
+        # constants at weight 0 pack graded, and decode reads weight 0
+        layout = Kronecker.fit(unweighted([p, q, r, s]), 2, 1)
         ep, eq, er, es = map(layout.encode, (p, q, r, s))
-        assert layout.decode(ep) == p
-        assert layout.decode(ep + eq) == p + q
-        assert layout.decode(ep * eq) == p * q
-        assert layout.decode(ep * eq - er * es) == p * q - r * s
+        assert layout.decode(ep, 0) == p
+        assert layout.decode(ep + eq, 0) == p + q
+        assert layout.decode(ep * eq, 0) == p * q
+        assert layout.decode(ep * eq - er * es, 0) == p * q - r * s
         assert (ep * eq == er * es) == (p * q == r * s)
 
     @pytest.mark.parametrize("f, d", [(2, 1), (2, 2), (3, 2), (4, 3)])
@@ -242,7 +250,7 @@ class TestKronecker:
         # a1^(f d) against a1^(f d - (d + 1)) a2, each a product of f
         # measured values; a slot count of d + 1 would put both in slot f d
         values = [A1 ** d, A1 ** (d - 1), A2]
-        layout = Kronecker.fit(values, f, 1)
+        layout = Kronecker.fit(unweighted(values), f, 1)
         assert layout.slots == f * d + 1
         top, below, a2 = map(layout.encode, values)
         first = top ** f
@@ -256,26 +264,27 @@ class TestKronecker:
         # (2^B, 1), B as in the bivariate packing: N = 3, 2*3^2 < 2^5;
         # decode takes the weight, also of a product
         p, q = A1 - A2, A1 * A2 - 2 * A2 ** 2
-        values, weights = [p, q, 3], [2, 4, 0]
-        layout = Kronecker.fit(values, 2, 1, weights)
+        weighted = [(p, 2), (q, 4), (3, 0)]
+        layout = Kronecker.fit(weighted, 2, 1)
         assert str(layout) == "kronecker B=6 graded"
-        for v, n in zip(values, weights):
+        for v, n in weighted:
             assert layout.encode(v) == (A1 ** 0 * v).evaluate((2 ** 6, 1))
             assert layout.decode(layout.encode(v), n) == v
         assert layout.decode(layout.encode(p) * layout.encode(q), 6) == p * q
         with pytest.raises(ScalarKindError, match="not homogeneous"):
             layout.encode(A1 - A2 ** 2)
 
-    @pytest.mark.parametrize("values, weights", [
-        ([A1 - A2, 3], [4, 0]),              # a1 - a2 at weight 4
-        ([A1 - A2, 3], [2, 2]),              # a constant at weight 2
-        ([A1 - A2 ** 2, 3], [2, 0]),         # not homogeneous
-        ([MultiPoly.gens("b")[0], 3], [2, 0]),   # one variable
+    @pytest.mark.parametrize("weighted", [
+        [(A1 - A2, 4), (3, 0)],              # a1 - a2 at weight 4
+        [(A1 - A2, 2), (3, 2)],              # a constant at weight 2
+        [(A1 - A2 ** 2, 2), (3, 0)],         # not homogeneous
+        [(MultiPoly.gens("b")[0], 2), (3, 0)],   # one variable
     ])
-    def test_ungraded_values_pack_bivariately(self, values, weights):
-        layout = Kronecker.fit(values, 2, 1, weights)
+    def test_ungraded_values_pack_bivariately(self, weighted):
+        layout = Kronecker.fit(weighted, 2, 1)
         assert not layout.graded
-        assert str(layout) == str(Kronecker.fit(values, 2, 1))
+        assert str(layout) == str(Kronecker.fit(
+            unweighted(v for v, _n in weighted), 2, 1))
 
 
 class TestRescale:
@@ -313,12 +322,13 @@ class TestRescale:
     def test_sweep_layout(self):
         # a sweep packs when some value is a polynomial, and then only
         # ints may join it; otherwise it runs on the values as they are
-        assert isinstance(Kronecker.fit([A1, 3], 2, 1), Kronecker)
-        assert str(Kronecker.fit([2, -3, A1], 2, 1)) == \
-            str(Kronecker.fit([A1, 2, -3], 2, 1))
-        assert Kronecker.fit([Fraction(1, 2), 3], 2, 1) is None
+        assert isinstance(Kronecker.fit(unweighted([A1, 3]), 2, 1),
+                          Kronecker)
+        assert str(Kronecker.fit(unweighted([2, -3, A1]), 2, 1)) == \
+            str(Kronecker.fit(unweighted([A1, 2, -3]), 2, 1))
+        assert Kronecker.fit(unweighted([Fraction(1, 2), 3]), 2, 1) is None
         with pytest.raises(ScalarKindError, match="non-integer"):
-            Kronecker.fit([Fraction(1, 2), A1], 2, 1)
+            Kronecker.fit(unweighted([Fraction(1, 2), A1]), 2, 1)
 
     @pytest.mark.parametrize("weighted", [
         [(OMEGA, 0), (A1, 2)],
@@ -331,14 +341,14 @@ class TestRescale:
         # whether before it or after it: no packing takes it, nor does a
         # rescale, which takes rationals only
         with pytest.raises(ScalarKindError):
-            Kronecker.fit([c for c, _n in weighted], 2, 1)
+            Kronecker.fit(weighted, 2, 1)
         with pytest.raises(ScalarKindError):
             Rescale.fit(weighted)
 
     @pytest.mark.parametrize("values", [[OMEGA], [1, Fraction(1, 2), OMEGA]])
     def test_nothing_to_pack_without_a_polynomial(self, values):
         # the sweep then runs exactly on these values, over Q(w) here
-        assert Kronecker.fit(values, 2, 1) is None
+        assert Kronecker.fit(unweighted(values), 2, 1) is None
 
     def test_encoder_encodes_each_distinct_value_once(self):
         seen = []
@@ -350,7 +360,7 @@ class TestRescale:
                 seen.append(x)
                 return super().encode(x)
 
-        layout = Counted.fit([A1, A2], 2, 1)
+        layout = Counted.fit(unweighted([A1, A2]), 2, 1)
         encode = encoder(layout)
         values = [A1, A1, 2, A1 - A2, 2]
         assert [encode(c) for c in values] == \
