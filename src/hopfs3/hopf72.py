@@ -119,7 +119,7 @@ class Hopf72:
         """A copy whose product table, Delta and S, on the basis and the
         generators, hold layout-encoded coefficients, each distinct one
         encoded once, or its own when there is no layout (Kronecker.fit
-        found nothing to pack); each Delta(e_i) is Joined on the rows of
+        found a value it cannot pack); each Delta(e_i) is Joined on the rows of
         the copy's own table, as are the generators' Delta its word maps
         read."""
         out = copy.copy(self)
@@ -275,8 +275,8 @@ def build_check(H: Hopf72) -> dict:
 def axiom_layout(H: Hopf72):
     """The layout of verify_hopf_axioms, fitted to the product table,
     Delta, S and the constant 1 (unit, counit), each at its weight
-    (Hopf72.weighted): a Kronecker packing over Q[a1, a2], graded when
-    every value is (Kronecker.fit), None at a rational point.
+    (Hopf72.weighted): a Kronecker packing over Q[a1, a2] when every
+    value is graded (Kronecker.fit), else None, as at a rational point.
 
     With D, R and A the most terms of a Delta(e_i), a product e_i e_k and
     an S(e_i): a product in Delta(e_i) Delta(e_k) has four factors, and
@@ -302,8 +302,9 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     """Coassociativity, counit, antipode and multiplicativity of Delta,
     all by exact scalar comparison on every basis element and every
     basis pair.  The sweep is exact: Kronecker-packed over Q[a1, a2]
-    (axiom_layout), on the values as they are at a rational point (ints
-    on the CLI's rules, rescaled once by rewrite.rescaled).
+    when every value is graded (axiom_layout), otherwise on the values
+    as they are (at a rational point, ints on the CLI's rules, rescaled
+    once by rewrite.rescaled).
 
     Coassociativity and the counit are read off the rows flat[l] of
     Delta(e_l) on int keys p * dim + q (_coassociative, _counital), the

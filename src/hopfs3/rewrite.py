@@ -551,7 +551,7 @@ class MultTable:
     def packed(self, layout) -> "MultTable":
         """A copy whose rows hold layout-encoded coefficients, each
         distinct one encoded once; the table itself when there is no
-        layout (Kronecker.fit found nothing to pack)."""
+        layout (Kronecker.fit found a value it cannot pack)."""
         if layout is None:
             return self
         encode = encoder(layout)
@@ -603,21 +603,19 @@ def check_associativity(table: MultTable) -> dict:
     from the flattened rows l of e_i e_j, e_i (e_j e_k) from the nonzero
     e_j e_k only.  Failing k are read back in follower order.
 
-    Polynomial structure constants are compared Kronecker-packed, each
-    key summing at most R^2 products of two constants a side, R the most
-    terms of a product of basis elements, each constant at its weight
-    (MultTable.weighted); other values are compared as they are, exactly
-    (ints at a point of the CLI, whose rules are rescaled once: see
-    rescaled), and then no packing is fitted.  The
-    difference vanishes exactly when the packed sides are equal: the
-    bounds are those of each side.  The report names its scalars by
+    Graded polynomial structure constants are compared Kronecker-packed,
+    each constant at its weight (MultTable.weighted), each key summing
+    at most R^2 products of two constants a side, R the most terms of a
+    product of basis elements; the difference vanishes exactly when the
+    packed sides are equal: the bounds are those of each side.  Where
+    Kronecker.fit finds a value it cannot pack, the values are compared
+    as they are, exactly (ints at a point of the CLI, whose rules are
+    rescaled once: see rescaled).  The report names its scalars by
     sweep_scalars."""
     rows = table.rows
-    values = [c for row in rows for e in row for c in e.values()]
-    layout = (Kronecker.fit(
+    layout = Kronecker.fit(
         ((c, n) for _key, c, n in table.weighted()), factors=2,
         summands=max(len(e) for row in rows for e in row) ** 2)
-        if MultiPoly in map(type, values) else None)
     table = table.packed(layout)
     dim, rows = table.dim, table.rows
     nonzero = [[(k * dim, tuple(e.items())) for k, e in enumerate(row) if e]
@@ -648,10 +646,12 @@ def check_associativity(table: MultTable) -> dict:
 
 def sweep_scalars(layout, table: MultTable) -> str:
     """The scalars a sweep of the table ran on: its packing, else the
-    rules' scale, else Q(w) or Q, as the table's values lie."""
-    return str(layout or table.rules.scale or (
-        "cyclotomic3" if any(type(c) is Cyclotomic3 for row in table.rows
-                             for e in row for c in e.values()) else "rational"))
+    rules' scale, else Q[a1, a2], Q(w) or Q, as the table's values lie."""
+    if layout or table.rules.scale:
+        return str(layout or table.rules.scale)
+    kinds = {type(c) for row in table.rows for e in row for c in e.values()}
+    return ("polynomial" if MultiPoly in kinds else
+            "cyclotomic3" if Cyclotomic3 in kinds else "rational")
 
 
 def hilbert_series(words) -> list:

@@ -5,11 +5,13 @@ Three coefficient domains, all exact: arbitrary-precision rationals
 polynomials with rational coefficients in named commuting variables, and
 the quadratic extension generated by a primitive cube root of unity
 (``w`` with ``w**2 + w + 1 == 0``).  The CLI's exhaustive sweeps run on
-plain ints: :class:`Kronecker` packs integer polynomials into single ints,
-with a bound that keeps the packing injective on every value a sweep
-forms, and :class:`Rescale` clears the denominators of a rational point
-by a diagonal change of basis, applied once to a rule system
-(rewrite.rescaled).
+plain ints: :class:`Kronecker` packs the graded integer polynomials of
+A_[a1, a2] into single ints at (a1, a2) = (2^B, 1), with a bound that
+keeps the packing injective on every value a sweep forms, and
+:class:`Rescale` clears the denominators of a rational point by a
+diagonal change of basis, applied once to a rule system
+(rewrite.rescaled).  A sweep over values of any other kind, ungraded
+polynomials among them, runs on them exactly as they are.
 
 No floating point anywhere.  Values are immutable after construction and
 safe to share between workers.  Mixing incompatible domains raises
@@ -208,101 +210,70 @@ class MultiPoly:
 
 
 class Kronecker:
-    """Kronecker substitution: integer polynomials packed into one int.
+    """Graded Kronecker substitution: polynomials in the parameters
+    (a1, a2) packed into one int.
 
-    ``encode`` evaluates a polynomial in x_0, ..., x_{n-1} at
-    x_i = 2^(B*K^i); for the parameters (a1, a2) that is a1 = 2^B,
-    a2 = 2^(B*K).  Evaluation is a ring map Z[x] -> Z, so the sum and the
-    product of packed values are exactly the packed sum and product.  The
-    monomial with exponents e lands in slot sum_i e_i*K^i, B bits wide;
-    so the map is injective on the polynomials whose degree in every
-    variable but the last is < K and whose coefficients are all
-    < 2^(B-1) in absolute value (a balanced base-2^B expansion is unique),
-    and ``decode`` inverts it there.
+    ``encode`` evaluates an integer polynomial at (a1, a2) = (2^B, 1).
+    Evaluation is a ring map Z[a1, a2] -> Z, so the sum and the product
+    of packed values are exactly the packed sum and product.  A value of
+    A_[a1, a2] (Rescale) is homogeneous of degree weight/2, and so are
+    the sums and products a sweep forms of such values, at the sum of
+    their weights.  The monomial a1^i a2^j lands in slot i, B bits wide;
+    of known weight, a homogeneous polynomial is fixed by the
+    coefficients of those slots, so the map is injective on the ones
+    whose coefficients are all < 2^(B-1) in absolute value (a balanced
+    base-2^B expansion is unique), and ``decode`` inverts it there,
+    given the weight.
 
-    A graded layout sets the last variable to 1, (a1, a2) = (2^B, 1), for
-    values homogeneous of degree weight/2, as in A_[a1, a2] (Rescale),
-    which their sums and products stay: of known weight, such a value is
-    fixed by its value there, so ``decode`` takes the weight.
-
-    ``fit`` measures the values a sweep starts from and sizes K and B so
-    that everything the sweep forms stays in that domain.  Each value it
+    ``fit`` measures the values a sweep starts from and sizes B so that
+    everything the sweep forms stays in that domain.  Each value it
     compares is an accumulator of at most S products of at most f
     measured values (S summands, f factors); two accumulators are
-    compared through their difference.  With d the largest degree in a
-    variable but the last and N the largest l1-norm (sum of absolute
-    coefficients) of a measured value, such a difference has those
-    degrees <= f*d and coefficients <= 2*S*N^f in absolute value.  So
-    K = f*d + 1 and the least B with 2*S*N^f < 2^(B-1) make packed
-    equality, and the zero test of a packed sum, exact polynomial
-    equality.  Only ring operations (+, *, ==) may run on packed values.
+    compared through their difference.  With N the largest l1-norm (sum
+    of absolute coefficients) of a measured value, such a difference
+    has coefficients <= 2*S*N^f in absolute value.  So the least B with
+    2*S*N^f < 2^(B-1) makes packed equality, and the zero test of a
+    packed sum, exact polynomial equality.  Only ring operations
+    (+, *, ==) may run on packed values.
     """
 
-    __slots__ = ("names", "bits", "slots", "graded")
+    __slots__ = ("names", "bits")
 
-    def __init__(self, names: tuple, bits: int, slots: int, graded=False):
+    def __init__(self, names: tuple, bits: int):
         self.names = names
         self.bits = bits
-        self.slots = slots
-        self.graded = graded
 
     @classmethod
     def fit(cls, weighted, factors: int, summands: int):
-        """The layout for a sweep over the (value, weight) pairs given, or
-        None, after one scan of their types, when no value is a
-        polynomial: nothing needs packing, and the sweep runs on the
-        values as they are; graded when every value is homogeneous of
-        degree weight/2 in two or more variables.  Raises ScalarKindError
-        when a polynomial is present and some value is not an integer or
-        an integer polynomial in its variables."""
-        weighted = list(weighted)
-        if MultiPoly not in (type(v) for v, _n in weighted):
-            return None
+        """The layout for a sweep over the (value, weight) pairs given
+        when every value is graded: an integer polynomial in the same two
+        variables, homogeneous of degree weight/2, or an integer that is
+        0 at every nonzero weight, and some value is a polynomial.  Else
+        None, from the first value that is not graded: the sweep then
+        runs exactly on the values as they are."""
         names = None
-        degree = norm = 0
-        fractional = None
-        graded = True
+        norm = 0
         for v, n in weighted:
             if isinstance(v, MultiPoly):
-                if names is None:
-                    names = v.names
-                elif v.names != names:
-                    raise ScalarKindError(
-                        f"polynomials in {names} and {v.names} cannot mix")
-                for e, c in v.terms.items():
-                    if not _is_int(c):
-                        raise ScalarKindError(
-                            f"cannot pack the non-integer coefficient {c} "
-                            f"of {v}")
-                    degree = max(degree, *e[:-1], 0)
-                    graded = graded and 2 * sum(e) == n
+                if len(v.names) != 2 or names not in (None, v.names) or any(
+                        2 * sum(e) != n or not _is_int(c)
+                        for e, c in v.terms.items()):
+                    return None
+                names = v.names
                 norm = max(norm, sum(abs(c) for c in v.terms.values()))
-            elif _is_rat(v):
-                if not _is_int(v):
-                    fractional = v
-                graded = graded and not (n and v)
+            elif _is_int(v) and not (n and v):
                 norm = max(norm, abs(v))
             else:
-                raise ScalarKindError(
-                    f"cannot bound a {type(v).__name__} for packing")
-        if fractional is not None:
-            raise ScalarKindError(
-                f"cannot pack the non-integer {fractional}")
+                return None
+        if names is None:
+            return None
         bound = 2 * summands * norm ** factors
-        return cls(names, bound.bit_length() + 1, factors * degree + 1,
-                   graded and len(names) > 1)
+        return cls(names, bound.bit_length() + 1)
 
     def __str__(self):
-        return (f"kronecker B={self.bits} graded" if self.graded
-                else f"kronecker B={self.bits} K={self.slots}")
+        return f"kronecker B={self.bits} graded"
 
     __repr__ = __str__
-
-    def _slot(self, e) -> int:
-        slot = 0
-        for k in reversed(e):
-            slot = slot * self.slots + k
-        return slot
 
     def encode(self, x) -> int:
         """The packed value of an integer or integer polynomial; raises
@@ -313,42 +284,31 @@ class Kronecker:
                     f"layout for {self.names} cannot pack {x.names}")
             terms = x.terms.items()
         elif _is_rat(x):
-            terms = (((0,) * len(self.names), x),)
+            terms = (((0, 0), x),)
         else:
             raise ScalarKindError(f"cannot pack a {type(x).__name__}")
+        if len({sum(e) for e, _c in terms}) > 1:
+            raise ScalarKindError(f"{x} is not homogeneous, as {self} needs")
         half = 1 << (self.bits - 1)
         total = 0
-        if self.graded and len({sum(e) for e, _c in terms}) > 1:
-            raise ScalarKindError(f"{x} is not homogeneous, as {self} needs")
         for e, c in terms:
-            if not _is_int(c) or not -half < c < half or \
-                    any(k >= self.slots for k in e[:-1]):
+            if not _is_int(c) or not -half < c < half:
                 raise ScalarKindError(f"{x} lies outside {self}")
-            total += int(c) << (self.bits * self._slot(
-                e[:-1] if self.graded else e))
+            total += int(c) << (self.bits * e[0])
         return total
 
-    def decode(self, packed: int, weight: int = None) -> MultiPoly:
-        """The polynomial whose packed value is ``packed``; for a graded
-        layout, the one homogeneous of degree weight/2."""
+    def decode(self, packed: int, weight: int) -> MultiPoly:
+        """The polynomial homogeneous of degree weight/2 whose packed
+        value is ``packed``."""
         full = 1 << self.bits
-        mask = full - 1
-        inner = len(self.names) - 1 - self.graded
         terms = {}
         slot = 0
         while packed:
-            c = packed & mask
+            c = packed & (full - 1)
             if c >= full >> 1:
                 c -= full
             if c:
-                e, rest = [], slot
-                for _ in range(inner):
-                    rest, k = divmod(rest, self.slots)
-                    e.append(k)
-                e.append(rest)
-                if self.graded:
-                    e.append(weight // 2 - sum(e))
-                terms[tuple(e)] = c
+                terms[(slot, weight // 2 - slot)] = c
             packed = (packed - c) >> self.bits
             slot += 1
         return MultiPoly(self.names, terms)

@@ -45,6 +45,11 @@ GRADED_CONTROL_DIGEST = (
 WRONG_SIGN_DIGEST = (
     "3b64bdbec3aea27361e90d5915d05ee7a0f1dac945b6836c9b09addfbf4fdac6")
 
+# sha256 of repr(failures) of -a1 a2 in place of -a1 at [2, 20] of
+# Delta(e_48)
+INHOMOGENEOUS_DELTA_DIGEST = (
+    "abf5513bfa31a0fb2ec0a765aa5efb2c32c48bb8147f041e24ebe5b05a7e8906")
+
 
 def benchmark_points(seed: int) -> dict:
     """The first point of each class in the seeded stream of the
@@ -442,7 +447,7 @@ class TestAxioms:
     def test_packed_coefficients_decode(self, H):
         # the graded packing forgets a2, so decode needs each weight
         layout = axiom_layout(H)
-        assert layout.graded
+        assert str(layout) == "kronecker B=24 graded"
         values = list(graded(H))
         assert len(values) == 3353
         for _key, c, weight in values:
@@ -456,21 +461,25 @@ class TestAxioms:
             assert packed.word_comult(w, g, {}) == packed.comult[i], i
             assert packed.word_antipode(w, g) == packed.antipode[i], i
 
-    def test_inhomogeneous_delta_term_needs_the_bivariate_packing(self):
+    def test_inhomogeneous_delta_term_runs_unpacked(self):
         # -a1 a2 in place of a -a1 of Delta(e_48) agrees with it at
         # a2 = 1, where the graded packing evaluates; the value is not
-        # homogeneous at its weight, so the sweep packs bivariately and
-        # fails
+        # homogeneous at its weight, so nothing is packed and the sweep
+        # runs exactly on the polynomials themselves: 46 failures (this
+        # digest), the first pair's witness read off unpacked
         H1 = build(A1, A2)
         pq = (2, 20)
         assert H1.comult[48][pq] == -A1
         H1.comult[48][pq] = -A1 * A2
         assert (-A1 * A2).evaluate((5, 1)) == (-A1).evaluate((5, 1))
-        layout = axiom_layout(H1)
-        assert not layout.graded
+        assert axiom_layout(H1) is None
         rep = verify_hopf_axioms(H1)
-        assert rep["scalars"] == str(layout)
-        assert not rep["ok"]
+        assert rep["scalars"] == "polynomial"
+        assert len(rep["failures"]) == 46
+        assert hashlib.sha256(repr(rep["failures"]).encode()).hexdigest() \
+            == INHOMOGENEOUS_DELTA_DIGEST
+        assert rep["witness"] == \
+            "Delta(e10 e42) - Delta(e10) Delta(e42) = (-a1*a2 + a1)*[2,20]"
 
     def test_numeric_point(self):
         # the CLI's algebra at (2, -3): rules rescaled by D = 1, on ints,
@@ -541,21 +550,23 @@ class TestAxioms:
                 f"({c})*[{p},{q}]" for (p, q), c in sorted(diff.items()))
 
     def test_vanishing_at_evaluation_point_fails(self):
-        # a1 - 2^B is zero at a1 = 2^B, where the unperturbed inputs would
-        # be evaluated; fit measures the perturbed inputs and widens B
+        # a1 - 2^B a2 is graded and zero at (2^B, 1), where the unperturbed
+        # inputs would be evaluated; added to the -a1 at [2, 20] of
+        # Delta(e_48), fit measures the perturbed inputs and widens B
         H1 = build(A1, A2)
         layout = axiom_layout(H1)
-        bump = A1 - 2 ** layout.bits
+        bump = A1 - 2 ** layout.bits * A2
         with pytest.raises(ScalarKindError):
             layout.encode(bump)
-        key = next(iter(H1.comult[0]))
-        H1.comult[0][key] = H1.comult[0][key] + bump
-        assert axiom_layout(H1).bits > layout.bits
+        pq = (2, 20)
+        assert H1.comult[48][pq] == -A1
+        H1.comult[48][pq] = -A1 + bump
+        assert str(axiom_layout(H1)) == "kronecker B=114 graded"
         rep = verify_hopf_axioms(H1)
+        assert rep["scalars"] == "kronecker B=114 graded"
         assert not rep["ok"]
-        assert ("counit", 0) in rep["failures"]
+        assert len(rep["failures"]) == 46
         assert rep["witness"] is not None
-
 
     def test_wrong_sign_at_point(self, wrong_sign_point,
                                  wrong_sign_rescaled):

@@ -27,6 +27,11 @@ A1, A2 = MultiPoly.gens("a1", "a2")
 G = {s: parse_perm(s, 3) for s in ("e", "(12)", "(13)", "(23)", "(123)",
                                    "(132)")}
 
+# sha256 of repr(failures) of the 35 broken triples of x13 x13 d(12),
+# perturbed at a point or by an inhomogeneous polynomial
+PERTURBED_ENTRY_DIGEST = (
+    "97197b7fc7b9cea90687c5259be909476643af7fee3196829ee9b7fd1b1d9d56")
+
 
 def sym_rules():
     return default_rules(A1, A2)
@@ -725,7 +730,7 @@ def _perturbed_tables():
     one whose added terms break the structural-zero rule."""
     sym = _perturbable(structure_constants(sym_rules()))
     i, k, l = _x13_x13_d12(sym)
-    sym.rows[i][k][l] = A1 - A2 + A1 - 2 ** 8
+    sym.rows[i][k][l] = A1 - A2 + A1 - 2 ** 8 * A2
     yield "symbolic, at the packing's point", sym
     for n, table in enumerate(_point_tables()):
         i, k, l = _x13_x13_d12(table)
@@ -792,33 +797,38 @@ class TestMultTable:
         # homogeneous at its weight, so (a1, a2) is packed at (2^8, 1)
         assert rep["scalars"] == "kronecker B=8 graded"
 
-    def test_inhomogeneous_entry_needs_the_bivariate_packing(self):
+    def test_inhomogeneous_entry_runs_unpacked(self):
         # a1 - a2^2 in place of x13 x13 d(12) = a1 - a2 agrees with it at
         # a2 = 1, where the graded packing evaluates; it is not
-        # homogeneous at weight 2, so the sweep packs bivariately and
-        # finds the broken triples
+        # homogeneous at weight 2, so nothing is packed and the sweep runs
+        # on the polynomials themselves; it finds the 35 broken triples
+        # of the same entry perturbed at a point (this digest)
         table = _perturbable(structure_constants(sym_rules()))
         i, k, l = _x13_x13_d12(table)
         assert table.rows[i][k] == {l: A1 - A2}
         table.rows[i][k][l] = A1 - A2 ** 2
         assert (A1 - A2 ** 2).evaluate((7, 1)) == (A1 - A2).evaluate((7, 1))
         rep = check_associativity(table)
-        assert rep["scalars"] == "kronecker B=8 K=7"
-        assert not rep["ok"]
+        assert rep["scalars"] == "polynomial"
         assert rep["checked"] == 72 * 12 * 12
+        assert len(rep["failures"]) == 35
+        assert hashlib.sha256(repr(rep["failures"]).encode()).hexdigest() \
+            == PERTURBED_ENTRY_DIGEST
 
     def test_associativity_perturbed_at_evaluation_point_fails(self):
-        # a1 - 2^B vanishes at a1 = 2^B, the point the unperturbed table
-        # is packed at; the packed sweep must still see it
+        # a1 - 2^B a2, B = 8, is graded and vanishes at (2^B, 1), the point
+        # the unperturbed table is packed at; fit measures the perturbed
+        # table and widens B, so the packed sweep still sees it
         table = copy.copy(structure_constants(sym_rules()))
         table.rows = [[dict(e) for e in row] for row in table.rows]
         i, k, l = _x13_x13_d12(table)
         assert table.rows[i][k] == {l: A1 - A2}
-        table.rows[i][k][l] = A1 - A2 + A1 - 2 ** 8
+        table.rows[i][k][l] = A1 - A2 + A1 - 2 ** 8 * A2
         rep = check_associativity(table)
         assert not rep["ok"]
         assert rep["checked"] == 72 * 12 * 12
-        assert rep["scalars"] != "kronecker B=8 K=7"
+        assert rep["scalars"] == "kronecker B=21 graded"
+        assert len(rep["failures"]) == 35
 
     def test_associativity_non_integral_perturbation_at_point(self):
         # +1/7 on x13 x13 d(12) = (a1 - a2) d(12) at (1/3, -1/2), a
@@ -837,8 +847,8 @@ class TestMultTable:
             assert rep["failures"][:3] == [(8, 15, 14), (14, 15, 14),
                                            (15, 7, 26)]
             assert hashlib.sha256(
-                repr(rep["failures"]).encode()).hexdigest() == (
-                "97197b7fc7b9cea90687c5259be909476643af7fee3196829ee9b7fd1b1d9d56")
+                repr(rep["failures"]).encode()).hexdigest() == \
+                PERTURBED_ENTRY_DIGEST
 
     def test_associativity_non_homogeneous_perturbation_at_point(self):
         # 1/7 x13 de added to de de = de: weight -1, so the Fraction 1/42
@@ -886,16 +896,18 @@ class TestMultTable:
         assert rep["ok"] and rep["scalars"] == "rational"
 
     def test_sweep_scalars(self):
-        # the packing, else the rules' scale, else Q(w) or Q as the
-        # table's values lie
+        # the packing, else the rules' scale, else Q[a1, a2], Q(w) or Q
+        # as the table's values lie
         table = structure_constants(default_rules(2, -3))
         assert sweep_scalars(None, table) == "rational"
-        layout = Kronecker(("a1", "a2"), 8, 3)
-        assert sweep_scalars(layout, table) == "kronecker B=8 K=3"
+        layout = Kronecker(("a1", "a2"), 8)
+        assert sweep_scalars(layout, table) == "kronecker B=8 graded"
         point = structure_constants(rescaled(default_rules(
             Fraction(1, 3), Fraction(-1, 2))))
         assert sweep_scalars(None, point) == "rescaled D=6"
-        assert sweep_scalars(layout, point) == "kronecker B=8 K=3"
+        assert sweep_scalars(layout, point) == "kronecker B=8 graded"
+        assert sweep_scalars(None, structure_constants(sym_rules())) == \
+            "polynomial"
         q_omega = _perturbable(table)
         q_omega.rows[0][0] = {0: OMEGA}
         assert sweep_scalars(None, q_omega) == "cyclotomic3"

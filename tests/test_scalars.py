@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from hopfs3.rewrite import (check_associativity, default_rules,
+                            structure_constants)
 from hopfs3.scalars import (Cyclotomic3, Kronecker, MultiPoly,
                             NeedsSpecialization, OMEGA, Rescale,
                             ScalarKindError, _is_rat, encoder, field_invert)
@@ -178,43 +180,33 @@ def test_is_rat_kinds(x, want):
     assert _is_rat(x) is want
 
 
-def int_poly(coeffs):
-    """An integer polynomial of degree <= 3 from ten coefficients."""
-    monos = [ONE, A1, A2, A1 * A1, A1 * A2, A2 * A2, A1 ** 3,
-             A1 * A1 * A2, A1 * A2 * A2, A2 ** 3]
+def homogeneous(degree: int, coeffs) -> MultiPoly:
+    """The integer polynomial sum_i c_i a1^i a2^(degree - i) of the first
+    degree + 1 coefficients, homogeneous of degree ``degree``, so graded
+    at weight 2 * degree."""
     p = ZERO
-    for c, m in zip(coeffs, monos):
-        p = p + m * c
+    for i, c in enumerate(coeffs[:degree + 1]):
+        p = p + A1 ** i * A2 ** (degree - i) * c
     return p
 
 
-def unweighted(values) -> list:
-    """Each value at weight 0: a polynomial of positive degree among them
-    keeps the packing bivariate."""
-    return [(v, 0) for v in values]
-
-
-int_poly_st = st.lists(st.integers(-9, 9), min_size=10,
-                       max_size=10).map(int_poly)
-TIGHT = 3 * A1 ** 3
+coeffs_st = st.lists(st.integers(-9, 9), min_size=4, max_size=4)
+TIGHT = [0, 0, 0, 3]       # 3 a1^3 at degree 3, weight 6
+B1, B2 = MultiPoly.gens("b1", "b2")
 
 
 class TestKronecker:
     def test_fraction_coefficient_raises(self):
-        with pytest.raises(ScalarKindError, match="non-integer"):
-            Kronecker.fit(unweighted([A1 - A2, A1 * Fraction(1, 2)]), 2, 1)
-        with pytest.raises(ScalarKindError, match="non-integer"):
-            Kronecker.fit(unweighted([Fraction(1, 3), A1]), 2, 1)
+        # encode refuses a non-integer, as a coefficient or a constant
+        layout = Kronecker.fit([(A1 - A2, 2)], 2, 1)
+        with pytest.raises(ScalarKindError, match="outside"):
+            layout.encode(A1 * Fraction(1, 2))
+        with pytest.raises(ScalarKindError, match="outside"):
+            layout.encode(Fraction(1, 3))
 
     def test_unbounded_values_raise(self):
-        other = MultiPoly.gens("b1", "b2")[0]
-        for values in ([A1, OMEGA], [A1, other], [A1, "a1"]):
-            with pytest.raises(ScalarKindError):
-                Kronecker.fit(unweighted(values), 2, 1)
-        layout = Kronecker.fit([(A1, 0)], 2, 1)
-        with pytest.raises(ScalarKindError):
-            layout.encode(A1 ** 3)          # a1-degree past K
-        with pytest.raises(ScalarKindError):
+        layout = Kronecker.fit([(A1, 2)], 2, 1)
+        with pytest.raises(ScalarKindError, match="outside"):
             layout.encode(2 ** layout.bits * A2)
         with pytest.raises(ScalarKindError, match=r"cannot pack \('b',\)"):
             layout.encode(MultiPoly.gens("b")[0])
@@ -222,47 +214,39 @@ class TestKronecker:
             layout.encode(OMEGA)
 
     def test_rational_values_need_no_layout(self):
-        assert Kronecker.fit(unweighted([1, -2, Fraction(1, 3)]), 4,
+        assert Kronecker.fit([(1, 0), (-2, 0), (Fraction(1, 3), 0)], 4,
                              100) is None
 
     def test_size(self):
-        # d = 3, N = 9 + 1, f = 2, S = 5: K = 7, 2*5*10^2 = 1000 < 2^10
-        layout = Kronecker.fit(unweighted([9 * A1 ** 3 - A2, 2]), 2, 5)
-        assert (layout.bits, layout.slots) == (11, 7)
-        assert str(layout) == "kronecker B=11 K=7"
+        # N = 9 + 1, f = 2, S = 5: 2*5*10^2 = 1000 < 2^10
+        layout = Kronecker.fit([(9 * A1 ** 3 - A1 * A2 ** 2, 6), (2, 0)],
+                               2, 5)
+        assert layout.bits == 11
+        assert str(layout) == "kronecker B=11 graded"
 
-    @given(int_poly_st, int_poly_st, int_poly_st, int_poly_st)
-    @example(TIGHT, TIGHT, -TIGHT, TIGHT)
-    def test_ring_map(self, p, q, r, s):
+    @given(st.integers(0, 3), st.integers(0, 3), coeffs_st, coeffs_st,
+           coeffs_st, coeffs_st)
+    @example(3, 3, TIGHT, TIGHT, [-c for c in TIGHT], TIGHT)
+    def test_ring_map(self, d, e, cp, cq, cr, cs):
+        # p and r of degree d, q and s of degree e, each at its weight;
         # at most f = 2 factors and one summand per accumulator; the
-        # example is a difference at the bound 2*S*N^f = 18 a1^6; four
-        # constants at weight 0 pack graded, and decode reads weight 0
-        layout = Kronecker.fit(unweighted([p, q, r, s]), 2, 1)
+        # example is a difference at the bound 2*S*N^f = 18 a1^6
+        p, r = homogeneous(d, cp), homogeneous(d, cr)
+        q, s = homogeneous(e, cq), homogeneous(e, cs)
+        layout = Kronecker.fit([(p, 2 * d), (q, 2 * e), (r, 2 * d),
+                                (s, 2 * e)], 2, 1)
         ep, eq, er, es = map(layout.encode, (p, q, r, s))
-        assert layout.decode(ep, 0) == p
-        assert layout.decode(ep + eq, 0) == p + q
-        assert layout.decode(ep * eq, 0) == p * q
-        assert layout.decode(ep * eq - er * es, 0) == p * q - r * s
+        assert layout.decode(ep, 2 * d) == p
+        assert layout.decode(ep + er, 2 * d) == p + r
+        assert layout.decode(ep * eq, 2 * (d + e)) == p * q
+        assert layout.decode(ep * eq - er * es, 2 * (d + e)) == \
+            p * q - r * s
         assert (ep * eq == er * es) == (p * q == r * s)
-
-    @pytest.mark.parametrize("f, d", [(2, 1), (2, 2), (3, 2), (4, 3)])
-    def test_products_reach_degree_f_times_d(self, f, d):
-        # a1^(f d) against a1^(f d - (d + 1)) a2, each a product of f
-        # measured values; a slot count of d + 1 would put both in slot f d
-        values = [A1 ** d, A1 ** (d - 1), A2]
-        layout = Kronecker.fit(unweighted(values), f, 1)
-        assert layout.slots == f * d + 1
-        top, below, a2 = map(layout.encode, values)
-        first = top ** f
-        second = top ** (f - 2) * below * a2
-        assert first != second
-        assert layout.decode(first) == A1 ** (f * d)
-        assert layout.decode(second) == A1 ** (f * d - d - 1) * A2
 
     def test_graded_layout(self):
         # values homogeneous of degree weight/2 pack at (a1, a2) =
-        # (2^B, 1), B as in the bivariate packing: N = 3, 2*3^2 < 2^5;
-        # decode takes the weight, also of a product
+        # (2^B, 1): N = 3, 2*3^2 < 2^5; decode takes the weight, also of
+        # a product
         p, q = A1 - A2, A1 * A2 - 2 * A2 ** 2
         weighted = [(p, 2), (q, 4), (3, 0)]
         layout = Kronecker.fit(weighted, 2, 1)
@@ -279,12 +263,19 @@ class TestKronecker:
         [(A1 - A2, 2), (3, 2)],              # a constant at weight 2
         [(A1 - A2 ** 2, 2), (3, 0)],         # not homogeneous
         [(MultiPoly.gens("b")[0], 2), (3, 0)],   # one variable
+        [(MultiPoly.gens("a1", "a2", "a3")[0], 2)],   # three variables
+        [(A1 - A2, 2), (A1 * Fraction(1, 2), 2)],    # not an integer
+        [(Fraction(1, 3), 0), (A1, 2)],
+        [(A1, 2), (B1, 2)],                  # two rings
+        [(A1, 2), (OMEGA, 0)],               # Q(w)
+        [(A1, 2), ("a1", 0)],
     ])
-    def test_ungraded_values_pack_bivariately(self, weighted):
-        layout = Kronecker.fit(weighted, 2, 1)
-        assert not layout.graded
-        assert str(layout) == str(Kronecker.fit(
-            unweighted(v for v, _n in weighted), 2, 1))
+    def test_ungraded_values_need_no_layout(self, weighted):
+        # fit packs no sweep that holds a value it cannot pack graded,
+        # before the polynomials or after them: the sweep runs on the
+        # values as they are
+        assert Kronecker.fit(weighted, 2, 1) is None
+        assert Kronecker.fit(weighted[::-1], 2, 1) is None
 
 
 class TestRescale:
@@ -320,15 +311,13 @@ class TestRescale:
         assert type(v) is int or v.denominator != 1
 
     def test_sweep_layout(self):
-        # a sweep packs when some value is a polynomial, and then only
-        # ints may join it; otherwise it runs on the values as they are
-        assert isinstance(Kronecker.fit(unweighted([A1, 3]), 2, 1),
-                          Kronecker)
-        assert str(Kronecker.fit(unweighted([2, -3, A1]), 2, 1)) == \
-            str(Kronecker.fit(unweighted([A1, 2, -3]), 2, 1))
-        assert Kronecker.fit(unweighted([Fraction(1, 2), 3]), 2, 1) is None
-        with pytest.raises(ScalarKindError, match="non-integer"):
-            Kronecker.fit(unweighted([Fraction(1, 2), A1]), 2, 1)
+        # a sweep packs when some value is a polynomial and every value
+        # is graded; otherwise it runs on the values as they are
+        assert isinstance(Kronecker.fit([(A1, 2), (3, 0)], 2, 1), Kronecker)
+        assert str(Kronecker.fit([(2, 0), (-3, 0), (A1, 2)], 2, 1)) == \
+            str(Kronecker.fit([(A1, 2), (2, 0), (-3, 0)], 2, 1))
+        assert Kronecker.fit([(Fraction(1, 2), 0), (3, 0)], 2, 1) is None
+        assert Kronecker.fit([(Fraction(1, 2), 0), (A1, 2)], 2, 1) is None
 
     @pytest.mark.parametrize("weighted", [
         [(OMEGA, 0), (A1, 2)],
@@ -340,15 +329,26 @@ class TestRescale:
         # a value neither rational nor a polynomial, beside a polynomial,
         # whether before it or after it: no packing takes it, nor does a
         # rescale, which takes rationals only
-        with pytest.raises(ScalarKindError):
-            Kronecker.fit(weighted, 2, 1)
+        assert Kronecker.fit(weighted, 2, 1) is None
         with pytest.raises(ScalarKindError):
             Rescale.fit(weighted)
+
+    def test_sweep_over_omega_and_polynomials_raises(self):
+        # nothing packs a table that holds w beside polynomials, and the
+        # unpacked sweep's own arithmetic refuses to mix them
+        table = structure_constants(default_rules(A1, A2))
+        table.rows = [[dict(e) for e in row] for row in table.rows]
+        i, k, l = next((i, k, l) for i, row in enumerate(table.rows)
+                       for k, e in enumerate(row) for l, c in e.items()
+                       if c == A1 - A2)
+        table.rows[i][k][l] = OMEGA
+        with pytest.raises(ScalarKindError):
+            check_associativity(table)
 
     @pytest.mark.parametrize("values", [[OMEGA], [1, Fraction(1, 2), OMEGA]])
     def test_nothing_to_pack_without_a_polynomial(self, values):
         # the sweep then runs exactly on these values, over Q(w) here
-        assert Kronecker.fit(unweighted(values), 2, 1) is None
+        assert Kronecker.fit([(v, 0) for v in values], 2, 1) is None
 
     def test_encoder_encodes_each_distinct_value_once(self):
         seen = []
@@ -360,7 +360,7 @@ class TestRescale:
                 seen.append(x)
                 return super().encode(x)
 
-        layout = Counted.fit(unweighted([A1, A2]), 2, 1)
+        layout = Counted.fit([(A1, 2), (A2, 2)], 2, 1)
         encode = encoder(layout)
         values = [A1, A1, 2, A1 - A2, 2]
         assert [encode(c) for c in values] == \
