@@ -119,9 +119,9 @@ class Hopf72:
         """A copy whose product table, Delta and S, on the basis and the
         generators, hold layout-encoded coefficients, each distinct one
         encoded once, or its own when there is no layout (Kronecker.fit
-        found a value it cannot pack); each Delta(e_i) is Joined on the rows of
-        the copy's own table, as are the generators' Delta its word maps
-        read."""
+        found a value it cannot pack); each Delta(e_i) is Joined on the
+        rows of the copy's own table, as are the generators' Delta its
+        word maps read."""
         out = copy.copy(self)
         out.table = self.table.packed(layout)
         out.comult = self.comult
