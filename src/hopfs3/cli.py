@@ -80,9 +80,10 @@ def _table(args):
 
 
 def _algebra(args):
-    """The Hopf72 on that table, built once per call and shared by the
+    """The Algebra on that table, built once per call and shared by the
     suites that need it; its parameters are those of the table's rules,
-    so D^2 a at a rational point (a has weight 2)."""
+    so D^2 a at a rational point (a has weight 2).  The hopf suite and
+    dump build the one Hopf72 of their call on it."""
     if args.algebra is None:
         from .hopf72 import build
         a1, a2, _label = _params(args)
@@ -146,12 +147,14 @@ def _suite_diamond(args) -> list:
 
 
 def _suite_hopf(args) -> list:
-    from .hopf72 import (build_check, c_identity, coradical_certificate,
-                         gr_check, verify_hopf_axioms, verify_hopf_ideal)
+    from .hopf72 import (Hopf72, build_check, c_identity,
+                         coradical_certificate, gr_check, verify_hopf_axioms,
+                         verify_hopf_ideal)
     label = _params(args)[2]
     out = []
     t0 = time.perf_counter()
-    H = _algebra(args)
+    A = _algebra(args)
+    H = Hopf72(A.a1, A.a2, A.table)
     rep = build_check(H)
     out.append(_report("hopf.build", rep["ok"], {"dim": H.dim, "params": label,
                                                  "stats": H.stats},
@@ -184,14 +187,14 @@ def _suite_lemmas(args) -> list:
     label = _params(args)[2]
     out = []
     t0 = time.perf_counter()
-    H = _algebra(args)
-    rep = lemma31_suite(H)
+    A = _algebra(args)
+    rep = lemma31_suite(A)
     out.append(_report("lemmas.structure", rep["ok"],
                        {"antipode_invertible": rep["antipode_invertible"],
                         "params": label},
                        rep["failures"], t0))
     t0 = time.perf_counter()
-    pieces, failures = adjoint_isotypics(H, 1)
+    pieces, failures = adjoint_isotypics(A, 1)
     supp = sorted(str(p.g) for p in pieces)
     total = sum(len(p.members) for p in pieces)
     ok = (not failures and total == 24
@@ -286,10 +289,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_dump(args) -> int:
-    from .hopf72 import dump_tables
-    H = _algebra(args)
+    from .hopf72 import Hopf72, dump_tables
+    A = _algebra(args)
     print(f"# structure tables at {_params(args)[2]}")
-    print(dump_tables(H))
+    print(dump_tables(Hopf72(A.a1, A.a2, A.table)))
     return 0
 
 

@@ -15,7 +15,6 @@ elements of A (x) A are {(index, index): coeff} dicts.
 from __future__ import annotations
 
 import copy
-import functools
 from collections import namedtuple
 from itertools import chain
 from operator import countOf
@@ -31,7 +30,11 @@ from .scalars import Kronecker, NeedsSpecialization, encoder
 from .ydmod import v3
 
 
-class Hopf72:
+class Algebra:
+    """A_[a1,a2] as an algebra: the product table and its basis, the
+    rules' group S_n, V, the counit and S, all built here, and Delta on
+    F_0 = k^{S_n}.  What the lemma checks read; Hopf72 adds Delta."""
+
     def __init__(self, a1, a2, table: MultTable):
         self.a1 = a1
         self.a2 = a2
@@ -47,37 +50,9 @@ class Hopf72:
         self.counit = [1 if (not w and g == self.e) else 0
                        for (w, g) in self.labels]
         # lambda(x_t) = sum c delta_h (x) x_u, the coaction of V over k^{S_n}
-        self._gen_comult = {t: self._comult_generator(t, V.coaction[t])
-                            for t in V.labels}
         self._gen_antipode = {t: self._antipode_generator(V.coaction[t])
                               for t in V.labels}
-        self._memo: dict = {}
         self.antipode = [self.word_antipode(w, g) for (w, g) in self.labels]
-
-    @functools.cached_property
-    def comult(self) -> list:
-        """Delta(e_i) for each basis index i, built through one
-        word_comult memo on the first read of comult, delta, stats or
-        packed, and read by each of them; a list assigned to it replaces
-        it."""
-        return [self.word_comult(w, g, self._memo) for (w, g) in self.labels]
-
-    @property
-    def stats(self) -> dict:
-        """The products on A (x) A that building Delta took."""
-        self.comult
-        return {"tensor_mults": len(self._memo)}
-
-    @functools.cached_property
-    def _rows(self) -> tuple:
-        """Every row of the table compiled for the join: left legs scaled
-        by dim, right legs by 1; once per algebra, on first use."""
-        return self._compiled(self.dim), self._compiled(1)
-
-    @functools.cached_property
-    def _gen_joined(self) -> dict:
-        """Delta(x_t) of each generator, joined; fixed at first use."""
-        return {t: self.joined(d) for t, d in self._gen_comult.items()}
 
     # -- element helpers -------------------------------------------------
 
@@ -97,11 +72,53 @@ class Hopf72:
     def mult(self, x: dict, y: dict) -> dict:
         return self.table.mult(x, y)
 
-    def delta(self, x: dict) -> dict:
-        return linear(self.comult.__getitem__, x)
-
     def S(self, x: dict) -> dict:
         return linear(self.antipode.__getitem__, x)
+
+    def group_comult(self, g: Perm) -> dict:
+        """Delta(delta_g) = sum_t delta_t (x) delta_{t^-1 g}, the Delta of
+        F_0 = k^{S_n}, which takes no product on A (x) A."""
+        return {(self.index[((), t)], self.index[((), t.inv() * g)]): 1
+                for t in self.group}
+
+    # -- the antipode on words -------------------------------------------
+
+    def _antipode_generator(self, coaction: dict) -> dict:
+        """S(x_t) = -S(x_(-1)) x_(0) = -sum c delta_{h^-1} x_u, and
+        delta_{h^-1} x_u = x_u delta_{u h^-1}."""
+        out: dict = {}
+        for (h, u), c in coaction.items():
+            add_into(out, self.index[((u,), u * h.inv())], -c)
+        return out
+
+    def word_antipode(self, w, g: Perm) -> dict:
+        """S(w delta_g) = delta_{g^-1} S(x_tn) ... S(x_t1) in A, for any
+        word w = x_t1 ... x_tn, reduced or not."""
+        acc = self.delta_elt(g.inv())
+        for t in reversed(w):
+            acc = self.mult(acc, self._gen_antipode[t])
+        return acc
+
+
+class Hopf72(Algebra):
+    """A_[a1,a2] as a Hopf algebra: the algebra with Delta(e_i) of every
+    basis element, all built here from the generators' Delta through one
+    word_comult memo."""
+
+    def __init__(self, a1, a2, table: MultTable):
+        super().__init__(a1, a2, table)
+        # every row of the table compiled for the join: left legs scaled
+        # by dim, right legs by 1
+        self._rows = self._compiled(self.dim), self._compiled(1)
+        self._gen_comult = {t: self.joined(self._comult_generator(t, c))
+                            for t, c in self.V.coaction.items()}
+        memo: dict = {}
+        self.comult = [self.word_comult(w, g, memo) for (w, g) in self.labels]
+        # the products on A (x) A that building Delta took
+        self.stats = {"tensor_mults": len(memo)}
+
+    def delta(self, x: dict) -> dict:
+        return linear(self.comult.__getitem__, x)
 
     def weighted(self):
         """As MultTable.weighted for the table: ((i, p, q), c,
@@ -116,26 +133,21 @@ class Hopf72:
                       for l, c in a.items()))
 
     def packed(self, layout) -> "Hopf72":
-        """A copy whose product table, Delta and S, on the basis and the
-        generators, hold layout-encoded coefficients, each distinct one
-        encoded once, or its own when there is no layout (Kronecker.fit
-        found a value it cannot pack); each Delta(e_i) is Joined on the
-        rows of the copy's own table, as are the generators' Delta its
-        word maps read."""
+        """A copy whose product table, Delta and S on the basis hold
+        layout-encoded coefficients, each distinct one encoded once, or
+        its own when there is no layout (Kronecker.fit found a value it
+        cannot pack); each Delta(e_i) is Joined on the rows of the copy's
+        own table.  The copy has no word maps, which would read the
+        generators' maps unencoded."""
         out = copy.copy(self)
-        out.table = self.table.packed(layout)
-        out.comult = self.comult
+        del out._gen_comult, out._gen_antipode
         if layout is not None:
-            vars(out).pop("_rows", None)
-            vars(out).pop("_gen_joined", None)
+            out.table = self.table.packed(layout)
+            out._rows = out._compiled(out.dim), out._compiled(1)
             encode = encoder(layout)
             out.comult, out.antipode = (
                 [{key: encode(c) for key, c in x.items()} for x in maps]
                 for maps in (self.comult, self.antipode))
-            out._gen_comult, out._gen_antipode = (
-                {t: {key: encode(c) for key, c in x.items()}
-                 for t, x in maps.items()}
-                for maps in (self._gen_comult, self._gen_antipode))
         out.comult = [out.joined(d) for d in out.comult]
         return out
 
@@ -206,34 +218,18 @@ class Hopf72:
             out.update(vec_tensor({self.index[((), h)]: c}, self.x_elt(u)))
         return out
 
-    def _antipode_generator(self, coaction: dict) -> dict:
-        """S(x_t) = -S(x_(-1)) x_(0) = -sum c delta_{h^-1} x_u, and
-        delta_{h^-1} x_u = x_u delta_{u h^-1}."""
-        out: dict = {}
-        for (h, u), c in coaction.items():
-            add_into(out, self.index[((u,), u * h.inv())], -c)
-        return out
-
     def word_comult(self, w, g: Perm, memo: dict) -> dict:
         """Delta(w delta_g) = Delta(x_t1) Delta(x_t2 ... x_tn delta_g) in
         A (x) A, for any word w = x_t1 ... x_tn, reduced or not.  memo, for
         one build or verify_hopf_ideal run, keeps Delta(v delta_g) of each
-        suffix v under (v, g); Delta(x_t) is the algebra's own, joined."""
+        suffix v under (v, g); Delta(x_t) is the algebra's own, joined,
+        and Delta(delta_g) is group_comult."""
         if not w:
-            return {(self.index[((), t)], self.index[((), t.inv() * g)]): 1
-                    for t in self.group}
+            return self.group_comult(g)
         if (w, g) not in memo:
-            memo[w, g] = self.tensor_mult(self._gen_joined[w[0]],
+            memo[w, g] = self.tensor_mult(self._gen_comult[w[0]],
                                           self.word_comult(w[1:], g, memo))
         return memo[w, g]
-
-    def word_antipode(self, w, g: Perm) -> dict:
-        """S(w delta_g) = delta_{g^-1} S(x_tn) ... S(x_t1) in A, for any
-        word w = x_t1 ... x_tn, reduced or not."""
-        acc = self.delta_elt(g.inv())
-        for t in reversed(w):
-            acc = self.mult(acc, self._gen_antipode[t])
-        return acc
 
 
 class Joined(dict):
@@ -242,12 +238,12 @@ class Joined(dict):
     __slots__ = ("by_tails", "by_tags")
 
 
-def build(a1, a2, table: MultTable = None) -> Hopf72:
+def build(a1, a2, table: MultTable = None) -> Algebra:
     """The algebra at (a1, a2) on the given product table, by default the
     table of default_rules(a1, a2)."""
     if table is None:
         table = structure_constants(default_rules(a1, a2))
-    return Hopf72(a1, a2, table)
+    return Algebra(a1, a2, table)
 
 
 def build_check(H: Hopf72) -> dict:
@@ -508,17 +504,16 @@ def c_identity(H: Hopf72) -> dict:
 IsotypicPiece = namedtuple("IsotypicPiece", "g n members")
 
 
-def adjoint_grading_failures(H: Hopf72, tags: dict, right: bool = False):
+def adjoint_grading_failures(H: Algebra, tags: dict, right: bool = False):
     """Every (i, h, image) over the basis indices i in tags where the
     adjoint action of delta_h, x -> sum y1 x S(y2) (x -> sum S(y1) x y2
     when right is set), is not [h == tags[i]] times the identity on e_i.
-    Delta(delta_h) is the F_0 entry of word_comult, which takes no
-    product on A (x) A and leaves Delta unbuilt.  Each image sums
-    c e_p e_i e_m, over the terms of its legs a (x) b, from the table's
-    rows into one dict, pruned of its zeros."""
+    Delta(delta_h) is Algebra.group_comult, which takes no product on
+    A (x) A.  Each image sums c e_p e_i e_m, over the terms of its legs
+    a (x) b, from the table's rows into one dict, pruned of its zeros."""
     rows, failures = H.table.rows, []
     legs = {h: [(p, ca * cb, m)
-                for (x, y), c in H.word_comult((), h, {}).items()
+                for (x, y), c in H.group_comult(h).items()
                 for a, b in [(H.S({x: c}), {y: 1}) if right
                              else ({x: c}, H.S({y: 1}))]
                 for p, ca in a.items() for m, cb in b.items()]
@@ -536,7 +531,7 @@ def adjoint_grading_failures(H: Hopf72, tags: dict, right: bool = False):
     return failures
 
 
-def adjoint_isotypics(H: Hopf72, n: int) -> tuple:
+def adjoint_isotypics(H: Algebra, n: int) -> tuple:
     """Decompose F_n = span{w delta_g : |w| <= n} into the ad-delta
     eigencomponents, e_i in the piece of sigma(w_i)^-1.  Returns the
     pieces and, as text, every (i, h) where applying ad delta_h to the
@@ -552,7 +547,7 @@ def adjoint_isotypics(H: Hopf72, n: int) -> tuple:
              for g, members in sorted(pieces.items())], failures)
 
 
-def lemma31_suite(H: Hopf72) -> dict:
+def lemma31_suite(H: Algebra) -> dict:
     """The structural property suite of the degree filtration."""
     failures = []
     n = H.table.grading
@@ -657,7 +652,7 @@ def coradical_certificate(H: Hopf72) -> dict:
                           "bound, all of F_0 by cosemisimplicity)"}
 
 
-def gr_check(H: Hopf72, reference: MultTable) -> dict:
+def gr_check(H: Algebra, reference: MultTable) -> dict:
     """The associated graded algebra of the length filtration equals the
     parameter-free algebra: the top-length part of every product e_i e_k
     (length |w_i| + |w_k|) is e_i e_k in reference, the table of

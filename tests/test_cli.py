@@ -214,6 +214,37 @@ class TestVerify:
         assert (len(calls), len(tables)) == (2, 3)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [["verify", "all", "--json"], ["dump"]])
+    def test_one_hopf72_per_call(self, argv, monkeypatch, capsys):
+        # the call builds one Algebra, which has no Delta, and the one
+        # Hopf72 of its hopf suite or dump on that algebra's table
+        import hopfs3.hopf72 as hopf72
+        algebras, hopfs = [], []
+        build, init = hopf72.build, Hopf72.__init__
+        monkeypatch.setattr(hopf72, "build", lambda *a: algebras.append(
+            build(*a)) or algebras[-1])
+        monkeypatch.setattr(Hopf72, "__init__",
+                            lambda H, *a: hopfs.append(H) or init(H, *a))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert (len(algebras), len(hopfs)) == (1, 1)
+        assert not isinstance(algebras[0], Hopf72)
+        assert hopfs[0].table is algebras[0].table
+
+    @pytest.mark.parametrize("params", [[], ["--a1=1/3", "--a2=-1/2"]])
+    def test_lemmas_construct_no_hopf72(self, params, monkeypatch, capsys):
+        # the lemma suite reads the Algebra alone: no Hopf72 is
+        # constructed, so no product on A (x) A is taken
+        calls = []
+        init, tensor_mult = Hopf72.__init__, Hopf72.tensor_mult
+        monkeypatch.setattr(Hopf72, "__init__", lambda H, *a: calls.append(
+            "init") or init(H, *a))
+        monkeypatch.setattr(Hopf72, "tensor_mult", lambda *a: calls.append(
+            "tensor_mult") or tensor_mult(*a))
+        assert main(["verify", "lemmas", "--json", *params]) == 0
+        capsys.readouterr()
+        assert calls == []
+
     def test_symbolic_pass_constructs_few_perms(self, monkeypatch, capsys):
         # products, inverses and sigma's identity are stored, so a warm
         # symbolic pass builds almost no permutations
@@ -301,10 +332,12 @@ class TestVerify:
                                     "stats": {"tensor_mults": 66}}
         assert report["details"] == ["('counit_mult', 1, 1)"]
 
-    def test_axioms_witness_in_details(self, wrong_sign_symbolic,
-                                       monkeypatch, capsys):
-        import hopfs3.cli as cli
-        monkeypatch.setattr(cli, "_algebra", lambda _args: wrong_sign_symbolic)
+    def test_axioms_witness_in_details(self, monkeypatch, capsys):
+        # the wrong-sign control constructed in place of the hopf suite's
+        # Hopf72, over Q[a1, a2]
+        import conftest
+        import hopfs3.hopf72 as hopf72
+        monkeypatch.setattr(hopf72, "Hopf72", conftest.WrongSign)
         assert main(["verify", "hopf", "--json"]) == 1
         reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
         axioms = reports["hopf.axioms"]
@@ -317,14 +350,15 @@ class TestVerify:
 
     def test_axioms_witness_at_a_point(self, wrong_sign_point, monkeypatch,
                                        capsys):
-        # the wrong-sign control injected below _algebra, so into the
-        # rescaled A_[36 a]: the failures and the witness, decoded, are
-        # those of the plain Fraction sweep at (1/3, -1/2)
+        # the wrong-sign control constructed in place of the hopf suite's
+        # Hopf72, so on the rescaled A_[36 a]: the failures and the
+        # witness, decoded, are those of the plain Fraction sweep at
+        # (1/3, -1/2)
         import conftest
         import hopfs3.hopf72 as hopf72
-        built, build = [], hopf72.build
-        monkeypatch.setattr(hopf72, "build", lambda *a: built.append(
-            conftest.with_wrong_sign(build(*a))) or built[-1])
+        built = []
+        monkeypatch.setattr(hopf72, "Hopf72", lambda *a: built.append(
+            conftest.WrongSign(*a)) or built[-1])
         assert main(["verify", "hopf", "--json", "--a1=1/3",
                      "--a2=-1/2"]) == 1
         axioms = {r["check"]: r

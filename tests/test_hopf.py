@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hopfs3.classify
-from conftest import cli_algebra
+from conftest import cli_algebra, hopf, with_wrong_sign
 from hopfs3.groups import conjugate, parse_perm
 from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build,
                            build_check, c_identity, coideal_elements,
@@ -24,7 +24,8 @@ from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build,
                            dump_tables, gr_check, lemma31_suite,
                            verify_hopf_axioms, verify_hopf_ideal)
 from hopfs3.linalg import add_into, vec_add, vec_scale, vec_tensor
-from hopfs3.hopf72 import Hopf72, Joined, adjoint_grading_failures
+from hopfs3.hopf72 import (Algebra, Hopf72, Joined,
+                           adjoint_grading_failures)
 from hopfs3.rewrite import (S3, X12, X13, X23, Rule, RuleSystem, Tails,
                             _full_tail, check_associativity, default_rules,
                             sigma, structure_constants)
@@ -131,12 +132,12 @@ def naive_comult_mult(alg) -> tuple:
 
 @pytest.fixture(scope="module")
 def H():
-    return build(A1, A2)
+    return hopf(build(A1, A2))
 
 
 @pytest.fixture(scope="module")
 def Hnum():
-    return build(Fraction(2), Fraction(-3))
+    return hopf(build(Fraction(2), Fraction(-3)))
 
 
 class TestStructureMaps:
@@ -211,7 +212,7 @@ class TestStructureMaps:
         # 8 pairs (i, k) with e_i e_k != 0 at (0, 0) and 8 incompatible
         # ones: symbolically, at (0, 0), and on the packed copy, whose
         # Delta(e_i) are Joined
-        H0 = build(0, 0)
+        H0 = hopf(build(0, 0))
         rng = random.Random(12)
         pairs = []
         for i in rng.sample(range(H.dim), 8):
@@ -257,78 +258,60 @@ class TestStructureMaps:
         # Delta(w delta_g), built once per suffix, against the memo-free
         # product Delta(x_t1) ... Delta(x_tn) Delta(delta_g), unjoined
         a = {"symbolic": (A1, A2), "(1/3,-1/2)": POINT, "(0,0)": (0, 0)}
-        alg = build(*a[point])
+        alg = hopf(build(*a[point]))
         for i, (w, g) in enumerate(alg.labels):
             expected = {(alg.index[((), t)], alg.index[((), t.inv() * g)]): 1
                         for t in S3}
             for t in reversed(w):
                 expected = unjoined_product(alg, alg._gen_comult[t], expected)
             assert alg.comult[i] == expected, (w, g)
-        # one product per Delta(x_t v delta_g), v a suffix of a basis word,
-        # and the memo holds only these, under (v, g)
-        assert alg.stats == {"tensor_mults": 11 * 6}
-        assert set(alg._memo) == {(w[k:], g) for (w, g) in alg.labels
-                                  for k in range(len(w))}
+        # one product per Delta(x_t v delta_g), v a suffix of a basis word:
+        # a fresh memo holds only these, under (v, g), as many as stats
+        memo: dict = {}
+        for w, g in alg.labels:
+            alg.word_comult(w, g, memo)
+        assert set(memo) == {(w[k:], g) for (w, g) in alg.labels
+                             for k in range(len(w))}
+        assert alg.stats == {"tensor_mults": len(memo)} == \
+            {"tensor_mults": 11 * 6}
 
-    def test_lemmas_build_no_delta(self, monkeypatch):
-        # the lemma suite and the adjoint gradings read Delta(delta_h)
-        # alone, which takes no product on A (x) A, so Delta is not built
-        H = build(*POINT)
+    @pytest.mark.parametrize("reader", ["comult", "delta(de)", "delta(x13)",
+                                        "stats", "packed"])
+    def test_delta_is_built_by_the_constructor(self, reader, monkeypatch):
+        # the 66 products on A (x) A that Delta takes are all taken when
+        # Hopf72 is constructed, and no reader of Delta takes one
         calls = []
         real = Hopf72.tensor_mult
         monkeypatch.setattr(Hopf72, "tensor_mult",
                             lambda *args: calls.append(1) or real(*args))
-        assert lemma31_suite(H)["ok"]
-        assert not adjoint_isotypics(H, 1)[1]
-        assert calls == [] and "comult" not in vars(H)
-        assert H.stats == {"tensor_mults": 66} and len(calls) == 66
-
-    def test_generator_change_before_first_read_reaches_comult(self):
-        # Delta is built on the first read of comult, delta, stats or
-        # packed, so a change to Delta(x13) made after build and before
-        # any of them is in every Delta holding x13
-        H, H1 = build(*POINT), build(*POINT)
-        gen = H1._gen_comult[X13]
-        key = next(iter(gen))
-        gen[key] = -gen[key]
-        changed = {w for (w, _g), d, e in zip(H.labels, H1.comult, H.comult)
-                   if d != e}
-        assert changed == {w for w in H.table.words if X13 in w}
-
-    @pytest.mark.parametrize("reader", ["comult", "delta(de)", "delta(x13)",
-                                        "stats", "packed"])
-    def test_delta_is_fixed_at_its_first_read(self, reader):
-        # whichever reader comes first builds Delta, so a change to
-        # Delta(x13) made after it reaches no Delta(e_i), nor the Delta of
-        # words that verify_hopf_ideal reads
-        H, H1 = build(*POINT), build(*POINT)
-        read = {"comult": lambda: H1.comult,
-                "delta(de)": lambda: H1.delta(H1.delta_elt(H1.e)),
-                "delta(x13)": lambda: H1.delta(H1.x_elt(X13)),
-                "stats": lambda: H1.stats,
-                "packed": lambda: H1.packed(None)}
+        H = hopf(build(*POINT))
+        assert len(calls) == 66
+        read = {"comult": lambda: H.comult,
+                "delta(de)": lambda: H.delta(H.delta_elt(H.e)),
+                "delta(x13)": lambda: H.delta(H.x_elt(X13)),
+                "stats": lambda: H.stats,
+                "packed": lambda: H.packed(None)}
         read[reader]()
-        gen = H1._gen_comult[X13]
-        key = next(iter(gen))
-        gen[key] = -gen[key]
-        assert H1.comult == H.comult
-        assert verify_hopf_ideal(H1)["ok"]
+        assert len(calls) == 66 and H.stats == {"tensor_mults": 66}
+
+    def test_no_structure_map_is_a_property(self):
+        # every map of Algebra and Hopf72 is an attribute set by the
+        # constructor, not computed on a read
+        for cls in (Algebra, Hopf72):
+            assert not [name for name, v in vars(cls).items()
+                        if isinstance(v, (property,
+                                          functools.cached_property))], cls
 
     def test_wrong_sign_changes_every_word_with_x13(self, wrong_sign_point):
-        # the control of conftest rebuilds Delta through word_comult, one
-        # memo for the whole rebuild, made after the sign change; here the
-        # same once more, on a build of its own.  Both must differ
-        # from the unperturbed Delta on every basis word holding x13 (at
-        # some tail: the negated term is x13 de (x) de) and on no other
-        H = build(*POINT)
-        H1 = build(*POINT)
-        gen = H1._gen_comult[X13]
-        key = next(iter(gen))
-        gen[key] = -gen[key]
-        memo: dict = {}
-        rebuilt = [H1.word_comult(w, g, memo) for (w, g) in H1.labels]
-        assert rebuilt == wrong_sign_point.comult
-        changed = {w for (w, _g), d, e in zip(H.labels, rebuilt, H.comult)
+        # the control of conftest negates a term of Delta(x13) as it is
+        # built, so its Delta is its word maps' on a fresh memo; it must
+        # differ from the unperturbed Delta on every basis word holding x13
+        # (at some tail: the negated term is x13 de (x) de) and on no other
+        H = hopf(build(*POINT))
+        H1 = wrong_sign_point
+        assert [H1.word_comult(w, g, {}) for (w, g) in H1.labels] == \
+            H1.comult
+        changed = {w for (w, _g), d, e in zip(H.labels, H1.comult, H.comult)
                    if d != e}
         assert changed == {w for w in H.table.words if X13 in w}
         assert len(changed) == 6
@@ -361,9 +344,9 @@ class TestBuildCheck:
                                        "(0,0)"])
     def test_built_maps_pass(self, point, request):
         alg = {"symbolic": lambda: request.getfixturevalue("H"),
-               "(1/3,-1/2)": lambda: build(*POINT),
-               "cli": lambda: cli_algebra(*POINT),
-               "(0,0)": lambda: build(0, 0)}[point]()
+               "(1/3,-1/2)": lambda: hopf(build(*POINT)),
+               "cli": lambda: hopf(cli_algebra(*POINT)),
+               "(0,0)": lambda: hopf(build(0, 0))}[point]()
         assert build_check(alg) == {"failures": [], "ok": True}
 
     def test_rejects_a_negated_term_of_delta_e(self, H):
@@ -380,7 +363,7 @@ class TestBuildCheck:
     def test_rejects_an_emptied_row(self):
         # delta_e delta_e = delta_e emptied: an empty product has counit
         # 0, but eps(delta_e)^2 = 1, so exactly that pair fails
-        H1 = build(*POINT)
+        H1 = hopf(build(*POINT))
         e = H1.index[((), G["e"])]
         H1.table = copy.copy(H1.table)
         H1.table.rows = [list(row) for row in H1.table.rows]
@@ -391,7 +374,7 @@ class TestBuildCheck:
         # delta_(23) delta_(23) = delta_(23) + delta_e has counit 1, but
         # eps(delta_(23))^2 = 0: exactly that pair fails
         d = extra_row_term.index[((), G["(23)"])]
-        assert build_check(extra_row_term)["failures"] == [
+        assert build_check(hopf(extra_row_term))["failures"] == [
             ("counit_mult", d, d)]
 
 
@@ -417,7 +400,7 @@ class TestAxioms:
         # map's packing; on the CLI's ints at a point nothing is packed,
         # so nothing is encoded and the table is the algebra's own
         alg = {"symbolic": lambda: request.getfixturevalue("H"),
-               "(1/3,-1/2)": lambda: cli_algebra(*POINT)}[point]()
+               "(1/3,-1/2)": lambda: hopf(cli_algebra(*POINT))}[point]()
         layout = axiom_layout(alg)
         seen = []
         encode = Kronecker.encode
@@ -439,7 +422,7 @@ class TestAxioms:
         # the (key, c, weight) that packing and dump_tables read from the
         # table, Delta and S are those graded() spells out
         alg = {"symbolic": lambda: request.getfixturevalue("H"),
-               "(1/3,-1/2)": lambda: cli_algebra(*POINT)}[point]()
+               "(1/3,-1/2)": lambda: hopf(cli_algebra(*POINT))}[point]()
         ours = list(itertools.chain(alg.table.weighted(), alg.weighted()))
         assert ours == [(key[1:], c, n) for key, c, n in graded(alg)]
         assert len(ours) == 3353
@@ -453,13 +436,18 @@ class TestAxioms:
         for _key, c, weight in values:
             assert layout.decode(layout.encode(c), weight) == c
 
-    def test_packed_word_maps_match_packed_tables(self, H):
-        # a packed copy's Delta and S of words run on its own encoded
-        # generators, rows and memo, as its tables do
+    def test_packed_copy_has_no_word_maps(self, H):
+        # the copy's tables are encoded, the generators' maps are not, so
+        # the copy keeps none and its word maps cannot run
         packed = H.packed(axiom_layout(H))
-        for i, (w, g) in enumerate(H.labels):
-            assert packed.word_comult(w, g, {}) == packed.comult[i], i
-            assert packed.word_antipode(w, g) == packed.antipode[i], i
+        assert not hasattr(packed, "_gen_comult")
+        assert not hasattr(packed, "_gen_antipode")
+        w, g = H.labels[-1]
+        with pytest.raises(AttributeError):
+            packed.word_comult(w, g, {})
+        with pytest.raises(AttributeError):
+            packed.word_antipode(w, g)
+        assert H.word_comult(w, g, {}) == H.comult[-1]
 
     def test_inhomogeneous_delta_term_runs_unpacked(self):
         # -a1 a2 in place of a -a1 of Delta(e_48) agrees with it at
@@ -467,7 +455,7 @@ class TestAxioms:
         # homogeneous at its weight, so nothing is packed and the sweep
         # runs exactly on the polynomials themselves: 46 failures (this
         # digest), the first pair's witness read off unpacked
-        H1 = build(A1, A2)
+        H1 = hopf(build(A1, A2))
         pq = (2, 20)
         assert H1.comult[48][pq] == -A1
         H1.comult[48][pq] = -A1 * A2
@@ -484,7 +472,7 @@ class TestAxioms:
     def test_numeric_point(self):
         # the CLI's algebra at (2, -3): rules rescaled by D = 1, on ints,
         # which the sweep runs on as they are
-        H1 = cli_algebra(2, -3)
+        H1 = hopf(cli_algebra(2, -3))
         rep = verify_hopf_axioms(H1)
         assert rep["ok"], rep["failures"][:5]
         assert rep["scalars"] == "rescaled D=1"
@@ -494,7 +482,7 @@ class TestAxioms:
         # at (1/3, -1/2) the CLI's rules are rescaled by D = 6 and the
         # sweep runs in the basis D^|w| e_(w,g); it must pass with the
         # counts of the symbolic sweep
-        rep = verify_hopf_axioms(cli_algebra(*POINT))
+        rep = verify_hopf_axioms(hopf(cli_algebra(*POINT)))
         assert rep["ok"], rep["failures"][:5]
         assert rep["scalars"] == "rescaled D=6"
         assert (rep["delta_terms"], rep["terms_compared"]) == (2310, 29053)
@@ -502,21 +490,14 @@ class TestAxioms:
         assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
 
     def test_degenerate_point(self):
-        rep = verify_hopf_axioms(build(0, 0))
+        rep = verify_hopf_axioms(hopf(build(0, 0)))
         assert rep["ok"], rep["failures"][:5]
         assert (rep["delta_terms"], rep["terms_compared"]) == (2148, 14196)
         assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
 
     def test_wrong_sign_in_comult_fails(self):
-        # negate one term of Delta(x13) and rebuild the tables from it
-        H0 = build(0, 0)
-        gen = H0._gen_comult[X13]
-        key = next(iter(gen))
-        gen[key] = -gen[key]
-        memo: dict = {}
-        H0.comult = [H0.word_comult(w, g, memo) for (w, g) in H0.labels]
-        H0.antipode = [H0.word_antipode(w, g) for (w, g) in H0.labels]
-        rep = verify_hopf_axioms(H0)
+        # one term of Delta(x13) negated as the tables are built from it
+        rep = verify_hopf_axioms(with_wrong_sign(build(0, 0)))
         assert not rep["ok"]
         assert {f[0] for f in rep["failures"]} == {
             "coassoc", "counit", "antipode", "comult_mult"}
@@ -553,7 +534,7 @@ class TestAxioms:
         # a1 - 2^B a2 is graded and zero at (2^B, 1), where the unperturbed
         # inputs would be evaluated; added to the -a1 at [2, 20] of
         # Delta(e_48), fit measures the perturbed inputs and widens B
-        H1 = build(A1, A2)
+        H1 = hopf(build(A1, A2))
         layout = axiom_layout(H1)
         bump = A1 - 2 ** layout.bits * A2
         with pytest.raises(ScalarKindError):
@@ -596,7 +577,7 @@ class TestAxioms:
         # it is the Fraction 1/42 in the CLI's algebra rescaled by D = 6;
         # that sweep and the plain Fraction one find the same failures
         # and witness
-        H0, H1 = build(*POINT), cli_algebra(*POINT)
+        H0, H1 = hopf(build(*POINT)), hopf(cli_algebra(*POINT))
         i = H0.index[((X13,), G["e"])]
         q = H0.index[((X13,), G["(13)"])]
         assert (i, q) not in H0.comult[i]
@@ -631,7 +612,7 @@ class TestAxioms:
         a1, a2 = data.draw(rational()), data.draw(rational())
         # the coefficients factor over a1, a2, a1 - a2 and a1 - 2 a2
         assume(a1 != a2 and a1 != 2 * a2)
-        H0, H1 = build(a1, a2), cli_algebra(a1, a2)
+        H0, H1 = hopf(build(a1, a2)), hopf(cli_algebra(a1, a2))
         scale = H1.table.rules.scale
         original, rescaled = list(graded(H0)), list(graded(H1))
         assert len(original) == len(rescaled) == 3353
@@ -658,7 +639,7 @@ class TestAxiomsAgainstNaiveLoop:
         assert self.assert_matches_naive(H)["ok"]
 
     def test_unperturbed_at_point(self):
-        assert self.assert_matches_naive(cli_algebra(*POINT))["ok"]
+        assert self.assert_matches_naive(hopf(cli_algebra(*POINT)))["ok"]
 
     def test_wrong_sign(self, wrong_sign_rescaled):
         rep = self.assert_matches_naive(wrong_sign_rescaled)
@@ -673,7 +654,7 @@ class TestAxiomsAgainstNaiveLoop:
         # Delta(e_i) Delta(e_k) at a pair that no join meets, which the
         # row-level branch must report; planted in the CLI's algebra at
         # (1/3, -1/2) as 6 = D^1 (weight |x12| + 0 - 0 - 0 = 1)
-        alg = cli_algebra(*POINT)
+        alg = hopf(cli_algebra(*POINT))
         i = alg.index[((), G["e"])]
         k = alg.index[((X12,), G["e"])]
         assert k not in alg.table.compatible_followers(i)
@@ -710,7 +691,7 @@ def negated_commutation_row():
     i = H.index[((), G["(12)"])]
     k = H.index[((X13,), X13 * G["(12)"])]
     H.table.rows[i][k] = {l: -c for l, c in H.table.rows[i][k].items()}
-    return H
+    return hopf(H)
 
 
 class TestAdjointGradingsAgainstNaive:
@@ -733,10 +714,10 @@ class TestAdjointGradingsAgainstNaive:
         assert self.assert_matches_naive(H) == ([], [])
 
     def test_at_point(self):
-        assert self.assert_matches_naive(build(*POINT)) == ([], [])
+        assert self.assert_matches_naive(hopf(build(*POINT))) == ([], [])
 
     def test_added_row_term(self, extra_row_term):
-        left, right = self.assert_matches_naive(extra_row_term)
+        left, right = self.assert_matches_naive(hopf(extra_row_term))
         assert [f[:2] for f in left] == [(1, G["e"]), (1, G["(23)"])]
         assert [f[:2] for f in right] == [(1, G["e"]), (1, G["(23)"])]
 
@@ -755,7 +736,7 @@ class TestRescaledAlgebra:
     @pytest.mark.parametrize("kind", sorted(BENCHMARK_POINTS))
     def test_isomorphic_to_the_fraction_algebra(self, kind):
         a1, a2 = BENCHMARK_POINTS[kind]
-        H0, H1 = build(a1, a2), cli_algebra(a1, a2)
+        H0, H1 = hopf(build(a1, a2)), hopf(cli_algebra(a1, a2))
         D = H1.table.rules.scale.base
         assert (H1.a1, H1.a2) == (D * D * a1, D * D * a2)
         # every entry of the table, Delta and S is the Fraction entry
@@ -770,7 +751,7 @@ class TestRescaledAlgebra:
     def test_sweeps_match_the_fraction_sweeps(self):
         # the sweeps count and find the same on both, and differ only in
         # the scalars they name
-        H0, H1 = build(*POINT), cli_algebra(*POINT)
+        H0, H1 = hopf(build(*POINT)), hopf(cli_algebra(*POINT))
         for rep0, rep1 in ((check_associativity(H0.table),
                             check_associativity(H1.table)),
                            (verify_hopf_axioms(H0), verify_hopf_axioms(H1))):
@@ -849,13 +830,13 @@ class TestCIdentity:
 
     def test_wrong_parameter_rejected(self):
         # the table of (1, 0), read as if a2 were 2
-        H = build(1, 0)
+        H = hopf(build(1, 0))
         H.a2 = 2
         assert c_identity(H)["failures"] == [("c1", "value"), ("c2", "value")]
 
     def test_wrong_comult_rejected(self):
         # one coefficient of Delta(delta_(12)) doubled
-        H = build(1, 0)
+        H = hopf(build(1, 0))
         comult = H.comult[H.index[((), G["(12)"])]]
         comult[next(iter(comult))] = 2
         assert c_identity(H)["failures"] == [("c1", "comult shape"),
@@ -910,7 +891,7 @@ class TestControls:
 
     def test_coradical_rejects_short_coproduct_term(self):
         # [x12 de, x12 de] has length 2, too long for Delta of x12 de
-        H = build(*POINT)
+        H = hopf(build(*POINT))
         p = H.table.grading.index(1)
         H.comult[p] = {**H.comult[p], (p, p): 1}
         rep = coradical_certificate(H)
@@ -1009,7 +990,7 @@ class TestControls:
 
     def test_coradical_rejects_a_flipped_term_of_delta_on_f0(self):
         # one term of Delta(d(13)) negated: F_0 is not k^{S3} as a coalgebra
-        H = build(*POINT)
+        H = hopf(build(*POINT))
         g = H.index[((), G["(13)"])]
         pq = next(iter(H.comult[g]))
         H.comult[g] = {**H.comult[g], pq: -H.comult[g][pq]}
@@ -1038,7 +1019,7 @@ class TestControls:
         import hopfs3.hopf72
         from hopfs3.groups import builtin_irreps
 
-        H = cli_algebra(*POINT)
+        H = hopf(cli_algebra(*POINT))
         monkeypatch.setattr(hopfs3.hopf72, "builtin_irreps", lambda G: [
             r for r in builtin_irreps(G) if r.name != "sign"])
         assert coradical_certificate(H)["failures"] == [
@@ -1087,7 +1068,7 @@ class TestControls:
 class TestDump:
     def test_deterministic(self, Hnum):
         d1 = dump_tables(Hnum)
-        d2 = dump_tables(build(Fraction(2), Fraction(-3)))
+        d2 = dump_tables(hopf(build(Fraction(2), Fraction(-3))))
         assert d1 == d2
         assert d1.startswith("basis 0:")
         assert "mult " in d1 and "comult " in d1 and "antipode " in d1
