@@ -83,7 +83,7 @@ def _algebra(args):
     """The Algebra on that table, built once per call and shared by the
     suites that need it; its parameters are those of the table's rules,
     so D^2 a at a rational point (a has weight 2).  The hopf suite and
-    dump build the one Hopf72 of their call on it."""
+    dump build the one Hopf72 of their call from it, sharing its S."""
     if args.algebra is None:
         from .hopf72 import build
         a1, a2, _label = _params(args)
@@ -153,8 +153,7 @@ def _suite_hopf(args) -> list:
     label = _params(args)[2]
     out = []
     t0 = time.perf_counter()
-    A = _algebra(args)
-    H = Hopf72(A.a1, A.a2, A.table)
+    H = Hopf72(_algebra(args))
     rep = build_check(H)
     out.append(_report("hopf.build", rep["ok"], {"dim": H.dim, "params": label,
                                                  "stats": H.stats},
@@ -292,7 +291,7 @@ def cmd_dump(args) -> int:
     from .hopf72 import Hopf72, dump_tables
     A = _algebra(args)
     print(f"# structure tables at {_params(args)[2]}")
-    print(dump_tables(Hopf72(A.a1, A.a2, A.table)))
+    print(dump_tables(Hopf72(A)))
     return 0
 
 

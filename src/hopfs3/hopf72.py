@@ -22,7 +22,7 @@ from operator import countOf
 from .coalg import (matrix_coefficients, skew_primitive_closed_form,
                     skew_primitive_defect)
 from .groups import Perm, builtin_irreps, identity
-from .linalg import add_into, linear, rank, vec_add, vec_tensor
+from .linalg import add_into, linear, rank, vec_add, vec_scale, vec_tensor
 from .rewrite import (GENERATORS, MultTable, X12, X13, X23, _full_tail,
                       default_rules, format_smash, sigma, structure_constants,
                       sweep_scalars)
@@ -101,12 +101,13 @@ class Algebra:
 
 
 class Hopf72(Algebra):
-    """A_[a1,a2] as a Hopf algebra: the algebra with Delta(e_i) of every
-    basis element, all built here from the generators' Delta through one
-    word_comult memo."""
+    """A_[a1,a2] as a Hopf algebra: the given Algebra, whose table,
+    counit, V and S it shares, with Delta(e_i) of every basis element,
+    all built here from the generators' Delta through one word_comult
+    memo."""
 
-    def __init__(self, a1, a2, table: MultTable):
-        super().__init__(a1, a2, table)
+    def __init__(self, algebra: Algebra):
+        vars(self).update(vars(algebra))
         # every row of the table compiled for the join: left legs scaled
         # by dim, right legs by 1
         self._rows = self._compiled(self.dim), self._compiled(1)
@@ -317,32 +318,31 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
     terms_compared counts the terms of every Delta(e_i e_k), which is
     those of Delta(e_i) Delta(e_k) wherever the pair passes; stats
     counts the pairs joined and those settled by the row.  The first
-    comult_mult failure keeps its difference Delta(e_i e_k) -
-    Delta(e_i) Delta(e_k), decoded to the original basis: unpacked,
-    then through the rules' own scale, if they were rescaled.  The
+    comult_mult failure (i, k) is kept, and its witness formed by H's
+    own maps (_format_witness), not read back from the packing.  The
     report names its scalars by sweep_scalars, as check_associativity."""
     layout = axiom_layout(H)
-    H = H.packed(layout)
-    dim = H.dim
+    P = H.packed(layout)
+    dim = P.dim
     flat = [tuple([(p * dim + q, c) for (p, q), c in d.items()])
-            for d in H.comult]
+            for d in P.comult]
     failures = []
-    witness = None
+    first = None
 
     for i in range(dim):
         if not _coassociative(flat, i, dim):
             failures.append(("coassoc", i))
-        if not _counital(flat, H.counit, i, dim):
+        if not _counital(flat, P.counit, i, dim):
             failures.append(("counit", i))
-        if not _antipodal(H, i):
+        if not _antipodal(P, i):
             failures.append(("antipode", i))
 
     by_tag: dict = {}
-    for k, d in enumerate(H.comult):
+    for k, d in enumerate(P.comult):
         for key in d.by_tags:
             by_tag.setdefault(key, []).append(k)
     joined = by_row = terms_compared = 0
-    for i, (d, row) in enumerate(zip(H.comult, H.table.rows)):
+    for i, (d, row) in enumerate(zip(P.comult, P.table.rows)):
         met = set(chain.from_iterable(by_tag.get(key, ())
                                       for key in d.by_tails))
         joined += len(met)
@@ -357,18 +357,16 @@ def verify_hopf_axioms(H: Hopf72) -> dict:
                     diff[pq] = get(pq, 0) - c * cd
             terms_compared += len(diff) - countOf(diff.values(), 0)
             if k in met:
-                H.join_into(diff, d, H.comult[k])
+                P.join_into(diff, d, P.comult[k])
             if any(diff.values()):
                 failures.append(("comult_mult", i, k))
-                if witness is None:
-                    witness = (i, k, {divmod(pq, dim): -c
-                                      for pq, c in diff.items() if c})
+                first = first or (i, k)
 
     return {"basis_checked": dim, "pairs_checked": joined + by_row,
-            "delta_terms": sum(map(len, H.comult)),
+            "delta_terms": sum(map(len, P.comult)),
             "terms_compared": terms_compared,
-            "scalars": sweep_scalars(layout, H.table),
-            "witness": witness and _format_witness(layout, H.table, *witness),
+            "scalars": sweep_scalars(layout, P.table),
+            "witness": first and _format_witness(H, *first),
             "failures": failures, "ok": not failures,
             "stats": {"pairs_joined": joined, "pairs_by_row": by_row}}
 
@@ -422,17 +420,14 @@ def _antipodal(H: Hopf72, i: int) -> bool:
     return not (any(left.values()) or any(right.values()))
 
 
-def _format_witness(layout, table: MultTable, i: int, k: int,
-                    diff: dict) -> str:
-    """The difference in the original coordinates: unpacked by the
-    layout, then decoded by the table's rules, its coefficient at [p, q]
+def _format_witness(H: Hopf72, i: int, k: int) -> str:
+    """Delta(e_i e_k) - Delta(e_i) Delta(e_k) by H's own delta and
+    tensor_mult, decoded by the table's rules: its coefficient at [p, q]
     at weight |w_i| + |w_k| - |w_p| - |w_q|."""
-    n = table.grading
-    weight = {(p, q): n[i] + n[k] - n[p] - n[q] for p, q in diff}
-    if layout is not None:
-        diff = {pq: layout.decode(c, weight[pq]) for pq, c in diff.items()}
-    diff = {pq: table.rules.decode(c, weight[pq]) for pq, c in diff.items()}
-    terms = " + ".join(f"({c})*[{p},{q}]"
+    n, decode = H.table.grading, H.table.rules.decode
+    diff = vec_add(H.delta(H.table.rows[i][k]),
+                   vec_scale(-1, H.tensor_mult(H.comult[i], H.comult[k])))
+    terms = " + ".join(f"({decode(c, n[i] + n[k] - n[p] - n[q])})*[{p},{q}]"
                        for (p, q), c in sorted(diff.items()))
     return f"Delta(e{i} e{k}) - Delta(e{i}) Delta(e{k}) = {terms}"
 

@@ -194,11 +194,11 @@ class RuleSystem:
         self.reductions = 0
         self.rewrite_steps = 0
         lhss = [r.lhs for r in self.rules]
-        self._rule_of = {lhs: i for i, lhs in enumerate(lhss)}
+        rule_of = {lhs: i for i, lhs in enumerate(lhss)}
         # a subword of an lhs that is another rule's lhs, or a copy of it
         inside = next(((b[p:q], b) for i, b in enumerate(lhss)
                        for p in range(len(b)) for q in range(p + 1, len(b) + 1)
-                       if self._rule_of.get(b[p:q], i) != i), None)
+                       if rule_of.get(b[p:q], i) != i), None)
         if inside:
             raise ValueError("inclusion ambiguity: lhs %s inside lhs %s"
                              % inside)
@@ -218,7 +218,7 @@ class RuleSystem:
             for w in self.word_rules[r.lhs]:
                 if len(w) > len(r.lhs):
                     raise ValueError(f"rhs word longer than lhs in {r!r}")
-                if len(w) == len(r.lhs) and self._find_redex(w) is not None:
+                if len(w) == len(r.lhs) and find_redex(w, self._redexes):
                     raise ValueError(f"reducible same-length rhs word in {r!r}")
                 # the rules then hold in the smash product over k^{S_n},
                 # and the table's zero-filter is sound
@@ -230,11 +230,6 @@ class RuleSystem:
         lhs delta_g summed over every g in S_n, minus the rhs."""
         return [(_word_name(r.lhs), _full_tail((r.lhs, 1), group=self.group)
                  | {k: -c for k, c in r.rhs.items()}) for r in self.rules]
-
-    def _find_redex(self, word):
-        """(position, rule index) of the leftmost redex, or None."""
-        redex = find_redex(word, self._redexes)
-        return redex and (redex[0], self._rule_of[redex[1]])
 
     def normal_form(self, word: tuple) -> dict:
         """Normal form of the word under every tail, as {word: coeff}

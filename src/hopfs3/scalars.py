@@ -6,8 +6,8 @@ polynomials with rational coefficients in named commuting variables, and
 the quadratic extension generated by a primitive cube root of unity
 (``w`` with ``w**2 + w + 1 == 0``).  The CLI's exhaustive sweeps run on
 plain ints: :class:`Kronecker` packs the graded integer polynomials of
-A_[a1, a2] into single ints at (a1, a2) = (2^B, 1), with a bound that
-keeps the packing injective on every value a sweep forms, and
+A_[a1, a2] into single ints at (a1, a2) = (2^B, 1), one way, with a
+bound that keeps a packed value 0 only where the polynomial is, and
 :class:`Rescale` clears the denominators of a rational point by a
 diagonal change of basis, applied once to a rule system
 (rewrite.rescaled).  A sweep over values of any other kind, ungraded
@@ -222,8 +222,8 @@ class Kronecker:
     of known weight, a homogeneous polynomial is fixed by the
     coefficients of those slots, so the map is injective on the ones
     whose coefficients are all < 2^(B-1) in absolute value (a balanced
-    base-2^B expansion is unique), and ``decode`` inverts it there,
-    given the weight.
+    base-2^B expansion is unique).  Nothing unpacks: a sweep only tests
+    packed values for 0, and forms a witness from the unpacked maps.
 
     ``fit`` measures the values a sweep starts from and sizes B so that
     everything the sweep forms stays in that domain.  Each value it
@@ -296,22 +296,6 @@ class Kronecker:
                 raise ScalarKindError(f"{x} lies outside {self}")
             total += int(c) << (self.bits * e[0])
         return total
-
-    def decode(self, packed: int, weight: int) -> MultiPoly:
-        """The polynomial homogeneous of degree weight/2 whose packed
-        value is ``packed``."""
-        full = 1 << self.bits
-        terms = {}
-        slot = 0
-        while packed:
-            c = packed & (full - 1)
-            if c >= full >> 1:
-                c -= full
-            if c:
-                terms[(slot, weight // 2 - slot)] = c
-            packed = (packed - c) >> self.bits
-            slot += 1
-        return MultiPoly(self.names, terms)
 
 
 class Rescale:

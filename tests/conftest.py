@@ -13,11 +13,6 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def hopf(A):
-    """The Hopf72 on the table of the Algebra A, as the CLI builds it."""
-    return Hopf72(A.a1, A.a2, A.table)
-
-
 def cli_algebra(a1, a2):
     """The CLI's algebra at the rational point (a1, a2): the rules
     rescaled once (rewrite.rescaled), A_[a] built as A_[D^2 a] on ints."""
@@ -39,17 +34,12 @@ class WrongSign(Hopf72):
         return out
 
 
-def with_wrong_sign(A):
-    """The wrong-sign control on the table of the Algebra A."""
-    return WrongSign(A.a1, A.a2, A.table)
-
-
 @pytest.fixture
 def wrong_sign_symbolic():
     """The wrong-sign control over Q[a1, a2]."""
     from hopfs3.scalars import MultiPoly
 
-    return with_wrong_sign(build(*MultiPoly.gens("a1", "a2")))
+    return WrongSign(build(*MultiPoly.gens("a1", "a2")))
 
 
 @pytest.fixture
@@ -57,7 +47,7 @@ def wrong_sign_point():
     """The wrong-sign control at the rational point (1/3, -1/2)."""
     from fractions import Fraction
 
-    return with_wrong_sign(build(Fraction(1, 3), Fraction(-1, 2)))
+    return WrongSign(build(Fraction(1, 3), Fraction(-1, 2)))
 
 
 @pytest.fixture
@@ -65,7 +55,7 @@ def wrong_sign_rescaled():
     """The wrong-sign control on the CLI's algebra at (1/3, -1/2)."""
     from fractions import Fraction
 
-    return with_wrong_sign(cli_algebra(Fraction(1, 3), Fraction(-1, 2)))
+    return WrongSign(cli_algebra(Fraction(1, 3), Fraction(-1, 2)))
 
 
 @pytest.fixture

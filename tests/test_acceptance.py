@@ -58,8 +58,8 @@ def sym_table(sym_rules):
 
 @pytest.fixture(scope="module")
 def H(sym_table):
-    from hopfs3.hopf72 import Hopf72
-    return Hopf72(A1, A2, sym_table)
+    from hopfs3.hopf72 import Hopf72, build
+    return Hopf72(build(A1, A2, sym_table))
 
 
 def test_criterion_01_nichols_dimension():

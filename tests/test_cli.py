@@ -217,7 +217,8 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [["verify", "all", "--json"], ["dump"]])
     def test_one_hopf72_per_call(self, argv, monkeypatch, capsys):
         # the call builds one Algebra, which has no Delta, and the one
-        # Hopf72 of its hopf suite or dump on that algebra's table
+        # Hopf72 of its hopf suite or dump from that algebra, sharing its
+        # table and its S
         import hopfs3.hopf72 as hopf72
         algebras, hopfs = [], []
         build, init = hopf72.build, Hopf72.__init__
@@ -230,6 +231,7 @@ class TestVerify:
         assert (len(algebras), len(hopfs)) == (1, 1)
         assert not isinstance(algebras[0], Hopf72)
         assert hopfs[0].table is algebras[0].table
+        assert hopfs[0].antipode is algebras[0].antipode
 
     @pytest.mark.parametrize("params", [[], ["--a1=1/3", "--a2=-1/2"]])
     def test_lemmas_construct_no_hopf72(self, params, monkeypatch, capsys):

@@ -9,12 +9,13 @@ import pytest
 
 import hopfs3.coalg
 import hopfs3.hopf72
-from conftest import cli_algebra, hopf
+from conftest import cli_algebra
 from hopfs3.coalg import (dual_basis_e, matrix_coefficients,
                           skew_primitive_closed_form, skew_primitive_defect,
                           skew_primitive_space)
 from hopfs3.groups import builtin_irreps, parse_perm, symmetric_group
-from hopfs3.hopf72 import build, coradical_certificate, verify_hopf_axioms
+from hopfs3.hopf72 import (Hopf72, build, coradical_certificate,
+                           verify_hopf_axioms)
 from hopfs3.linalg import linear, rank, span_equal, vec_add, vec_tensor
 from hopfs3.rewrite import X12, X13, X23
 from hopfs3.scalars import MultiPoly
@@ -26,7 +27,7 @@ G12 = parse_perm("(12)", 3)
 
 @pytest.fixture(scope="module")
 def H():
-    return hopf(cli_algebra(*POINT))
+    return Hopf72(cli_algebra(*POINT))
 
 
 def on_f0(H, v: dict) -> dict:
@@ -72,7 +73,7 @@ class TestAxiomControls:
         # the term [x13x12 d(12), x12x23 d(12)] of Delta(x13x12x23x12 de)
         # dropped: coassociativity breaks there and at the other five top
         # elements, whose Delta has the top element x13x12x23x12 de as a leg
-        H = hopf(cli_algebra(*POINT))
+        H = Hopf72(cli_algebra(*POINT))
         top = top_elements(H)
         pq = (H.index[((X13, X12), G12)], H.index[((X12, X23), G12)])
         assert pq in H.comult[top[0]]
@@ -87,7 +88,7 @@ class TestAxiomControls:
     def test_wrong_counit(self):
         # eps(x13x12x23x12 de) = 1 breaks the counit law wherever that
         # element is a leg of Delta: at the six top elements
-        H = hopf(cli_algebra(*POINT))
+        H = Hopf72(cli_algebra(*POINT))
         top = top_elements(H)
         H.counit[top[0]] = 1
         assert verify_hopf_axioms(H)["failures"] == [
@@ -115,7 +116,7 @@ class TestSkewPrimitiveSolver:
         # the span of the closed forms at a = (1, 0) and (0, 1), on the
         # CLI's algebra and on the parameter-free one alike
         closed = [skew_primitive_closed_form(a) for a in ((1, 0), (0, 1))]
-        for alg in (H, hopf(build(0, 0))):
+        for alg in (H, Hopf72(build(0, 0))):
             assert span_equal([flat(ys) for ys in skew_primitive_space(alg)],
                               [flat(ys) for ys in closed])
 
@@ -134,7 +135,7 @@ class TestSkewPrimitiveSolver:
 
     def test_flipped_term_of_delta_rejected(self):
         # one term of Delta(d(13)) negated: the space drops to dimension 1
-        H = hopf(cli_algebra(*POINT))
+        H = Hopf72(cli_algebra(*POINT))
         g = H.index[((), parse_perm("(13)", 3))]
         pq = next(iter(H.comult[g]))
         H.comult[g] = {**H.comult[g], pq: -H.comult[g][pq]}

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import hopfs3.classify
-from conftest import cli_algebra, hopf, with_wrong_sign
+from conftest import WrongSign, cli_algebra
 from hopfs3.groups import conjugate, parse_perm
 from hopfs3.hopf72 import (adjoint_isotypics, axiom_layout, build,
                            build_check, c_identity, coideal_elements,
@@ -132,12 +132,12 @@ def naive_comult_mult(alg) -> tuple:
 
 @pytest.fixture(scope="module")
 def H():
-    return hopf(build(A1, A2))
+    return Hopf72(build(A1, A2))
 
 
 @pytest.fixture(scope="module")
 def Hnum():
-    return hopf(build(Fraction(2), Fraction(-3)))
+    return Hopf72(build(Fraction(2), Fraction(-3)))
 
 
 class TestStructureMaps:
@@ -212,7 +212,7 @@ class TestStructureMaps:
         # 8 pairs (i, k) with e_i e_k != 0 at (0, 0) and 8 incompatible
         # ones: symbolically, at (0, 0), and on the packed copy, whose
         # Delta(e_i) are Joined
-        H0 = hopf(build(0, 0))
+        H0 = Hopf72(build(0, 0))
         rng = random.Random(12)
         pairs = []
         for i in rng.sample(range(H.dim), 8):
@@ -258,7 +258,7 @@ class TestStructureMaps:
         # Delta(w delta_g), built once per suffix, against the memo-free
         # product Delta(x_t1) ... Delta(x_tn) Delta(delta_g), unjoined
         a = {"symbolic": (A1, A2), "(1/3,-1/2)": POINT, "(0,0)": (0, 0)}
-        alg = hopf(build(*a[point]))
+        alg = Hopf72(build(*a[point]))
         for i, (w, g) in enumerate(alg.labels):
             expected = {(alg.index[((), t)], alg.index[((), t.inv() * g)]): 1
                         for t in S3}
@@ -284,7 +284,7 @@ class TestStructureMaps:
         real = Hopf72.tensor_mult
         monkeypatch.setattr(Hopf72, "tensor_mult",
                             lambda *args: calls.append(1) or real(*args))
-        H = hopf(build(*POINT))
+        H = Hopf72(build(*POINT))
         assert len(calls) == 66
         read = {"comult": lambda: H.comult,
                 "delta(de)": lambda: H.delta(H.delta_elt(H.e)),
@@ -293,6 +293,18 @@ class TestStructureMaps:
                 "packed": lambda: H.packed(None)}
         read[reader]()
         assert len(calls) == 66 and H.stats == {"tensor_mults": 66}
+
+    def test_construction_builds_no_antipode(self, monkeypatch):
+        # Hopf72 shares the S of the Algebra it is given: constructing it
+        # takes no S(w delta_g)
+        A = build(*POINT)
+        calls = []
+        real = Algebra.word_antipode
+        monkeypatch.setattr(Algebra, "word_antipode",
+                            lambda *args: calls.append(1) or real(*args))
+        H = Hopf72(A)
+        assert calls == []
+        assert H.antipode is A.antipode and H.table is A.table
 
     def test_no_structure_map_is_a_property(self):
         # every map of Algebra and Hopf72 is an attribute set by the
@@ -307,7 +319,7 @@ class TestStructureMaps:
         # built, so its Delta is its word maps' on a fresh memo; it must
         # differ from the unperturbed Delta on every basis word holding x13
         # (at some tail: the negated term is x13 de (x) de) and on no other
-        H = hopf(build(*POINT))
+        H = Hopf72(build(*POINT))
         H1 = wrong_sign_point
         assert [H1.word_comult(w, g, {}) for (w, g) in H1.labels] == \
             H1.comult
@@ -344,9 +356,9 @@ class TestBuildCheck:
                                        "(0,0)"])
     def test_built_maps_pass(self, point, request):
         alg = {"symbolic": lambda: request.getfixturevalue("H"),
-               "(1/3,-1/2)": lambda: hopf(build(*POINT)),
-               "cli": lambda: hopf(cli_algebra(*POINT)),
-               "(0,0)": lambda: hopf(build(0, 0))}[point]()
+               "(1/3,-1/2)": lambda: Hopf72(build(*POINT)),
+               "cli": lambda: Hopf72(cli_algebra(*POINT)),
+               "(0,0)": lambda: Hopf72(build(0, 0))}[point]()
         assert build_check(alg) == {"failures": [], "ok": True}
 
     def test_rejects_a_negated_term_of_delta_e(self, H):
@@ -363,7 +375,7 @@ class TestBuildCheck:
     def test_rejects_an_emptied_row(self):
         # delta_e delta_e = delta_e emptied: an empty product has counit
         # 0, but eps(delta_e)^2 = 1, so exactly that pair fails
-        H1 = hopf(build(*POINT))
+        H1 = Hopf72(build(*POINT))
         e = H1.index[((), G["e"])]
         H1.table = copy.copy(H1.table)
         H1.table.rows = [list(row) for row in H1.table.rows]
@@ -374,7 +386,7 @@ class TestBuildCheck:
         # delta_(23) delta_(23) = delta_(23) + delta_e has counit 1, but
         # eps(delta_(23))^2 = 0: exactly that pair fails
         d = extra_row_term.index[((), G["(23)"])]
-        assert build_check(hopf(extra_row_term))["failures"] == [
+        assert build_check(Hopf72(extra_row_term))["failures"] == [
             ("counit_mult", d, d)]
 
 
@@ -400,7 +412,7 @@ class TestAxioms:
         # map's packing; on the CLI's ints at a point nothing is packed,
         # so nothing is encoded and the table is the algebra's own
         alg = {"symbolic": lambda: request.getfixturevalue("H"),
-               "(1/3,-1/2)": lambda: hopf(cli_algebra(*POINT))}[point]()
+               "(1/3,-1/2)": lambda: Hopf72(cli_algebra(*POINT))}[point]()
         layout = axiom_layout(alg)
         seen = []
         encode = Kronecker.encode
@@ -422,19 +434,23 @@ class TestAxioms:
         # the (key, c, weight) that packing and dump_tables read from the
         # table, Delta and S are those graded() spells out
         alg = {"symbolic": lambda: request.getfixturevalue("H"),
-               "(1/3,-1/2)": lambda: hopf(cli_algebra(*POINT))}[point]()
+               "(1/3,-1/2)": lambda: Hopf72(cli_algebra(*POINT))}[point]()
         ours = list(itertools.chain(alg.table.weighted(), alg.weighted()))
         assert ours == [(key[1:], c, n) for key, c, n in graded(alg)]
         assert len(ours) == 3353
 
-    def test_packed_coefficients_decode(self, H):
-        # the graded packing forgets a2, so decode needs each weight
+    def test_packed_coefficients_are_injective(self, H):
+        # the graded packing forgets a2, so it is injective weight by
+        # weight: at each weight, distinct values encode to distinct ints
         layout = axiom_layout(H)
         assert str(layout) == "kronecker B=24 graded"
         values = list(graded(H))
         assert len(values) == 3353
+        by_weight: dict = {}
         for _key, c, weight in values:
-            assert layout.decode(layout.encode(c), weight) == c
+            by_weight.setdefault(weight, set()).add(c)
+        for weight, cs in by_weight.items():
+            assert len(set(map(layout.encode, cs))) == len(cs), weight
 
     def test_packed_copy_has_no_word_maps(self, H):
         # the copy's tables are encoded, the generators' maps are not, so
@@ -455,7 +471,7 @@ class TestAxioms:
         # homogeneous at its weight, so nothing is packed and the sweep
         # runs exactly on the polynomials themselves: 46 failures (this
         # digest), the first pair's witness read off unpacked
-        H1 = hopf(build(A1, A2))
+        H1 = Hopf72(build(A1, A2))
         pq = (2, 20)
         assert H1.comult[48][pq] == -A1
         H1.comult[48][pq] = -A1 * A2
@@ -472,7 +488,7 @@ class TestAxioms:
     def test_numeric_point(self):
         # the CLI's algebra at (2, -3): rules rescaled by D = 1, on ints,
         # which the sweep runs on as they are
-        H1 = hopf(cli_algebra(2, -3))
+        H1 = Hopf72(cli_algebra(2, -3))
         rep = verify_hopf_axioms(H1)
         assert rep["ok"], rep["failures"][:5]
         assert rep["scalars"] == "rescaled D=1"
@@ -482,7 +498,7 @@ class TestAxioms:
         # at (1/3, -1/2) the CLI's rules are rescaled by D = 6 and the
         # sweep runs in the basis D^|w| e_(w,g); it must pass with the
         # counts of the symbolic sweep
-        rep = verify_hopf_axioms(hopf(cli_algebra(*POINT)))
+        rep = verify_hopf_axioms(Hopf72(cli_algebra(*POINT)))
         assert rep["ok"], rep["failures"][:5]
         assert rep["scalars"] == "rescaled D=6"
         assert (rep["delta_terms"], rep["terms_compared"]) == (2310, 29053)
@@ -490,14 +506,14 @@ class TestAxioms:
         assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
 
     def test_degenerate_point(self):
-        rep = verify_hopf_axioms(hopf(build(0, 0)))
+        rep = verify_hopf_axioms(Hopf72(build(0, 0)))
         assert rep["ok"], rep["failures"][:5]
         assert (rep["delta_terms"], rep["terms_compared"]) == (2148, 14196)
         assert rep["stats"] == {"pairs_joined": 864, "pairs_by_row": 4320}
 
     def test_wrong_sign_in_comult_fails(self):
         # one term of Delta(x13) negated as the tables are built from it
-        rep = verify_hopf_axioms(with_wrong_sign(build(0, 0)))
+        rep = verify_hopf_axioms(WrongSign(build(0, 0)))
         assert not rep["ok"]
         assert {f[0] for f in rep["failures"]} == {
             "coassoc", "counit", "antipode", "comult_mult"}
@@ -534,7 +550,7 @@ class TestAxioms:
         # a1 - 2^B a2 is graded and zero at (2^B, 1), where the unperturbed
         # inputs would be evaluated; added to the -a1 at [2, 20] of
         # Delta(e_48), fit measures the perturbed inputs and widens B
-        H1 = hopf(build(A1, A2))
+        H1 = Hopf72(build(A1, A2))
         layout = axiom_layout(H1)
         bump = A1 - 2 ** layout.bits * A2
         with pytest.raises(ScalarKindError):
@@ -577,7 +593,7 @@ class TestAxioms:
         # it is the Fraction 1/42 in the CLI's algebra rescaled by D = 6;
         # that sweep and the plain Fraction one find the same failures
         # and witness
-        H0, H1 = hopf(build(*POINT)), hopf(cli_algebra(*POINT))
+        H0, H1 = Hopf72(build(*POINT)), Hopf72(cli_algebra(*POINT))
         i = H0.index[((X13,), G["e"])]
         q = H0.index[((X13,), G["(13)"])]
         assert (i, q) not in H0.comult[i]
@@ -612,7 +628,7 @@ class TestAxioms:
         a1, a2 = data.draw(rational()), data.draw(rational())
         # the coefficients factor over a1, a2, a1 - a2 and a1 - 2 a2
         assume(a1 != a2 and a1 != 2 * a2)
-        H0, H1 = hopf(build(a1, a2)), hopf(cli_algebra(a1, a2))
+        H0, H1 = Hopf72(build(a1, a2)), Hopf72(cli_algebra(a1, a2))
         scale = H1.table.rules.scale
         original, rescaled = list(graded(H0)), list(graded(H1))
         assert len(original) == len(rescaled) == 3353
@@ -639,7 +655,7 @@ class TestAxiomsAgainstNaiveLoop:
         assert self.assert_matches_naive(H)["ok"]
 
     def test_unperturbed_at_point(self):
-        assert self.assert_matches_naive(hopf(cli_algebra(*POINT)))["ok"]
+        assert self.assert_matches_naive(Hopf72(cli_algebra(*POINT)))["ok"]
 
     def test_wrong_sign(self, wrong_sign_rescaled):
         rep = self.assert_matches_naive(wrong_sign_rescaled)
@@ -654,7 +670,7 @@ class TestAxiomsAgainstNaiveLoop:
         # Delta(e_i) Delta(e_k) at a pair that no join meets, which the
         # row-level branch must report; planted in the CLI's algebra at
         # (1/3, -1/2) as 6 = D^1 (weight |x12| + 0 - 0 - 0 = 1)
-        alg = hopf(cli_algebra(*POINT))
+        alg = Hopf72(cli_algebra(*POINT))
         i = alg.index[((), G["e"])]
         k = alg.index[((X12,), G["e"])]
         assert k not in alg.table.compatible_followers(i)
@@ -691,7 +707,7 @@ def negated_commutation_row():
     i = H.index[((), G["(12)"])]
     k = H.index[((X13,), X13 * G["(12)"])]
     H.table.rows[i][k] = {l: -c for l, c in H.table.rows[i][k].items()}
-    return hopf(H)
+    return Hopf72(H)
 
 
 class TestAdjointGradingsAgainstNaive:
@@ -714,10 +730,10 @@ class TestAdjointGradingsAgainstNaive:
         assert self.assert_matches_naive(H) == ([], [])
 
     def test_at_point(self):
-        assert self.assert_matches_naive(hopf(build(*POINT))) == ([], [])
+        assert self.assert_matches_naive(Hopf72(build(*POINT))) == ([], [])
 
     def test_added_row_term(self, extra_row_term):
-        left, right = self.assert_matches_naive(hopf(extra_row_term))
+        left, right = self.assert_matches_naive(Hopf72(extra_row_term))
         assert [f[:2] for f in left] == [(1, G["e"]), (1, G["(23)"])]
         assert [f[:2] for f in right] == [(1, G["e"]), (1, G["(23)"])]
 
@@ -736,7 +752,7 @@ class TestRescaledAlgebra:
     @pytest.mark.parametrize("kind", sorted(BENCHMARK_POINTS))
     def test_isomorphic_to_the_fraction_algebra(self, kind):
         a1, a2 = BENCHMARK_POINTS[kind]
-        H0, H1 = hopf(build(a1, a2)), hopf(cli_algebra(a1, a2))
+        H0, H1 = Hopf72(build(a1, a2)), Hopf72(cli_algebra(a1, a2))
         D = H1.table.rules.scale.base
         assert (H1.a1, H1.a2) == (D * D * a1, D * D * a2)
         # every entry of the table, Delta and S is the Fraction entry
@@ -751,7 +767,7 @@ class TestRescaledAlgebra:
     def test_sweeps_match_the_fraction_sweeps(self):
         # the sweeps count and find the same on both, and differ only in
         # the scalars they name
-        H0, H1 = hopf(build(*POINT)), hopf(cli_algebra(*POINT))
+        H0, H1 = Hopf72(build(*POINT)), Hopf72(cli_algebra(*POINT))
         for rep0, rep1 in ((check_associativity(H0.table),
                             check_associativity(H1.table)),
                            (verify_hopf_axioms(H0), verify_hopf_axioms(H1))):
@@ -790,8 +806,8 @@ class TestHopfIdeal:
     def test_wrong_parameters_fail(self):
         # the rule relations are those of the table at (1, 2); the
         # c-relations at (1, 0) do not hold in that algebra
-        rep = verify_hopf_ideal(Hopf72(Fraction(1), Fraction(0),
-                                       build(1, 2).table))
+        rep = verify_hopf_ideal(Hopf72(build(Fraction(1), Fraction(0),
+                                             build(1, 2).table)))
         assert not rep["ok"]
         assert rep["failures"] == [
             (name, what)
@@ -815,7 +831,7 @@ class TestHopfIdeal:
         # mixed and cubic ones leave I (x) A + A (x) I and I
         rules = default_rules(*POINT).rules
         rules[3] = Rule((X13, X23), {**rules[3].words, (X23, X12): -2})
-        H1 = Hopf72(*POINT, structure_constants(RuleSystem(rules)))
+        H1 = Hopf72(build(*POINT, structure_constants(RuleSystem(rules))))
         assert verify_hopf_ideal(H1)["failures"] == [
             (name, what)
             for name in ("x13x23", "x23x13", "x12x13x12", "x23x12x23",
@@ -830,13 +846,13 @@ class TestCIdentity:
 
     def test_wrong_parameter_rejected(self):
         # the table of (1, 0), read as if a2 were 2
-        H = hopf(build(1, 0))
+        H = Hopf72(build(1, 0))
         H.a2 = 2
         assert c_identity(H)["failures"] == [("c1", "value"), ("c2", "value")]
 
     def test_wrong_comult_rejected(self):
         # one coefficient of Delta(delta_(12)) doubled
-        H = hopf(build(1, 0))
+        H = Hopf72(build(1, 0))
         comult = H.comult[H.index[((), G["(12)"])]]
         comult[next(iter(comult))] = 2
         assert c_identity(H)["failures"] == [("c1", "comult shape"),
@@ -891,7 +907,7 @@ class TestControls:
 
     def test_coradical_rejects_short_coproduct_term(self):
         # [x12 de, x12 de] has length 2, too long for Delta of x12 de
-        H = hopf(build(*POINT))
+        H = Hopf72(build(*POINT))
         p = H.table.grading.index(1)
         H.comult[p] = {**H.comult[p], (p, p): 1}
         rep = coradical_certificate(H)
@@ -903,7 +919,7 @@ class TestControls:
         rules = default_rules(*POINT).rules
         assert rules[3].lhs == (X13, X23)
         rules[3] = Rule((X13, X23), {**rules[3].words, (X23, X12): -2})
-        H = Hopf72(*POINT, structure_constants(RuleSystem(rules)))
+        H = Hopf72(build(*POINT, structure_constants(RuleSystem(rules))))
         table0 = structure_constants(default_rules(0, 0))
         failures = gr_check(H, table0)["failures"]
         assert len(failures) == 48
@@ -964,7 +980,7 @@ class TestControls:
         assert rules[0].lhs == (X13, X13)
         rules[0] = Rule((X13, X13),
                         {(): rules[0].words[()] + Tails({G["e"]: 1})})
-        H = Hopf72(*POINT, structure_constants(RuleSystem(rules)))
+        H = Hopf72(build(*POINT, structure_constants(RuleSystem(rules))))
         failures = verify_hopf_ideal(H)["failures"]
         assert [f for f in failures if f[1] == "counit"] == [
             ("x13x13", "counit")]
@@ -990,7 +1006,7 @@ class TestControls:
 
     def test_coradical_rejects_a_flipped_term_of_delta_on_f0(self):
         # one term of Delta(d(13)) negated: F_0 is not k^{S3} as a coalgebra
-        H = hopf(build(*POINT))
+        H = Hopf72(build(*POINT))
         g = H.index[((), G["(13)"])]
         pq = next(iter(H.comult[g]))
         H.comult[g] = {**H.comult[g], pq: -H.comult[g][pq]}
@@ -1019,7 +1035,7 @@ class TestControls:
         import hopfs3.hopf72
         from hopfs3.groups import builtin_irreps
 
-        H = hopf(cli_algebra(*POINT))
+        H = Hopf72(cli_algebra(*POINT))
         monkeypatch.setattr(hopfs3.hopf72, "builtin_irreps", lambda G: [
             r for r in builtin_irreps(G) if r.name != "sign"])
         assert coradical_certificate(H)["failures"] == [
@@ -1068,7 +1084,7 @@ class TestControls:
 class TestDump:
     def test_deterministic(self, Hnum):
         d1 = dump_tables(Hnum)
-        d2 = dump_tables(hopf(build(Fraction(2), Fraction(-3))))
+        d2 = dump_tables(Hopf72(build(Fraction(2), Fraction(-3))))
         assert d1 == d2
         assert d1.startswith("basis 0:")
         assert "mult " in d1 and "comult " in d1 and "antipode " in d1

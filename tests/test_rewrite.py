@@ -307,7 +307,7 @@ class TestRuleSystem:
             g = rng.choice(S3)
             nf = rules.reduce_term(w, g)
             for (w2, h), _c in nf.items():
-                assert rules._find_redex(w2) is None
+                assert find_redex(w2, rules._redexes) is None
                 assert h == g
 
 
@@ -388,12 +388,14 @@ class TestEngine:
         rules = (sym_rules() if system == "S3"
                  else request.getfixturevalue("s4_done"))
         letters = sorted({t for r in rules.rules for t in r.lhs}, key=str)
+        lhss = [r.lhs for r in rules.rules]
         rng = random.Random(20261018)
         found = 0
         for _ in range(2000):
             w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 12)))
-            assert rules._find_redex(w) == naive_redex(w, rules), w
-            found += rules._find_redex(w) is not None
+            redex = find_redex(w, rules._redexes)
+            assert redex == naive_lhs_redex(w, lhss), w
+            found += redex is not None
         assert 0 < found < 2000
 
     def test_automaton_through_completion_changes(self, s4_done):

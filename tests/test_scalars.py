@@ -234,26 +234,29 @@ class TestKronecker:
         q, s = homogeneous(e, cq), homogeneous(e, cs)
         layout = Kronecker.fit([(p, 2 * d), (q, 2 * e), (r, 2 * d),
                                 (s, 2 * e)], 2, 1)
+        # the packing is one way: the sums and products a sweep forms of
+        # packed values are the packed sums and products, and equal
+        # exactly when the polynomials are
         ep, eq, er, es = map(layout.encode, (p, q, r, s))
-        assert layout.decode(ep, 2 * d) == p
-        assert layout.decode(ep + er, 2 * d) == p + r
-        assert layout.decode(ep * eq, 2 * (d + e)) == p * q
-        assert layout.decode(ep * eq - er * es, 2 * (d + e)) == \
-            p * q - r * s
+        assert ep + er == layout.encode(p + r)
+        assert ep * eq == layout.encode(p * q)
+        assert ep * eq - er * es == layout.encode(p * q - r * s)
         assert (ep * eq == er * es) == (p * q == r * s)
 
     def test_graded_layout(self):
         # values homogeneous of degree weight/2 pack at (a1, a2) =
-        # (2^B, 1): N = 3, 2*3^2 < 2^5; decode takes the weight, also of
-        # a product
+        # (2^B, 1): N = 3, 2*3^2 < 2^5; the packed sum, product and
+        # difference of products are those of the polynomials
         p, q = A1 - A2, A1 * A2 - 2 * A2 ** 2
         weighted = [(p, 2), (q, 4), (3, 0)]
         layout = Kronecker.fit(weighted, 2, 1)
         assert str(layout) == "kronecker B=6 graded"
-        for v, n in weighted:
+        for v, _n in weighted:
             assert layout.encode(v) == (A1 ** 0 * v).evaluate((2 ** 6, 1))
-            assert layout.decode(layout.encode(v), n) == v
-        assert layout.decode(layout.encode(p) * layout.encode(q), 6) == p * q
+        ep, eq, e3 = map(layout.encode, (p, q, 3))
+        assert ep + ep == layout.encode(p + p)
+        assert ep * eq == layout.encode(p * q)
+        assert ep * ep - e3 * eq == layout.encode(p * p - 3 * q)
         with pytest.raises(ScalarKindError, match="not homogeneous"):
             layout.encode(A1 - A2 ** 2)
 
