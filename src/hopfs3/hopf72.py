@@ -273,7 +273,8 @@ def axiom_layout(H: Hopf72):
     """The layout of verify_hopf_axioms, fitted to the product table,
     Delta, S and the constant 1 (unit, counit), each at its weight
     (Hopf72.weighted): a Kronecker packing over Q[a1, a2] when every
-    value is graded (Kronecker.fit), else None, as at a rational point.
+    value is graded (Kronecker.fit), else None, as on rescaled rules
+    (rewrite.rescaled), whose values are numbers and go unfitted.
 
     With D, R and A the most terms of a Delta(e_i), a product e_i e_k and
     an S(e_i): a product in Delta(e_i) Delta(e_k) has four factors, and
@@ -284,6 +285,8 @@ def axiom_layout(H: Hopf72):
     summands; the antipode convolutions sum at most D A R products of
     three factors (c, S, row); coassociativity (D^2 summands) stays
     below both."""
+    if H.table.rules.scale:
+        return None
     rows = H.table.rows
     most_d = max(map(len, H.comult))
     most_r = max(len(e) for row in rows for e in row)

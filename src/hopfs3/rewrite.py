@@ -495,11 +495,13 @@ def resolve_ambiguity(amb, rules: RuleSystem):
 class MultTable:
     """Structure constants of the 72-dimensional algebra over the rule
     system's scalars.  Basis labels are (word, g) pairs ordered deglex
-    then by group element.  Each product w1 w2 of basis words is reduced
-    once, under every tail, and fills the six rows (w1, g1) * (w2,
-    sigma(w2) g1) from its slices.  e_p e_r is structurally zero unless
-    the tail g_p of p is the tag sigma(w_r)^-1 g_r of r: tails and tags
-    hold both, as positions in the rules' group."""
+    then by group element.  Each product w1 w2 of basis words is formed
+    once, under every tail, as the letter w1[0] times nf(w1[1:] w2), so
+    only products of a letter and a basis word are reduced: it is nf(w1
+    w2) where every ambiguity resolves (diamond lemma).  It fills the six
+    rows (w1, g1) * (w2, sigma(w2) g1) from its slices.  e_p e_r is
+    structurally zero unless the tail g_p of p is the tag sigma(w_r)^-1
+    g_r of r: tails and tags hold both, as positions in the rules' group."""
 
     def __init__(self, rules: RuleSystem):
         self.rules = rules
@@ -523,11 +525,20 @@ class MultTable:
         at = {w: pos * len(code) for pos, w in enumerate(self.words)}
         after = {s: [(code[s * g], s * g) for g in code]
                  for s in set(self._word_sigma.values())}
+        one, nfs = rules.one, {}
         for w1 in self.words:
             for w2 in self.words:
                 s2 = self._word_sigma[w2]
                 s12 = s2 * self._word_sigma[w1]
-                nf = rules.normal_form(w1 + w2)
+                # nf(t w1' w2) = sum c nf(t u) over the terms c u of
+                # nf(w1' w2), as functions of the tail of w2; a unit factor
+                # (by value: -1 * -1 leaves Tails of ones) takes no product
+                nf = {} if w1 else {w2: one}
+                for u, c in (nfs[w1[1:], w2] if w1 else {}).items():
+                    for w, d in rules.normal_form(w1[:1] + u).items():
+                        add_into(nf, w, d if c == one else
+                                 c if d == one else c * d)
+                nfs[w1, w2] = nf
                 for w in nf:
                     if self._word_sigma.get(w) != s12:
                         raise ValueError(f"normal form leaves the basis: {w}")
@@ -603,12 +614,12 @@ def check_associativity(table: MultTable) -> dict:
     at most R^2 products of two constants a side, R the most terms of a
     product of basis elements; the difference vanishes exactly when the
     packed sides are equal: the bounds are those of each side.  Where
-    Kronecker.fit finds a value it cannot pack, the values are compared
-    as they are, exactly (ints at a point of the CLI, whose rules are
-    rescaled once: see rescaled).  The report names its scalars by
-    sweep_scalars."""
+    Kronecker.fit finds a value it cannot pack, or the rules are rescaled
+    (ints at a point of the CLI: see rescaled) and nothing is fitted, the
+    values are compared as they are, exactly.  The report names its
+    scalars by sweep_scalars."""
     rows = table.rows
-    layout = Kronecker.fit(
+    layout = None if table.rules.scale else Kronecker.fit(
         ((c, n) for _key, c, n in table.weighted()), factors=2,
         summands=max(len(e) for row in rows for e in row) ** 2)
     table = table.packed(layout)

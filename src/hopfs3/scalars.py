@@ -54,7 +54,7 @@ class MultiPoly:
     variables raises.
     """
 
-    __slots__ = ("names", "terms")
+    __slots__ = ("names", "terms", "_hash")
 
     def __init__(self, names: tuple, terms: dict):
         self.names = names
@@ -155,10 +155,12 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
-        # equal to a rational exactly when constant, so hash like one
-        if self.is_constant():
-            return hash(self.constant_value())
-        return hash((self.names, frozenset(self.terms.items())))
+        # equal to a rational exactly when constant, so hash like one;
+        # taken on the first call, as terms never change
+        if not hasattr(self, "_hash"):
+            self._hash = hash(self.constant_value()) if self.is_constant() \
+                else hash((self.names, frozenset(self.terms.items())))
+        return self._hash
 
     def is_constant(self) -> bool:
         return all(not any(e) for e in self.terms)
