@@ -37,32 +37,17 @@ def act(a, gamma):
     return tuple(mu * (a[0] * m[0][j] + a[1] * m[1][j]) for j in range(2))
 
 
-def _proportional(u, v) -> bool:
-    """v = lambda u for some nonzero lambda (field algebraically closed,
-    so any nonzero ratio is admissible)."""
-    zeros_u = tuple(x == 0 for x in u)
-    zeros_v = tuple(x == 0 for x in v)
-    if zeros_u != zeros_v:
-        return False
-    return u[0] * v[1] == u[1] * v[0]
-
-
 def orbit_eq(a, b) -> bool:
-    a = (Fraction(a[0]), Fraction(a[1]))
-    b = (Fraction(b[0]), Fraction(b[1]))
-    a_zero = a == (0, 0)
-    b_zero = b == (0, 0)
-    if a_zero or b_zero:
-        return a_zero and b_zero
-    for theta in symmetric_group(3):
-        if _proportional(act(a, (Fraction(1), theta)), b):
-            return True
-    return False
+    """a and b lie in one orbit: their canonical labels agree."""
+    return canonical_rep(a) == canonical_rep(b)
 
 
 def canonical_rep(a):
     """Orbit label: lexicographically least among the six images with the
-    first nonzero coordinate normalized to 1."""
+    first nonzero coordinate normalized to 1.  Any nonzero ratio may be
+    normalized away: lambda stands for mu^2, and every lambda is a square
+    over the algebraically closed field.  The zero pair keeps (0, 0),
+    which no other pair reaches."""
     a = (Fraction(a[0]), Fraction(a[1]))
     if a == (0, 0):
         return (Fraction(0), Fraction(0))

@@ -115,17 +115,22 @@ def transpositions(n: int) -> tuple:
 
 
 def parse_perm(text: str, n: int) -> Perm:
-    """Parse cycle notation: "e", "(12)", "(123)", "(12)(34)"."""
+    """Parse cycle notation: "e", "(12)", "(123)", "(12)(34)"; the cycles
+    must be disjoint."""
     text = text.strip()
     if text in ("e", "()", ""):
         return identity(n)
     images = list(range(1, n + 1))
     if not (text.startswith("(") and text.endswith(")")):
         raise GroupError(f"bad cycle notation: {text!r}")
+    seen = set()
     for cyc in text[1:-1].split(")("):
         pts = [int(ch) for ch in cyc]
         if len(set(pts)) != len(pts) or any(p < 1 or p > n for p in pts):
             raise GroupError(f"bad cycle {cyc!r} for n={n}")
+        if seen & set(pts):
+            raise GroupError(f"bad cycle notation: {text!r}")
+        seen.update(pts)
         for a, b in zip(pts, pts[1:] + pts[:1]):
             images[a - 1] = b
     return Perm(images)

@@ -45,6 +45,24 @@ class TestVerify:
         for r in reports:
             assert set(r) == {"check", "status", "counts", "details", "ms"}
 
+    def test_classify_orbits_can_fail(self, monkeypatch, capsys):
+        # a label without the six images: each pair normalised by its first
+        # nonzero coordinate only.  orbit_eq decides by the label, so the
+        # orbit fact (1, 0) ~ (1, 1) fails with the label fact.
+        import hopfs3.classify as classify
+
+        def projective_label(a):
+            a = (Fraction(a[0]), Fraction(a[1]))
+            lead = a[0] or a[1] or 1
+            return (a[0] / lead, a[1] / lead)
+
+        monkeypatch.setattr(classify, "canonical_rep", projective_label)
+        assert main(["verify", "classify", "--json"]) == 1
+        reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+        assert reports["classify.orbits"]["status"] == "fail"
+        assert reports["classify.orbits"]["details"] == ["0", "3"]
+        assert reports["classify.iso.(12)"]["status"] == "pass"
+
     def test_numeric_point(self, capsys):
         assert main(["verify", "diamond", "--a1", "1", "--a2", "-2"]) == 0
         out = capsys.readouterr().out

@@ -56,7 +56,11 @@ class TestPerm:
 
     @pytest.mark.parametrize("text, message", [
         ("12", "bad cycle notation"), ("(1 2", "bad cycle notation"),
-        ("(14)", "bad cycle '14' for n=3")])
+        ("(14)", "bad cycle '14' for n=3"),
+        # cycles that share a point: a product, not a disjoint form
+        ("(12)(12)", "bad cycle notation"),
+        ("(123)(132)", "bad cycle notation"),
+        ("(12)(23)", "bad cycle notation")])
     def test_bad_cycle_notation(self, text, message):
         with pytest.raises(GroupError, match=message):
             parse_perm(text, 3)
