@@ -121,10 +121,11 @@ def parse_perm(text: str, n: int) -> Perm:
     if text in ("e", "()", ""):
         return identity(n)
     images = list(range(1, n + 1))
-    if not (text.startswith("(") and text.endswith(")")):
+    cycles = text[1:-1].split(")(")
+    if text[0] + text[-1] != "()" or not all(map(str.isdecimal, cycles)):
         raise GroupError(f"bad cycle notation: {text!r}")
     seen = set()
-    for cyc in text[1:-1].split(")("):
+    for cyc in cycles:
         pts = [int(ch) for ch in cyc]
         if len(set(pts)) != len(pts) or any(p < 1 or p > n for p in pts):
             raise GroupError(f"bad cycle {cyc!r} for n={n}")

@@ -421,10 +421,10 @@ def default_rules(a1, a2, fuel: int = FUEL_DEFAULT) -> RuleSystem:
 # -- enumeration and ambiguities --------------------------------------------
 
 def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP) -> list:
-    """All words in the letters x_t, t every transposition of S_n, that
-    avoid every lhs, by breadth-first extension.  Raises GrowthError if
-    irreducible words still appear at maxlen.  Memoized per system and
-    maxlen; every call gets a list of its own."""
+    """The words in the letters x_t, t in transpositions(n) (name order),
+    that avoid every lhs, in word_key order: each layer extends the last,
+    in order, letter by letter.  Raises GrowthError if any reach maxlen.
+    Memoized per system and maxlen; each call gets a list of its own."""
     if maxlen in rules._words:
         return list(rules._words[maxlen])
     n = rules.n
@@ -448,7 +448,7 @@ def irreducible_words(rules: RuleSystem, maxlen: int = WORD_CAP) -> list:
         raise GrowthError(
             f"irreducible words still appearing at length {maxlen}; "
             "possibly infinite")
-    rules._words[maxlen] = sorted(out, key=word_key)
+    rules._words[maxlen] = out
     return list(rules._words[maxlen])
 
 
@@ -462,8 +462,10 @@ def overlap_ambiguities(rules: RuleSystem) -> list:
 
 
 def _overlaps(L1, L2) -> list:
-    """The lengths k of the proper overlaps of L1 then L2: the last k
-    letters of L1 are the first k of L2, with 0 < k < len(L1), len(L2)."""
+    """The lengths k, 0 < k < len(L1), len(L2), with the last k letters
+    of L1 the first k of L2; none unless L2[0] occurs in L1[1:]."""
+    if L2[0] not in L1[1:]:
+        return []
     return [k for k in range(1, min(len(L1), len(L2)))
             if L1[len(L1) - k:] == L2[:k]]
 
@@ -562,8 +564,8 @@ class MultTable:
             return self
         encode = encoder(layout)
         out = copy.copy(self)
-        out.rows = [[{l: encode(c) for l, c in e.items()} for e in row]
-                    for row in self.rows]
+        out.rows = [[{l: encode(c) for l, c in e.items()} if e else {}
+                     for e in row] for row in self.rows]
         return out
 
     def weighted(self):

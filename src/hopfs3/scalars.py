@@ -250,12 +250,12 @@ class Kronecker:
         """The layout for a sweep over the (value, weight) pairs given
         when every value is graded: an integer polynomial in the same two
         variables, homogeneous of degree weight/2, or an integer that is
-        0 at every nonzero weight, and some value is a polynomial.  Else
-        None, from the first value that is not graded: the sweep then
-        runs exactly on the values as they are."""
+        0 at every nonzero weight, and some value is a polynomial; else
+        None.  Each distinct (type, value, weight) is read once: the type
+        keeps a constant MultiPoly, with its names, apart from its int."""
         names = None
         norm = 0
-        for v, n in weighted:
+        for _t, v, n in dict.fromkeys((type(v), v, n) for v, n in weighted):
             if isinstance(v, MultiPoly):
                 if len(v.names) != 2 or names not in (None, v.names) or any(
                         2 * sum(e) != n or not _is_int(c)

@@ -56,6 +56,10 @@ class TestPerm:
 
     @pytest.mark.parametrize("text, message", [
         ("12", "bad cycle notation"), ("(1 2", "bad cycle notation"),
+        # a character that is not a digit, inside a cycle
+        ("(1a)", "bad cycle notation"), ("( 12)", "bad cycle notation"),
+        # an empty cycle
+        ("(12)()", "bad cycle notation"),
         ("(14)", "bad cycle '14' for n=3"),
         # cycles that share a point: a product, not a disjoint form
         ("(12)(12)", "bad cycle notation"),

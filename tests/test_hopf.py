@@ -430,6 +430,31 @@ class TestAxioms:
             assert (key2, n2) == (key, n)
             assert v == (c if layout is None else encode(layout, c))
 
+    def test_packed_copy_owns_its_empty_products(self, H):
+        # the empty products, 4320 structurally zero and 158 that
+        # vanish, are copied as fresh {}: a write into one reaches no
+        # other product of the copy and nothing of the source; every
+        # other product is encoded entry by entry
+        layout = axiom_layout(H)
+        source = H.table
+        before = [[dict(e) for e in row] for row in source.rows]
+        packed = source.packed(layout)
+        products = [(i, k) for i in range(72) for k in range(72)]
+        empty = [(i, k) for i, k in products if not source.rows[i][k]]
+        assert len(empty) == 4320 + 158
+        owned = {id(packed.rows[i][k]) for i, k in empty}
+        assert len(owned) == len(empty)
+        assert owned.isdisjoint(id(e) for row in source.rows for e in row)
+        for i, k in products:
+            e = source.rows[i][k]
+            assert packed.rows[i][k] == {l: layout.encode(c)
+                                         for l, c in e.items()}
+        i, k = empty[0]
+        packed.rows[i][k][0] = 1
+        assert source.rows == before
+        assert all(packed.rows[j][m] == {} for j, m in empty[1:])
+        del packed.rows[i][k][0]
+
     @pytest.mark.parametrize("point", ["symbolic", "(1/3,-1/2)"])
     def test_weighted_maps_spell_the_grading(self, point, request):
         # the (key, c, weight) that packing and dump_tables read from the

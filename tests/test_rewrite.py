@@ -514,6 +514,19 @@ class TestAmbiguities:
     def test_count(self):
         assert len(overlap_ambiguities(sym_rules())) == 23
 
+    @pytest.mark.parametrize("system", ["S3", "S4"])
+    def test_overlaps_match_brute_force(self, system, request):
+        # every ordered pair of left-hand sides, self-pairs included; the
+        # first-letter test rules out no overlap
+        rules = {"S3": sym_rules,
+                 "S4": lambda: request.getfixturevalue("s4_done")}[system]()
+        lhss = [r.lhs for r in rules.rules]
+        for L1 in lhss:
+            for L2 in lhss:
+                assert rewrite._overlaps(L1, L2) == [
+                    k for k in range(1, min(len(L1), len(L2)))
+                    if L1[-k:] == L2[:k]]
+
     def test_known_overlaps_present(self):
         words = {w for _, _, w in overlap_ambiguities(sym_rules())}
         assert (X13, X13, X13) in words

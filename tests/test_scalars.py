@@ -1,6 +1,7 @@
 """Exact scalar domains: rationals, multivariate polynomials, and the
 cube-root-of-unity extension."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -215,6 +216,20 @@ class TestKronecker:
     def test_rational_values_need_no_layout(self):
         assert Kronecker.fit([(1, 0), (-2, 0), (Fraction(1, 3), 0)], 4,
                              100) is None
+
+    def test_fit_reads_each_distinct_pair_once(self):
+        # a stream with repeats fits as its distinct pairs do
+        distinct = [(9 * A1 ** 3 - A1 * A2 ** 2, 6), (A1 - A2, 2), (2, 0),
+                    (-1, 0), (Fraction(3), 0)]
+        stream = distinct * 3
+        random.Random(7).shuffle(stream)
+        got, want = (Kronecker.fit(pairs, 2, 5) for pairs in (stream,
+                                                               distinct))
+        assert (got.names, got.bits) == (want.names, want.bits)
+        # a constant MultiPoly equals its int and hashes as it, but has
+        # names of its own, which differ from (a1, a2): no layout
+        assert Kronecker.fit([(1, 0), (MultiPoly.const(("x", "y"), 1), 0),
+                              (A1, 2)], 2, 1) is None
 
     def test_size(self):
         # N = 9 + 1, f = 2, S = 5: 2*5*10^2 = 1000 < 2^10
