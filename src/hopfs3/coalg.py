@@ -25,18 +25,10 @@ def matrix_coefficients(irrep) -> dict:
             for i in range(1, d + 1) for j in range(1, d + 1)}
 
 
-def dual_basis_e(fs: dict) -> dict:
-    """e_ij = S(f_ji) on k^G (S(delta_g) = delta_{g^-1}; involutive here)."""
-    out = {}
-    d = max(i for i, _ in fs)
-    for i in range(1, d + 1):
-        for j in range(1, d + 1):
-            out[(i, j)] = {g.inv(): c for g, c in fs[(j, i)].items()}
-    return out
-
-
-# the dual basis e_ij of the standard-representation coefficients
-DUAL_E = dual_basis_e(matrix_coefficients(S3_STANDARD))
+# the dual basis e_ji = S(f_ij) of the standard-representation coefficients
+# (S(delta_g) = delta_{g^-1} on k^G)
+DUAL_E = {(j, i): {g.inv(): c for g, c in f.items()}
+          for (i, j), f in matrix_coefficients(S3_STANDARD).items()}
 
 
 def skew_primitive_closed_form(a) -> tuple:

@@ -171,12 +171,6 @@ def coset_representatives(elems, sub) -> list:
 # ---------------------------------------------------------------------------
 # matrices and irreducible representations
 
-def mat_mult(A, B):
-    n, m, k = len(A), len(B[0]), len(B)
-    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k))
-                       for j in range(m)) for i in range(n))
-
-
 class Irrep:
     """An irreducible representation given by explicit matrices."""
 
@@ -191,23 +185,6 @@ class Irrep:
 
     def __repr__(self):
         return f"Irrep({self.name}, dim={self.dim})"
-
-
-def _close_group(gen_mats: dict, elems) -> dict:
-    """Extend matrices on a generating set to the whole group by products."""
-    mats = dict(gen_mats)
-    todo = list(gen_mats)
-    while todo:
-        g = todo.pop()
-        for h in list(mats):
-            for prod, mat in ((g * h, mat_mult(mats[g], mats[h])),
-                              (h * g, mat_mult(mats[h], mats[g]))):
-                if prod not in mats:
-                    mats[prod] = mat
-                    todo.append(prod)
-    if len(mats) != len(elems):
-        raise GroupError("generators did not generate the group")
-    return mats
 
 
 def builtin_irreps(elems) -> list:
@@ -241,19 +218,17 @@ def builtin_irreps(elems) -> list:
         n = elems[0].n
         if n != 3 or elems != symmetric_group(3):
             raise GroupError(f"unsupported group of order {order}")
-        t12 = transposition(3, 1, 2)
-        c123 = parse_perm("(123)", 3)
         trivial = Irrep("trivial", elems, {g: ((1,),) for g in elems})
         sign = Irrep("sign", elems, {g: ((g.sign(),),) for g in elems})
-        # standard 2-dim irrep pinned by rho(12)e1 = e2 and rho(123)e1 = -e2
-        std_gens = {t12: ((0, 1), (1, 0)), c123: ((0, 1), (-1, -1))}
-        std = Irrep("standard", elems, _close_group(std_gens, elems))
-        return [trivial, sign, std]
+        return [trivial, sign, S3_STANDARD]
 
     raise GroupError(f"unsupported group of order {order}")
 
 
-# rho(theta) of the standard irrep of S3, pinned by rho(12) = ((0, 1), (1, 0))
-# and rho(123) = ((0, 1), (-1, -1))
-S3_STANDARD = next(r for r in builtin_irreps(symmetric_group(3))
-                   if r.name == "standard")
+# The standard irrep of S3, g on x1 + x2 + x3 = 0 in the basis (eps2 - eps3,
+# eps1 - eps3): rho(g)[r][c] = [g(s_c) = t_r] - [g(3) = t_r], s = t = (2, 1).
+# (12) and (123) send eps2 - eps3 to eps1 - eps3 and eps3 - eps1: that is the
+# rho(12)e1 = e2 and rho(123)e1 = -e2 that classify.act's orbit labels rest on.
+S3_STANDARD = Irrep("standard", symmetric_group(3), {
+    g: tuple(tuple((g(s) == t) - (g(3) == t) for s in (2, 1)) for t in (2, 1))
+    for g in symmetric_group(3)})

@@ -23,6 +23,7 @@ from .coalg import (matrix_coefficients, skew_primitive_closed_form,
                     skew_primitive_defect)
 from .groups import Perm, builtin_irreps, identity
 from .linalg import add_into, linear, rank, vec_add, vec_scale, vec_tensor
+# sigma is not called here, but perfbench's tracer test pins this import
 from .rewrite import (GENERATORS, MultTable, X12, X13, X23, _full_tail,
                       default_rules, format_smash, sigma, structure_constants,
                       sweep_scalars)
@@ -534,7 +535,7 @@ def adjoint_isotypics(H: Algebra, n: int) -> tuple:
     eigencomponents, e_i in the piece of sigma(w_i)^-1.  Returns the
     pieces and, as text, every (i, h) where applying ad delta_h to the
     member e_i breaks the grading."""
-    tags = {i: sigma(w, H.n).inv() for i, (w, _g) in enumerate(H.labels)
+    tags = {i: H.table.sigmas[w].inv() for i, (w, _g) in enumerate(H.labels)
             if H.table.grading[i] <= n}
     pieces: dict = {}
     for i, tag in tags.items():
@@ -549,7 +550,7 @@ def lemma31_suite(H: Algebra) -> dict:
     """The structural property suite of the degree filtration."""
     failures = []
     n = H.table.grading
-    sig = {w: sigma(w, H.n) for w in H.table.words}
+    sig = H.table.sigmas
     tags = {i: sig[w].inv() for i, (w, g) in enumerate(H.labels)}
 
     # (a) F_n^g . F_m^h lands in F_{n+m}^{gh}, term by term of e_i e_k
@@ -661,7 +662,7 @@ def gr_check(H: Algebra, reference: MultTable) -> dict:
     n = table.grading
     failures = []
     pairs = [(i, k) for i in range(table.dim)
-             for k in table.compatible_followers(i)]
+             for k in table.followers[i]]
     for i, k in pairs:
         (w1, _g1), (w2, h) = table.labels[i], table.labels[k]
         top = n[i] + n[k]
@@ -689,7 +690,7 @@ def dump_tables(H: Hopf72) -> str:
     # e_i e_k, each factor by its basis name, ordered by (w_i, w_k, g_k)
     products = sorted(((str(w1), *map(str, table.labels[k])), i, k)
                       for i, (w1, _g1) in enumerate(table.labels)
-                      for k in table.compatible_followers(i))
+                      for k in table.followers[i])
     for _key, i, k in products:
         row = {table.labels[l]: mult[i, k, l] for l in table.rows[i][k]}
         lines.append(f"mult {names[i]} * {names[k]} = {format_smash(row)}")

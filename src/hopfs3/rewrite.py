@@ -351,8 +351,8 @@ def _normal_form(x: dict, word_rules: dict, redexes: Redexes, memo: dict,
     rewrite steps it took; irreducible words are memoized as {word: one}.
     The coefficients lie in a commutative ring with unit one: numbers
     for completion, Tails for RuleSystem.  Each rewrite spends one unit
-    of fuel; running out raises NonterminationError with the last
-    TRACE_TAIL rewritten terms (word, coefficient), the last one last."""
+    of fuel; one more, with none left, raises NonterminationError with
+    the last TRACE_TAIL rewritten terms (word, coefficient), last last."""
     acc: dict = {}
     stack = list(x.items())
     trace = deque(maxlen=TRACE_TAIL)
@@ -371,11 +371,11 @@ def _normal_form(x: dict, word_rules: dict, redexes: Redexes, memo: dict,
             add_into(acc, key, coeff)
             memo[key] = {key: one}
             continue
-        trace.append((key, coeff))
-        fuel -= 1
         if fuel <= 0:
             raise NonterminationError(
                 f"fuel of {budget} rewrite steps exhausted", list(trace))
+        fuel -= 1
+        trace.append((key, coeff))
         for k, c in out.items():
             # one * c is c, but a scalar c must still become a Tails
             if coeff is not one or type(c) is not type(one):
@@ -512,11 +512,17 @@ class MultTable:
         self.index = {lab: i for i, lab in enumerate(self.labels)}
         self.dim = len(self.labels)
         self.grading = [len(w) for (w, _g) in self.labels]
-        self._word_sigma = {w: sigma(w, rules.n) for w in self.words}
+        self.sigmas = {w: sigma(w, rules.n) for w in self.words}
         code = {g: pos for pos, g in enumerate(rules.group)}
         self.tails = [code[g] for (_w, g) in self.labels]
-        self.tags = [code[self._word_sigma[w].inv() * g]
+        self.tags = [code[self.sigmas[w].inv() * g]
                      for (w, g) in self.labels]
+        # followers[i]: the k with a structurally nonzero e_i e_k, one
+        # shared list per tail
+        by_tag = [[] for _ in code]
+        for k, tag in enumerate(self.tags):
+            by_tag[tag].append(k)
+        self.followers = [by_tag[tail] for tail in self.tails]
         # rows[i][k] = e_i e_k as {index: coeff}; w1 dg1 * w2 dg2 is zero
         # unless g2 = sigma(w2) g1, and then it is the g2-slice of the
         # normal form of w1 w2, whose words must lie in the basis with
@@ -526,12 +532,12 @@ class MultTable:
         self.rows = [[{} for _ in range(self.dim)] for _ in range(self.dim)]
         at = {w: pos * len(code) for pos, w in enumerate(self.words)}
         after = {s: [(code[s * g], s * g) for g in code]
-                 for s in set(self._word_sigma.values())}
+                 for s in set(self.sigmas.values())}
         one, nfs = rules.one, {}
         for w1 in self.words:
             for w2 in self.words:
-                s2 = self._word_sigma[w2]
-                s12 = s2 * self._word_sigma[w1]
+                s2 = self.sigmas[w2]
+                s12 = s2 * self.sigmas[w1]
                 # nf(t w1' w2) = sum c nf(t u) over the terms c u of
                 # nf(w1' w2), as functions of the tail of w2; a unit factor
                 # (by value: -1 * -1 leaves Tails of ones) takes no product
@@ -542,7 +548,7 @@ class MultTable:
                                  c if d == one else c * d)
                 nfs[w1, w2] = nf
                 for w in nf:
-                    if self._word_sigma.get(w) != s12:
+                    if self.sigmas.get(w) != s12:
                         raise ValueError(f"normal form leaves the basis: {w}")
                 terms = [(at[w], c) for w, c in nf.items()]
                 for p1, (p2, g2) in enumerate(after[s2]):
@@ -591,11 +597,6 @@ class MultTable:
                     add_into(out, l, c1 * c2 * c)
         return out
 
-    def compatible_followers(self, i: int) -> list:
-        """Indices k with a structurally nonzero product i * k."""
-        tail = self.tails[i]
-        return [k for k, tag in enumerate(self.tags) if tag == tail]
-
 
 def structure_constants(rules: RuleSystem) -> MultTable:
     return MultTable(rules)
@@ -630,7 +631,7 @@ def check_associativity(table: MultTable) -> dict:
                for row in rows]
     flat = [[(base + m, c) for base, e in row for m, c in e]
             for row in nonzero]
-    followers = [table.compatible_followers(i) for i in range(dim)]
+    followers = table.followers
     failures = []
     checked = 0
     for i, row_i in enumerate(rows):

@@ -150,7 +150,8 @@ class TestVerify:
 
     def test_fuel_exhaustion_on_scalars(self, capsys):
         # at a = 0 the rules reduce on scalars; the trace still names each
-        # rewritten word with the least tail, as on Tails
+        # rewritten word with the least tail, as on Tails; the first word
+        # to take 3 rewrites runs out of fuel 2
         assert main(["verify", "diamond", "--a1=0", "--a2=0", "--fuel=2",
                      "--json"]) == 1
         (rep,) = json.loads(capsys.readouterr().out)
@@ -158,8 +159,15 @@ class TestVerify:
         assert rep == {"check": "diamond.termination", "status": "fail",
                        "counts": {"fuel": 2},
                        "details": ["fuel of 2 rewrite steps exhausted",
-                                   "(1)*x12x13x12x13.de",
-                                   "(1)*x13x12x13x13.de"]}
+                                   "(1)*x12x13x12x23.de",
+                                   "(1)*x13x12x13x23.de"]}
+
+    @pytest.mark.parametrize("fuel, code", [(6, 0), (5, 1)])
+    def test_fuel_boundary(self, fuel, code, capsys):
+        # the symbolic check's longest reduction takes 6 rewrites, and
+        # fuel N allows exactly N
+        assert main(["verify", "diamond", f"--fuel={fuel}"]) == code
+        capsys.readouterr()
 
     def test_fuel_enough_passes(self, capsys):
         assert main(["verify", "diamond", "--a1=1/3", "--a2=-1/2",

@@ -10,7 +10,7 @@ import pytest
 import hopfs3.coalg
 import hopfs3.hopf72
 from conftest import cli_algebra
-from hopfs3.coalg import (dual_basis_e, matrix_coefficients,
+from hopfs3.coalg import (DUAL_E, matrix_coefficients,
                           skew_primitive_closed_form, skew_primitive_defect,
                           skew_primitive_space)
 from hopfs3.groups import builtin_irreps, parse_perm, symmetric_group
@@ -166,9 +166,7 @@ class TestMatrixCoefficients:
         # e_ij e_kl = [j == k] e_il would need the algebra structure; here
         # check the coalgebra identity Delta(e_ij) = sum_k e_ik (x) e_kj
         # through the algebra's Delta on F_0
-        std = next(r for r in builtin_irreps(S3) if r.dim == 2)
-        es = {ij: on_f0(H, e)
-              for ij, e in dual_basis_e(matrix_coefficients(std)).items()}
+        es = {ij: on_f0(H, e) for ij, e in DUAL_E.items()}
         for i in (1, 2):
             for j in (1, 2):
                 want = vec_add(vec_tensor(es[(i, 1)], es[(1, j)]),

@@ -8,7 +8,7 @@ from hopfs3 import groups
 from hopfs3.groups import (S3_STANDARD, GroupError, Irrep, Perm,
                            builtin_irreps, centralizer, conjugacy_class,
                            conjugate, coset_representatives, identity,
-                           mat_mult, parse_perm, symmetric_group,
+                           parse_perm, symmetric_group,
                            transposition, transpositions)
 from hopfs3.scalars import Cyclotomic3
 
@@ -16,6 +16,11 @@ S3 = symmetric_group(3)
 S4 = symmetric_group(4)
 
 perm4 = st.permutations(range(1, 5)).map(Perm)
+
+
+def mat_mult(A, B):
+    return tuple(tuple(sum(a * b for a, b in zip(row, col))
+                       for col in zip(*B)) for row in A)
 
 
 class TestPerm:
@@ -171,6 +176,15 @@ class TestIrreps:
         assert S3_STANDARD.name == "standard" and S3_STANDARD.dim == 2
         assert S3_STANDARD(transposition(3, 1, 2)) == ((0, 1), (1, 0))
         assert S3_STANDARD(parse_perm("(123)", 3)) == ((0, 1), (-1, -1))
+
+    def test_s3_standard_closed_form(self):
+        # g on x1 + x2 + x3 = 0 in the basis (eps2 - eps3, eps1 - eps3),
+        # the one object builtin_irreps(S3) returns as its standard irrep
+        assert builtin_irreps(S3)[2] is S3_STANDARD
+        assert {str(g): S3_STANDARD(g) for g in S3} == {
+            "e": ((1, 0), (0, 1)), "(12)": ((0, 1), (1, 0)),
+            "(13)": ((1, 0), (-1, -1)), "(23)": ((-1, -1), (0, 1)),
+            "(123)": ((0, 1), (-1, -1)), "(132)": ((-1, -1), (1, 0))}
 
     def test_sign_irrep(self):
         sgn = next(r for r in builtin_irreps(S3) if r.dim == 1

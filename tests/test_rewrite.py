@@ -285,13 +285,29 @@ class TestRuleSystem:
     @pytest.mark.parametrize("g", ["e", "(12)"])
     def test_fuel_exhaustion_on_scalars(self, g):
         # at (0, 0) no rule holds a Tails, so words reduce on scalars; the
-        # trace still names each rewritten word with its least tail, e
+        # trace still names each rewritten word with its least tail, e;
+        # the word takes 3 rewrites, so fuel 2 runs out
         rules = default_rules(0, 0, fuel=2)
         assert rules.one == 1
         with pytest.raises(NonterminationError) as exc:
-            rules.reduce_term((X12, X13, X12, X13), G[g])
-        assert exc.value.trace == [((X12, X13, X12, X13), G["e"]),
-                                   ((X13, X12, X13, X13), G["e"])]
+            rules.reduce_term((X12, X13, X12, X23), G[g])
+        assert exc.value.trace == [((X12, X13, X12, X23), G["e"]),
+                                   ((X13, X12, X13, X23), G["e"])]
+
+    @pytest.mark.parametrize("a, steps", [((1, 2), 20), ((A1, A2), 20),
+                                          ((0, 0), 12)],
+                             ids=["rational", "symbolic", "scalars"])
+    def test_fuel_boundary(self, a, steps):
+        # fuel N allows exactly N rewrites, on Tails and on scalars alike:
+        # x13x23x23x13 takes 20 rewrites on Tails and 12 at a = 0
+        word = (X13, X23, X23, X13)
+        rules = default_rules(*a, fuel=steps)
+        assert (rules.one == 1) == (a == (0, 0))
+        rules.reduce_term(word, G["e"])
+        assert rules.rewrite_steps == steps
+        with pytest.raises(NonterminationError,
+                           match=f"fuel of {steps - 1} rewrite steps"):
+            default_rules(*a, fuel=steps - 1).reduce_term(word, G["e"])
 
     def test_trace_is_bounded(self):
         rules = default_rules(1, 2, fuel=60)
@@ -721,7 +737,7 @@ def per_triple_associativity(table) -> tuple:
                            factors=2, summands=most * most)
     table = table.packed(layout)
     items = [[tuple(e.items()) for e in row] for row in table.rows]
-    followers = [table.compatible_followers(i) for i in range(table.dim)]
+    followers = table.followers
     failures = []
     checked = 0
     for i, row_i in enumerate(items):
@@ -768,9 +784,9 @@ def _perturbed_tables():
     table = _point_tables()[1]
     e, d12 = table.index[((), G["e"])], table.index[((), G["(12)"])]
     x12 = table.index[((X12,), G["e"])]
-    assert d12 not in table.compatible_followers(e)
-    assert e not in table.compatible_followers(d12)
-    assert x12 not in table.compatible_followers(e)
+    assert d12 not in table.followers[e]
+    assert e not in table.followers[d12]
+    assert x12 not in table.followers[e]
     table.rows[e][e][d12] = 1
     table.rows[d12][e] = {d12: 1}
     table.rows[e][x12] = {e: 1}
@@ -955,10 +971,10 @@ class TestMultTable:
         for i, (w, g) in enumerate(table.labels):
             assert group[table.tails[i]] == g
             assert group[table.tags[i]] == sigma(w).inv() * g
-            assert table.compatible_followers(i) == [
+            assert table.followers[i] == [
                 table.index[(w2, sigma(w2) * g)] for w2 in table.words]
             assert all(not e for k, e in enumerate(table.rows[i])
-                       if k not in table.compatible_followers(i))
+                       if k not in table.followers[i])
 
     def test_specialization_commutes(self):
         # evaluating the symbolic table at a point equals building the
