@@ -4,6 +4,7 @@ and structure-table dumps with deterministic output."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -320,7 +321,9 @@ def _join_params(argv: list) -> list:
     return out
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; each parse gets a fresh Namespace."""
     p = _Parser(
         prog="hopfs3",
         description="Exact verification of the 72-dimensional Hopf algebra "

@@ -551,12 +551,16 @@ def lemma31_suite(H: Algebra) -> dict:
     failures = []
     n = H.table.grading
     sig = H.table.sigmas
-    tags = {i: sig[w].inv() for i, (w, g) in enumerate(H.labels)}
+    tags = [sig[w].inv() for (w, g) in H.labels]
 
-    # (a) F_n^g . F_m^h lands in F_{n+m}^{gh}, term by term of e_i e_k
+    # (a) F_n^g . F_m^h lands in F_{n+m}^{gh}, term by term of each
+    # nonzero e_i e_k; gh read from a table of the distinct tags
+    times = {g: {h: g * h for h in set(tags)} for g in set(tags)}
     for i, row in enumerate(H.table.rows):
         for k, e in enumerate(row):
-            top, tag = (n[i] + n[k], tags[i] * tags[k]) if e else (0, None)
+            if not e:
+                continue
+            top, tag = n[i] + n[k], times[tags[i]][tags[k]]
             for l in e:
                 if n[l] > top:
                     failures.append(("filtration-product", i, k))

@@ -104,9 +104,9 @@ class Tails(dict):
 
 
 @functools.cache
-def _unit(n: int) -> Tails:
-    """The unit of k^{S_n}: 1 at every g."""
-    return Tails.fromkeys(symmetric_group(n), 1)
+def _unit(n: int, c: int = 1) -> Tails:
+    """The unit of k^{S_n}, 1 at every g; with c = -1 its negation."""
+    return Tails.fromkeys(symmetric_group(n), c)
 
 
 def _scalar(c, order: int):
@@ -382,6 +382,12 @@ def _normal_form(x: dict, word_rules: dict, redexes: Redexes, memo: dict,
                 c = coeff * c
             if c:
                 stack.append((k, c))
+    if type(one) is Tails:
+        # (-1)(-1) on a Tails makes a fresh Tails of ones: a unit, or its
+        # negation, is returned as the one shared object
+        minus = _unit(next(iter(one)).n, -1)
+        for k, c in acc.items():
+            acc[k] = one if c == one else minus if c == minus else c
     return acc, budget - fuel
 
 
@@ -540,12 +546,12 @@ class MultTable:
                 s12 = s2 * self.sigmas[w1]
                 # nf(t w1' w2) = sum c nf(t u) over the terms c u of
                 # nf(w1' w2), as functions of the tail of w2; a unit factor
-                # (by value: -1 * -1 leaves Tails of ones) takes no product
+                # (normal forms hold the one unit) takes no product
                 nf = {} if w1 else {w2: one}
                 for u, c in (nfs[w1[1:], w2] if w1 else {}).items():
                     for w, d in rules.normal_form(w1[:1] + u).items():
-                        add_into(nf, w, d if c == one else
-                                 c if d == one else c * d)
+                        add_into(nf, w, d if c is one else
+                                 c if d is one else c * d)
                 nfs[w1, w2] = nf
                 for w in nf:
                     if self.sigmas.get(w) != s12:

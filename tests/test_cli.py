@@ -13,9 +13,9 @@ from fractions import Fraction
 import pytest
 
 import hopfs3
-from hopfs3.cli import main
+from hopfs3.cli import main, make_parser
 from hopfs3.hopf72 import Hopf72, build
-from hopfs3.rewrite import format_smash
+from hopfs3.rewrite import FUEL_DEFAULT, format_smash
 from hopfs3.scalars import MultiPoly
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -460,6 +460,39 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+class TestParser:
+    """main reuses one parser; each call parses into a fresh Namespace."""
+
+    def test_one_parser_per_process(self):
+        assert make_parser() is make_parser()
+
+    def test_point_and_fuel_do_not_leak(self, monkeypatch, capsys):
+        # a failing call at a point with little fuel, then a symbolic call
+        # under the default fuel, which passes
+        import hopfs3.cli as cli
+        fuels, rules = [], cli.default_rules
+        monkeypatch.setattr(cli, "default_rules", lambda *a, fuel: (
+            fuels.append(fuel) or rules(*a, fuel=fuel)))
+        assert main(["verify", "diamond", "--a1=1/3", "--a2=-1/2",
+                     "--fuel", "5"]) == 1
+        capsys.readouterr()
+        assert main(["verify", "diamond", "--json"]) == 0
+        reports = {r["check"]: r for r in json.loads(capsys.readouterr().out)}
+        assert reports["diamond.ambiguities"]["counts"]["params"] == "symbolic"
+        assert reports["diamond.associativity"]["counts"]["params"] == \
+            "symbolic"
+        assert fuels == [5, FUEL_DEFAULT]
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "diamond", "--fuel=0"])
+        assert exc.value.code == 2
+        assert main(["verify", "diamond", "--a1=1", "--a2=-2", "--json"]) == 0
+        reports = json.loads(capsys.readouterr().out)
+        assert all(r["status"] == "pass" for r in reports)
+        assert reports[0]["counts"]["params"] == "(1,-2)"
 
 
 class TestClassify:

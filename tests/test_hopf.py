@@ -1041,6 +1041,21 @@ class TestControls:
             ("filtration-product", d, d), ("isotypic-product", d, d),
             ("right-adjoint", d, "e")]
 
+    def test_structure_rejects_a_term_at_a_structurally_zero_pair(self):
+        # d(12) d(e) = x12 d(e): the tail (12) of d(12) is not the tag e of
+        # d(e), so the pair has no product to walk and only a sweep over
+        # every entry finds it; the planted term has length 1 and ad-delta
+        # eigenvalue (12), not e
+        H = build(*POINT)
+        i = H.index[((), G["(12)"])]
+        k = H.index[((), G["e"])]
+        assert k not in H.table.followers[i]
+        assert not H.table.rows[i][k]
+        H.table.rows[i][k] = {H.index[((X12,), G["e"])]: 1}
+        assert lemma31_suite(H)["failures"] == [
+            ("filtration-product", i, k), ("isotypic-product", i, k),
+            ("right-adjoint", k, "(12)"), ("right-adjoint", i, "(12)")]
+
     def test_structure_rejects_a_changed_commutation_row(self):
         # d(12) x13 d(123) (basis 15) doubled: d(12) x13 != x13 d(13 . 12)
         H = build(*POINT)

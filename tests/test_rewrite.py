@@ -218,6 +218,23 @@ class TestRuleSystem:
         assert table.stats == {"reductions": 180, "rewrite_steps": 47}
         assert units == []
 
+    @pytest.mark.parametrize("a", [
+        (Fraction(999, 1000), Fraction(-123, 77)),
+        (Fraction(3, 7), Fraction(-5, 11)), (A1, A2)],
+        ids=["rational", "rational2", "symbolic"])
+    def test_memo_holds_one_unit(self, a):
+        # (-1)(-1) on a Tails makes a fresh Tails of ones, as in the
+        # normal form of x23 x13 x12 x13 at x13 x12 x23 x12; every
+        # memoized unit, and every negated one, is the one shared object
+        rules = default_rules(*a)
+        structure_constants(rules)
+        one, minus = rules.one, Tails({g: -1 for g in rules.group})
+        coeffs = [c for nf in rules._normal_forms.values()
+                  for c in nf.values()]
+        assert [c for c in coeffs if c == one and c is not one] == []
+        negated = [c for c in coeffs if c == minus]
+        assert negated and all(c is negated[0] for c in negated)
+
     def test_rescaled_rules(self):
         # at (1/3, -1/2) the weight-2 coefficients have denominator 6, so
         # D = 6 and the rescaled system is default_rules(12, -18), on ints
